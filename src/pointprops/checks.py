@@ -269,7 +269,7 @@ def check_model_gradients(seed=106, per_layer=8, step=1e-5) -> CheckResult:
     grads = model.backward(params, out, grad_prob, grad_desc)
 
     def objective(p):
-        o = model.forward(p, image)
+        o = model.forward(p, image, keep_cache=False)
         return float((grad_prob * o.prob_map).sum() + (grad_desc * o.desc_field).sum())
 
     worst = 0.0
@@ -313,7 +313,7 @@ def toy_scene_state(seed=7, size=24, views=3):
 
 def detector_chain_objective(params, scene, state):
     """Repeatability part of the expected log-likelihood, posteriors frozen."""
-    outs = [model.forward(params, img) for img in scene.images]
+    outs = [model.forward(params, img, keep_cache=False) for img in scene.images]
     j_images = scene.num_views
     probs = np.zeros((j_images,) + state.r.shape)
     for j, out in enumerate(outs):
@@ -327,7 +327,7 @@ def detector_chain_objective(params, scene, state):
 
 def descriptor_chain_objective(params, scene, state, cfg):
     """Discriminability part (sum of alpha * p * h), structure frozen."""
-    outs = [model.forward(params, img) for img in scene.images]
+    outs = [model.forward(params, img, keep_cache=False) for img in scene.images]
     descriptors = []
     for j, out in enumerate(outs):
         vj = state.sel_valid[j]

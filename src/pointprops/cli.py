@@ -214,8 +214,8 @@ def evaluate_pair(params, img_a, img_b, hom, eval_cfg, rad, pair_seed=0):
     """Full pipeline on one pair; returns the metrics row plus artifacts."""
     pad_a, shape_a = pad_to_multiple_of_4(img_a)
     pad_b, shape_b = pad_to_multiple_of_4(img_b)
-    out_a = model.forward(params, pad_a)
-    out_b = model.forward(params, pad_b)
+    out_a = model.forward(params, pad_a, keep_cache=False)
+    out_b = model.forward(params, pad_b, keep_cache=False)
     pts_a = evaluate.extract_points(out_a, eval_cfg.prob_threshold, rad, eval_cfg.max_points)
     pts_b = evaluate.extract_points(out_b, eval_cfg.prob_threshold, rad, eval_cfg.max_points)
     matches = evaluate.match_two_way(pts_a, pts_b)

@@ -156,7 +156,7 @@ class PointPropsDetector:
         self._check_fitted()
         img = as_float_image(image)
         padded, (height, width) = pad_to_multiple_of_4(img)
-        out = model.forward(self.params_, padded)
+        out = model.forward(self.params_, padded, keep_cache=False)
         points = evaluate.extract_points(out, self.prob_threshold, self.rad, self.max_points)
         inside = (points.xy[:, 0] <= width - 1) & (points.xy[:, 1] <= height - 1)
         return evaluate.PointSet(

@@ -135,15 +135,68 @@ def matching_score(
 # ---------------------------------------------------------------------------
 
 
-def _normalization(points: np.ndarray) -> np.ndarray:
-    centroid = points.mean(axis=0)
-    spread = np.linalg.norm(points - centroid, axis=1).mean()
-    scale = np.sqrt(2.0) / max(spread, 1e-12)
-    return np.array([
-        [scale, 0.0, -scale * centroid[0]],
-        [0.0, scale, -scale * centroid[1]],
-        [0.0, 0.0, 1.0],
-    ])
+# RANSAC trials whose minimal-sample fits and reprojection errors are
+# computed together; trials past the adaptive stop are computed and discarded
+RANSAC_CHUNK = 64
+
+# the four triples of a 4-point sample, each leaving one point out
+_TRIPLES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def _normalizations(points: np.ndarray) -> np.ndarray:
+    """Hartley similarity per point set: (K, m, 2) -> (K, 3, 3)."""
+    centroid = points.mean(axis=1)
+    spread = np.linalg.norm(points - centroid[:, None], axis=2).mean(axis=1)
+    scale = np.sqrt(2.0) / np.maximum(spread, 1e-12)
+    t = np.zeros((points.shape[0], 3, 3))
+    t[:, 0, 0] = t[:, 1, 1] = scale
+    t[:, :2, 2] = -scale[:, None] * centroid
+    t[:, 2, 2] = 1.0
+    return t
+
+
+def _svd_stack(rows: np.ndarray):
+    """Singular values and V^T of each matrix; NaN where the SVD fails."""
+    try:
+        _, sing, vt = np.linalg.svd(rows)
+        return sing, vt
+    except np.linalg.LinAlgError:  # isolate the matrices that did not converge
+        sing = np.full((len(rows), min(rows.shape[1:])), np.nan)
+        vt = np.full((len(rows), 9, 9), np.nan)
+        for k, a in enumerate(rows):
+            try:
+                _, sing[k], vt[k] = np.linalg.svd(a)
+            except np.linalg.LinAlgError:
+                pass
+        return sing, vt
+
+
+def _dlt_stack(src: np.ndarray, dst: np.ndarray):
+    """Normalized DLT on K correspondence sets of m >= 4 points each.
+
+    ``src`` and ``dst`` are (K, m, 2). Returns (h, ok): h is (K, 3, 3) with
+    h[2, 2] = 1 where ``ok``; a False ``ok`` marks a degenerate set (rank
+    deficient, SVD failure, or h[2, 2] ~ 0) whose h is undefined.
+    """
+    count, m = src.shape[:2]
+    t1 = _normalizations(src)
+    t2 = _normalizations(dst)
+    ones = np.ones((count, m, 1))
+    s = (np.concatenate([src, ones], axis=2) @ t1.transpose(0, 2, 1))[:, :, :2]
+    d = (np.concatenate([dst, ones], axis=2) @ t2.transpose(0, 2, 1))[:, :, :2]
+    x, y, u, v = s[:, :, 0], s[:, :, 1], d[:, :, 0], d[:, :, 1]
+    rows = np.zeros((count, 2 * m, 9))
+    rows[:, 0::2, 0], rows[:, 0::2, 1], rows[:, 0::2, 2] = -x, -y, -1.0
+    rows[:, 1::2, 3], rows[:, 1::2, 4], rows[:, 1::2, 5] = -x, -y, -1.0
+    rows[:, 0::2, 6], rows[:, 0::2, 7], rows[:, 0::2, 8] = u * x, u * y, u
+    rows[:, 1::2, 6], rows[:, 1::2, 7], rows[:, 1::2, 8] = v * x, v * y, v
+    sing, vt = _svd_stack(rows)
+    ok = sing[:, 0] > 0
+    ok[ok] = ~(sing[ok, -2] / sing[ok, 0] < 1e-10)  # rank-deficient configuration
+    h = np.linalg.inv(t2) @ vt[:, -1].reshape(count, 3, 3) @ t1
+    ok &= ~(np.abs(h[:, 2, 2]) < 1e-12)
+    h[ok] /= h[ok, 2, 2][:, None, None]
+    return h, ok
 
 
 def dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
@@ -152,46 +205,30 @@ def dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
     dst = np.asarray(dst, dtype=float)
     if src.shape[0] < 4:
         return None
-    t1 = _normalization(src)
-    t2 = _normalization(dst)
-    s = (np.hstack([src, np.ones((src.shape[0], 1))]) @ t1.T)[:, :2]
-    d = (np.hstack([dst, np.ones((dst.shape[0], 1))]) @ t2.T)[:, :2]
-    rows = []
-    for (x, y), (u, v) in zip(s, d):
-        rows.append([-x, -y, -1.0, 0.0, 0.0, 0.0, u * x, u * y, u])
-        rows.append([0.0, 0.0, 0.0, -x, -y, -1.0, v * x, v * y, v])
-    try:
-        _, sing, vt = np.linalg.svd(np.array(rows))
-    except np.linalg.LinAlgError:
-        return None
-    if sing[0] <= 0 or sing[-2] / sing[0] < 1e-10:  # rank-deficient configuration
-        return None
-    h = np.linalg.inv(t2) @ vt[-1].reshape(3, 3) @ t1
-    if abs(h[2, 2]) < 1e-12:
-        return None
-    return h / h[2, 2]
+    h, ok = _dlt_stack(src[None], dst[None])
+    return h[0] if ok[0] else None
 
 
-def _reprojection_errors(h: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    mapped = np.hstack([src, np.ones((src.shape[0], 1))]) @ h.T
-    w = mapped[:, 2]
-    err = np.full(src.shape[0], np.inf)
-    ok = np.abs(w) > 1e-12
-    err[ok] = np.linalg.norm(mapped[ok, :2] / w[ok, None] - dst[ok], axis=1)
-    return err
-
-
-def _spread_out(points: np.ndarray) -> bool:
-    """Reject minimal samples with near-collinear triples."""
-    for skip in range(4):
-        tri = np.delete(points, skip, axis=0)
-        area = abs(
-            (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-            - (tri[1, 1] - tri[0, 1]) * (tri[2, 0] - tri[0, 0])
+def _collinear(samples: np.ndarray) -> np.ndarray:
+    """(K, 4, 2) minimal samples -> True where some triple is near-collinear."""
+    bad = np.zeros(samples.shape[0], dtype=bool)
+    for i, j, k in _TRIPLES:
+        p0, p1, p2 = samples[:, i], samples[:, j], samples[:, k]
+        area = np.abs(
+            (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+            - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0])
         )
-        if area < 1e-6:
-            return False
-    return True
+        bad |= area < 1e-6
+    return bad
+
+
+def _transfer_errors(h: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """(K, n) distance of each h-mapped src point to its dst; inf at infinity."""
+    mapped = np.hstack([src, np.ones((src.shape[0], 1))]) @ h.transpose(0, 2, 1)
+    w = mapped[:, :, 2]
+    finite = np.abs(w) > 1e-12
+    xy = mapped[:, :, :2] / np.where(finite, w, 1.0)[:, :, None]
+    return np.where(finite, np.linalg.norm(xy - dst, axis=2), np.inf)
 
 
 def estimate_homography(
@@ -207,11 +244,22 @@ def estimate_homography(
 
     Deterministic for a fixed seed. Returns None when fewer than 4 matches
     exist or every sample is degenerate.
+
+    Trials run in chunks of ``RANSAC_CHUNK``: the chunk's samples are drawn
+    by the same sequential ``rng.choice`` calls as a one-trial-at-a-time
+    loop, their collinearity tests, DLT fits and reprojection errors are
+    computed as stacks, and the trials are then scanned in order with the
+    sequential update rules (more inliers wins, equal counts go to the lower
+    inlier error sum, degenerate samples still count as trials, and the
+    adaptive trial budget stops the scan). Every stacked operation performs
+    the same floating-point operations per element as its one-trial form,
+    so the estimate is bit-identical to the sequential loop; trials drawn
+    past the stopping point are discarded.
     """
     if len(matches) < 4:
         return None
-    src = a.xy[matches.index_a]
-    dst = b.xy[matches.index_b]
+    src = np.asarray(a.xy[matches.index_a], dtype=float)
+    dst = np.asarray(b.xy[matches.index_b], dtype=float)
     n = src.shape[0]
     rng = np.random.default_rng(seed)
     best_inliers = None
@@ -220,30 +268,35 @@ def estimate_homography(
     needed = max_iters
     trial = 0
     while trial < min(max_iters, needed):
-        trial += 1
-        pick = rng.choice(n, size=4, replace=False)
-        if not (_spread_out(src[pick]) and _spread_out(dst[pick])):
-            continue
-        h = dlt_homography(src[pick], dst[pick])
-        if h is None:
-            continue
-        errors = _reprojection_errors(h, src, dst)
+        size = min(RANSAC_CHUNK, min(max_iters, needed) - trial)
+        picks = np.array([rng.choice(n, size=4, replace=False) for _ in range(size)])
+        fit = np.flatnonzero(~(_collinear(src[picks]) | _collinear(dst[picks])))
+        hs, ok = _dlt_stack(src[picks[fit]], dst[picks[fit]])
+        fit, hs = fit[ok], hs[ok]
+        errors = _transfer_errors(hs, src, dst)
         inliers = errors < inlier_threshold
-        count = int(inliers.sum())
-        err_sum = float(errors[inliers].sum())
-        if count > best_count or (count == best_count and err_sum < best_err):
-            best_count, best_err, best_inliers = count, err_sum, inliers
+        counts = inliers.sum(axis=1)
+        for row, offset in enumerate(fit):
+            if trial + offset >= min(max_iters, needed):
+                break
+            count = int(counts[row])
+            if count < best_count:
+                continue
+            err_sum = float(errors[row][inliers[row]].sum())
+            if count == best_count and not err_sum < best_err:
+                continue
+            best_count, best_err, best_inliers = count, err_sum, inliers[row]
             if count >= 4:
                 ratio = count / n
                 misses = 1.0 - ratio**4
                 if misses <= 1e-12:
-                    needed = trial
+                    needed = trial + offset + 1
                 else:
                     needed = int(np.ceil(np.log(1.0 - confidence) / np.log(misses)))
+        trial += size
     if best_inliers is None or best_count < 4:
         return None
-    refit = dlt_homography(src[best_inliers], dst[best_inliers])
-    return refit if refit is not None else None
+    return dlt_homography(src[best_inliers], dst[best_inliers])
 
 
 def homography_error(h_est: np.ndarray | None, h_gt: np.ndarray, size, epsilon: float = 3.0):

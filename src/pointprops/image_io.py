@@ -186,17 +186,20 @@ def read_png(path) -> np.ndarray:
     pos = len(PNG_MAGIC)
     ihdr = None
     idat = b""
-    while pos < len(blob):
-        length = struct.unpack(">I", blob[pos : pos + 4])[0]
-        kind = blob[pos + 4 : pos + 8]
-        payload = blob[pos + 8 : pos + 8 + length]
-        pos += 12 + length
-        if kind == b"IHDR":
-            ihdr = struct.unpack(">IIBBBBB", payload)
-        elif kind == b"IDAT":
-            idat += payload
-        elif kind == b"IEND":
-            break
+    try:
+        while pos < len(blob):
+            length = struct.unpack(">I", blob[pos : pos + 4])[0]
+            kind = blob[pos + 4 : pos + 8]
+            payload = blob[pos + 8 : pos + 8 + length]
+            pos += 12 + length
+            if kind == b"IHDR":
+                ihdr = struct.unpack(">IIBBBBB", payload)
+            elif kind == b"IDAT":
+                idat += payload
+            elif kind == b"IEND":
+                break
+    except struct.error:
+        raise ValueError(f"{path}: truncated or malformed PNG chunk") from None
     if ihdr is None:
         raise ValueError(f"{path}: missing IHDR")
     width, height, depth, color_type, _, _, interlace = ihdr
@@ -205,8 +208,13 @@ def read_png(path) -> np.ndarray:
     channels = {0: 1, 2: 3, 4: 2, 6: 4}.get(color_type)
     if channels is None:
         raise ValueError(f"{path}: unsupported PNG color type {color_type}")
-    raw = zlib.decompress(idat)
+    try:
+        raw = zlib.decompress(idat)
+    except zlib.error as exc:
+        raise ValueError(f"{path}: corrupt PNG image data ({exc})") from None
     stride = width * channels
+    if len(raw) < height * (1 + stride):
+        raise ValueError(f"{path}: PNG image data is truncated")
     out = np.zeros((height, stride), dtype=np.uint8)
     prev = np.zeros(stride, dtype=np.uint8)
     pos = 0

@@ -33,8 +33,6 @@ import numpy as np
 NORM_EPS = 1e-12
 PROB_CLIP = 1e-12
 
-CONV_LAYERS = ("enc1", "enc2", "enc3", "enc4", "det1", "det2", "desc1", "desc2")
-
 
 def topology(descriptor_dim: int, in_channels: int = 1):
     """Layer descriptor records: (name, kind, in_channels, out_channels)."""
@@ -244,11 +242,25 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def forward(params: ModelParams, image: np.ndarray) -> ModelOutput:
+class _DiscardWrites(dict):
+    """Stands in for the cache when no backward pass will follow: every
+    ``cache[key] = value`` is dropped, so nothing outlives its layer."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def forward(
+    params: ModelParams, image: np.ndarray, keep_cache: bool = True
+) -> ModelOutput:
     """Evaluate the network on one image.
 
     ``image`` is (H, W) or (H, W, C) with H and W divisible by 4. Pure
     function of (params, image); the returned cache feeds ``backward``.
+    With ``keep_cache=False`` nothing is written to the cache, so each
+    layer's patch matrix and pre-activation are freed as soon as the next
+    layer has consumed them; the maps are the same bits, but ``backward``
+    rejects the output. Inference (eval, visualize, detect) uses this.
     """
     x = np.asarray(image, dtype=float)
     if x.ndim == 2:
@@ -260,7 +272,8 @@ def forward(params: ModelParams, image: np.ndarray) -> ModelOutput:
         raise ValueError(f"expected {params.in_channels} channel(s), got {c}")
 
     wts = params.weights
-    cache = {"image": x}
+    cache = {} if keep_cache else _DiscardWrites()
+    cache["image"] = x
 
     def conv(name, inp):
         cols = _im2col3(inp)
@@ -463,41 +476,74 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    """Read a ``save_checkpoint`` file.
+
+    Raises ValueError naming the file (and the line, where one is at fault)
+    for a foreign header, a malformed meta or param line, a non-numeric
+    value, a param block cut short, or parameters that do not fit the
+    fixed topology.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not a '{CKPT_HEADER}' checkpoint") from None
     if not lines or lines[0] != CKPT_HEADER:
         raise ValueError(f"{path}: not a '{CKPT_HEADER}' checkpoint")
+
+    def malformed(idx, what):
+        return ValueError(f"{path}: line {idx + 1}: {what}")
+
     meta = {}
     idx = 1
     while idx < len(lines) and not lines[idx].startswith("param "):
-        key, val = lines[idx].split()
-        meta[key] = int(val)
+        try:
+            key, val = lines[idx].split()
+            meta[key] = int(val)
+        except ValueError:
+            raise malformed(idx, "malformed meta line, want '<key> <integer>'") from None
         idx += 1
     weights = {}
     while idx < len(lines):
         head = lines[idx].split()
-        if head[0] != "param":
-            raise ValueError(f"{path}: malformed record at line {idx + 1}")
+        if len(head) < 2 or head[0] != "param":
+            raise malformed(idx, "malformed record, want 'param <name> <shape>'")
         name = head[1]
-        shape = tuple(int(s) for s in head[2:])
+        try:
+            shape = tuple(int(s) for s in head[2:])
+        except ValueError:
+            raise malformed(idx, f"param {name} has a non-integer shape") from None
         count = int(np.prod(shape))
+        start = idx
         idx += 1
         values = []
         while len(values) < count:
-            values.extend(float(t) for t in lines[idx].split())
+            if idx == len(lines) or lines[idx].startswith("param "):
+                raise malformed(start, f"param {name} has {len(values)} of {count} values")
+            try:
+                values.extend(float(t) for t in lines[idx].split())
+            except ValueError:
+                raise malformed(idx, f"non-numeric value in param {name}") from None
             idx += 1
+        if len(values) > count:
+            raise malformed(idx - 1, f"param {name} has more than {count} values")
         weights[name] = np.array(values).reshape(shape)
+    if "descriptor_dim" not in meta:
+        raise ValueError(f"{path}: missing 'descriptor_dim' meta line")
     params = ModelParams(
         weights=weights,
         descriptor_dim=meta["descriptor_dim"],
         in_channels=meta.get("in_channels", 1),
     )
-    expected = {
-        name + suffix
-        for name, kind, cin, cout in params.layer_topology
-        if kind.startswith("conv3x3")
-        for suffix in ("_w", "_b")
-    }
-    if set(weights) != expected:
+    expected = {}
+    for name, kind, cin, cout in params.layer_topology:
+        if kind.startswith("conv3x3"):
+            expected[name + "_w"] = (cout, cin, 3, 3)
+            expected[name + "_b"] = (cout,)
+    if set(weights) != set(expected):
         raise ValueError(f"{path}: parameter names do not match the fixed topology")
+    for name, shape in expected.items():
+        if weights[name].shape != shape:
+            raise ValueError(f"{path}: param {name} has shape {weights[name].shape}, "
+                             f"want {shape}")
     return params

@@ -78,6 +78,24 @@ class TestTrainCommand:
                            for line in (p / "train_log.csv").read_text().splitlines()]
         assert strip(outs[0]) == strip(outs[1])
 
+    def test_corrupt_png_is_skipped_with_warning(self, image_dir, config_file, tmp_path,
+                                                 capsys):
+        images = tmp_path / "mixed"
+        images.mkdir()
+        good = image_io.read_image(image_dir / "scene_0.pgm")
+        image_io.write_png(images / "good.png", good)
+        image_io.write_png(images / "broken.png", good)
+        blob = bytearray((images / "broken.png").read_bytes())
+        start = blob.index(b"IDAT") + 8
+        blob[start : start + 8] = bytes(b ^ 0xFF for b in blob[start : start + 8])
+        (images / "broken.png").write_bytes(bytes(blob))
+        code = cli.main(["train", "--config", str(config_file), "--images", str(images),
+                         "--output", str(tmp_path / "run")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "broken.png" in err and "good.png" not in err
+        assert (tmp_path / "run" / "model.ckpt").exists()
+
     def test_missing_directory_names_path(self, config_file, tmp_path, capsys):
         code = cli.main(["train", "--config", str(config_file),
                          "--images", str(tmp_path / "nope"), "--output", str(tmp_path)])
@@ -167,6 +185,16 @@ class TestEvalCommand:
     def test_requires_checkpoint(self, image_dir, config_file, tmp_path):
         assert cli.main(["eval", "--config", str(config_file),
                          "--images", str(image_dir), "--output", str(tmp_path)]) == 1
+
+    def test_truncated_checkpoint_exits_2_naming_file(self, image_dir, config_file,
+                                                      trained_dir, tmp_path, capsys):
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes((trained_dir / "model.ckpt").read_bytes()[:3000])
+        code = cli.main(["eval", "--config", str(config_file), "--checkpoint", str(cut),
+                         "--images", str(image_dir), "--output", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cut.ckpt: line" in err and "Traceback" not in err
 
     def test_threads_flag_matches_serial(self, image_dir, config_file, trained_dir,
                                          tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import naive_ransac
 from pointprops import evaluate
 from pointprops.model import ModelOutput
 
@@ -254,6 +255,107 @@ class TestEstimateHomography:
         h1 = evaluate.estimate_homography(matches, a, b, seed=5)
         h2 = evaluate.estimate_homography(matches, a, b, seed=5)
         np.testing.assert_array_equal(h1, h2)
+
+
+def ransac_case(seed, n, outlier_fraction, noise=0.0, size=320.0):
+    """Matches under known_homography with a seeded share of gross outliers."""
+    rng = np.random.default_rng(seed)
+    src = rng.uniform(0, size, (n, 2))
+    dst = apply_h(known_homography(), src) + rng.normal(0.0, noise, (n, 2))
+    outliers = rng.permutation(n)[: int(round(outlier_fraction * n))]
+    dst[outliers] = rng.uniform(0, size, (outliers.size, 2))
+    return src, dst
+
+
+def both_ways(src, dst, seed, **kwargs):
+    n = len(src)
+    a = point_set(src, np.zeros((n, 2)))
+    b = point_set(dst, np.zeros((n, 2)))
+    matches = evaluate.MatchSet(np.arange(n), np.arange(n), np.ones(n))
+    return (evaluate.estimate_homography(matches, a, b, seed=seed, **kwargs),
+            naive_ransac.estimate_homography(matches, a, b, seed=seed, **kwargs))
+
+
+def assert_same_estimate(h_lib, h_ref):
+    assert (h_lib is None) == (h_ref is None)
+    if h_ref is not None:
+        assert np.array_equal(h_lib, h_ref)
+
+
+class TestChunkedRansacMatchesReference:
+    """The chunked RANSAC returns the sequential reference's H bit for bit."""
+
+    def test_fewer_than_four_matches(self):
+        for n in range(4):
+            h_lib, h_ref = both_ways(*ransac_case(n, n, 0.0), seed=n)
+            assert h_lib is None and h_ref is None
+
+    def test_all_collinear(self):
+        src = np.stack([np.arange(12.0), 3.0 * np.arange(12.0) - 2.0], axis=1)
+        h_lib, h_ref = both_ways(src, apply_h(known_homography(), src), seed=1)
+        assert h_lib is None and h_ref is None
+
+    def test_coincident_points(self):
+        rng = np.random.default_rng(3)
+        base = rng.uniform(0, 64, (3, 2))
+        src = base[rng.integers(0, 3, 30)]  # 30 points on 3 sites
+        dst = apply_h(known_homography(), src)
+        for seed in range(3):
+            h_lib, h_ref = both_ways(src, dst, seed=seed)
+            assert h_lib is None and h_ref is None
+        # mostly coincident plus a few distinct points: a fit exists
+        src = np.vstack([src, rng.uniform(0, 64, (4, 2))])
+        dst = np.vstack([dst, apply_h(known_homography(), src[-4:])])
+        for seed in range(3):
+            assert_same_estimate(*both_ways(src, dst, seed=seed))
+
+    def test_noiseless_all_inliers_stop_in_first_chunk(self):
+        for seed in range(4):
+            src, dst = ransac_case(10 + seed, 25, 0.0)
+            h_lib, h_ref = both_ways(src, dst, seed=seed)
+            assert h_ref is not None
+            assert_same_estimate(h_lib, h_ref)
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.7, 0.9])
+    def test_heavy_outliers_across_chunks(self, fraction):
+        estimates = 0
+        for seed in range(3):
+            src, dst = ransac_case(100 + seed, 60, fraction, noise=1.0)
+            h_lib, h_ref = both_ways(src, dst, seed=seed, max_iters=600)
+            assert_same_estimate(h_lib, h_ref)
+            estimates += h_ref is not None
+        assert estimates > 0
+
+    def test_max_iters_not_a_chunk_multiple(self):
+        max_iters = 2 * evaluate.RANSAC_CHUNK + 13
+        for seed in range(3):
+            src, dst = ransac_case(200 + seed, 50, 0.85, noise=1.5)
+            assert_same_estimate(*both_ways(src, dst, seed=seed, max_iters=max_iters))
+
+    def test_quantized_points_with_ties(self):
+        # integer pixel coordinates, as extract_points gives, make equal inlier
+        # counts common, so the error-sum tie-break decides
+        for seed in range(4):
+            src, dst = ransac_case(300 + seed, 40, 0.6, noise=0.8)
+            assert_same_estimate(*both_ways(np.round(src), np.round(dst), seed=seed,
+                                            max_iters=400))
+
+    def test_non_finite_coordinates(self):
+        # samples holding the bad points fail their SVD; those trials are skipped
+        for seed in range(3):
+            src, dst = ransac_case(500 + seed, 30, 0.3, noise=0.5)
+            src[3] = [np.inf, 2.0]
+            dst[7] = [np.nan, 1.0]
+            with np.errstate(all="ignore"):
+                h_lib, h_ref = both_ways(src, dst, seed=seed, max_iters=200)
+            assert h_ref is not None
+            assert_same_estimate(h_lib, h_ref)
+
+    def test_dlt_refit_matches_reference(self):
+        for seed, n in enumerate((4, 5, 9, 33, 150)):
+            src, dst = ransac_case(400 + seed, n, 0.0, noise=0.5)
+            np.testing.assert_array_equal(evaluate.dlt_homography(src, dst),
+                                          naive_ransac.dlt_homography(src, dst))
 
 
 class TestHomographyError:

@@ -90,6 +90,40 @@ class TestPNG:
         np.testing.assert_allclose(image_io.read_png(path), img / 255.0, atol=1e-9)
 
 
+    def test_corrupt_image_data_names_file(self, tmp_path):
+        path = tmp_path / "broken.png"
+        image_io.write_png(path, quantized(np.random.default_rng(5), (16, 16)))
+        path.write_bytes(corrupt_idat(path.read_bytes()))
+        with pytest.raises(ValueError, match=r"broken\.png: corrupt PNG image data"):
+            image_io.read_image(path)
+
+    def test_truncated_chunk_names_file(self, tmp_path):
+        path = tmp_path / "cut.png"
+        image_io.write_png(path, quantized(np.random.default_rng(6), (16, 16)))
+        path.write_bytes(path.read_bytes()[:20])  # inside the IHDR payload
+        with pytest.raises(ValueError, match=r"cut\.png: truncated or malformed PNG chunk"):
+            image_io.read_image(path)
+
+    def test_short_image_data_names_file(self, tmp_path):
+        path = tmp_path / "short.png"
+        image_io.write_png(path, quantized(np.random.default_rng(7), (16, 16)))
+        blob = bytearray(path.read_bytes())
+        height_at = blob.index(b"IHDR") + 8  # IHDR payload: width, then height
+        blob[height_at : height_at + 4] = (32).to_bytes(4, "big")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"short\.png: PNG image data is truncated"):
+            image_io.read_image(path)
+
+
+def corrupt_idat(blob: bytes) -> bytes:
+    """Flip bytes inside the IDAT payload; the zlib stream no longer checks out."""
+    start = blob.index(b"IDAT") + 4
+    data = bytearray(blob)
+    for k in range(start + 4, start + 12):
+        data[k] ^= 0xFF
+    return bytes(data)
+
+
 class TestHelpers:
     def test_grayscale_weights(self):
         img = np.zeros((2, 2, 3))

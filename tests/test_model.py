@@ -105,6 +105,18 @@ class TestForward:
         for k in before:
             np.testing.assert_array_equal(params.weights[k], before[k])
 
+    def test_tape_free_matches_taped(self):
+        params = random_params(13, d=6)
+        img = np.random.default_rng(14).random((12, 16))
+        taped = model.forward(params, img)
+        free = model.forward(params, img, keep_cache=False)
+        np.testing.assert_array_equal(free.prob_map, taped.prob_map)
+        np.testing.assert_array_equal(free.desc_field, taped.desc_field)
+        assert taped.cache and free.cache == {}
+        with pytest.raises(ValueError, match="no cache"):
+            model.backward(params, free, np.ones_like(free.prob_map),
+                           np.zeros_like(free.desc_field))
+
     def test_rejects_bad_dimensions(self):
         params = model.init_params(0, 4)
         with pytest.raises(ValueError):
@@ -239,11 +251,58 @@ class TestCheckpoint:
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
-        path.write_text("something else\n")
-        with pytest.raises(ValueError):
-            model.load_checkpoint(path)
+        for content in (b"something else\n", b"\x89PNG\r\n\x1a\n\xff\xfe"):
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match=r"bogus\.ckpt: not a"):
+                model.load_checkpoint(path)
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "model.ckpt"
         model.save_checkpoint(path, model.init_params(0, 4))
         assert path.read_text().splitlines()[0] == "pointprops-ckpt v1"
+
+    def _damaged(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(path, model.init_params(0, 4))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return path
+
+    def test_truncated_param_block_names_file_and_line(self, tmp_path):
+        # desc1_w starts at line 7; keeping 40 lines leaves 33 of its value lines
+        path = self._damaged(tmp_path, lambda lines: lines[:40])
+        with pytest.raises(ValueError,
+                           match=r"model\.ckpt: line 7: param desc1_w has 264 of 2304 values"):
+            model.load_checkpoint(path)
+
+    def test_short_block_before_next_param(self, tmp_path):
+        # drop a value line of the first block: the next header arrives early
+        path = self._damaged(tmp_path, lambda lines: lines[:5] + lines[6:])
+        with pytest.raises(ValueError, match=r"model\.ckpt: line 4: param desc1_b has 8 of 16"):
+            model.load_checkpoint(path)
+
+    def test_non_numeric_value_names_file_and_line(self, tmp_path):
+        def corrupt(lines):
+            lines[7] = lines[7].replace(lines[7].split()[0], "0.1x", 1)
+            return lines
+        path = self._damaged(tmp_path, corrupt)
+        with pytest.raises(ValueError, match=r"model\.ckpt: line 8: non-numeric value"):
+            model.load_checkpoint(path)
+
+    def test_malformed_meta_line_names_file_and_line(self, tmp_path):
+        for bad in ("descriptor_dim four", "descriptor_dim", "in_channels 1 2"):
+            def corrupt(lines, bad=bad):
+                lines[1 if bad.startswith("descriptor") else 2] = bad
+                return lines
+            path = self._damaged(tmp_path, corrupt)
+            line = 2 if bad.startswith("descriptor") else 3
+            with pytest.raises(ValueError, match=rf"model\.ckpt: line {line}: malformed meta"):
+                model.load_checkpoint(path)
+
+    def test_wrong_shape_names_parameter(self, tmp_path):
+        params = model.init_params(0, 4)
+        params.weights["det2_b"] = np.zeros(2)
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(path, params)
+        with pytest.raises(ValueError, match=r"model\.ckpt: param det2_b has shape"):
+            model.load_checkpoint(path)
