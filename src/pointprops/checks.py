@@ -272,14 +272,9 @@ def check_model_gradients(seed=106, per_layer=8, step=1e-5) -> CheckResult:
         o = model.forward(p, image, keep_cache=False)
         return float((grad_prob * o.prob_map).sum() + (grad_desc * o.desc_field).sum())
 
-    worst = 0.0
-    checked = 0
-    for key, flat in _sample_entries(params, sorted(params.weights), per_layer, rng):
-        worst = max(worst, _relative_error(
-            grads[key].ravel()[flat], _central_difference(objective, params, key, flat, step)
-        ))
-        checked += 1
-    assert checked >= 100
+    entries = list(_sample_entries(params, sorted(params.weights), per_layer, rng))
+    assert len(entries) >= 100
+    worst = _worst_fd_error(grads, objective, params, entries, step)
     return CheckResult("grad-model-vs-fd", worst, 1e-4)
 
 
@@ -289,6 +284,27 @@ def _central_difference(objective, params, key, flat, step):
     minus = params.copy()
     minus.weights[key].ravel()[flat] -= step
     return (objective(plus) - objective(minus)) / (2 * step)
+
+
+def _worst_fd_error(analytic, objective, params, entries, step) -> float:
+    """Largest relative error of the analytic gradient entries against
+    central differences of ``objective``."""
+    worst = 0.0
+    for key, flat in entries:
+        worst = max(worst, _relative_error(
+            analytic[key].ravel()[flat], _central_difference(objective, params, key, flat, step)
+        ))
+    return worst
+
+
+def _chain_deviation(scene, params, prob_up, desc_up, objective, keys, seed, step):
+    """Summed per-view backward of the given upstream maps against central
+    differences of ``objective``, on 5 sampled entries of each key."""
+    analytic = model.zero_grads(params)
+    for j, out in enumerate(scene.outputs):
+        model.accumulate_grads(analytic, model.backward(params, out, prob_up[j], desc_up[j]))
+    entries = _sample_entries(params, keys, 5, np.random.default_rng(seed))
+    return _worst_fd_error(analytic, objective, params, entries, step)
 
 
 def toy_scene_state(seed=7, size=24, views=3):
@@ -314,12 +330,8 @@ def toy_scene_state(seed=7, size=24, views=3):
 def detector_chain_objective(params, scene, state):
     """Repeatability part of the expected log-likelihood, posteriors frozen."""
     outs = [model.forward(params, img, keep_cache=False) for img in scene.images]
-    j_images = scene.num_views
-    probs = np.zeros((j_images,) + state.r.shape)
-    for j, out in enumerate(outs):
-        probs[j] = out.prob_map[scene.map_rows[j], scene.map_cols[j]]
-    observed = state.valid_count > 0
-    r = np.where(scene.valid, probs, 0.0).sum(axis=0) / np.maximum(state.valid_count, 1)
+    r, valid_count = em.repeatability(scene, outs)
+    observed = valid_count > 0
     r = np.clip(r, properties.PROB_EPS, 1.0 - properties.PROB_EPS)
     items = state.p * np.log(r) + (1.0 - state.p) * np.log1p(-r)
     return float(items[observed].sum())
@@ -328,62 +340,33 @@ def detector_chain_objective(params, scene, state):
 def descriptor_chain_objective(params, scene, state, cfg):
     """Discriminability part (sum of alpha * p * h), structure frozen."""
     outs = [model.forward(params, img, keep_cache=False) for img in scene.images]
-    descriptors = []
-    for j, out in enumerate(outs):
-        vj = state.sel_valid[j]
-        rr = np.where(vj, scene.map_rows[j][state.sel_rows, state.sel_cols], 0)
-        cc = np.where(vj, scene.map_cols[j][state.sel_rows, state.sel_cols], 0)
-        dj = out.desc_field[rr, cc]
-        dj[~vj] = 0.0
-        descriptors.append(dj)
-    h = properties.margins(state.num_selected, descriptors, state.sel_valid, cfg)
+    descriptors, valid = properties.gather_selected_descriptors(
+        state.sel_rows, state.sel_cols, outs, scene
+    )
+    h = properties.margins(state.num_selected, descriptors, valid, cfg)
     weights = cfg.alpha * state.p[state.sel_rows, state.sel_cols]
     return float((weights * h).sum())
 
 
 def check_detector_chain(step=1e-5) -> CheckResult:
-    scene, state, params, cfg = toy_scene_state()
-    upstream = em.detector_gradient_coefficients(state, scene)
-    analytic = model.zero_grads(params)
-    for j in range(scene.num_views):
-        zero_desc = np.zeros_like(scene.outputs[j].desc_field)
-        model.accumulate_grads(
-            analytic, model.backward(params, scene.outputs[j], upstream[j], zero_desc)
-        )
-
-    def objective(p):
-        return detector_chain_objective(p, scene, state)
-
-    rng = np.random.default_rng(108)
+    scene, state, params, _ = toy_scene_state()
+    prob_up = em.detector_gradient_coefficients(state, scene)
+    desc_up = [np.zeros_like(out.desc_field) for out in scene.outputs]
     keys = ["enc1_w", "enc2_w", "enc3_w", "enc4_w", "det1_w", "det2_w", "det2_b"]
-    worst = 0.0
-    for key, flat in _sample_entries(params, keys, 5, rng):
-        worst = max(worst, _relative_error(
-            analytic[key].ravel()[flat], _central_difference(objective, params, key, flat, step)
-        ))
+    worst = _chain_deviation(scene, params, prob_up, desc_up,
+                             lambda p: detector_chain_objective(p, scene, state),
+                             keys, 108, step)
     return CheckResult("grad-detector-chain-vs-fd", worst, 1e-4)
 
 
 def check_descriptor_chain(step=1e-5) -> CheckResult:
     scene, state, params, cfg = toy_scene_state()
-    upstream = em.descriptor_field_gradients(state, scene, cfg)
-    analytic = model.zero_grads(params)
-    for j in range(scene.num_views):
-        zero_prob = np.zeros_like(scene.outputs[j].prob_map)
-        model.accumulate_grads(
-            analytic, model.backward(params, scene.outputs[j], zero_prob, upstream[j])
-        )
-
-    def objective(p):
-        return descriptor_chain_objective(p, scene, state, cfg)
-
-    rng = np.random.default_rng(109)
+    prob_up = [np.zeros_like(out.prob_map) for out in scene.outputs]
+    desc_up = em.descriptor_field_gradients(state, scene, cfg)
     keys = ["enc1_w", "enc2_w", "enc3_w", "enc4_w", "desc1_w", "desc2_w", "desc2_b"]
-    worst = 0.0
-    for key, flat in _sample_entries(params, keys, 5, rng):
-        worst = max(worst, _relative_error(
-            analytic[key].ravel()[flat], _central_difference(objective, params, key, flat, step)
-        ))
+    worst = _chain_deviation(scene, params, prob_up, desc_up,
+                             lambda p: descriptor_chain_objective(p, scene, state, cfg),
+                             keys, 109, step)
     return CheckResult("grad-descriptor-chain-vs-fd", worst, 1e-4)
 
 

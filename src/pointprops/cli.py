@@ -34,19 +34,24 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="pointprops", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # each subcommand takes only the flags it reads
+    def config_flags(p):
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--seed", type=int, help="override the training seed")
-        p.add_argument("--threads", type=int, help="worker parallelism bound")
-        p.add_argument("--preset", choices=sorted(PRESETS), help="named training regime")
         p.add_argument("--output", help="override the output directory")
 
+    def simulation_flags(p):
+        p.add_argument("--seed", type=int, help="override the training seed")
+        p.add_argument("--preset", choices=sorted(PRESETS), help="named training regime")
+
     p_train = sub.add_parser("train", help="train a detector/descriptor checkpoint")
-    common(p_train)
+    config_flags(p_train)
+    simulation_flags(p_train)
     p_train.add_argument("--images", help="directory of training scene images")
 
     p_eval = sub.add_parser("eval", help="matching-score / homography metrics")
-    common(p_eval)
+    config_flags(p_eval)
+    simulation_flags(p_eval)
+    p_eval.add_argument("--threads", type=int, help="pairs evaluated in parallel")
     p_eval.add_argument("--checkpoint", help="trained checkpoint file")
     p_eval.add_argument("--images", help="directory of images to self-pair")
     p_eval.add_argument("--pairs", help="pair list file: imgA imgB h11..h33")
@@ -54,12 +59,11 @@ def build_parser() -> _Parser:
                         help="also write per-pair match composites")
 
     p_check = sub.add_parser("oracle-check", help="run the validation suite")
-    common(p_check)
     p_check.add_argument("--self-test-corrupt-counts", action="store_true",
                          help=argparse.SUPPRESS)
 
     p_vis = sub.add_parser("visualize", help="render matches for one image pair")
-    common(p_vis)
+    config_flags(p_vis)
     p_vis.add_argument("image_a")
     p_vis.add_argument("image_b")
     p_vis.add_argument("--checkpoint", help="trained checkpoint file")
@@ -69,11 +73,11 @@ def build_parser() -> _Parser:
 
 
 def _load_config(args) -> RunConfig:
+    overrides = {key: getattr(args, key, None) for key in ("preset", "seed", "threads")}
     if args.config:
-        run = load_run_config(args.config, preset=args.preset, seed=args.seed,
-                              threads=args.threads)
+        run = load_run_config(args.config, **overrides)
     else:
-        run = build_run_config({}, preset=args.preset, seed=args.seed, threads=args.threads)
+        run = build_run_config({}, **overrides)
     if getattr(args, "images", None):
         run.images_dir = args.images
     if getattr(args, "checkpoint", None):

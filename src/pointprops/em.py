@@ -155,16 +155,26 @@ def e_step(scenes, params: model.ModelParams, cfg: PropertyConfig):
     return states, total
 
 
+def repeatability(scene, outputs):
+    """Mean detection probability of each canonical point over its views.
+
+    ``outputs`` holds one ModelOutput per view of ``scene``. Returns
+    (r, valid_count): r is 0 where no view observes the point, and
+    valid_count is the number of views observing each point.
+    """
+    probs = np.zeros(scene.valid.shape)
+    for j, out in enumerate(outputs):
+        probs[j] = out.prob_map[scene.map_rows[j], scene.map_cols[j]]
+    valid_count = scene.valid.sum(axis=0)
+    r = np.where(scene.valid, probs, 0.0).sum(axis=0) / np.maximum(valid_count, 1)
+    return r, valid_count
+
+
 def _e_step_scene(scene, cfg: PropertyConfig) -> LatentState:
     j_images = scene.num_views
     height, width = scene.canonical.shape[:2]
-    probs = np.zeros((j_images, height, width))
-    for j, out in enumerate(scene.outputs):
-        probs[j] = out.prob_map[scene.map_rows[j], scene.map_cols[j]]
-    valid = scene.valid
-    valid_count = valid.sum(axis=0)
+    r, valid_count = repeatability(scene, scene.outputs)
     observed = valid_count > 0
-    r = np.where(valid, probs, 0.0).sum(axis=0) / np.maximum(valid_count, 1)
 
     # candidates need a strict majority of observing views: repeatability
     # estimated from one or two views is high-variance, and selecting on it
@@ -177,15 +187,12 @@ def _e_step_scene(scene, cfg: PropertyConfig) -> LatentState:
     counts = log_count_sample_space(m, cfg.n_min, cfg.n_max)
 
     sel_rows, sel_cols = np.nonzero(yhat)
+    descriptors, sel_valid = properties.gather_selected_descriptors(
+        sel_rows, sel_cols, scene.outputs, scene
+    )
     h_grid = np.full((height, width), cfg.margin_max)
     if m >= 2:
-        descriptors, sel_valid = properties.gather_selected_descriptors(yhat, scene)
-        h_sel = properties.margins(m, descriptors, sel_valid, cfg)
-        h_grid[sel_rows, sel_cols] = h_sel
-    else:
-        descriptors = [np.zeros((m, scene.outputs[0].desc_field.shape[-1]))
-                       for _ in range(j_images)]
-        sel_valid = [scene.valid[j][sel_rows, sel_cols] for j in range(j_images)]
+        h_grid[sel_rows, sel_cols] = properties.margins(m, descriptors, sel_valid, cfg)
 
     c_grid = properties.discriminability_prob(h_grid, cfg)
     p = np.zeros((height, width))
@@ -231,11 +238,6 @@ def detector_gradient_coefficients(state: LatentState, scene):
         np.add.at(g, (scene.map_rows[j][mask], scene.map_cols[j][mask]), coeff[mask])
         grads.append(g)
     return grads
-
-
-def descriptor_gradient_coefficients(state: LatentState, cfg: PropertyConfig) -> np.ndarray:
-    """Upstream gradient on each selected point's margin: alpha * p (0 off yhat)."""
-    return np.where(state.yhat, cfg.alpha * state.p, 0.0)
 
 
 def descriptor_field_gradients(state: LatentState, scene, cfg: PropertyConfig):

@@ -1,8 +1,8 @@
-"""Estimator-style wrapper so the trainer composes with pipeline tooling.
+"""Library entry point: train a detector on images, then detect points.
 
-``PointPropsDetector`` follows the fit/predict convention: hyperparameters
-are constructor arguments mirrored by get_params/set_params, learned state
-lands in trailing-underscore attributes, and inputs are validated up front.
+``PointPropsDetector`` takes its hyperparameters as constructor arguments,
+keeps learned state in trailing-underscore attributes, and validates inputs
+up front.
 """
 
 from __future__ import annotations
@@ -52,13 +52,6 @@ class PointPropsDetector:
     sparse points with unit descriptors from new images.
     """
 
-    _PARAM_NAMES = (
-        "descriptor_dim", "rad", "n_min", "n_max", "m_p", "m_n", "neg_weight",
-        "alpha", "batch_scenes", "transforms_per_scene", "iterations",
-        "learning_rate", "illumination", "viewpoint", "prob_threshold",
-        "max_points", "seed",
-    )
-
     def __init__(
         self,
         descriptor_dim: int = 16,
@@ -96,17 +89,6 @@ class PointPropsDetector:
         self.prob_threshold = prob_threshold
         self.max_points = max_points
         self.seed = seed
-
-    # -- sklearn-style parameter plumbing ---------------------------------
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._PARAM_NAMES}
-
-    def set_params(self, **params) -> "PointPropsDetector":
-        for key, value in params.items():
-            if key not in self._PARAM_NAMES:
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
 
     def _property_config(self) -> PropertyConfig:
         return PropertyConfig(
@@ -166,9 +148,6 @@ class PointPropsDetector:
     def predict(self, X) -> list:
         """Detect on a list of images; returns one PointSet per image."""
         return [self.detect(img) for img in X]
-
-    def transform(self, X) -> list:
-        return self.predict(X)
 
     # -- persistence -------------------------------------------------------
     def save_checkpoint(self, path) -> None:

@@ -1,4 +1,5 @@
-"""Self-contained image I/O: PGM/PPM (ASCII and binary) and basic 8-bit PNG.
+"""Self-contained image I/O: PGM/PPM (ASCII and binary) reading, basic 8-bit
+PNG reading and writing, and bilinear resizing.
 
 Images are float arrays in [0, 1], either (H, W) grayscale or (H, W, 3) RGB.
 """
@@ -7,6 +8,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,18 +25,6 @@ def read_image(path) -> np.ndarray:
     raise ValueError(f"{path}: unsupported image format")
 
 
-def write_image(path, img: np.ndarray) -> None:
-    name = str(path).lower()
-    if name.endswith(".png"):
-        write_png(path, img)
-    elif name.endswith(".pgm"):
-        write_pnm(path, to_grayscale(img))
-    elif name.endswith(".ppm"):
-        write_pnm(path, img)
-    else:
-        raise ValueError(f"{path}: choose a .png, .pgm or .ppm destination")
-
-
 def to_grayscale(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img, dtype=float)
     if img.ndim == 2:
@@ -42,7 +32,14 @@ def to_grayscale(img: np.ndarray) -> np.ndarray:
     return img[:, :, 0] * 0.299 + img[:, :, 1] * 0.587 + img[:, :, 2] * 0.114
 
 
-def _resample_matrix(n_in: int, n_out: int) -> np.ndarray:
+@lru_cache(maxsize=64)  # bounded: training images may come in many sizes
+def resample_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """Dense 1-D bilinear interpolation operator (n_out, n_in), read-only.
+
+    Output sample i reads the source at (i + 0.5) * n_in / n_out - 0.5,
+    clamped to the valid range. The model's x4 upsampling uses the same
+    operator and its transpose for the backward pass.
+    """
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     i0 = np.floor(src).astype(int)
@@ -52,6 +49,7 @@ def _resample_matrix(n_in: int, n_out: int) -> np.ndarray:
     rows = np.arange(n_out)
     np.add.at(mat, (rows, i0), 1.0 - t)
     np.add.at(mat, (rows, i1), t)
+    mat.flags.writeable = False
     return mat
 
 
@@ -62,8 +60,8 @@ def resize_bilinear(img: np.ndarray, size) -> np.ndarray:
     squeeze = img.ndim == 2
     if squeeze:
         img = img[:, :, None]
-    mh = _resample_matrix(img.shape[0], height)
-    mw = _resample_matrix(img.shape[1], width)
+    mh = resample_matrix(img.shape[0], height)
+    mw = resample_matrix(img.shape[1], width)
     out = np.einsum("ih,hwc,jw->ijc", mh, img, mw, optimize=True)
     return out[:, :, 0] if squeeze else out
 
@@ -91,23 +89,42 @@ def _pnm_tokens(data: bytes):
 
 
 def read_pnm(path) -> np.ndarray:
+    """Read a P2/P3 (ASCII) or P5/P6 (binary, 8-bit) file.
+
+    Raises ValueError naming the file for a header cut short, a non-integer
+    header field or sample, an empty size, a maxval outside 1..255 and short
+    pixel data.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     tokens = _pnm_tokens(data)
-    magic, _ = next(tokens)
-    magic = magic.decode()
+    header = []
+    for tok, end in tokens:
+        header.append(tok)
+        if len(header) == 4:
+            break
+    if len(header) < 4:
+        raise ValueError(f"{path}: truncated PNM header")
+    magic = header[0].decode("latin-1")
     if magic not in ("P2", "P3", "P5", "P6"):
         raise ValueError(f"{path}: unsupported PNM magic {magic!r}")
-    (width_tok, _), (height_tok, _), (maxval_tok, end) = (
-        next(tokens), next(tokens), next(tokens)
-    )
-    width, height, maxval = int(width_tok), int(height_tok), int(maxval_tok)
+    try:
+        width, height, maxval = (int(tok) for tok in header[1:])
+    except ValueError:
+        raise ValueError(f"{path}: non-integer PNM header field") from None
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: PNM size {width}x{height} is empty")
+    if not 1 <= maxval <= 255:
+        raise ValueError(f"{path}: PNM maxval {maxval} outside 1..255")
     channels = 3 if magic in ("P3", "P6") else 1
     count = width * height * channels
     if magic in ("P2", "P3"):
         values = []
         for tok, _ in tokens:
-            values.append(int(tok))
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise ValueError(f"{path}: non-integer PNM sample") from None
             if len(values) == count:
                 break
         arr = np.array(values, dtype=float)
@@ -120,20 +137,6 @@ def read_pnm(path) -> np.ndarray:
         raise ValueError(f"{path}: expected {count} samples, got {arr.size}")
     arr = (arr / maxval).reshape(height, width, channels)
     return arr[:, :, 0] if channels == 1 else arr
-
-
-def write_pnm(path, img: np.ndarray) -> None:
-    """Binary P5 for grayscale input, P6 for RGB."""
-    img = np.asarray(img, dtype=float)
-    data = np.rint(np.clip(img, 0.0, 1.0) * 255).astype(np.uint8)
-    if data.ndim == 2:
-        magic, height, width = b"P5", *data.shape
-    else:
-        magic = b"P6"
-        height, width = data.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n255\n" % (width, height))
-        fh.write(data.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,10 @@ suppression would reject.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
+
+from . import image_io
 
 NORM_EPS = 1e-12
 PROB_CLIP = 1e-12
@@ -92,13 +93,24 @@ def init_params(seed: int, descriptor_dim: int, in_channels: int = 1) -> ModelPa
         raise ValueError(f"in_channels must be >= 1, got {in_channels}")
     rng = np.random.default_rng(seed)
     weights = {}
-    for name, kind, cin, cout in topology(descriptor_dim, in_channels):
-        if not kind.startswith("conv3x3"):
-            continue
-        bound = glorot_bound(cin, cout)
-        weights[name + "_w"] = rng.uniform(-bound, bound, size=(cout, cin, 3, 3))
-        weights[name + "_b"] = np.zeros(cout)
+    for name, shape in param_shapes(descriptor_dim, in_channels).items():
+        if name.endswith("_w"):
+            bound = glorot_bound(shape[1], shape[0])
+            weights[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            weights[name] = np.zeros(shape)
     return ModelParams(weights=weights, descriptor_dim=descriptor_dim, in_channels=in_channels)
+
+
+def param_shapes(descriptor_dim: int, in_channels: int = 1) -> dict:
+    """Name -> shape of every conv weight (Cout, Cin, 3, 3) and bias (Cout,),
+    in topology order."""
+    shapes = {}
+    for name, kind, cin, cout in topology(descriptor_dim, in_channels):
+        if kind.startswith("conv3x3"):
+            shapes[name + "_w"] = (cout, cin, 3, 3)
+            shapes[name + "_b"] = (cout,)
+    return shapes
 
 
 def glorot_bound(cin: int, cout: int, ksize: int = 3) -> float:
@@ -178,26 +190,6 @@ def _maxpool2_backward(grad_out: np.ndarray, arg: np.ndarray, in_shape):
     return dblocks.reshape(h, w, c)
 
 
-@lru_cache(maxsize=None)
-def _upsample_matrix(n_in: int, factor: int = 4) -> np.ndarray:
-    """Dense 1-D bilinear interpolation operator (n_in*factor, n_in).
-
-    Output sample i reads the source at (i + 0.5)/factor - 0.5, clamped to the
-    valid range, so the operator is exactly transposable for the backward pass.
-    """
-    n_out = n_in * factor
-    src = (np.arange(n_out) + 0.5) / factor - 0.5
-    src = np.clip(src, 0.0, n_in - 1.0)
-    i0 = np.floor(src).astype(int)
-    i1 = np.minimum(i0 + 1, n_in - 1)
-    t = src - i0
-    mat = np.zeros((n_out, n_in))
-    rows = np.arange(n_out)
-    np.add.at(mat, (rows, i0), 1.0 - t)
-    np.add.at(mat, (rows, i1), t)
-    return mat
-
-
 def _apply_rowcol(mat_h: np.ndarray, x: np.ndarray, mat_w: np.ndarray) -> np.ndarray:
     """out[i, j, c] = sum_h sum_w mat_h[i, h] * x[h, w, c] * mat_w[j, w]."""
     h, w, c = x.shape
@@ -206,6 +198,11 @@ def _apply_rowcol(mat_h: np.ndarray, x: np.ndarray, mat_w: np.ndarray) -> np.nda
         mat_w.shape[0], tall.shape[0], c
     )
     return wide.transpose(1, 0, 2)
+
+
+def _upsample_matrix(n_in: int) -> np.ndarray:
+    """Bilinear x4 operator (4 * n_in, n_in); its transpose is the backward pass."""
+    return image_io.resample_matrix(n_in, 4 * n_in)
 
 
 def _upsample4(x: np.ndarray) -> np.ndarray:
@@ -349,7 +346,7 @@ def backward(
             f"grad_desc shape {grad_desc.shape} != desc_field shape {output.desc_field.shape}"
         )
 
-    grads = {k: np.zeros_like(v) for k, v in wts.items()}
+    grads = zero_grads(params)
 
     def conv_backward(name, g):
         dw, db, dx = _conv3_backward(
@@ -413,11 +410,7 @@ class AdamState:
 
     @classmethod
     def fresh(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            step=0,
-            m={k: np.zeros_like(v) for k, v in params.weights.items()},
-            v={k: np.zeros_like(v) for k, v in params.weights.items()},
-        )
+        return cls(step=0, m=zero_grads(params), v=zero_grads(params))
 
 
 def apply_update(
@@ -479,9 +472,9 @@ def load_checkpoint(path) -> ModelParams:
     """Read a ``save_checkpoint`` file.
 
     Raises ValueError naming the file (and the line, where one is at fault)
-    for a foreign header, a malformed meta or param line, a non-numeric
-    value, a param block cut short, or parameters that do not fit the
-    fixed topology.
+    for a foreign header, a malformed meta or param line, a non-numeric or
+    non-finite value, a param block cut short, or parameters that do not
+    fit the fixed topology.
     """
     try:
         with open(path) as fh:
@@ -521,9 +514,12 @@ def load_checkpoint(path) -> ModelParams:
             if idx == len(lines) or lines[idx].startswith("param "):
                 raise malformed(start, f"param {name} has {len(values)} of {count} values")
             try:
-                values.extend(float(t) for t in lines[idx].split())
+                row = [float(t) for t in lines[idx].split()]
             except ValueError:
                 raise malformed(idx, f"non-numeric value in param {name}") from None
+            if not np.all(np.isfinite(row)):
+                raise malformed(idx, f"non-finite value in param {name}")
+            values.extend(row)
             idx += 1
         if len(values) > count:
             raise malformed(idx - 1, f"param {name} has more than {count} values")
@@ -535,11 +531,7 @@ def load_checkpoint(path) -> ModelParams:
         descriptor_dim=meta["descriptor_dim"],
         in_channels=meta.get("in_channels", 1),
     )
-    expected = {}
-    for name, kind, cin, cout in params.layer_topology:
-        if kind.startswith("conv3x3"):
-            expected[name + "_w"] = (cout, cin, 3, 3)
-            expected[name + "_b"] = (cout,)
+    expected = param_shapes(params.descriptor_dim, params.in_channels)
     if set(weights) != set(expected):
         raise ValueError(f"{path}: parameter names do not match the fixed topology")
     for name, shape in expected.items():

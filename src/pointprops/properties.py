@@ -1,4 +1,6 @@
-"""Point-property probabilities: sparsity, repeatability, discriminability.
+"""Point-property probabilities: the sparsity neighborhood, discriminability
+margins and their gradients, and the per-point expected log-likelihood.
+Repeatability, the mean view probability, is ``em.repeatability``.
 
 All functions are pure. Grids are (H, W) numpy arrays indexed [row, col];
 neighborhoods use the Chebyshev (square) metric of radius ``rad`` and never
@@ -13,7 +15,6 @@ from scipy import ndimage
 from .config import PropertyConfig
 
 PROB_EPS = 1e-7  # clamp for probabilities inside logarithms
-UNIT_TOL = 1e-6
 
 
 def neighborhood_max(values: np.ndarray, rad: int) -> np.ndarray:
@@ -29,46 +30,6 @@ def neighborhood_max(values: np.ndarray, rad: int) -> np.ndarray:
     return ndimage.maximum_filter(
         np.asarray(values, dtype=float), footprint=footprint, mode="constant", cval=-np.inf
     )
-
-
-def local_sparsity(y: np.ndarray, rad: int):
-    """Per-point local sparsity: a selected point survives only if no other
-    selected point lies within Chebyshev distance ``rad``.
-
-    Returns (s_loc, satisfied) where satisfied means s_loc equals y.
-    """
-    y = np.asarray(y, dtype=bool)
-    crowded = neighborhood_max(y.astype(float), rad) > 0.0
-    s_loc = y & ~crowded
-    return s_loc, bool(np.array_equal(s_loc, y))
-
-
-def count_sparsity(n: int, cfg: PropertyConfig) -> int:
-    """1 iff the point count lies strictly inside (n_min, n_max)."""
-    if n < 0:
-        raise ValueError(f"count must be >= 0, got {n}")
-    return int(cfg.n_min < n < cfg.n_max)
-
-
-def repeatability(probs, valid=None) -> float:
-    """Mean detection probability of one scene point across its valid images."""
-    probs = np.asarray(probs, dtype=float)
-    if valid is None:
-        valid = np.ones(probs.shape, dtype=bool)
-    valid = np.asarray(valid, dtype=bool)
-    if not valid.any():
-        raise ValueError("point has no valid image")
-    return float(probs[valid].mean())
-
-
-def similarity(d1, d2) -> float:
-    """Inner product of two unit description vectors, clamped to [-1, 1]."""
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
-    for vec in (d1, d2):
-        if abs(np.linalg.norm(vec) - 1.0) > UNIT_TOL:
-            raise ValueError("description vectors must be unit length")
-    return float(np.clip(d1 @ d2, -1.0, 1.0))
 
 
 def _ordered_pairs(descriptors, valid):
@@ -177,32 +138,16 @@ def margin_gradients(descriptors, valid, cfg: PropertyConfig, point_weights):
     return grads
 
 
-def discriminability_margin(point, yhat, scene, cfg: PropertyConfig) -> float:
-    """Margin of one selected point (row, col) given scene model outputs."""
-    yhat = np.asarray(yhat, dtype=bool)
-    row, col = point
-    if not yhat[row, col]:
-        raise ValueError(f"point {point} is not selected in yhat")
-    n = int(yhat.sum())
-    if n < 2:
-        raise ValueError("degenerate selected set: fewer than 2 points")
-    descriptors, valid = gather_selected_descriptors(yhat, scene)
-    h = margins(n, descriptors, valid, cfg)
-    rows, cols = np.nonzero(yhat)
-    idx = int(np.flatnonzero((rows == row) & (cols == col))[0])
-    return float(h[idx])
-
-
-def gather_selected_descriptors(yhat: np.ndarray, scene):
+def gather_selected_descriptors(rows, cols, outputs, scene):
     """Collect per-image descriptor rows and validity for the selected points.
 
-    ``scene`` needs ``outputs`` (one ModelOutput per image), ``map_rows`` /
-    ``map_cols`` (J, H, W) correspondence grids and ``valid`` (J, H, W) masks.
-    Rows at unobserved points are zeroed.
+    ``rows``/``cols`` index the selected canonical points; ``outputs`` holds
+    one ModelOutput per view; ``scene`` needs ``map_rows`` / ``map_cols``
+    (J, H, W) correspondence grids and ``valid`` (J, H, W) masks. Rows at
+    unobserved points are zeroed.
     """
-    rows, cols = np.nonzero(np.asarray(yhat, dtype=bool))
     descriptors, valid = [], []
-    for j, out in enumerate(scene.outputs):
+    for j, out in enumerate(outputs):
         vj = scene.valid[j][rows, cols]
         rr = np.where(vj, scene.map_rows[j][rows, cols], 0)
         cc = np.where(vj, scene.map_cols[j][rows, cols], 0)

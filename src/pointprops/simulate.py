@@ -42,15 +42,6 @@ class PhotometricOp:
     def get(self, key):
         return dict(self.params)[key]
 
-    def to_text(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.kind}({inner})"
-
-
-def spec_to_text(spec) -> str:
-    """Serialize an ordered transform list to one reproducibility record."""
-    return ";".join(op.to_text() for op in spec)
-
 
 def _op(kind, **params):
     packed = []
@@ -394,14 +385,12 @@ def make_scene(
     scene_id: int,
     illumination: str = "illum_mild",
     viewpoint: str = "viewpoint_medium",
-    border_margin: int = 0,
 ) -> SceneBatch:
     """Simulate J views of one canonical image with tracked correspondence.
 
-    A positive ``border_margin`` additionally invalidates correspondences
-    landing within that many pixels of a view's frame. The default keeps
-    them: label-free frame bands give the detector an unsupervised region to
-    dump probability mass into, which measurably destabilizes training.
+    Correspondences landing near a view's frame stay valid: label-free frame
+    bands would give the detector an unsupervised region to dump probability
+    mass into, which measurably destabilizes training.
     """
     img = np.asarray(image, dtype=float)
     height, width = img.shape[:2]
@@ -425,9 +414,6 @@ def make_scene(
         cc = np.clip(np.rint(np.where(ok, mapped[:, 0], 0.0)).astype(int), 0, width - 1)
         rr = np.clip(np.rint(np.where(ok, mapped[:, 1], 0.0)).astype(int), 0, height - 1)
         ok = ok & warp_mask[rr, cc]
-        if border_margin:
-            ok &= ((cc >= border_margin) & (cc < width - border_margin)
-                   & (rr >= border_margin) & (rr < height - border_margin))
         map_rows[j] = rr.reshape(height, width)
         map_cols[j] = cc.reshape(height, width)
         valid[j] = ok.reshape(height, width)

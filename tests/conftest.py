@@ -1,4 +1,5 @@
-"""Shared fixtures: synthetic shape scenes used by training-level tests."""
+"""Shared fixtures: synthetic shape scenes used by training-level tests, and a
+PGM/PPM writer for image-file fixtures."""
 
 import sys
 from pathlib import Path
@@ -52,3 +53,11 @@ def shape_scenes(seed, count, size=64):
     rng = np.random.default_rng(seed)
     makers = (checkerboard_scene, polygon_scene, blob_scene)
     return [makers[i % 3](rng, size) for i in range(count)]
+
+
+def write_pnm(path, img):
+    """Binary P5 for grayscale input, P6 for RGB, values in [0, 1]."""
+    data = np.rint(np.clip(np.asarray(img, dtype=float), 0.0, 1.0) * 255).astype(np.uint8)
+    magic = b"P5" if data.ndim == 2 else b"P6"
+    height, width = data.shape[:2]
+    Path(path).write_bytes(magic + b"\n%d %d\n255\n" % (width, height) + data.tobytes())

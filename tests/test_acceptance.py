@@ -10,9 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import shape_scenes
+from conftest import shape_scenes, write_pnm
 from pointprops import checks, cli, em, evaluate, model, oracle, simulate
 from pointprops.config import PropertyConfig, TrainConfig
+from test_properties import sparsity_brute_force
 
 
 def report(criterion, passed, detail):
@@ -116,13 +117,15 @@ class TestCriterion4Formulas:
             for i in range(n):
                 ref = transcribe_margin(i, fields, m_p, m_n, lam)
                 worst = max(worst, abs(h[i] - ref))
-        boundary_ok = True
-        cfg = PropertyConfig(rad=4, n_min=200, n_max=400)
-        from pointprops import properties
-        boundary_ok &= properties.count_sparsity(200, cfg) == 0
-        boundary_ok &= properties.count_sparsity(400, cfg) == 0
-        boundary_ok &= properties.count_sparsity(201, cfg) == 1
-        boundary_ok &= properties.count_sparsity(399, cfg) == 1
+        # count window (200, 400) exclusive at both ends: masks of 201..399 points
+        def space_total(m):
+            try:
+                return em.log_count_sample_space(m, 200, 400, method="exact").exact[0]
+            except em.EmptySampleSpaceError:
+                return 0
+
+        boundary_ok = (space_total(200) == 0 and space_total(201) == 1
+                       and space_total(400) == sum(math.comb(400, n) for n in range(201, 400)))
         report("4 (formula transcription)",
                worst <= 1e-12 and boundary_ok,
                f"max transcription dev {worst:.2e} (<=1e-12), boundaries exact")
@@ -175,12 +178,10 @@ class TestCriterion5Homography:
 
 class TestCriterion7Determinism:
     def test_checkpoints_and_metrics_reproduce(self, tmp_path):
-        from pointprops import image_io
-
         scenes_dir = tmp_path / "scenes"
         scenes_dir.mkdir()
         for i, img in enumerate(shape_scenes(21, 3, size=24)):
-            image_io.write_pnm(scenes_dir / f"s{i}.pgm", img)
+            write_pnm(scenes_dir / f"s{i}.pgm", img)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             "[train]\niterations = 2\nbatch_scenes = 2\ntransforms_per_scene = 2\n"
@@ -206,8 +207,6 @@ class TestCriterion7Determinism:
 
 class TestCriterion8Invariants:
     def test_randomized_invariant_battery(self):
-        from pointprops import properties
-
         rng = np.random.default_rng(15)
         cases = {}
 
@@ -227,8 +226,7 @@ class TestCriterion8Invariants:
         for _ in range(500):
             rad = int(rng.integers(1, 4))
             yhat = em.select_local_maxima(rng.random((16, 16)), rad)
-            _, ok = properties.local_sparsity(yhat, rad)
-            assert ok
+            assert np.array_equal(sparsity_brute_force(yhat, rad), yhat)
             nms_checked += 1
         for _ in range(500):
             out = model.ModelOutput(

@@ -71,15 +71,3 @@ class TestGradientChecks:
         assert p.min() > 0.05 and p.max() < 0.98
         upstream = em.descriptor_field_gradients(state, scene, cfg)
         assert sum(float(np.abs(u).sum()) for u in upstream) > 0.1
-
-
-class TestSuite:
-    def test_run_all_green(self):
-        results = checks.run_all_checks()
-        assert len(results) == 10
-        assert all(r.passed for r in results)
-        assert all(np.isfinite(r.deviation) for r in results)
-
-    def test_corrupted_run_fails(self):
-        results = checks.run_all_checks(corrupt_counts=True)
-        assert any(not r.passed for r in results)

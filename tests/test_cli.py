@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import write_pnm
 from pointprops import cli, image_io, model
 
 
@@ -13,7 +14,7 @@ def image_dir(tmp_path_factory):
         period = 6 + 2 * i
         img = (((rows // period) + (cols // period)) % 2) * 0.8 + 0.1
         img = np.clip(img + rng.normal(0, 0.02, img.shape), 0, 1)
-        image_io.write_pnm(root / f"scene_{i}.pgm", img)
+        write_pnm(root / f"scene_{i}.pgm", img)
     (root / "notes.txt").write_text("not an image")
     return root
 
@@ -94,6 +95,19 @@ class TestTrainCommand:
         assert code == 0
         err = capsys.readouterr().err
         assert "broken.png" in err and "good.png" not in err
+        assert (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_cut_pgm_is_skipped_with_warning(self, image_dir, config_file, tmp_path,
+                                             capsys):
+        images = tmp_path / "mixed"
+        images.mkdir()
+        (images / "good.pgm").write_bytes((image_dir / "scene_0.pgm").read_bytes())
+        (images / "cut.pgm").write_bytes(b"P5\n")
+        code = cli.main(["train", "--config", str(config_file), "--images", str(images),
+                         "--output", str(tmp_path / "run")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "cut.pgm: truncated PNM header" in err and "good.pgm" not in err
         assert (tmp_path / "run" / "model.ckpt").exists()
 
     def test_missing_directory_names_path(self, config_file, tmp_path, capsys):
@@ -214,6 +228,7 @@ class TestOracleCheckCommand:
         assert cli.main(["oracle-check"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 10
+        assert "all 10 checks passed" in out
         for line in out.splitlines():
             if "PASS" in line:
                 assert "deviation=" in line and "tolerance=" in line
@@ -276,3 +291,15 @@ class TestUsageErrors:
 
     def test_bad_flag_value(self):
         assert cli.main(["train", "--seed", "banana"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--threads", "2"],
+        ["visualize", "--seed", "1", "a.png", "b.png"],
+        ["visualize", "--preset", "pn-i", "a.png", "b.png"],
+        ["visualize", "--threads", "2", "a.png", "b.png"],
+        ["oracle-check", "--seed", "1"],
+        ["oracle-check", "--config", "run.cfg"],
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from pointprops import em, model, oracle, properties
 from pointprops.config import PropertyConfig, TrainConfig
 from pointprops.model import ModelOutput
+from test_properties import sparsity_brute_force
 
 
 def local_max_brute_force(values, rad):
@@ -49,8 +50,7 @@ class TestSelectLocalMaxima:
         for rad in (1, 2, 4):
             for _ in range(50):
                 yhat = em.select_local_maxima(rng.random((20, 20)), rad)
-                _, ok = properties.local_sparsity(yhat, rad)
-                assert ok
+                np.testing.assert_array_equal(sparsity_brute_force(yhat, rad), yhat)
 
 
 class TestCountSampleSpace:
@@ -343,9 +343,13 @@ class TestDescriptorGradient:
         cfg = PropertyConfig(rad=2, n_min=1, n_max=9, alpha=1.7)
         states, _ = em.e_step([scene], None, cfg)
         state = states[0]
-        coeff = em.descriptor_gradient_coefficients(state, cfg)
-        np.testing.assert_allclose(coeff[state.yhat], 1.7 * state.p[state.yhat])
-        assert not coeff[~state.yhat].any()
+        # identity correspondence: each selected row lands on its own pixel
+        weights = 1.7 * state.p[state.sel_rows, state.sel_cols]
+        rows = properties.margin_gradients(state.sel_descriptors, state.sel_valid, cfg,
+                                           weights)
+        for j, grid in enumerate(em.descriptor_field_gradients(state, scene, cfg)):
+            np.testing.assert_array_equal(grid[state.sel_rows, state.sel_cols], rows[j])
+            assert not grid[~state.yhat].any()
 
 
 class TestTrain:

@@ -50,22 +50,6 @@ class TestValidationHelpers:
 
 
 class TestParamsProtocol:
-    def test_get_params_round_trip(self):
-        det = tiny_detector()
-        params = det.get_params()
-        clone = PointPropsDetector(**params)
-        assert clone.get_params() == params
-
-    def test_set_params_chains(self):
-        det = tiny_detector()
-        assert det.set_params(rad=3, alpha=2.0) is det
-        assert det.rad == 3
-        assert det.alpha == 2.0
-
-    def test_set_params_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown parameter"):
-            tiny_detector().set_params(gamma=1.0)
-
     def test_invalid_hyperparameters_caught_at_fit(self):
         det = tiny_detector(n_min=15, n_max=12)
         with pytest.raises(ValueError):
@@ -96,12 +80,13 @@ class TestFitDetect:
             assert points.xy[:, 0].max() <= 17
             assert points.xy[:, 1].max() <= 12
 
-    def test_predict_and_transform_aliases(self):
+    def test_predict_detects_each_image(self):
         det = tiny_detector().fit(shape_scenes(3, 2, size=16))
         imgs = shape_scenes(4, 2, size=16)
         out = det.predict(imgs)
         assert len(out) == 2
-        assert len(det.transform(imgs)) == 2
+        for points, img in zip(out, imgs):
+            np.testing.assert_array_equal(points.xy, det.detect(img).xy)
 
     def test_fit_validates_shapes(self):
         det = tiny_detector()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import write_pnm
 from pointprops import image_io
 
 
@@ -13,14 +14,14 @@ class TestPNM:
         rng = np.random.default_rng(0)
         img = quantized(rng, (12, 17))
         path = tmp_path / "img.pgm"
-        image_io.write_pnm(path, img)
+        write_pnm(path, img)
         np.testing.assert_allclose(image_io.read_pnm(path), img, atol=1e-9)
 
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         img = quantized(rng, (9, 7, 3))
         path = tmp_path / "img.ppm"
-        image_io.write_pnm(path, img)
+        write_pnm(path, img)
         np.testing.assert_allclose(image_io.read_pnm(path), img, atol=1e-9)
 
     def test_ascii_variants(self, tmp_path):
@@ -40,6 +41,45 @@ class TestPNM:
         path.write_bytes(b"NOTPNM")
         with pytest.raises(ValueError):
             image_io.read_image(path)
+
+    def test_truncated_header_names_file(self, tmp_path):
+        path = tmp_path / "cut.pgm"
+        for content in (b"P5\n", b"P2\n4 4\n", b"P6 3 2"):
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match=r"cut\.pgm: truncated PNM header"):
+                image_io.read_image(path)
+
+    def test_non_integer_header_names_file(self, tmp_path):
+        path = tmp_path / "odd.pgm"
+        for content in (b"P5\n4 x4\n255\n", b"P2\n2 1\n25.5\n0 1\n"):
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match=r"odd\.pgm: non-integer PNM header field"):
+                image_io.read_image(path)
+
+    def test_non_integer_sample_names_file(self, tmp_path):
+        path = tmp_path / "odd.pgm"
+        path.write_bytes(b"P2\n2 1\n255\n0 1.5\n")
+        with pytest.raises(ValueError, match=r"odd\.pgm: non-integer PNM sample"):
+            image_io.read_image(path)
+
+    def test_empty_size_names_file(self, tmp_path):
+        path = tmp_path / "flat.pgm"
+        for size in (b"0 4", b"4 0", b"-2 4"):
+            path.write_bytes(b"P5\n" + size + b"\n255\n")
+            with pytest.raises(ValueError, match=r"flat\.pgm: PNM size .* is empty"):
+                image_io.read_image(path)
+
+    def test_maxval_outside_8_bit_range_names_file(self, tmp_path):
+        path = tmp_path / "deep.pgm"
+        for maxval in (0, 256, 65535):
+            path.write_bytes(b"P5\n2 1\n%d\n" % maxval + bytes(4))
+            with pytest.raises(ValueError, match=rf"deep\.pgm: PNM maxval {maxval} outside"):
+                image_io.read_image(path)
+
+    def test_maxval_below_255_rescales(self, tmp_path):
+        path = tmp_path / "low.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n" + bytes([0, 15]))
+        np.testing.assert_allclose(image_io.read_image(path), [[0.0, 1.0]])
 
 
 class TestPNG:
@@ -61,9 +101,9 @@ class TestPNG:
         rng = np.random.default_rng(4)
         img = quantized(rng, (6, 6))
         png = tmp_path / "x.png"
-        image_io.write_image(png, img)
+        image_io.write_png(png, img)
         pgm = tmp_path / "x.pgm"
-        image_io.write_image(pgm, img)
+        write_pnm(pgm, img)
         np.testing.assert_allclose(image_io.read_image(png), image_io.read_image(pgm),
                                    atol=1e-9)
 

@@ -289,6 +289,16 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"model\.ckpt: line 8: non-numeric value"):
             model.load_checkpoint(path)
 
+    def test_non_finite_value_names_file_and_line(self, tmp_path):
+        for bad in ("nan", "inf", "-inf"):
+            def corrupt(lines, bad=bad):
+                lines[7] = lines[7].replace(lines[7].split()[0], bad, 1)
+                return lines
+            path = self._damaged(tmp_path, corrupt)
+            with pytest.raises(ValueError,
+                               match=r"model\.ckpt: line 8: non-finite value in param desc1_w"):
+                model.load_checkpoint(path)
+
     def test_malformed_meta_line_names_file_and_line(self, tmp_path):
         for bad in ("descriptor_dim four", "descriptor_dim", "in_channels 1 2"):
             def corrupt(lines, bad=bad):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pointprops import em, oracle, properties
+from pointprops import em, oracle
+from test_properties import sparsity_brute_force
 
 
 def make_instance(n, n_min, n_max, seed=0, coords=None, rad=1):
@@ -93,8 +94,7 @@ class TestEnumerateFullSpace:
                 # duplicated coordinates collapse on the grid; skip those draws
                 if grid.sum() != mask.sum():
                     continue
-                _, ok = properties.local_sparsity(grid, rad=2)
-                assert ok
+                np.testing.assert_array_equal(sparsity_brute_force(grid, rad=2), grid)
 
 
 class TestExactPosterior:

@@ -1,7 +1,10 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from pointprops import properties
+from pointprops import em, properties
 from pointprops.config import PropertyConfig
 from pointprops.model import ModelOutput
 
@@ -25,98 +28,101 @@ def sparsity_brute_force(y, rad):
     return s_loc
 
 
+def isolated(y, rad):
+    """Selected points with no other selected point within Chebyshev ``rad``."""
+    y = np.asarray(y, dtype=bool)
+    return y & ~(properties.neighborhood_max(y.astype(float), rad) > 0.0)
+
+
 class TestLocalSparsity:
     def test_single_point_satisfied(self):
         y = np.zeros((9, 9), dtype=bool)
         y[4, 6] = True
-        s_loc, ok = properties.local_sparsity(y, rad=3)
-        assert ok
-        np.testing.assert_array_equal(s_loc, y)
+        np.testing.assert_array_equal(isolated(y, rad=3), y)
 
     def test_two_points_at_exactly_rad_conflict(self):
         y = np.zeros((12, 12), dtype=bool)
         y[2, 2] = True
         y[2, 2 + 4] = True
-        s_loc, ok = properties.local_sparsity(y, rad=4)
-        assert not ok
-        assert not s_loc.any()
+        assert not isolated(y, rad=4).any()
 
     def test_two_points_just_outside_rad(self):
         y = np.zeros((12, 12), dtype=bool)
         y[2, 2] = True
         y[2, 7] = True
-        _, ok = properties.local_sparsity(y, rad=4)
-        assert ok
+        np.testing.assert_array_equal(isolated(y, rad=4), y)
 
     def test_matches_pairwise_brute_force(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             y = rng.random((12, 12)) < 0.12
-            s_loc, ok = properties.local_sparsity(y, rad=2)
-            ref = sparsity_brute_force(y, rad=2)
-            np.testing.assert_array_equal(s_loc, ref & y)
-            assert ok == bool(np.array_equal(ref & y, y))
+            np.testing.assert_array_equal(isolated(y, rad=2), sparsity_brute_force(y, rad=2))
+
+
+def space_total(m):
+    """Exact number of masks over m candidates in the paper-scale count window."""
+    cfg = paper_scale_config()
+    return em.log_count_sample_space(m, cfg.n_min, cfg.n_max, method="exact").exact[0]
 
 
 class TestCountSparsity:
+    """The count window (n_min, n_max) is exclusive at both ends: the reduced
+    sample space holds masks of n_min + 1 .. n_max - 1 points."""
+
     def test_inside_range(self):
-        assert properties.count_sparsity(300, paper_scale_config()) == 1
+        assert space_total(300) == sum(math.comb(300, n) for n in range(201, 301))
 
     def test_lower_boundary_excluded(self):
-        assert properties.count_sparsity(200, paper_scale_config()) == 0
+        with pytest.raises(em.EmptySampleSpaceError):
+            space_total(200)
 
     def test_just_below_upper_bound(self):
-        assert properties.count_sparsity(399, paper_scale_config()) == 1
+        assert space_total(399) == sum(math.comb(399, n) for n in range(201, 400))
 
     def test_upper_boundary_excluded(self):
-        assert properties.count_sparsity(400, paper_scale_config()) == 0
+        assert space_total(400) == sum(math.comb(400, n) for n in range(201, 400))
+
+
+def view_mean(probs, valid=None):
+    """em.repeatability of one canonical point seen at pixel (0, 0) of each view."""
+    probs = np.asarray(probs, dtype=float)
+    j = len(probs)
+    valid = np.ones(j, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+    scene = SimpleNamespace(
+        map_rows=np.zeros((j, 1, 1), dtype=int),
+        map_cols=np.zeros((j, 1, 1), dtype=int),
+        valid=valid.reshape(j, 1, 1),
+    )
+    outputs = [SimpleNamespace(prob_map=np.full((1, 1), p)) for p in probs]
+    r, valid_count = em.repeatability(scene, outputs)
+    assert valid_count[0, 0] == valid.sum()
+    return float(r[0, 0])
 
 
 class TestRepeatability:
     def test_constant(self):
-        assert properties.repeatability([0.5, 0.5, 0.5]) == 0.5
+        assert view_mean([0.5, 0.5, 0.5]) == 0.5
 
     def test_two_point_mean(self):
-        assert properties.repeatability([0.2, 0.8]) == pytest.approx(0.5, abs=1e-15)
+        assert view_mean([0.2, 0.8]) == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_independent_summation(self):
         rng = np.random.default_rng(7)
         draws = rng.uniform(0.01, 0.99, size=10)
         reference = sum(float(v) for v in draws) / 10.0
-        assert properties.repeatability(draws) == pytest.approx(reference, abs=1e-15)
+        assert view_mean(draws) == pytest.approx(reference, abs=1e-15)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(8)
         draws = rng.uniform(0.01, 0.99, size=6)
-        base = properties.repeatability(draws)
+        base = view_mean(draws)
         for _ in range(20):
-            assert properties.repeatability(rng.permutation(draws)) == pytest.approx(
-                base, abs=1e-15
-            )
+            assert view_mean(rng.permutation(draws)) == pytest.approx(base, abs=1e-15)
 
     def test_validity_mask(self):
-        assert properties.repeatability([0.2, 0.9, 0.8], [True, False, True]) == pytest.approx(
-            0.5
-        )
-        with pytest.raises(ValueError):
-            properties.repeatability([0.5], [False])
-
-
-class TestSimilarity:
-    def test_self_similarity(self):
-        d = np.array([0.6, 0.8])
-        assert properties.similarity(d, d) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert properties.similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_negated(self):
-        d = np.array([0.6, 0.8])
-        assert properties.similarity(d, -d) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            properties.similarity([1.0, 1.0], [1.0, 0.0])
+        assert view_mean([0.2, 0.9, 0.8], [True, False, True]) == pytest.approx(0.5)
+        # a point no view observes has repeatability 0
+        assert view_mean([0.5], [False]) == 0.0
 
 
 def transcribe_margin(i, desc_per_image, m_p, m_n, lam):
@@ -202,11 +208,15 @@ class TestDiscriminabilityMargin:
         yhat = np.zeros((4, 5), dtype=bool)
         yhat[0, 1] = yhat[2, 3] = yhat[3, 0] = True
         cfg = PropertyConfig(rad=1, n_min=0, n_max=5, m_p=0.9, m_n=-0.2, neg_weight=0.5)
+        rows, cols = np.nonzero(yhat)
+        gathered, valid = properties.gather_selected_descriptors(
+            rows, cols, scene.outputs, scene
+        )
+        h = properties.margins(len(rows), gathered, valid, cfg)
         desc = [f[yhat] for f in fields]
-        for idx, point in enumerate(np.argwhere(yhat)):
-            direct = properties.discriminability_margin(tuple(point), yhat, scene, cfg)
+        for idx in range(len(rows)):
             ref = transcribe_margin(idx, desc, 0.9, -0.2, 0.5)
-            assert direct == pytest.approx(ref, abs=1e-12)
+            assert h[idx] == pytest.approx(ref, abs=1e-12)
 
     def test_degenerate_set_rejected(self):
         cfg = paper_scale_config()

@@ -37,13 +37,6 @@ class TestPhotometricSampling:
         for _ in range(500):
             assert 1 <= len(simulate.sample_photometric(rng, "illum_full")) <= 4
 
-    def test_serializable(self):
-        rng = np.random.default_rng(3)
-        spec = simulate.sample_photometric(rng, "illum_full")
-        text = simulate.spec_to_text(spec)
-        assert text
-        assert all(op.kind in text for op in spec)
-
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             simulate.sample_photometric(np.random.default_rng(0), "illum_extreme")
