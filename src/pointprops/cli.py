@@ -10,12 +10,13 @@ import argparse
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import checks, em, evaluate, image_io, model, simulate
-from .config import PRESETS, RunConfig, build_run_config, load_run_config, with_iterations
+from .config import PRESETS, RunConfig, build_run_config, parse_config_text
 from .estimator import pad_to_multiple_of_4
 
 USAGE_ERROR = 1
@@ -72,21 +73,33 @@ def build_parser() -> _Parser:
     return parser
 
 
+# the config key each command-line override sets
+_FLAG_KEYS = {
+    "seed": "train.seed",
+    "threads": "run.threads",
+    "images": "paths.images_dir",
+    "checkpoint": "paths.checkpoint",
+    "pairs": "paths.pairs_file",
+    "output": "paths.output_dir",
+}
+
+
 def _load_config(args) -> RunConfig:
-    overrides = {key: getattr(args, key, None) for key in ("preset", "seed", "threads")}
+    """The config file's keys, then the command-line overrides, over the preset."""
+    values = {}
     if args.config:
-        run = load_run_config(args.config, **overrides)
-    else:
-        run = build_run_config({}, **overrides)
-    if getattr(args, "images", None):
-        run.images_dir = args.images
-    if getattr(args, "checkpoint", None):
-        run.checkpoint = args.checkpoint
-    if getattr(args, "pairs", None):
-        run.pairs_file = args.pairs
-    if args.output:
-        run.output_dir = args.output
-    return run
+        data = Path(args.config).read_bytes()
+        try:
+            values = parse_config_text(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{args.config}: line {line}: not UTF-8 text") from None
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
+    for flag, key in _FLAG_KEYS.items():
+        if getattr(args, flag, None) is not None:
+            values[key] = getattr(args, flag)
+    return build_run_config(values, preset=getattr(args, "preset", None))
 
 
 def _load_gray_images(directory, size=None):
@@ -145,7 +158,7 @@ def cmd_train(args) -> int:
         return RUNTIME_ERROR
     cfg = run.train
     if run.epochs is not None:
-        cfg = with_iterations(cfg, math.ceil(run.epochs * len(images) / cfg.batch_scenes))
+        cfg = replace(cfg, iterations=math.ceil(run.epochs * len(images) / cfg.batch_scenes))
     out_dir = Path(run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = em.train(images, cfg)
@@ -173,21 +186,14 @@ def _pairs_from_file(path):
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if len(tokens) != 11:
-            print(f"warning: pair line {lineno} malformed (want 11 fields)", file=sys.stderr)
-            skipped += 1
-            continue
         try:
+            if len(tokens) != 11:
+                raise ValueError("want 11 fields: imgA imgB h11..h33")
             hom = np.array([float(t) for t in tokens[2:]]).reshape(3, 3)
-        except ValueError:
-            print(f"warning: pair line {lineno} has a malformed homography", file=sys.stderr)
-            skipped += 1
-            continue
-        if abs(np.linalg.det(hom)) < 1e-9:
-            print(f"warning: pair line {lineno} homography is singular", file=sys.stderr)
-            skipped += 1
-            continue
-        try:
+            if not np.all(np.isfinite(hom)):
+                raise ValueError("homography holds a non-finite value")
+            if abs(np.linalg.det(hom)) < 1e-9:
+                raise ValueError("homography is singular")
             img_a = image_io.to_grayscale(image_io.read_image(base / tokens[0]))
             img_b = image_io.to_grayscale(image_io.read_image(base / tokens[1]))
         except (OSError, ValueError) as exc:
@@ -273,11 +279,8 @@ def cmd_eval(args) -> int:
         )
         return idx, pair_id, row, artifacts, (img_a, img_b, hom)
 
-    if run.threads > 1:
-        with ThreadPoolExecutor(max_workers=run.threads) as pool:
-            results = sorted(pool.map(work, enumerate(pairs)), key=lambda r: r[0])
-    else:
-        results = [work(item) for item in enumerate(pairs)]
+    with ThreadPoolExecutor(max_workers=run.threads) as pool:
+        results = list(pool.map(work, enumerate(pairs)))
 
     rows = []
     for idx, pair_id, row, (pts_a, pts_b, matches), (img_a, img_b, hom) in results:

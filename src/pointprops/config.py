@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 ILLUMINATION_LEVELS = ("illum_full", "illum_mild")
 VIEWPOINT_LEVELS = ("viewpoint_full", "viewpoint_medium", "viewpoint_gentle")
@@ -59,7 +59,6 @@ class TrainConfig:
     iterations: int = 200
     properties: PropertyConfig = field(default_factory=PropertyConfig)
     descriptor_dim: int = 16
-    in_channels: int = 1
     image_size: tuple[int, int] = (64, 64)  # (height, width), multiples of 4
     illumination: str = "illum_mild"
     viewpoint: str = "viewpoint_medium"
@@ -91,6 +90,11 @@ def validate_train_config(cfg: TrainConfig) -> None:
         raise ValueError(f"image_size must be multiples of 4 and >= 8, got {h}x{w}")
     if cfg.learning_rate <= 0:
         raise ValueError(f"learning_rate must be > 0, got {cfg.learning_rate}")
+    for name in ("beta1", "beta2"):
+        if not 0.0 <= getattr(cfg, name) < 1.0:
+            raise ValueError(f"{name} must be in [0, 1), got {getattr(cfg, name)}")
+    if cfg.adam_eps <= 0:
+        raise ValueError(f"adam_eps must be > 0, got {cfg.adam_eps}")
 
 
 @dataclass(frozen=True)
@@ -114,11 +118,13 @@ class EvalConfig:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.ransac_iters < 1:
             raise ValueError(f"ransac_iters must be >= 1, got {self.ransac_iters}")
+        if self.ransac_threshold <= 0:
+            raise ValueError(f"ransac_threshold must be > 0, got {self.ransac_threshold}")
         if self.pairs_per_image < 1:
             raise ValueError(f"pairs_per_image must be >= 1, got {self.pairs_per_image}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Full command configuration: training, properties, simulation, eval, paths."""
 
@@ -130,6 +136,12 @@ class RunConfig:
     pairs_file: str | None = None
     epochs: int | None = None  # alternative to iterations: passes over the image set
     threads: int = 1
+
+    def __post_init__(self):
+        if self.epochs is not None and self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
 # mirrors of the three published training regimes, at their descriptor lengths
@@ -148,7 +160,6 @@ _SCHEMA = {
     "train.iterations": int,
     "train.epochs": int,
     "train.descriptor_dim": int,
-    "train.in_channels": int,
     "train.image_height": int,
     "train.image_width": int,
     "train.learning_rate": float,
@@ -209,13 +220,19 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def build_run_config(
-    values: dict,
-    preset: str | None = None,
-    seed: int | None = None,
-    threads: int | None = None,
-) -> RunConfig:
-    """Assemble and validate a RunConfig from dotted key/value overrides."""
+# the RunConfig part that a section's keys set, each under its field name;
+# train.epochs (a RunConfig field) and train.image_height/image_width (the
+# two halves of TrainConfig.image_size) are the exceptions
+_PARTS = {"properties": "properties", "train": "train", "simulate": "train",
+          "eval": "eval", "paths": "run", "run": "run"}
+
+
+def build_run_config(values: dict, preset: str | None = None) -> RunConfig:
+    """Assemble and validate a RunConfig from dotted key/value overrides.
+
+    Explicit ``values`` beat the preset's. Each dataclass is built from the
+    keys given for it only, so every other field keeps its declared default.
+    """
     merged = {}
     if preset is not None:
         if preset not in PRESETS:
@@ -223,70 +240,20 @@ def build_run_config(
         for key, val in PRESETS[preset].items():
             merged[key] = _SCHEMA[key](val)
     merged.update(values)
-    if seed is not None:
-        merged["train.seed"] = seed
-    if threads is not None:
-        merged["run.threads"] = threads
-
-    def take(key, default):
-        return merged.pop(key, default)
-
-    prop = PropertyConfig(
-        rad=take("properties.rad", 4),
-        n_min=take("properties.n_min", 5),
-        n_max=take("properties.n_max", 30),
-        m_p=take("properties.m_p", 1.0),
-        m_n=take("properties.m_n", 0.2),
-        neg_weight=take("properties.neg_weight", None),
-        alpha=take("properties.alpha", 1.0),
+    unknown = sorted(set(merged) - set(_SCHEMA))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    given = {"properties": {}, "train": {}, "eval": {}, "run": {}}
+    for key, val in merged.items():
+        section, name = key.split(".")
+        given["run" if key == "train.epochs" else _PARTS[section]][name] = val
+    train = given["train"]
+    if "image_height" in train or "image_width" in train:
+        height, width = TrainConfig.image_size
+        train["image_size"] = (train.pop("image_height", height),
+                               train.pop("image_width", width))
+    return RunConfig(
+        train=TrainConfig(properties=PropertyConfig(**given["properties"]), **train),
+        eval=EvalConfig(**given["eval"]),
+        **given["run"],
     )
-    train = TrainConfig(
-        batch_scenes=take("train.batch_scenes", 2),
-        transforms_per_scene=take("train.transforms_per_scene", 10),
-        iterations=take("train.iterations", 200),
-        properties=prop,
-        descriptor_dim=take("train.descriptor_dim", 16),
-        in_channels=take("train.in_channels", 1),
-        image_size=(take("train.image_height", 64), take("train.image_width", 64)),
-        illumination=take("simulate.illumination", "illum_mild"),
-        viewpoint=take("simulate.viewpoint", "viewpoint_medium"),
-        learning_rate=take("train.learning_rate", 1e-3),
-        beta1=take("train.beta1", 0.9),
-        beta2=take("train.beta2", 0.999),
-        adam_eps=take("train.adam_eps", 1e-8),
-        seed=take("train.seed", 0),
-    )
-    evalc = EvalConfig(
-        prob_threshold=take("eval.prob_threshold", 0.5),
-        max_points=take("eval.max_points", 1000),
-        epsilon=take("eval.epsilon", 3.0),
-        ransac_iters=take("eval.ransac_iters", 2000),
-        ransac_threshold=take("eval.ransac_threshold", 3.0),
-        ransac_seed=take("eval.ransac_seed", 0),
-        pairs_per_image=take("eval.pairs_per_image", 1),
-    )
-    run = RunConfig(
-        train=train,
-        eval=evalc,
-        images_dir=take("paths.images_dir", None),
-        output_dir=take("paths.output_dir", "out"),
-        checkpoint=take("paths.checkpoint", None),
-        pairs_file=take("paths.pairs_file", None),
-        epochs=take("train.epochs", None),
-        threads=take("run.threads", 1),
-    )
-    if run.threads < 1:
-        raise ValueError(f"threads must be >= 1, got {run.threads}")
-    if merged:
-        raise ValueError(f"unused config keys: {sorted(merged)}")
-    return run
-
-
-def load_run_config(path, preset=None, seed=None, threads=None) -> RunConfig:
-    with open(path) as fh:
-        values = parse_config_text(fh.read())
-    return build_run_config(values, preset=preset, seed=seed, threads=threads)
-
-
-def with_iterations(cfg: TrainConfig, iterations: int) -> TrainConfig:
-    return replace(cfg, iterations=iterations)

@@ -296,7 +296,7 @@ def train(images, cfg: TrainConfig) -> TrainResult:
     images = [np.asarray(img, dtype=float) for img in images]
     if not images:
         raise ValueError("image source is empty")
-    params = model.init_params(cfg.seed, cfg.descriptor_dim, cfg.in_channels)
+    params = model.init_params(cfg.seed, cfg.descriptor_dim)
     adam = model.AdamState.fresh(params)
     order_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xD0]))
     order = list(order_rng.permutation(len(images)))

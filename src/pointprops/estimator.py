@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import em, evaluate, model
-from .config import PropertyConfig, TrainConfig
+from .config import EvalConfig, PropertyConfig, TrainConfig
 
 
 class NotFittedError(RuntimeError):
@@ -48,29 +48,31 @@ def pad_to_multiple_of_4(image: np.ndarray):
 class PointPropsDetector:
     """Joint interest-point detector/descriptor trained by property EM.
 
-    ``fit`` trains on a list of scene images; ``detect``/``predict`` extract
-    sparse points with unit descriptors from new images.
+    ``fit`` trains on a list of grayscale scene images; ``detect``/``predict``
+    extract sparse points with unit descriptors from new (H, W) or (H, W, 1)
+    images. Each hyperparameter defaults to its field in ``PropertyConfig``,
+    ``TrainConfig`` or ``EvalConfig``.
     """
 
     def __init__(
         self,
-        descriptor_dim: int = 16,
-        rad: int = 4,
-        n_min: int = 5,
-        n_max: int = 30,
-        m_p: float = 1.0,
-        m_n: float = 0.2,
-        neg_weight: float | None = None,
-        alpha: float = 1.0,
-        batch_scenes: int = 2,
-        transforms_per_scene: int = 10,
-        iterations: int = 200,
-        learning_rate: float = 1e-3,
-        illumination: str = "illum_mild",
-        viewpoint: str = "viewpoint_medium",
-        prob_threshold: float = 0.5,
-        max_points: int = 1000,
-        seed: int = 0,
+        descriptor_dim: int = TrainConfig.descriptor_dim,
+        rad: int = PropertyConfig.rad,
+        n_min: int = PropertyConfig.n_min,
+        n_max: int = PropertyConfig.n_max,
+        m_p: float = PropertyConfig.m_p,
+        m_n: float = PropertyConfig.m_n,
+        neg_weight: float | None = PropertyConfig.neg_weight,
+        alpha: float = PropertyConfig.alpha,
+        batch_scenes: int = TrainConfig.batch_scenes,
+        transforms_per_scene: int = TrainConfig.transforms_per_scene,
+        iterations: int = TrainConfig.iterations,
+        learning_rate: float = TrainConfig.learning_rate,
+        illumination: str = TrainConfig.illumination,
+        viewpoint: str = TrainConfig.viewpoint,
+        prob_threshold: float = EvalConfig.prob_threshold,
+        max_points: int = EvalConfig.max_points,
+        seed: int = TrainConfig.seed,
     ):
         self.descriptor_dim = descriptor_dim
         self.rad = rad

@@ -92,8 +92,8 @@ def read_pnm(path) -> np.ndarray:
     """Read a P2/P3 (ASCII) or P5/P6 (binary, 8-bit) file.
 
     Raises ValueError naming the file for a header cut short, a non-integer
-    header field or sample, an empty size, a maxval outside 1..255 and short
-    pixel data.
+    header field or sample, an empty size, a maxval outside 1..255, a sample
+    outside 0..maxval and short pixel data.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -135,6 +135,8 @@ def read_pnm(path) -> np.ndarray:
         arr = np.frombuffer(raw, dtype=np.uint8).astype(float)
     if arr.size != count:
         raise ValueError(f"{path}: expected {count} samples, got {arr.size}")
+    if arr.min() < 0 or arr.max() > maxval:
+        raise ValueError(f"{path}: PNM sample outside 0..{maxval}")
     arr = (arr / maxval).reshape(height, width, channels)
     return arr[:, :, 0] if channels == 1 else arr
 

@@ -8,7 +8,7 @@ backward pass is exact and checkable against finite differences.
 Architecture (all convs 3x3, stride 1, pad 1; ReLU after every conv except
 head outputs):
 
-    encoder:      conv(C->8)  conv(8->8)  maxpool2  conv(8->16) conv(16->16) maxpool2
+    encoder:      conv(1->8)  conv(8->8)  maxpool2  conv(8->16) conv(16->16) maxpool2
     detection:    [bilinear x4 of the encoding, skip-concat of the full-res
                    second encoder activation], conv(24->8), conv(8->1),
                    standardize logits, sigmoid
@@ -35,10 +35,10 @@ NORM_EPS = 1e-12
 PROB_CLIP = 1e-12
 
 
-def topology(descriptor_dim: int, in_channels: int = 1):
-    """Layer descriptor records: (name, kind, in_channels, out_channels)."""
+def topology(descriptor_dim: int):
+    """Layer descriptor records: (name, kind, cin, cout), channel counts in and out."""
     return (
-        ("enc1", "conv3x3", in_channels, 8),
+        ("enc1", "conv3x3", 1, 8),
         ("enc2", "conv3x3", 8, 8),
         ("pool1", "maxpool2", 8, 8),
         ("enc3", "conv3x3", 8, 16),
@@ -61,17 +61,15 @@ class ModelParams:
 
     weights: dict  # name -> array; "<layer>_w" (Cout, Cin, 3, 3), "<layer>_b" (Cout,)
     descriptor_dim: int
-    in_channels: int = 1
 
     @property
     def layer_topology(self):
-        return topology(self.descriptor_dim, self.in_channels)
+        return topology(self.descriptor_dim)
 
     def copy(self) -> "ModelParams":
         return ModelParams(
             weights={k: v.copy() for k, v in self.weights.items()},
             descriptor_dim=self.descriptor_dim,
-            in_channels=self.in_channels,
         )
 
 
@@ -82,31 +80,29 @@ class ModelOutput:
     cache: dict = field(default_factory=dict, repr=False)
 
 
-def init_params(seed: int, descriptor_dim: int, in_channels: int = 1) -> ModelParams:
+def init_params(seed: int, descriptor_dim: int) -> ModelParams:
     """Deterministic Glorot-uniform weights, zero biases.
 
     Raises ValueError for descriptor_dim < 2.
     """
     if descriptor_dim < 2:
         raise ValueError(f"descriptor_dim must be >= 2, got {descriptor_dim}")
-    if in_channels < 1:
-        raise ValueError(f"in_channels must be >= 1, got {in_channels}")
     rng = np.random.default_rng(seed)
     weights = {}
-    for name, shape in param_shapes(descriptor_dim, in_channels).items():
+    for name, shape in param_shapes(descriptor_dim).items():
         if name.endswith("_w"):
             bound = glorot_bound(shape[1], shape[0])
             weights[name] = rng.uniform(-bound, bound, size=shape)
         else:
             weights[name] = np.zeros(shape)
-    return ModelParams(weights=weights, descriptor_dim=descriptor_dim, in_channels=in_channels)
+    return ModelParams(weights=weights, descriptor_dim=descriptor_dim)
 
 
-def param_shapes(descriptor_dim: int, in_channels: int = 1) -> dict:
+def param_shapes(descriptor_dim: int) -> dict:
     """Name -> shape of every conv weight (Cout, Cin, 3, 3) and bias (Cout,),
     in topology order."""
     shapes = {}
-    for name, kind, cin, cout in topology(descriptor_dim, in_channels):
+    for name, kind, cin, cout in topology(descriptor_dim):
         if kind.startswith("conv3x3"):
             shapes[name + "_w"] = (cout, cin, 3, 3)
             shapes[name + "_b"] = (cout,)
@@ -252,7 +248,7 @@ def forward(
 ) -> ModelOutput:
     """Evaluate the network on one image.
 
-    ``image`` is (H, W) or (H, W, C) with H and W divisible by 4. Pure
+    ``image`` is (H, W) or (H, W, 1) with H and W divisible by 4. Pure
     function of (params, image); the returned cache feeds ``backward``.
     With ``keep_cache=False`` nothing is written to the cache, so each
     layer's patch matrix and pre-activation are freed as soon as the next
@@ -265,8 +261,8 @@ def forward(
     h, w, c = x.shape
     if h % 4 != 0 or w % 4 != 0:
         raise ValueError(f"image dimensions must be divisible by 4, got {h}x{w}")
-    if c != params.in_channels:
-        raise ValueError(f"expected {params.in_channels} channel(s), got {c}")
+    if c != 1:
+        raise ValueError(f"expected 1 (grayscale) channel, got {c}")
 
     wts = params.weights
     cache = {} if keep_cache else _DiscardWrites()
@@ -440,7 +436,7 @@ def apply_update(
         new_w[k] = w - lr * m_hat / (np.sqrt(v_hat) + eps)
         new_m[k], new_v[k] = m, v
     return (
-        ModelParams(new_w, params.descriptor_dim, params.in_channels),
+        ModelParams(new_w, params.descriptor_dim),
         AdamState(t, new_m, new_v),
     )
 
@@ -456,7 +452,7 @@ def save_checkpoint(path, params: ModelParams) -> None:
     """Versioned text checkpoint; floats at 17 significant digits round-trip exactly."""
     lines = [CKPT_HEADER]
     lines.append(f"descriptor_dim {params.descriptor_dim}")
-    lines.append(f"in_channels {params.in_channels}")
+    lines.append("in_channels 1")  # part of the v1 format; the model is single-channel
     for name in sorted(params.weights):
         arr = params.weights[name]
         shape = " ".join(str(s) for s in arr.shape)
@@ -472,9 +468,9 @@ def load_checkpoint(path) -> ModelParams:
     """Read a ``save_checkpoint`` file.
 
     Raises ValueError naming the file (and the line, where one is at fault)
-    for a foreign header, a malformed meta or param line, a non-numeric or
-    non-finite value, a param block cut short, or parameters that do not
-    fit the fixed topology.
+    for a foreign header, a malformed meta or param line, a channel count
+    other than 1, a non-numeric or non-finite value, a param block cut
+    short, or parameters that do not fit the fixed topology.
     """
     try:
         with open(path) as fh:
@@ -495,6 +491,8 @@ def load_checkpoint(path) -> ModelParams:
             meta[key] = int(val)
         except ValueError:
             raise malformed(idx, "malformed meta line, want '<key> <integer>'") from None
+        if key == "in_channels" and meta[key] != 1:
+            raise malformed(idx, f"in_channels {meta[key]}, but the model is single-channel")
         idx += 1
     weights = {}
     while idx < len(lines):
@@ -526,12 +524,8 @@ def load_checkpoint(path) -> ModelParams:
         weights[name] = np.array(values).reshape(shape)
     if "descriptor_dim" not in meta:
         raise ValueError(f"{path}: missing 'descriptor_dim' meta line")
-    params = ModelParams(
-        weights=weights,
-        descriptor_dim=meta["descriptor_dim"],
-        in_channels=meta.get("in_channels", 1),
-    )
-    expected = param_shapes(params.descriptor_dim, params.in_channels)
+    params = ModelParams(weights=weights, descriptor_dim=meta["descriptor_dim"])
+    expected = param_shapes(params.descriptor_dim)
     if set(weights) != set(expected):
         raise ValueError(f"{path}: parameter names do not match the fixed topology")
     for name, shape in expected.items():

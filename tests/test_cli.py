@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -127,11 +129,27 @@ class TestTrainCommand:
                          "--output", str(tmp_path)])
         assert code == 2
 
-    def test_rejects_unknown_key(self, image_dir, tmp_path):
+    def test_rejects_unknown_key(self, image_dir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("[train]\nwarp_speed = 9\n")
+        bad.write_text("[train]\niterations = 2\nwarp_speed = 9\n")
         assert cli.main(["train", "--config", str(bad), "--images", str(image_dir),
                          "--output", str(tmp_path)]) == 2
+        assert "bad.cfg: line 3: unknown config key 'train.warp_speed'" in capsys.readouterr().err
+
+    def test_non_utf8_config_names_file_and_line(self, image_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"[train]\niterations = 2\nseed = \xff\n")
+        assert cli.main(["train", "--config", str(bad), "--images", str(image_dir),
+                         "--output", str(tmp_path)]) == 2
+        assert "bad.cfg: line 3: not UTF-8 text" in capsys.readouterr().err
+
+    def test_epochs_set_the_iteration_count(self, image_dir, config_file, tmp_path):
+        cfg = tmp_path / "epochs.cfg"
+        cfg.write_text(config_file.read_text() + "[train]\nepochs = 1\niterations = 5\n")
+        assert cli.main(["train", "--config", str(cfg), "--images", str(image_dir),
+                         "--output", str(tmp_path)]) == 0
+        # one pass over 4 images at 2 scenes per iteration
+        assert len((tmp_path / "train_log.csv").read_text().splitlines()) == 1 + 2
 
 
 class TestEvalCommand:
@@ -170,6 +188,25 @@ class TestEvalCommand:
         assert code == 0
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[-1] == "# skipped_pairs 1"
+
+    def test_non_finite_homography_line_is_skipped(self, image_dir, config_file,
+                                                   trained_dir, tmp_path, capsys):
+        pairs = tmp_path / "pairs.txt"
+        scene = image_dir / "scene_0.pgm"
+        pairs.write_text(f"{scene} {scene} 1 0 0 0 1 0 0 0 1\n"
+                         f"{scene} {scene} 1 0 nan 0 1 0 0 0 1\n"
+                         f"{scene} {scene} 1 0 0 0 1 0 0 0 inf\n")
+        out = tmp_path / "eval"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["eval", "--config", str(config_file),
+                             "--checkpoint", str(trained_dir / "model.ckpt"),
+                             "--pairs", str(pairs), "--output", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "pair line 2 skipped: homography holds a non-finite value" in err
+        assert "pair line 3 skipped" in err
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert len(lines) == 4 and lines[-1] == "# skipped_pairs 2"
 
     def test_identity_self_pair_scores_one(self, image_dir, config_file, trained_dir,
                                             tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from pointprops import config
+from pointprops import cli, config
 
 
 class TestPropertyConfig:
@@ -80,14 +80,40 @@ class TestConfigFile:
             config.parse_config_text("[train]\niterations = soon\n")
 
     def test_invalid_combination_rejected_before_work(self):
-        values = config.parse_config_text("[properties]\nn_min = 50\nn_max = 20\n")
-        with pytest.raises(ValueError):
-            config.build_run_config(values)
+        for text, message in [
+            ("[properties]\nn_min = 50\nn_max = 20\n", "n_min < n_max"),
+            ("[train]\nbeta1 = 1\n", "beta1 must be in"),
+            ("[train]\nbeta2 = -0.1\n", "beta2 must be in"),
+            ("[train]\nadam_eps = 0\n", "adam_eps must be > 0"),
+            ("[train]\nepochs = -1\n", "epochs must be >= 0"),
+            ("[eval]\nransac_threshold = 0\n", "ransac_threshold must be > 0"),
+            ("[run]\nthreads = 0\n", "threads must be >= 1"),
+        ]:
+            values = config.parse_config_text(text)
+            with pytest.raises(ValueError, match=message):
+                config.build_run_config(values)
 
-    def test_seed_and_threads_overrides(self):
-        run = config.build_run_config({}, seed=123, threads=4)
+    def test_seed_and_threads_overrides(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("[train]\nseed = 5\ndescriptor_dim = 32\n[run]\nthreads = 2\n")
+        args = cli.build_parser().parse_args(
+            ["eval", "--config", str(path), "--preset", "pn-full", "--seed", "123",
+             "--threads", "4", "--checkpoint", "m.ckpt", "--output", "o"])
+        run = cli._load_config(args)
         assert run.train.seed == 123
         assert run.threads == 4
+        assert (run.checkpoint, run.output_dir) == ("m.ckpt", "o")
+        assert run.train.descriptor_dim == 32  # the file beats the preset
+        assert run.train.illumination == "illum_full"
+
+    def test_empty_values_give_the_dataclass_defaults(self):
+        assert config.build_run_config({}) == config.RunConfig()
+        run = config.build_run_config({"train.image_height": 32})
+        assert run.train.image_size == (32, config.TrainConfig().image_size[1])
+
+    def test_unknown_dotted_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            config.build_run_config({"train.in_channels": 1})
 
     def test_presets(self):
         for name, d, illum, view in [

@@ -1,8 +1,11 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from conftest import shape_scenes
-from pointprops import estimator
+from pointprops import config, estimator
 from pointprops.estimator import NotFittedError, PointPropsDetector
 
 
@@ -50,6 +53,13 @@ class TestValidationHelpers:
 
 
 class TestParamsProtocol:
+    def test_defaults_are_the_config_defaults(self):
+        declared = {f.name: f.default
+                    for cls in (config.PropertyConfig, config.TrainConfig, config.EvalConfig)
+                    for f in dataclasses.fields(cls)}
+        for name, param in inspect.signature(PointPropsDetector).parameters.items():
+            assert param.default == declared[name], name
+
     def test_invalid_hyperparameters_caught_at_fit(self):
         det = tiny_detector(n_min=15, n_max=12)
         with pytest.raises(ValueError):

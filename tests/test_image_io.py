@@ -76,6 +76,14 @@ class TestPNM:
             with pytest.raises(ValueError, match=rf"deep\.pgm: PNM maxval {maxval} outside"):
                 image_io.read_image(path)
 
+    def test_sample_outside_maxval_names_file(self, tmp_path):
+        path = tmp_path / "hot.pgm"
+        for content in (b"P2 2 1 15 0 200", b"P2 2 1 255 -1 0",
+                        b"P5\n2 1\n15\n" + bytes([0, 200])):
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match=r"hot\.pgm: PNM sample outside 0\.\.(15|255)"):
+                image_io.read_image(path)
+
     def test_maxval_below_255_rescales(self, tmp_path):
         path = tmp_path / "low.pgm"
         path.write_bytes(b"P5\n2 1\n15\n" + bytes([0, 15]))

@@ -5,8 +5,8 @@ import naive_net
 from pointprops import model
 
 
-def random_params(seed=7, d=8, in_channels=1):
-    params = model.init_params(seed, d, in_channels)
+def random_params(seed=7, d=8):
+    params = model.init_params(seed, d)
     # shift biases off zero so every layer participates in gradient checks
     rng = np.random.default_rng(seed + 1)
     for k in params.weights:
@@ -123,6 +123,8 @@ class TestForward:
             model.forward(params, np.zeros((7, 8)))
         with pytest.raises(ValueError):
             model.forward(params, np.zeros((8, 10)))
+        with pytest.raises(ValueError, match="expected 1 .* channel, got 3"):
+            model.forward(params, np.zeros((8, 8, 3)))
 
 
 class TestBackward:
@@ -308,6 +310,13 @@ class TestCheckpoint:
             line = 2 if bad.startswith("descriptor") else 3
             with pytest.raises(ValueError, match=rf"model\.ckpt: line {line}: malformed meta"):
                 model.load_checkpoint(path)
+
+    def test_in_channels_line_is_optional_and_must_be_one(self, tmp_path):
+        path = self._damaged(tmp_path, lambda lines: lines[:2] + lines[3:])
+        assert model.load_checkpoint(path).descriptor_dim == 4
+        path = self._damaged(tmp_path, lambda lines: lines[:2] + ["in_channels 3"] + lines[3:])
+        with pytest.raises(ValueError, match=r"model\.ckpt: line 3: in_channels 3"):
+            model.load_checkpoint(path)
 
     def test_wrong_shape_names_parameter(self, tmp_path):
         params = model.init_params(0, 4)
