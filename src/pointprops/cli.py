@@ -84,16 +84,23 @@ _FLAG_KEYS = {
 }
 
 
+def _read_utf8(path) -> str:
+    """The text of ``path``; a ValueError names the file and line of a non-UTF-8 byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
+
+
 def _load_config(args) -> RunConfig:
     """The config file's keys, then the command-line overrides, over the preset."""
     values = {}
     if args.config:
-        data = Path(args.config).read_bytes()
+        text = _read_utf8(args.config)
         try:
-            values = parse_config_text(data.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise ValueError(f"{args.config}: line {line}: not UTF-8 text") from None
+            values = parse_config_text(text)
         except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
     for flag, key in _FLAG_KEYS.items():
@@ -178,10 +185,21 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _checked_homography(values) -> np.ndarray:
+    """Nine row-major values as a 3x3 homography; ValueError if one is not
+    finite or the matrix is singular."""
+    hom = np.array(values, dtype=float).reshape(3, 3)
+    if not np.all(np.isfinite(hom)):
+        raise ValueError("homography holds a non-finite value")
+    if abs(np.linalg.det(hom)) < 1e-9:
+        raise ValueError("homography is singular")
+    return hom
+
+
 def _pairs_from_file(path):
     pairs, skipped = [], 0
     base = Path(path).parent
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_utf8(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -189,11 +207,7 @@ def _pairs_from_file(path):
         try:
             if len(tokens) != 11:
                 raise ValueError("want 11 fields: imgA imgB h11..h33")
-            hom = np.array([float(t) for t in tokens[2:]]).reshape(3, 3)
-            if not np.all(np.isfinite(hom)):
-                raise ValueError("homography holds a non-finite value")
-            if abs(np.linalg.det(hom)) < 1e-9:
-                raise ValueError("homography is singular")
+            hom = _checked_homography([float(t) for t in tokens[2:]])
             img_a = image_io.to_grayscale(image_io.read_image(base / tokens[0]))
             img_b = image_io.to_grayscale(image_io.read_image(base / tokens[1]))
         except (OSError, ValueError) as exc:
@@ -340,11 +354,15 @@ def cmd_visualize(args) -> int:
     if not run.checkpoint:
         print("visualize: a checkpoint is required", file=sys.stderr)
         return USAGE_ERROR
+    hom = np.eye(3)
+    if args.homography:
+        try:
+            hom = _checked_homography(args.homography)
+        except ValueError as exc:
+            raise ValueError(f"--homography: {exc}") from None
     params = model.load_checkpoint(run.checkpoint)
     img_a = image_io.to_grayscale(image_io.read_image(args.image_a))
     img_b = image_io.to_grayscale(image_io.read_image(args.image_b))
-    hom = (np.array(args.homography).reshape(3, 3)
-           if args.homography else np.eye(3))
     row, (pts_a, pts_b, matches) = evaluate_pair(
         params, img_a, img_b, hom, run.eval, run.train.properties.rad
     )

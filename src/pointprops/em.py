@@ -292,6 +292,10 @@ def train(images, cfg: TrainConfig) -> TrainResult:
     the source is short), simulates J views per scene, runs the E-step, and
     applies one Adam update from the summed ascent gradients. Deterministic
     for a fixed config and seed.
+
+    Raises ValueError naming the iteration when the kept scenes' E[L] or a
+    summed gradient (naming the parameter) is not finite. An iteration
+    whose scenes were all skipped takes no step and logs nan.
     """
     images = [np.asarray(img, dtype=float) for img in images]
     if not images:
@@ -326,11 +330,16 @@ def train(images, cfg: TrainConfig) -> TrainResult:
         kept = [(st, sc) for st, sc in zip(states, scenes) if st is not None]
         skipped = len(scenes) - len(kept)
         if kept:
+            if not math.isfinite(expected):
+                raise ValueError(f"iteration {t}: expected log-likelihood E[L] is {expected}")
             grads = model.zero_grads(params)
             for state, scene in kept:
                 model.accumulate_grads(
                     grads, scene_parameter_gradients(state, scene, params, cfg.properties)
                 )
+            for name, grad in grads.items():
+                if not np.all(np.isfinite(grad)):
+                    raise ValueError(f"iteration {t}: non-finite gradient for parameter {name}")
             descent = {k: -v for k, v in grads.items()}
             params, adam = model.apply_update(
                 params, descent, adam,

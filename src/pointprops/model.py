@@ -120,27 +120,54 @@ def glorot_bound(cin: int, cout: int, ksize: int = 3) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _im2col3(x: np.ndarray) -> np.ndarray:
-    """(H, W, C) -> (H*W, C*9) patch matrix for a 3x3 reflect-pad convolution.
-
-    Reflection padding keeps border responses content-driven; zero padding
-    would hand the detector a constant frame cue.
-    """
-    h, wid, cin = x.shape
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="reflect")
-    cols = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(0, 1))
-    # cols: (h, w, cin, 3, 3); flatten to match w.reshape(cout, cin*9)
-    return cols.reshape(h * wid, cin * 9)
+# Least size of one band of a convolution's patch matrix. Bands split only
+# the M (pixel) dimension of the GEMM, so every output keeps the same K-term
+# dot product -- provided each band's GEMM runs the same BLAS kernel as the
+# whole-image GEMM would. OpenBLAS hands GEMMs with M*N up to about 1200 to a
+# small-matrix kernel that sums in another order; with 1 MiB of float64
+# patches every band of this topology (K <= 216; N >= 2, or N = 1, which
+# numpy sends to the matrix-vector routine) has M*N >= 1820. On the
+# 240x320 forward's conv layers, bands of 0.5, 1 and 2 MiB take the same
+# time within noise, about 120 ms against 210 ms for whole-matrix copies.
+BAND_BYTES = 1 << 20
 
 
 def _conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray, cols=None) -> np.ndarray:
-    """3x3 conv, stride 1, pad 1, channels-last activations."""
-    h, wid, _ = x.shape
+    """3x3 conv, stride 1, reflect pad 1, channels-last (H, W, C) activations.
+
+    Reflection padding keeps border responses content-driven; zero padding
+    would hand the detector a constant frame cue.
+
+    The (H*W, C*9) patch matrix is built one band of whole output rows at a
+    time, each band at least ``BAND_BYTES`` (or the whole image), and each
+    band's rows are multiplied by the weights as soon as they are copied. If
+    ``cols`` is given, an (H*W, C*9) array, the bands are its slices and it
+    ends up holding the whole patch matrix for ``_conv3_backward``; otherwise
+    one band buffer, local to this call, is reused, so no whole-image patch
+    matrix is ever held. The outputs are the same bits either way.
+    """
+    h, wid, cin = x.shape
     cout = w.shape[0]
+    k = cin * 9
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="reflect")
+    # (h, w, cin, 3, 3): the layout of w.reshape(cout, cin * 9)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(0, 1))
+    weights = w.reshape(cout, k).T
+    least_rows = min(h, -(-BAND_BYTES // (wid * k * 8)))  # 8 bytes per float64
+    num_bands = h // least_rows
+    edges = [h * i // num_bands for i in range(num_bands + 1)]
     if cols is None:
-        cols = _im2col3(x)
-    out = cols @ w.reshape(cout, -1).T + b
-    return out.reshape(h, wid, cout)
+        buffer = np.empty((-(-h // num_bands), wid, cin, 3, 3))
+    out = np.empty((h, wid, cout))
+    for r0, r1 in zip(edges[:-1], edges[1:]):
+        if cols is None:
+            band = buffer[: r1 - r0]
+        else:
+            band = cols[r0 * wid : r1 * wid].reshape(r1 - r0, wid, cin, 3, 3)
+        np.copyto(band, windows[r0:r1])
+        np.matmul(band.reshape(-1, k), weights, out=out[r0:r1].reshape(-1, cout))
+    out += b
+    return out
 
 
 def _conv3_backward(cols: np.ndarray, in_shape, w: np.ndarray, grad_out: np.ndarray):
@@ -249,11 +276,13 @@ def forward(
     """Evaluate the network on one image.
 
     ``image`` is (H, W) or (H, W, 1) with H and W divisible by 4. Pure
-    function of (params, image); the returned cache feeds ``backward``.
-    With ``keep_cache=False`` nothing is written to the cache, so each
-    layer's patch matrix and pre-activation are freed as soon as the next
-    layer has consumed them; the maps are the same bits, but ``backward``
-    rejects the output. Inference (eval, visualize, detect) uses this.
+    function of (params, image); the returned cache feeds ``backward`` and
+    holds each conv's whole (H*W, C*9) patch matrix. With
+    ``keep_cache=False`` nothing is written to the cache and no conv builds
+    a whole patch matrix (see ``_conv3``), so each pre-activation is freed
+    as soon as the next layer has consumed it; the maps are the same bits,
+    but ``backward`` rejects the output. Inference (eval, visualize,
+    detect) uses this.
     """
     x = np.asarray(image, dtype=float)
     if x.ndim == 2:
@@ -269,7 +298,8 @@ def forward(
     cache["image"] = x
 
     def conv(name, inp):
-        cols = _im2col3(inp)
+        height, width, chans = inp.shape
+        cols = np.empty((height * width, chans * 9)) if keep_cache else None
         cache[name + "_cols"] = cols
         cache[name + "_shape"] = inp.shape
         return _conv3(inp, wts[name + "_w"], wts[name + "_b"], cols)

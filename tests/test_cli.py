@@ -208,6 +208,17 @@ class TestEvalCommand:
         lines = (out / "metrics.csv").read_text().splitlines()
         assert len(lines) == 4 and lines[-1] == "# skipped_pairs 2"
 
+    def test_non_utf8_pair_list_names_file_and_line(self, image_dir, config_file,
+                                                    trained_dir, tmp_path, capsys):
+        pairs = tmp_path / "pairs.txt"
+        scene = image_dir / "scene_0.pgm"
+        pairs.write_bytes(f"{scene} {scene} 1 0 0 0 1 0 0 0 1\n".encode() + b"\xff\n")
+        code = cli.main(["eval", "--config", str(config_file),
+                         "--checkpoint", str(trained_dir / "model.ckpt"),
+                         "--pairs", str(pairs), "--output", str(tmp_path / "eval")])
+        assert code == 2
+        assert "pairs.txt: line 2: not UTF-8 text" in capsys.readouterr().err
+
     def test_identity_self_pair_scores_one(self, image_dir, config_file, trained_dir,
                                             tmp_path):
         pairs = tmp_path / "pairs.txt"
@@ -317,6 +328,21 @@ class TestVisualizeCommand:
                          "--output", str(out)])
         assert code == 0
         assert "homo_error failed" in (out / "scene_0__scene_1.txt").read_text()
+
+    @pytest.mark.parametrize("values, message", [
+        (["1", "0", "0", "0", "1", "0", "0", "0", "nan"], "holds a non-finite value"),
+        (["1", "2", "0", "2", "4", "0", "0", "0", "1"], "is singular"),
+    ])
+    def test_unusable_homography_exits_2(self, image_dir, config_file, trained_dir,
+                                         tmp_path, capsys, values, message):
+        out = tmp_path / "vis"
+        code = cli.main(["visualize", "--config", str(config_file),
+                         "--checkpoint", str(trained_dir / "model.ckpt"),
+                         str(image_dir / "scene_0.pgm"), str(image_dir / "scene_1.pgm"),
+                         "--homography", *values, "--output", str(out)])
+        assert code == 2
+        assert f"--homography: homography {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsageErrors:

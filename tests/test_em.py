@@ -399,3 +399,26 @@ class TestTrain:
         assert set(result.log_rows[0]) == {
             "iteration", "E_y_L", "mean_num_yhat", "skipped_scenes", "seconds"
         }
+
+    def test_non_finite_gradient_names_iteration_and_parameter(self, monkeypatch):
+        def poisoned(state, scene, params, cfg):
+            grads = model.zero_grads(params)
+            grads["det1_w"][0, 0, 1, 1] = np.nan
+            return grads
+
+        monkeypatch.setattr(em, "scene_parameter_gradients", poisoned)
+        with pytest.raises(ValueError, match="iteration 1: non-finite gradient for "
+                                             "parameter det1_w"):
+            em.train(self.images(), self.small_config(2))
+
+    def test_non_finite_expected_log_likelihood_names_iteration(self, monkeypatch):
+        e_step = em.e_step
+
+        def poisoned(scenes, params, cfg):
+            states, _ = e_step(scenes, params, cfg)
+            return states, np.inf
+
+        monkeypatch.setattr(em, "e_step", poisoned)
+        with pytest.raises(ValueError, match=r"iteration 1: expected log-likelihood "
+                                             r"E\[L\] is inf"):
+            em.train(self.images(), self.small_config(2))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,52 @@ class TestForward:
             model.forward(params, np.zeros((8, 10)))
         with pytest.raises(ValueError, match="expected 1 .* channel, got 3"):
             model.forward(params, np.zeros((8, 8, 3)))
+
+
+def full_patch_matrix(x):
+    """The whole (H*W, C*9) reflect-pad patch matrix, copied in one go."""
+    h, w, c = x.shape
+    padded = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(0, 1))
+    return windows.reshape(h * w, c * 9)
+
+
+class TestBandedConv:
+    # 37 rows of 64 x 24-channel patches (110,592 bytes a row) need several
+    # bands, and 37 rows split unevenly; a row of 640 x 24-channel patches
+    # fills a band on its own; a 4x4 image is a single band
+    SHAPES = [(37, 64, 24, 8), (6, 640, 24, 8), (4, 4, 24, 8), (48, 64, 16, 1),
+              (40, 80, 16, 3)]
+
+    @pytest.mark.parametrize("h, w, cin, cout", SHAPES)
+    def test_equals_one_full_matrix_gemm(self, h, w, cin, cout):
+        rng = np.random.default_rng(h * w + cin)
+        x = rng.random((h, w, cin))
+        wts = rng.normal(size=(cout, cin, 3, 3))
+        bias = rng.normal(size=cout)
+        patches = full_patch_matrix(x)
+        expected = (patches @ wts.reshape(cout, -1).T + bias).reshape(h, w, cout)
+        cols = np.empty_like(patches)
+        np.testing.assert_array_equal(model._conv3(x, wts, bias), expected)
+        np.testing.assert_array_equal(model._conv3(x, wts, bias, cols), expected)
+        # backward reads the filled patch matrix
+        np.testing.assert_array_equal(cols, patches)
+
+    def test_shapes_cover_several_bands_and_one_row_bands(self):
+        assert 37 * 64 * 24 * 9 * 8 >= 2 * model.BAND_BYTES
+        assert 640 * 24 * 9 * 8 >= model.BAND_BYTES
+
+    def test_inference_forward_never_holds_a_whole_patch_matrix(self):
+        params = model.init_params(0, 16)
+        img = np.random.default_rng(0).random((240, 320))
+        tracemalloc.start()
+        try:
+            model.forward(params, img, keep_cache=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the det1 patch matrix alone is 240 * 320 * 216 * 8 bytes = 126.6 MiB
+        assert peak < 96 * 2**20
 
 
 class TestBackward:
