@@ -15,9 +15,12 @@ head outputs):
     description:  conv(16->16), conv(16->d), L2 normalize, bilinear x4, renormalize
 
 Convolutions use reflection padding so image borders carry no constant frame
-cue. The detection head needs the full-resolution skip: without it the head
-only sees 4x-upsampled features and cannot localize maxima to the pixel,
-which the selection step requires. The per-image logit standardization
+cue. No convolution builds a (H*W, C*9) patch matrix: ``_conv3`` contracts
+over the smaller channel side first and shifts the 9 taps after, one band of
+rows at a time, and the training tape keeps only each conv's padded input.
+The detection head needs the full-resolution skip: without it the head only
+sees 4x-upsampled features and cannot localize maxima to the pixel, which
+the selection step requires. The per-image logit standardization
 (zero mean, unit variance) blocks the degenerate optima of deflating every
 probability at once or saturating plateaus that strict non-maximum
 suppression would reject.
@@ -25,6 +28,7 @@ suppression would reject.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,79 +124,179 @@ def glorot_bound(cin: int, cout: int, ksize: int = 3) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Least size of one band of a convolution's patch matrix. Bands split only
-# the M (pixel) dimension of the GEMM, so every output keeps the same K-term
-# dot product -- provided each band's GEMM runs the same BLAS kernel as the
-# whole-image GEMM would. OpenBLAS hands GEMMs with M*N up to about 1200 to a
-# small-matrix kernel that sums in another order; with 1 MiB of float64
-# patches every band of this topology (K <= 216; N >= 2, or N = 1, which
-# numpy sends to the matrix-vector routine) has M*N >= 1820. On the
-# 240x320 forward's conv layers, bands of 0.5, 1 and 2 MiB take the same
-# time within noise, about 120 ms against 210 ms for whole-matrix copies.
+# Least size of one band of a convolution's per-pixel intermediate: the
+# (rows, W+2, 9, Cout) tap products or the (rows, W, 9, Cin) patches of
+# ``_conv3``. Bands keep that intermediate cache-sized and bound the memory
+# of a large image's forward to one band per layer. Bands of 0.25 to 4 MiB
+# time the same within noise on the 64x64 and 240x320 forward and backward.
 BAND_BYTES = 1 << 20
 
 
-def _conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray, cols=None) -> np.ndarray:
-    """3x3 conv, stride 1, reflect pad 1, channels-last (H, W, C) activations.
+def _bands(n_rows: int, row_bytes: int):
+    """(start, stop) of near-equal row bands of at least ``BAND_BYTES`` each,
+    or one band when all ``n_rows`` are smaller."""
+    least_rows = min(n_rows, -(-BAND_BYTES // row_bytes))
+    num_bands = n_rows // least_rows
+    edges = [n_rows * i // num_bands for i in range(num_bands + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _reflect_pad(x: np.ndarray) -> np.ndarray:
+    """Pad (H, W, C) by one reflected pixel on each side, as
+    ``np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="reflect")`` does: a 1-pixel
+    axis repeats its pixel."""
+    h, w, c = x.shape
+    xp = np.empty((h + 2, w + 2, c))
+    xp[1:-1, 1:-1] = x
+    xp[0, 1:-1] = x[min(1, h - 1)]
+    xp[-1, 1:-1] = x[max(h - 2, 0)]
+    xp[:, 0] = xp[:, 1 + min(1, w - 1)]
+    xp[:, -1] = xp[:, 1 + max(w - 2, 0)]
+    return xp
+
+
+def _reflect_fold(dxp: np.ndarray) -> np.ndarray:
+    """Adjoint of ``_reflect_pad``: adds each pad pixel's gradient onto the
+    pixel it copies (in place) and returns the (H, W, C) interior."""
+    h, w = dxp.shape[0] - 2, dxp.shape[1] - 2
+    dxp[1 + min(1, h - 1)] += dxp[0]
+    dxp[1 + max(h - 2, 0)] += dxp[-1]
+    dxp[:, 1 + min(1, w - 1)] += dxp[:, 0]
+    dxp[:, 1 + max(w - 2, 0)] += dxp[:, -1]
+    return dxp[1:-1, 1:-1]
+
+
+def _conv3_plan(xp: np.ndarray, w: np.ndarray):
+    """How ``_conv3`` and ``_conv3_backward`` lay out one 3x3 conv of the
+    padded (H+2, W+2, Cin) input ``xp`` with (Cout, Cin, 3, 3) weights ``w``.
+
+    Returns (tap_products, taps, bands, band_rows): whether Cin >= Cout, the
+    weights as (Cin, 9*Cout) when it is and as tap-major (9*Cin, Cout) when
+    not, the row bands (padded rows for tap products, output rows for
+    patches) and the rows of the largest band.
+    """
+    hp, wp, cin = xp.shape
+    cout = w.shape[0]
+    tap_products = cin >= cout
+    if tap_products:
+        taps = w.transpose(1, 2, 3, 0).reshape(cin, 9 * cout)
+        bands = _bands(hp, wp * 9 * cout * 8)  # 8 bytes per float64
+    else:
+        taps = w.transpose(2, 3, 1, 0).reshape(9 * cin, cout)
+        bands = _bands(hp - 2, (wp - 2) * 9 * cin * 8)
+    return tap_products, taps, bands, max(stop - start for start, stop in bands)
+
+
+def _tap_windows(h: int, p0: int, p1: int):
+    """Per tap t = 3 * ki + kj of a 3x3 kernel: (t, kj, i0, i1, q0, q1), the
+    output rows i0:i1 that read padded rows q0 + p0 : q1 + p0, the part of
+    p0:p1 that tap row ki reaches."""
+    windows = []
+    for t in range(9):
+        ki, kj = divmod(t, 3)
+        i0, i1 = max(p0 - ki, 0), min(p1 - ki, h)
+        if i0 < i1:
+            windows.append((t, kj, i0, i1, i0 + ki - p0, i1 + ki - p0))
+    return windows
+
+
+def _copy_patches(patches: np.ndarray, xp: np.ndarray, r0: int) -> np.ndarray:
+    """Fills the tap-major (rows, W, 9, Cin) patches of the output rows from
+    r0 on with 9 channel-contiguous slices of ``xp``; returns them as a
+    (rows*W, 9*Cin) matrix."""
+    rows, wid, _, cin = patches.shape
+    for t in range(9):
+        ki, kj = divmod(t, 3)
+        patches[:, :, t] = xp[r0 + ki : r0 + ki + rows, kj : kj + wid]
+    return patches.reshape(-1, 9 * cin)
+
+
+def _conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """3x3 conv, stride 1, channels-last, of a reflect-padded (H+2, W+2, Cin)
+    input ``xp = _reflect_pad(x)``; returns the (H, W, Cout) output.
 
     Reflection padding keeps border responses content-driven; zero padding
     would hand the detector a constant frame cue.
 
-    The (H*W, C*9) patch matrix is built one band of whole output rows at a
-    time, each band at least ``BAND_BYTES`` (or the whole image), and each
-    band's rows are multiplied by the weights as soon as they are copied. If
-    ``cols`` is given, an (H*W, C*9) array, the bands are its slices and it
-    ends up holding the whole patch matrix for ``_conv3_backward``; otherwise
-    one band buffer, local to this call, is reused, so no whole-image patch
-    matrix is ever held. The outputs are the same bits either way.
+    No (H*W, Cin*9) patch matrix is built. The contraction runs over the
+    smaller channel side first, so the per-pixel intermediate is
+    9 * min(Cin, Cout) wide:
+
+    - Cin >= Cout: one GEMM of the padded pixels (rows, Cin) by the weights
+      laid out (Cin, 9*Cout) gives every tap's product Y at every padded
+      pixel; the output is the bias plus 9 shifted slices of Y.
+    - Cin < Cout: tap-major (pixels, 9, Cin) patches are copied from 9
+      channel-contiguous slices of ``xp`` and multiplied by the (9*Cin, Cout)
+      weights.
+
+    Either intermediate is built one band of rows (``_bands``) at a time in
+    one buffer local to the call, so no whole-image intermediate is held and
+    concurrent calls share nothing.
     """
-    h, wid, cin = x.shape
+    hp, wp, cin = xp.shape
+    h, wid = hp - 2, wp - 2
     cout = w.shape[0]
-    k = cin * 9
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="reflect")
-    # (h, w, cin, 3, 3): the layout of w.reshape(cout, cin * 9)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(0, 1))
-    weights = w.reshape(cout, k).T
-    least_rows = min(h, -(-BAND_BYTES // (wid * k * 8)))  # 8 bytes per float64
-    num_bands = h // least_rows
-    edges = [h * i // num_bands for i in range(num_bands + 1)]
-    if cols is None:
-        buffer = np.empty((-(-h // num_bands), wid, cin, 3, 3))
+    tap_products, taps, bands, band_rows = _conv3_plan(xp, w)
     out = np.empty((h, wid, cout))
-    for r0, r1 in zip(edges[:-1], edges[1:]):
-        if cols is None:
-            band = buffer[: r1 - r0]
-        else:
-            band = cols[r0 * wid : r1 * wid].reshape(r1 - r0, wid, cin, 3, 3)
-        np.copyto(band, windows[r0:r1])
-        np.matmul(band.reshape(-1, k), weights, out=out[r0:r1].reshape(-1, cout))
-    out += b
+    if tap_products:
+        buffer = np.empty((band_rows * wp, 9 * cout))
+        out[...] = b
+        for p0, p1 in bands:
+            y = buffer[: (p1 - p0) * wp]
+            np.matmul(xp[p0:p1].reshape(-1, cin), taps, out=y)
+            y = y.reshape(p1 - p0, wp, 9, cout)
+            for t, kj, i0, i1, q0, q1 in _tap_windows(h, p0, p1):
+                out[i0:i1] += y[q0:q1, kj : kj + wid, t]
+    else:
+        buffer = np.empty((band_rows, wid, 9, cin))
+        for r0, r1 in bands:
+            patches = _copy_patches(buffer[: r1 - r0], xp, r0)
+            np.matmul(patches, taps, out=out[r0:r1].reshape(-1, cout))
+        out += b
     return out
 
 
-def _conv3_backward(cols: np.ndarray, in_shape, w: np.ndarray, grad_out: np.ndarray):
-    """Returns (dw, db, dx); ``cols`` is the forward's patch matrix."""
-    h, wid, cin = in_shape
+def _conv3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
+    """Returns (dw, db, dx) of ``_conv3(xp, w, b)``, with dx the gradient of
+    the unpadded input (the reflect fold of the padded one). Bands and
+    layouts are the forward's; the patches of the Cin < Cout side are
+    rebuilt from ``xp``."""
+    hp, wp, cin = xp.shape
+    h, wid = hp - 2, wp - 2
     cout = w.shape[0]
-    g = grad_out.reshape(h * wid, cout)
-    dw = (g.T @ cols).reshape(w.shape)
-    db = g.sum(axis=0)
-    dcols = (g @ w.reshape(cout, cin * 9)).reshape(h, wid, cin, 3, 3)
-    dxp = np.zeros((h + 2, wid + 2, cin))
-    for ki in range(3):
-        for kj in range(3):
-            dxp[ki : ki + h, kj : kj + wid, :] += dcols[:, :, :, ki, kj]
-    # fold reflect-pad gradients back onto their mirrored source rows/columns
-    dx = dxp[1:-1, 1:-1, :].copy()
-    dx[1, :, :] += dxp[0, 1:-1, :]
-    dx[-2, :, :] += dxp[-1, 1:-1, :]
-    dx[:, 1, :] += dxp[1:-1, 0, :]
-    dx[:, -2, :] += dxp[1:-1, -1, :]
-    dx[1, 1, :] += dxp[0, 0, :]
-    dx[1, -2, :] += dxp[0, -1, :]
-    dx[-2, 1, :] += dxp[-1, 0, :]
-    dx[-2, -2, :] += dxp[-1, -1, :]
-    return dw, db, dx
+    tap_products, taps, bands, band_rows = _conv3_plan(xp, w)
+    db = grad_out.reshape(-1, cout).sum(axis=0)
+    dtaps = np.zeros(taps.shape)
+    if tap_products:
+        # dY holds the upstream gradient at every (padded pixel, tap) it
+        # came through; dxp = dY @ taps.T and dtaps = xp.T @ dY
+        buffer = np.empty((band_rows, wp, 9, cout))
+        dxp = np.empty_like(xp)
+        for p0, p1 in bands:
+            dy = buffer[: p1 - p0]
+            dy.fill(0.0)
+            for t, kj, i0, i1, q0, q1 in _tap_windows(h, p0, p1):
+                dy[q0:q1, kj : kj + wid, t] = grad_out[i0:i1]
+            dy = dy.reshape(-1, 9 * cout)
+            np.matmul(dy, taps.T, out=dxp[p0:p1].reshape(-1, cin))
+            dtaps += xp[p0:p1].reshape(-1, cin).T @ dy
+        dw = dtaps.reshape(cin, 3, 3, cout).transpose(3, 0, 1, 2)
+    else:
+        # dP = g @ taps.T folds back onto the padded pixels the patches copied
+        buffer = np.empty((band_rows, wid, 9, cin))
+        dbuffer = np.empty((band_rows * wid, 9 * cin))
+        dxp = np.zeros_like(xp)
+        for r0, r1 in bands:
+            g = grad_out[r0:r1].reshape(-1, cout)
+            dtaps += _copy_patches(buffer[: r1 - r0], xp, r0).T @ g
+            dp = dbuffer[: (r1 - r0) * wid]
+            np.matmul(g, taps.T, out=dp)
+            dp = dp.reshape(r1 - r0, wid, 9, cin)
+            for t in range(9):
+                ki, kj = divmod(t, 3)
+                dxp[r0 + ki : r1 + ki, kj : kj + wid] += dp[:, :, t]
+        dw = dtaps.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
+    return dw, db, _reflect_fold(dxp)
 
 
 def _maxpool2(x: np.ndarray):
@@ -277,9 +381,9 @@ def forward(
 
     ``image`` is (H, W) or (H, W, 1) with H and W divisible by 4. Pure
     function of (params, image); the returned cache feeds ``backward`` and
-    holds each conv's whole (H*W, C*9) patch matrix. With
-    ``keep_cache=False`` nothing is written to the cache and no conv builds
-    a whole patch matrix (see ``_conv3``), so each pre-activation is freed
+    holds each conv's reflect-padded input (``<layer>_xp``) and
+    pre-activation, not its patches. With ``keep_cache=False`` nothing is
+    written to the cache, so each padded input and pre-activation is freed
     as soon as the next layer has consumed it; the maps are the same bits,
     but ``backward`` rejects the output. Inference (eval, visualize,
     detect) uses this.
@@ -298,11 +402,9 @@ def forward(
     cache["image"] = x
 
     def conv(name, inp):
-        height, width, chans = inp.shape
-        cols = np.empty((height * width, chans * 9)) if keep_cache else None
-        cache[name + "_cols"] = cols
-        cache[name + "_shape"] = inp.shape
-        return _conv3(inp, wts[name + "_w"], wts[name + "_b"], cols)
+        xp = _reflect_pad(inp)
+        cache[name + "_xp"] = xp
+        return _conv3(xp, wts[name + "_w"], wts[name + "_b"])
 
     def conv_relu(name, inp):
         pre = conv(name, inp)
@@ -375,9 +477,7 @@ def backward(
     grads = zero_grads(params)
 
     def conv_backward(name, g):
-        dw, db, dx = _conv3_backward(
-            cache[name + "_cols"], cache[name + "_shape"], wts[name + "_w"], g
-        )
+        dw, db, dx = _conv3_backward(cache[name + "_xp"], wts[name + "_w"], g)
         grads[name + "_w"] += dw
         grads[name + "_b"] += db
         return dx
@@ -498,8 +598,9 @@ def load_checkpoint(path) -> ModelParams:
     """Read a ``save_checkpoint`` file.
 
     Raises ValueError naming the file (and the line, where one is at fault)
-    for a foreign header, a malformed meta or param line, a channel count
-    other than 1, a non-numeric or non-finite value, a param block cut
+    for a foreign header, a malformed, unknown or repeated meta line, a
+    channel count other than 1, a malformed or repeated param line, a
+    negative shape, a non-numeric or non-finite value, a param block cut
     short, or parameters that do not fit the fixed topology.
     """
     try:
@@ -518,11 +619,16 @@ def load_checkpoint(path) -> ModelParams:
     while idx < len(lines) and not lines[idx].startswith("param "):
         try:
             key, val = lines[idx].split()
-            meta[key] = int(val)
+            value = int(val)
         except ValueError:
             raise malformed(idx, "malformed meta line, want '<key> <integer>'") from None
-        if key == "in_channels" and meta[key] != 1:
-            raise malformed(idx, f"in_channels {meta[key]}, but the model is single-channel")
+        if key not in ("descriptor_dim", "in_channels"):
+            raise malformed(idx, f"unknown meta key '{key}'")
+        if key in meta:
+            raise malformed(idx, f"meta key '{key}' appears twice")
+        if key == "in_channels" and value != 1:
+            raise malformed(idx, f"in_channels {value}, but the model is single-channel")
+        meta[key] = value
         idx += 1
     weights = {}
     while idx < len(lines):
@@ -534,7 +640,11 @@ def load_checkpoint(path) -> ModelParams:
             shape = tuple(int(s) for s in head[2:])
         except ValueError:
             raise malformed(idx, f"param {name} has a non-integer shape") from None
-        count = int(np.prod(shape))
+        if any(s < 0 for s in shape):
+            raise malformed(idx, f"param {name} has a negative shape")
+        if name in weights:
+            raise malformed(idx, f"param {name} appears twice")
+        count = math.prod(shape)
         start = idx
         idx += 1
         values = []

@@ -19,14 +19,15 @@ def conv3(x, w, b):
                     for ki in range(3):
                         for kj in range(3):
                             ii, jj = i + ki - 1, j + kj - 1
+                            # reflect; a 1-pixel axis repeats its pixel
                             if ii == -1:
-                                ii = 1
+                                ii = min(1, h - 1)
                             elif ii == h:
-                                ii = h - 2
+                                ii = max(h - 2, 0)
                             if jj == -1:
-                                jj = 1
+                                jj = min(1, wid - 1)
                             elif jj == wid:
-                                jj = wid - 2
+                                jj = max(wid - 2, 0)
                             acc += w[co, ci, ki, kj] * x[ii, jj, ci]
                 out[i, j, co] = acc
     return out

@@ -108,13 +108,15 @@ class TestForward:
             np.testing.assert_array_equal(params.weights[k], before[k])
 
     def test_tape_free_matches_taped(self):
-        params = random_params(13, d=6)
-        img = np.random.default_rng(14).random((12, 16))
-        taped = model.forward(params, img)
-        free = model.forward(params, img, keep_cache=False)
-        np.testing.assert_array_equal(free.prob_map, taped.prob_map)
-        np.testing.assert_array_equal(free.desc_field, taped.desc_field)
-        assert taped.cache and free.cache == {}
+        # 64x64 at d = 16 walks two bands in enc2 and det1
+        for shape, d in [((12, 16), 6), ((64, 64), 16)]:
+            params = random_params(13, d=d)
+            img = np.random.default_rng(14).random(shape)
+            taped = model.forward(params, img)
+            free = model.forward(params, img, keep_cache=False)
+            np.testing.assert_array_equal(free.prob_map, taped.prob_map)
+            np.testing.assert_array_equal(free.desc_field, taped.desc_field)
+            assert taped.cache and free.cache == {}
         with pytest.raises(ValueError, match="no cache"):
             model.backward(params, free, np.ones_like(free.prob_map),
                            np.zeros_like(free.desc_field))
@@ -137,30 +139,87 @@ def full_patch_matrix(x):
     return windows.reshape(h * w, c * 9)
 
 
+def reference_conv3_backward(x, wts, grad_out):
+    """(dw, db, dx) of ``full_patch_matrix(x) @ w + b``, derived by hand: each
+    patch entry (i, j, c, ki, kj) is x at the reflected pixel i + ki - 1,
+    j + kj - 1, so dx gathers the patch gradients by that index."""
+    h, w, c = x.shape
+    cout = wts.shape[0]
+    g = grad_out.reshape(h * w, cout)
+    patches = full_patch_matrix(x)
+    dpatches = (g @ wts.reshape(cout, -1)).reshape(h, w, c, 3, 3)
+    source = np.pad(np.arange(h * w).reshape(h, w), 1, mode="reflect")
+    dx = np.zeros((h * w, c))
+    for ki in range(3):
+        for kj in range(3):
+            np.add.at(dx, source[ki : ki + h, kj : kj + w].ravel(),
+                      dpatches[:, :, :, ki, kj].reshape(-1, c))
+    return (g.T @ patches).reshape(wts.shape), g.sum(axis=0), dx.reshape(h, w, c)
+
+
+def assert_close(actual, expected, rel=1e-12):
+    """Within ``rel`` of the largest magnitude of ``expected``."""
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+def band_plan(h, w, cin, cout):
+    """The row bands ``_conv3`` walks for this shape."""
+    return model._conv3_plan(np.empty((h + 2, w + 2, cin)), np.empty((cout, cin, 3, 3)))[2]
+
+
+def random_conv(h, w, cin, cout):
+    rng = np.random.default_rng(h * w + cin * 31 + cout)
+    return (rng.random((h, w, cin)), rng.normal(size=(cout, cin, 3, 3)),
+            rng.normal(size=cout), rng.normal(size=(h, w, cout)))
+
+
 class TestBandedConv:
-    # 37 rows of 64 x 24-channel patches (110,592 bytes a row) need several
-    # bands, and 37 rows split unevenly; a row of 640 x 24-channel patches
-    # fills a band on its own; a 4x4 image is a single band
+    # (H, W, Cin, Cout): both the tap-product (Cin >= Cout) and the patch
+    # (Cin < Cout) side walk one band, several uneven bands and one-row bands
+    # (test_shapes_cover_...); also Cout = 1 and 1-pixel axes
     SHAPES = [(37, 64, 24, 8), (6, 640, 24, 8), (4, 4, 24, 8), (48, 64, 16, 1),
-              (40, 80, 16, 3)]
+              (40, 80, 16, 3), (38, 160, 24, 8), (3, 1822, 8, 8), (37, 160, 8, 16),
+              (2, 1824, 8, 16), (5, 6, 3, 7), (1, 1, 16, 16), (1, 4, 1, 8)]
 
     @pytest.mark.parametrize("h, w, cin, cout", SHAPES)
     def test_equals_one_full_matrix_gemm(self, h, w, cin, cout):
-        rng = np.random.default_rng(h * w + cin)
-        x = rng.random((h, w, cin))
-        wts = rng.normal(size=(cout, cin, 3, 3))
-        bias = rng.normal(size=cout)
-        patches = full_patch_matrix(x)
-        expected = (patches @ wts.reshape(cout, -1).T + bias).reshape(h, w, cout)
-        cols = np.empty_like(patches)
-        np.testing.assert_array_equal(model._conv3(x, wts, bias), expected)
-        np.testing.assert_array_equal(model._conv3(x, wts, bias, cols), expected)
-        # backward reads the filled patch matrix
-        np.testing.assert_array_equal(cols, patches)
+        x, wts, bias, _ = random_conv(h, w, cin, cout)
+        expected = (full_patch_matrix(x) @ wts.reshape(cout, -1).T + bias)
+        assert_close(model._conv3(model._reflect_pad(x), wts, bias),
+                     expected.reshape(h, w, cout))
+
+    @pytest.mark.parametrize("h, w, cin, cout", SHAPES)
+    def test_backward_equals_hand_derived_gradients(self, h, w, cin, cout):
+        x, wts, _, grad_out = random_conv(h, w, cin, cout)
+        got = model._conv3_backward(model._reflect_pad(x), wts, grad_out)
+        for actual, expected in zip(got, reference_conv3_backward(x, wts, grad_out)):
+            assert_close(actual, expected)
+
+    @pytest.mark.parametrize("h, w, cin, cout", [(4, 4, 24, 8), (5, 6, 3, 7), (3, 5, 8, 1)])
+    def test_small_shapes_match_naive_net(self, h, w, cin, cout):
+        x, wts, bias, _ = random_conv(h, w, cin, cout)
+        expected = naive_net.conv3(x, wts, bias)
+        assert_close(model._conv3(model._reflect_pad(x), wts, bias), expected)
 
     def test_shapes_cover_several_bands_and_one_row_bands(self):
-        assert 37 * 64 * 24 * 9 * 8 >= 2 * model.BAND_BYTES
-        assert 640 * 24 * 9 * 8 >= model.BAND_BYTES
+        for tap_products in (True, False):
+            plans = [band_plan(*shape) for shape in self.SHAPES
+                     if (shape[2] >= shape[3]) == tap_products]
+            sizes = [[stop - start for start, stop in plan] for plan in plans]
+            assert any(len(s) >= 3 and len(set(s)) > 1 for s in sizes)  # uneven
+            assert any(len(s) >= 2 and set(s) == {1} for s in sizes)  # one-row
+            assert any(len(s) == 1 for s in sizes)
+
+    def test_taped_forward_keeps_only_padded_inputs(self):
+        params = model.init_params(0, 16)
+        out = model.forward(params, np.random.default_rng(0).random((64, 64)))
+        arrays = [v for v in out.cache.values() if isinstance(v, np.ndarray)]
+        patch_widths = {9 * cin for _, kind, cin, _ in params.layer_topology
+                        if kind.startswith("conv3x3")}
+        assert not any(a.ndim == 2 and a.shape[1] in patch_widths for a in arrays)
+        # padded inputs take 3.5 MiB; (H*W, 9*C) patch matrices would take 15.6
+        assert sum(a.nbytes for a in arrays) < 6 * 2**20
 
     def test_inference_forward_never_holds_a_whole_patch_matrix(self):
         params = model.init_params(0, 16)
@@ -173,6 +232,51 @@ class TestBandedConv:
             tracemalloc.stop()
         # the det1 patch matrix alone is 240 * 320 * 216 * 8 bytes = 126.6 MiB
         assert peak < 96 * 2**20
+
+
+class TestOnePixelAxes:
+    """4-pixel image sides leave the descriptor head a 1-pixel axis, where
+    reflection repeats the pixel (``np.pad(mode="reflect")``)."""
+
+    SIZES = [(4, 4), (4, 8), (8, 4)]
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (1, 5, 3), (5, 1, 3), (2, 2, 1), (5, 7, 2)])
+    def test_pad_matches_np_pad_and_fold_is_its_adjoint(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.random(shape)
+        np.testing.assert_array_equal(
+            model._reflect_pad(x), np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="reflect"))
+        dxp = rng.normal(size=(shape[0] + 2, shape[1] + 2, shape[2]))
+        source = np.pad(np.arange(shape[0] * shape[1]).reshape(shape[:2]), 1, mode="reflect")
+        expected = np.zeros((shape[0] * shape[1], shape[2]))
+        np.add.at(expected, source.ravel(), dxp.reshape(-1, shape[2]))
+        assert_close(model._reflect_fold(dxp.copy()), expected.reshape(shape))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_forward_matches_naive_reference(self, size):
+        params = random_params(23, d=4)
+        img = np.random.default_rng(24).random(size)
+        out = model.forward(params, img)
+        prob_ref, desc_ref = naive_net.forward(params, img)
+        np.testing.assert_allclose(out.prob_map, prob_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.desc_field, desc_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_gradients_match_finite_difference(self, size):
+        params = random_params(25, d=4)
+        rng = np.random.default_rng(26)
+        img = rng.random(size)
+        out = model.forward(params, img)
+        gp = rng.normal(size=out.prob_map.shape)
+        gd = rng.normal(size=out.desc_field.shape)
+        grads = model.backward(params, out, gp, gd)
+        for key in sorted(params.weights):
+            size = params.weights[key].size
+            for flat in rng.choice(size, size=min(3, size), replace=False):
+                fd = finite_difference(params, img, gp, gd, key, flat)
+                an = grads[key].ravel()[flat]
+                rel = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
+                assert rel <= 1e-4, f"{size} {key}[{flat}]: analytic {an} vs fd {fd}"
 
 
 class TestBackward:
@@ -366,6 +470,21 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"model\.ckpt: line 3: in_channels 3"):
             model.load_checkpoint(path)
 
+    def test_repeated_unknown_and_negative_records_name_file_and_line(self, tmp_path):
+        # lines: 1 header, 2 descriptor_dim, 3 in_channels, 4 "param desc1_b 16",
+        # 5-6 its values, 7 "param desc1_w 16 16 3 3"
+        cases = [
+            (lambda lines: lines[:2] + lines[1:], r"line 3: meta key 'descriptor_dim' appears twice"),
+            (lambda lines: lines[:2] + ["size 4"] + lines[2:], r"line 3: unknown meta key 'size'"),
+            (lambda lines: lines[:3] + ["param desc1_b -1 -16"] + lines[4:],
+             r"line 4: param desc1_b has a negative shape"),
+            (lambda lines: lines[:6] + lines[3:], r"line 7: param desc1_b appears twice"),
+        ]
+        for edit, message in cases:
+            path = self._damaged(tmp_path, edit)
+            with pytest.raises(ValueError, match=r"model\.ckpt: " + message):
+                model.load_checkpoint(path)
+
     def test_wrong_shape_names_parameter(self, tmp_path):
         params = model.init_params(0, 4)
         params.weights["det2_b"] = np.zeros(2)
@@ -373,3 +492,48 @@ class TestCheckpoint:
         model.save_checkpoint(path, params)
         with pytest.raises(ValueError, match=r"model\.ckpt: param det2_b has shape"):
             model.load_checkpoint(path)
+
+
+def mutate_checkpoint(data: bytes, rng) -> bytes:
+    """One seeded damage: a flipped byte, a cut or duplicated line, or two
+    swapped whitespace-separated tokens."""
+    kind = rng.integers(4)
+    if kind == 0:
+        pos = rng.integers(len(data))
+        return data[:pos] + bytes([data[pos] ^ int(rng.integers(1, 256))]) + data[pos + 1 :]
+    lines = data.split(b"\n")
+    if kind == 1:
+        del lines[rng.integers(len(lines))]
+        return b"\n".join(lines)
+    if kind == 2:
+        pos = rng.integers(len(lines))
+        return b"\n".join(lines[: pos + 1] + lines[pos:])
+    tokens = [(i, j) for i, line in enumerate(lines) for j in range(len(line.split()))]
+    (i1, j1), (i2, j2) = (tokens[k] for k in rng.choice(len(tokens), 2, replace=False))
+    split = [line.split() for line in lines]
+    split[i1][j1], split[i2][j2] = split[i2][j2], split[i1][j1]
+    lines[i1], lines[i2] = b" ".join(split[i1]), b" ".join(split[i2])
+    return b"\n".join(lines)
+
+
+class TestCheckpointMutations:
+    def test_each_mutant_loads_whole_or_names_the_file(self, tmp_path):
+        source = tmp_path / "model.ckpt"
+        model.save_checkpoint(source, random_params(31, d=2))
+        data = source.read_bytes()
+        rng = np.random.default_rng(20191004)
+        path = tmp_path / "mutant.ckpt"
+        loaded = rejected = 0
+        for _ in range(200):
+            path.write_bytes(mutate_checkpoint(data, rng))
+            try:
+                params = model.load_checkpoint(path)
+            except ValueError as err:
+                assert str(path) in str(err)
+                rejected += 1
+                continue
+            shapes = model.param_shapes(params.descriptor_dim)
+            assert {k: v.shape for k, v in params.weights.items()} == shapes
+            assert all(np.isfinite(v).all() for v in params.weights.values())
+            loaded += 1
+        assert rejected > 0 and loaded > 0
