@@ -15,9 +15,10 @@ head outputs):
     description:  conv(16->16), conv(16->d), L2 normalize, bilinear x4, renormalize
 
 Convolutions use reflection padding so image borders carry no constant frame
-cue. No convolution builds a (H*W, C*9) patch matrix: ``_conv3`` contracts
-over the smaller channel side first and shifts the 9 taps after, one band of
-rows at a time, and the training tape keeps only each conv's padded input.
+cue. No convolution builds a (H*W, C*9) patch matrix: ``_conv3`` multiplies
+each padded pixel by all 9 taps' weights and shifts the 9 products after,
+one band of rows at a time, and the training tape keeps only each conv's
+padded input.
 The detection head needs the full-resolution skip: without it the head only
 sees 4x-upsampled features and cannot localize maxima to the pixel, which
 the selection step requires. The per-image logit standardization
@@ -124,11 +125,9 @@ def glorot_bound(cin: int, cout: int, ksize: int = 3) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Least size of one band of a convolution's per-pixel intermediate: the
-# (rows, W+2, 9, Cout) tap products or the (rows, W, 9, Cin) patches of
-# ``_conv3``. Bands keep that intermediate cache-sized and bound the memory
-# of a large image's forward to one band per layer. Bands of 0.25 to 4 MiB
-# time the same within noise on the 64x64 and 240x320 forward and backward.
+# Least size of one band of a convolution's (rows, W+2, 9, Cout) tap
+# products in ``_conv3``. Bands keep that intermediate cache-sized and bound
+# the memory of a large image's forward to one band per layer.
 BAND_BYTES = 1 << 20
 
 
@@ -170,21 +169,14 @@ def _conv3_plan(xp: np.ndarray, w: np.ndarray):
     """How ``_conv3`` and ``_conv3_backward`` lay out one 3x3 conv of the
     padded (H+2, W+2, Cin) input ``xp`` with (Cout, Cin, 3, 3) weights ``w``.
 
-    Returns (tap_products, taps, bands, band_rows): whether Cin >= Cout, the
-    weights as (Cin, 9*Cout) when it is and as tap-major (9*Cin, Cout) when
-    not, the row bands (padded rows for tap products, output rows for
-    patches) and the rows of the largest band.
+    Returns (taps, bands, band_rows): the weights as (Cin, 9*Cout), the bands
+    of padded rows and the rows of the largest band.
     """
     hp, wp, cin = xp.shape
     cout = w.shape[0]
-    tap_products = cin >= cout
-    if tap_products:
-        taps = w.transpose(1, 2, 3, 0).reshape(cin, 9 * cout)
-        bands = _bands(hp, wp * 9 * cout * 8)  # 8 bytes per float64
-    else:
-        taps = w.transpose(2, 3, 1, 0).reshape(9 * cin, cout)
-        bands = _bands(hp - 2, (wp - 2) * 9 * cin * 8)
-    return tap_products, taps, bands, max(stop - start for start, stop in bands)
+    taps = w.transpose(1, 2, 3, 0).reshape(cin, 9 * cout)
+    bands = _bands(hp, wp * 9 * cout * 8)  # 8 bytes per float64
+    return taps, bands, max(stop - start for start, stop in bands)
 
 
 def _tap_windows(h: int, p0: int, p1: int):
@@ -200,17 +192,6 @@ def _tap_windows(h: int, p0: int, p1: int):
     return windows
 
 
-def _copy_patches(patches: np.ndarray, xp: np.ndarray, r0: int) -> np.ndarray:
-    """Fills the tap-major (rows, W, 9, Cin) patches of the output rows from
-    r0 on with 9 channel-contiguous slices of ``xp``; returns them as a
-    (rows*W, 9*Cin) matrix."""
-    rows, wid, _, cin = patches.shape
-    for t in range(9):
-        ki, kj = divmod(t, 3)
-        patches[:, :, t] = xp[r0 + ki : r0 + ki + rows, kj : kj + wid]
-    return patches.reshape(-1, 9 * cin)
-
-
 def _conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """3x3 conv, stride 1, channels-last, of a reflect-padded (H+2, W+2, Cin)
     input ``xp = _reflect_pad(x)``; returns the (H, W, Cout) output.
@@ -218,84 +199,55 @@ def _conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     Reflection padding keeps border responses content-driven; zero padding
     would hand the detector a constant frame cue.
 
-    No (H*W, Cin*9) patch matrix is built. The contraction runs over the
-    smaller channel side first, so the per-pixel intermediate is
-    9 * min(Cin, Cout) wide:
-
-    - Cin >= Cout: one GEMM of the padded pixels (rows, Cin) by the weights
-      laid out (Cin, 9*Cout) gives every tap's product Y at every padded
-      pixel; the output is the bias plus 9 shifted slices of Y.
-    - Cin < Cout: tap-major (pixels, 9, Cin) patches are copied from 9
-      channel-contiguous slices of ``xp`` and multiplied by the (9*Cin, Cout)
-      weights.
-
-    Either intermediate is built one band of rows (``_bands``) at a time in
-    one buffer local to the call, so no whole-image intermediate is held and
-    concurrent calls share nothing.
+    No (H*W, Cin*9) patch matrix is built: one GEMM of the padded pixels
+    (rows, Cin) by the weights laid out (Cin, 9*Cout) gives every tap's
+    product Y at every padded pixel, and the output is the bias plus 9
+    shifted slices of Y. Y is built one band of padded rows (``_bands``) at
+    a time in one buffer local to the call, so no whole-image intermediate
+    is held and concurrent calls share nothing.
     """
     hp, wp, cin = xp.shape
     h, wid = hp - 2, wp - 2
     cout = w.shape[0]
-    tap_products, taps, bands, band_rows = _conv3_plan(xp, w)
+    taps, bands, band_rows = _conv3_plan(xp, w)
+    buffer = np.empty((band_rows * wp, 9 * cout))
     out = np.empty((h, wid, cout))
-    if tap_products:
-        buffer = np.empty((band_rows * wp, 9 * cout))
-        out[...] = b
-        for p0, p1 in bands:
-            y = buffer[: (p1 - p0) * wp]
-            np.matmul(xp[p0:p1].reshape(-1, cin), taps, out=y)
-            y = y.reshape(p1 - p0, wp, 9, cout)
-            for t, kj, i0, i1, q0, q1 in _tap_windows(h, p0, p1):
-                out[i0:i1] += y[q0:q1, kj : kj + wid, t]
-    else:
-        buffer = np.empty((band_rows, wid, 9, cin))
-        for r0, r1 in bands:
-            patches = _copy_patches(buffer[: r1 - r0], xp, r0)
-            np.matmul(patches, taps, out=out[r0:r1].reshape(-1, cout))
-        out += b
+    out[...] = b
+    for p0, p1 in bands:
+        y = buffer[: (p1 - p0) * wp]
+        np.matmul(xp[p0:p1].reshape(-1, cin), taps, out=y)
+        y = y.reshape(p1 - p0, wp, 9, cout)
+        for t, kj, i0, i1, q0, q1 in _tap_windows(h, p0, p1):
+            out[i0:i1] += y[q0:q1, kj : kj + wid, t]
     return out
 
 
 def _conv3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
     """Returns (dw, db, dx) of ``_conv3(xp, w, b)``, with dx the gradient of
-    the unpadded input (the reflect fold of the padded one). Bands and
-    layouts are the forward's; the patches of the Cin < Cout side are
-    rebuilt from ``xp``."""
+    the unpadded input (the reflect fold of the padded one), over the
+    forward's bands.
+
+    dY holds the upstream gradient at every (padded pixel, tap) it came
+    through; then dxp = dY @ taps.T and dtaps = xp.T @ dY, with no col2im
+    fold.
+    """
     hp, wp, cin = xp.shape
     h, wid = hp - 2, wp - 2
     cout = w.shape[0]
-    tap_products, taps, bands, band_rows = _conv3_plan(xp, w)
+    taps, bands, band_rows = _conv3_plan(xp, w)
     db = grad_out.reshape(-1, cout).sum(axis=0)
     dtaps = np.zeros(taps.shape)
-    if tap_products:
-        # dY holds the upstream gradient at every (padded pixel, tap) it
-        # came through; dxp = dY @ taps.T and dtaps = xp.T @ dY
-        buffer = np.empty((band_rows, wp, 9, cout))
-        dxp = np.empty_like(xp)
-        for p0, p1 in bands:
-            dy = buffer[: p1 - p0]
-            dy.fill(0.0)
-            for t, kj, i0, i1, q0, q1 in _tap_windows(h, p0, p1):
-                dy[q0:q1, kj : kj + wid, t] = grad_out[i0:i1]
-            dy = dy.reshape(-1, 9 * cout)
-            np.matmul(dy, taps.T, out=dxp[p0:p1].reshape(-1, cin))
-            dtaps += xp[p0:p1].reshape(-1, cin).T @ dy
-        dw = dtaps.reshape(cin, 3, 3, cout).transpose(3, 0, 1, 2)
-    else:
-        # dP = g @ taps.T folds back onto the padded pixels the patches copied
-        buffer = np.empty((band_rows, wid, 9, cin))
-        dbuffer = np.empty((band_rows * wid, 9 * cin))
-        dxp = np.zeros_like(xp)
-        for r0, r1 in bands:
-            g = grad_out[r0:r1].reshape(-1, cout)
-            dtaps += _copy_patches(buffer[: r1 - r0], xp, r0).T @ g
-            dp = dbuffer[: (r1 - r0) * wid]
-            np.matmul(g, taps.T, out=dp)
-            dp = dp.reshape(r1 - r0, wid, 9, cin)
-            for t in range(9):
-                ki, kj = divmod(t, 3)
-                dxp[r0 + ki : r1 + ki, kj : kj + wid] += dp[:, :, t]
-        dw = dtaps.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
+    buffer = np.empty((band_rows, wp, 9, cout))
+    dxp = np.empty_like(xp)
+    for p0, p1 in bands:
+        dy = buffer[: p1 - p0]
+        dy.fill(0.0)
+        for t, kj, i0, i1, q0, q1 in _tap_windows(h, p0, p1):
+            dy[q0:q1, kj : kj + wid, t] = grad_out[i0:i1]
+        dy = dy.reshape(-1, 9 * cout)
+        np.matmul(dy, taps.T, out=dxp[p0:p1].reshape(-1, cin))
+        dtaps += xp[p0:p1].reshape(-1, cin).T @ dy
+    dw = dtaps.reshape(cin, 3, 3, cout).transpose(3, 0, 1, 2)
     return dw, db, _reflect_fold(dxp)
 
 

@@ -165,7 +165,7 @@ def assert_close(actual, expected, rel=1e-12):
 
 def band_plan(h, w, cin, cout):
     """The row bands ``_conv3`` walks for this shape."""
-    return model._conv3_plan(np.empty((h + 2, w + 2, cin)), np.empty((cout, cin, 3, 3)))[2]
+    return model._conv3_plan(np.empty((h + 2, w + 2, cin)), np.empty((cout, cin, 3, 3)))[1]
 
 
 def random_conv(h, w, cin, cout):
@@ -175,9 +175,9 @@ def random_conv(h, w, cin, cout):
 
 
 class TestBandedConv:
-    # (H, W, Cin, Cout): both the tap-product (Cin >= Cout) and the patch
-    # (Cin < Cout) side walk one band, several uneven bands and one-row bands
-    # (test_shapes_cover_...); also Cout = 1 and 1-pixel axes
+    # (H, W, Cin, Cout): one band, several uneven bands and one-row bands
+    # (test_shapes_cover_...); Cin above, equal to and below Cout; also
+    # Cin = 1, Cout = 1 and 1-pixel axes
     SHAPES = [(37, 64, 24, 8), (6, 640, 24, 8), (4, 4, 24, 8), (48, 64, 16, 1),
               (40, 80, 16, 3), (38, 160, 24, 8), (3, 1822, 8, 8), (37, 160, 8, 16),
               (2, 1824, 8, 16), (5, 6, 3, 7), (1, 1, 16, 16), (1, 4, 1, 8)]
@@ -203,13 +203,10 @@ class TestBandedConv:
         assert_close(model._conv3(model._reflect_pad(x), wts, bias), expected)
 
     def test_shapes_cover_several_bands_and_one_row_bands(self):
-        for tap_products in (True, False):
-            plans = [band_plan(*shape) for shape in self.SHAPES
-                     if (shape[2] >= shape[3]) == tap_products]
-            sizes = [[stop - start for start, stop in plan] for plan in plans]
-            assert any(len(s) >= 3 and len(set(s)) > 1 for s in sizes)  # uneven
-            assert any(len(s) >= 2 and set(s) == {1} for s in sizes)  # one-row
-            assert any(len(s) == 1 for s in sizes)
+        sizes = [[stop - start for start, stop in band_plan(*shape)] for shape in self.SHAPES]
+        assert any(len(s) >= 3 and len(set(s)) > 1 for s in sizes)  # uneven
+        assert any(len(s) >= 2 and set(s) == {1} for s in sizes)  # one-row
+        assert any(len(s) == 1 for s in sizes)
 
     def test_taped_forward_keeps_only_padded_inputs(self):
         params = model.init_params(0, 16)
