@@ -300,9 +300,7 @@ def _worst_fd_error(analytic, objective, params, entries, step) -> float:
 def _chain_deviation(scene, params, prob_up, desc_up, objective, keys, seed, step):
     """Summed per-view backward of the given upstream maps against central
     differences of ``objective``, on 5 sampled entries of each key."""
-    analytic = model.zero_grads(params)
-    for j, out in enumerate(scene.outputs):
-        model.accumulate_grads(analytic, model.backward(params, out, prob_up[j], desc_up[j]))
+    analytic = em.backward_views(params, scene.outputs, prob_up, desc_up)
     entries = _sample_entries(params, keys, 5, np.random.default_rng(seed))
     return _worst_fd_error(analytic, objective, params, entries, step)
 
@@ -338,20 +336,21 @@ def detector_chain_objective(params, scene, state):
 
 
 def descriptor_chain_objective(params, scene, state, cfg):
-    """Discriminability part (sum of alpha * p * h), structure frozen."""
+    """Discriminability part as logged (sum of alpha * p * min(h, margin_max)),
+    structure frozen."""
     outs = [model.forward(params, img, keep_cache=False) for img in scene.images]
     descriptors, valid = properties.gather_selected_descriptors(
         state.sel_rows, state.sel_cols, outs, scene
     )
     h = properties.margins(state.num_selected, descriptors, valid, cfg)
     weights = cfg.alpha * state.p[state.sel_rows, state.sel_cols]
-    return float((weights * h).sum())
+    return float((weights * np.minimum(h, cfg.margin_max)).sum())
 
 
 def check_detector_chain(step=1e-5) -> CheckResult:
     scene, state, params, _ = toy_scene_state()
     prob_up = em.detector_gradient_coefficients(state, scene)
-    desc_up = [np.zeros_like(out.desc_field) for out in scene.outputs]
+    desc_up = np.zeros((scene.num_views, *scene.outputs[0].desc_field.shape))
     keys = ["enc1_w", "enc2_w", "enc3_w", "enc4_w", "det1_w", "det2_w", "det2_b"]
     worst = _chain_deviation(scene, params, prob_up, desc_up,
                              lambda p: detector_chain_objective(p, scene, state),
@@ -361,7 +360,7 @@ def check_detector_chain(step=1e-5) -> CheckResult:
 
 def check_descriptor_chain(step=1e-5) -> CheckResult:
     scene, state, params, cfg = toy_scene_state()
-    prob_up = [np.zeros_like(out.prob_map) for out in scene.outputs]
+    prob_up = np.zeros((scene.num_views, *scene.outputs[0].prob_map.shape))
     desc_up = em.descriptor_field_gradients(state, scene, cfg)
     keys = ["enc1_w", "enc2_w", "enc3_w", "enc4_w", "desc1_w", "desc2_w", "desc2_b"]
     worst = _chain_deviation(scene, params, prob_up, desc_up,

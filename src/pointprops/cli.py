@@ -97,16 +97,18 @@ def _read_utf8(path) -> str:
 def _load_config(args) -> RunConfig:
     """The config file's keys, then the command-line overrides, over the preset."""
     values = {}
+    preset = getattr(args, "preset", None)
     if args.config:
         text = _read_utf8(args.config)
         try:
             values = parse_config_text(text)
+            build_run_config(values, preset=preset)  # a value out of range names the file
         except ValueError as exc:
             raise ValueError(f"{args.config}: {exc}") from None
     for flag, key in _FLAG_KEYS.items():
         if getattr(args, flag, None) is not None:
             values[key] = getattr(args, flag)
-    return build_run_config(values, preset=getattr(args, "preset", None))
+    return build_run_config(values, preset=preset)
 
 
 def _load_gray_images(directory, size=None):

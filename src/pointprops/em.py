@@ -123,8 +123,8 @@ class LatentState:
     # selected-point gather, reused by the gradient passes
     sel_rows: np.ndarray = field(repr=False, default=None)
     sel_cols: np.ndarray = field(repr=False, default=None)
-    sel_descriptors: list = field(repr=False, default=None)
-    sel_valid: list = field(repr=False, default=None)
+    sel_descriptors: np.ndarray = field(repr=False, default=None)  # (J, n, d)
+    sel_valid: np.ndarray = field(repr=False, default=None)  # (J, n) bool
 
     @property
     def num_selected(self) -> int:
@@ -158,16 +158,22 @@ def e_step(scenes, params: model.ModelParams, cfg: PropertyConfig):
 def repeatability(scene, outputs):
     """Mean detection probability of each canonical point over its views.
 
-    ``outputs`` holds one ModelOutput per view of ``scene``. Returns
+    ``outputs`` are the ModelOutputs of the J views of ``scene``. Returns
     (r, valid_count): r is 0 where no view observes the point, and
     valid_count is the number of views observing each point.
     """
-    probs = np.zeros(scene.valid.shape)
-    for j, out in enumerate(outputs):
-        probs[j] = out.prob_map[scene.map_rows[j], scene.map_cols[j]]
+    probs = np.stack([out.prob_map for out in outputs])
+    probs = probs.ravel()[_view_pixels(scene, probs.shape)]
     valid_count = scene.valid.sum(axis=0)
     r = np.where(scene.valid, probs, 0.0).sum(axis=0) / np.maximum(valid_count, 1)
     return r, valid_count
+
+
+def _view_pixels(scene, shape):
+    """Flat index, into stacked (J, H, W) view maps of ``shape``, of each
+    canonical point's corresponding pixel in every view."""
+    views, height, width = shape
+    return (np.arange(views)[:, None, None] * height + scene.map_rows) * width + scene.map_cols
 
 
 def _e_step_scene(scene, cfg: PropertyConfig) -> LatentState:
@@ -218,64 +224,61 @@ def _e_step_scene(scene, cfg: PropertyConfig) -> LatentState:
 
 
 def detector_gradient_coefficients(state: LatentState, scene):
-    """Ascent-direction upstream gradients on each view's probability map.
+    """Ascent-direction upstream gradients on the views' probability maps.
 
     Every observed canonical point contributes (p - r) / (J_i * r * (1 - r))
     at its corresponding pixel of every view observing it, with J_i the
-    point's observation count and r clamped as in the likelihood.
+    point's observation count and r clamped as in the likelihood. Returns a
+    (J, H, W) array, one map per view.
     """
     r = np.clip(state.r, properties.PROB_EPS, 1.0 - properties.PROB_EPS)
-    observed = state.valid_count > 0
-    coeff = np.where(
-        observed,
-        (state.p - r) / (np.maximum(state.valid_count, 1) * r * (1.0 - r)),
-        0.0,
-    )
-    grads = []
-    for j in range(scene.num_views):
-        g = np.zeros_like(state.r)
-        mask = scene.valid[j]
-        np.add.at(g, (scene.map_rows[j][mask], scene.map_cols[j][mask]), coeff[mask])
-        grads.append(g)
-    return grads
+    coeff = (state.p - r) / (np.maximum(state.valid_count, 1) * r * (1.0 - r))
+    # only observed points pass the scene.valid mask; bincount sums each
+    # pixel's terms in index order, exactly as np.add.at would
+    shape = scene.valid.shape
+    weights = np.broadcast_to(coeff, shape)[scene.valid]
+    grads = np.bincount(_view_pixels(scene, shape)[scene.valid], weights,
+                        minlength=scene.valid.size)
+    return grads.reshape(shape)
 
 
 def descriptor_field_gradients(state: LatentState, scene, cfg: PropertyConfig):
     """Ascent-direction upstream gradients on each view's descriptor field.
 
     Chains alpha * p_i through the margin's hinge gates into every descriptor
-    row the margin touches, then scatters to view pixels.
+    row the margin touches, then scatters to view pixels. A margin above the
+    logged cap margin_max passes no gradient; at the cap it passes through.
     """
     shape = scene.outputs[0].desc_field.shape
     grads = [np.zeros(shape) for _ in range(scene.num_views)]
     if state.num_selected < 2:
         return grads
-    weights = cfg.alpha * state.p[state.sel_rows, state.sel_cols]
+    sel = state.sel_rows, state.sel_cols
+    weights = np.where(state.h[sel] <= cfg.margin_max, cfg.alpha * state.p[sel], 0.0)
     row_grads = properties.margin_gradients(
         state.sel_descriptors, state.sel_valid, cfg, weights
     )
-    for j in range(scene.num_views):
-        vj = state.sel_valid[j]
-        if not vj.any():
-            continue
-        rr = scene.map_rows[j][state.sel_rows[vj], state.sel_cols[vj]]
-        cc = scene.map_cols[j][state.sel_rows[vj], state.sel_cols[vj]]
-        np.add.at(grads[j], (rr, cc), row_grads[j][vj])
+    view_rows = scene.map_rows[:, state.sel_rows, state.sel_cols]
+    view_cols = scene.map_cols[:, state.sel_rows, state.sel_cols]
+    for grad, rr, cc, rows_j, vj in zip(grads, view_rows, view_cols, row_grads, state.sel_valid):
+        np.add.at(grad, (rr[vj], cc[vj]), rows_j[vj])
     return grads
 
 
-def scene_parameter_gradients(state: LatentState, scene, params, cfg: PropertyConfig):
-    """Ascent gradients of the scene's expected log-likelihood w.r.t. params.
-
-    Accumulation order is fixed (view 0..J-1) so training is deterministic.
-    """
-    prob_up = detector_gradient_coefficients(state, scene)
-    desc_up = descriptor_field_gradients(state, scene, cfg)
+def backward_views(params, outputs, prob_up, desc_up):
+    """Summed ``model.backward`` of each view's upstream maps, accumulated
+    in view order 0..J-1 so training is deterministic."""
     total = model.zero_grads(params)
-    for j in range(scene.num_views):
-        part = model.backward(params, scene.outputs[j], prob_up[j], desc_up[j])
-        model.accumulate_grads(total, part)
+    for out, grad_prob, grad_desc in zip(outputs, prob_up, desc_up):
+        model.accumulate_grads(total, model.backward(params, out, grad_prob, grad_desc))
     return total
+
+
+def scene_parameter_gradients(state: LatentState, scene, params, cfg: PropertyConfig):
+    """Ascent gradients of the scene's expected log-likelihood w.r.t. params."""
+    return backward_views(params, scene.outputs,
+                          detector_gradient_coefficients(state, scene),
+                          descriptor_field_gradients(state, scene, cfg))
 
 
 @dataclass

@@ -33,10 +33,10 @@ def neighborhood_max(values: np.ndarray, rad: int) -> np.ndarray:
 
 
 def _ordered_pairs(descriptors, valid):
-    """Yield (j, jp, sims, both, vjp, n_other) over ordered image pairs.
+    """Yield (j, jp, sims, both, vjp, n_other) over ordered view pairs.
 
-    ``both`` marks points observed in image j and image jp; ``n_other`` is
-    the number of selected points observed in jp (the negative normalizer).
+    ``both`` marks points observed in views j and jp; ``n_other`` is the
+    number of selected points observed in jp (the negative normalizer).
     Pairs with no jointly observed point or an empty jp set are skipped.
     """
     j_images = len(descriptors)
@@ -55,6 +55,13 @@ def _ordered_pairs(descriptors, valid):
             yield j, jp, descriptors[j] @ descriptors[jp].T, both, vjp, n_other
 
 
+def _pair_counts(valid) -> np.ndarray:
+    """Ordered view pairs contributing to each point's margin: k * (k - 1)
+    for a point observed in k of the views."""
+    k = np.sum(valid, axis=0)
+    return k * (k - 1.0)
+
+
 def margins(yhat_count: int, descriptors, valid, cfg: PropertyConfig) -> np.ndarray:
     """Discriminability margins for the selected points of a scene.
 
@@ -62,33 +69,31 @@ def margins(yhat_count: int, descriptors, valid, cfg: PropertyConfig) -> np.ndar
     ----------
     yhat_count : int
         Number of selected points n (the rows below); must be >= 2.
-    descriptors : list of (n, d) arrays
-        One row per selected point for each of the J images; rows at
-        unobserved points are ignored.
-    valid : list of (n,) bool arrays
-        Whether each selected point is observed in each image.
+    descriptors : (J, n, d) array
+        One row per view and selected point; rows at unobserved points are
+        ignored.
+    valid : (J, n) bool array
+        Whether each selected point is observed in each view.
 
     Returns
     -------
-    (n,) array: per-point average over ordered image pairs (j, j') with the
+    (n,) array: per-point average over ordered view pairs (j, j') with the
     point observed in both of
 
         min(m_p, sim(d_ij, d_ij'))
         - neg_weight / |S_j'| * sum over other observed points of max(m_n, sim)
 
     where |S_j'| is the count of selected points observed in j'. Points
-    observed in fewer than two images get the maximal margin (no pair
+    observed in fewer than two views get the maximal margin (no pair
     evidence, neutral).
     """
     n = int(yhat_count)
     if n < 2:
         raise ValueError(f"need at least 2 selected points, got {n}")
     if len(descriptors) < 2:
-        raise ValueError(f"need at least 2 images, got {len(descriptors)}")
-    valid = [np.asarray(v, dtype=bool) for v in valid]
+        raise ValueError(f"need at least 2 views, got {len(descriptors)}")
 
     total = np.zeros(n)
-    pairs = np.zeros(n)
     for _, _, sims, both, vjp, n_other in _ordered_pairs(descriptors, valid):
         pos = np.minimum(cfg.m_p, np.diag(sims))
         neg = np.maximum(cfg.m_n, sims)
@@ -96,35 +101,25 @@ def margins(yhat_count: int, descriptors, valid, cfg: PropertyConfig) -> np.ndar
         neg_sum = neg.sum(axis=1) - np.where(vjp, np.diag(neg), 0.0)
         term = pos - cfg.neg_weight / n_other * neg_sum
         total[both] += term[both]
-        pairs[both] += 1.0
+    pairs = _pair_counts(valid)
     h = np.full(n, cfg.margin_max)
     seen = pairs > 0
     h[seen] = total[seen] / pairs[seen]
     return h
 
 
-def margin_pair_counts(descriptors, valid) -> np.ndarray:
-    """Number of ordered image pairs contributing to each point's margin."""
-    valid = [np.asarray(v, dtype=bool) for v in valid]
-    pairs = np.zeros(valid[0].shape[0])
-    for _, _, _, both, _, _ in _ordered_pairs(descriptors, valid):
-        pairs[both] += 1.0
-    return pairs
-
-
 def margin_gradients(descriptors, valid, cfg: PropertyConfig, point_weights):
     """Gradients of sum_i point_weights[i] * h_i w.r.t. every descriptor row.
 
     Min/max hinges contribute zero on their clipped branch and pass through
-    on the active branch; exact equality passes through. Returns one (n, d)
-    array per image.
+    on the active branch; exact equality passes through. Arguments are as
+    for ``margins``; returns a (J, n, d) array.
     """
-    valid = [np.asarray(v, dtype=bool) for v in valid]
     weights = np.asarray(point_weights, dtype=float)
-    pairs = margin_pair_counts(descriptors, valid)
+    pairs = _pair_counts(valid)
     w = np.where(pairs > 0, weights / np.maximum(pairs, 1.0), 0.0)
 
-    grads = [np.zeros_like(d) for d in descriptors]
+    grads = np.zeros_like(descriptors)
     for j, jp, sims, both, vjp, n_other in _ordered_pairs(descriptors, valid):
         pos_open = both & (np.diag(sims) <= cfg.m_p)
         grads[j][pos_open] += w[pos_open, None] * descriptors[jp][pos_open]
@@ -139,22 +134,19 @@ def margin_gradients(descriptors, valid, cfg: PropertyConfig, point_weights):
 
 
 def gather_selected_descriptors(rows, cols, outputs, scene):
-    """Collect per-image descriptor rows and validity for the selected points.
+    """Descriptor rows and validity of the selected points in every view.
 
-    ``rows``/``cols`` index the selected canonical points; ``outputs`` holds
-    one ModelOutput per view; ``scene`` needs ``map_rows`` / ``map_cols``
-    (J, H, W) correspondence grids and ``valid`` (J, H, W) masks. Rows at
-    unobserved points are zeroed.
+    ``rows``/``cols`` index the n selected canonical points; ``outputs`` are
+    the J views' ModelOutputs; ``scene`` needs (J, H, W) ``map_rows``,
+    ``map_cols`` and ``valid``. Returns the (J, n, d) rows, zero at
+    unobserved points, and the (J, n) validity mask.
     """
-    descriptors, valid = [], []
-    for j, out in enumerate(outputs):
-        vj = scene.valid[j][rows, cols]
-        rr = np.where(vj, scene.map_rows[j][rows, cols], 0)
-        cc = np.where(vj, scene.map_cols[j][rows, cols], 0)
-        dj = out.desc_field[rr, cc]
-        dj[~vj] = 0.0
-        descriptors.append(dj)
-        valid.append(vj)
+    valid = scene.valid[:, rows, cols]
+    view_rows = np.where(valid, scene.map_rows[:, rows, cols], 0)
+    view_cols = np.where(valid, scene.map_cols[:, rows, cols], 0)
+    descriptors = np.stack([out.desc_field[rr, cc]
+                            for out, rr, cc in zip(outputs, view_rows, view_cols)])
+    descriptors[~valid] = 0.0
     return descriptors, valid
 
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: synthetic shape scenes used by training-level tests, and a
-PGM/PPM writer for image-file fixtures."""
+"""Shared fixtures: synthetic shape scenes used by training-level tests, a
+PGM/PPM writer for image-file fixtures, and the seeded byte mutator of the
+reader mutation tests."""
 
 import sys
 from pathlib import Path
@@ -61,3 +62,25 @@ def write_pnm(path, img):
     magic = b"P5" if data.ndim == 2 else b"P6"
     height, width = data.shape[:2]
     Path(path).write_bytes(magic + b"\n%d %d\n255\n" % (width, height) + data.tobytes())
+
+
+def mutate_bytes(data: bytes, rng) -> bytes:
+    """One seeded damage to a file's bytes: a flipped byte, a cut or
+    duplicated line, or two swapped whitespace-separated tokens."""
+    kind = rng.integers(4)
+    if kind == 0:
+        pos = rng.integers(len(data))
+        return data[:pos] + bytes([data[pos] ^ int(rng.integers(1, 256))]) + data[pos + 1 :]
+    lines = data.split(b"\n")
+    if kind == 1:
+        del lines[rng.integers(len(lines))]
+        return b"\n".join(lines)
+    if kind == 2:
+        pos = rng.integers(len(lines))
+        return b"\n".join(lines[: pos + 1] + lines[pos:])
+    tokens = [(i, j) for i, line in enumerate(lines) for j in range(len(line.split()))]
+    (i1, j1), (i2, j2) = (tokens[k] for k in rng.choice(len(tokens), 2, replace=False))
+    split = [line.split() for line in lines]
+    split[i1][j1], split[i2][j2] = split[i2][j2], split[i1][j1]
+    lines[i1], lines[i2] = b" ".join(split[i1]), b" ".join(split[i2])
+    return b"\n".join(lines)

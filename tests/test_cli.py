@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import write_pnm
+from conftest import mutate_bytes, write_pnm
 from pointprops import cli, image_io, model
 
 
@@ -128,6 +128,24 @@ class TestTrainCommand:
         code = cli.main(["train", "--config", str(bad), "--images", str(image_dir),
                          "--output", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("[properties]\nrad = 0\n", "rad must be >= 1, got 0"),
+        ("[train]\nbeta1 = 2\n", "beta1 must be in [0, 1), got 2.0"),
+    ], ids=["rad", "beta1"])
+    def test_out_of_range_value_names_file(self, image_dir, tmp_path, capsys, text,
+                                           message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert cli.main(["train", "--config", str(bad), "--images", str(image_dir),
+                         "--output", str(tmp_path)]) == 2
+        assert f"pointprops train: {bad}: {message}" in capsys.readouterr().err
+
+    def test_out_of_range_flag_does_not_name_config_file(self, config_file, tmp_path,
+                                                         capsys):
+        assert cli.main(["eval", "--config", str(config_file), "--threads", "0",
+                         "--output", str(tmp_path)]) == 2
+        assert "pointprops eval: threads must be >= 1, got 0" in capsys.readouterr().err
 
     def test_rejects_unknown_key(self, image_dir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -269,6 +287,34 @@ class TestEvalCommand:
                              "--threads", threads]) == 0
             texts.append((out / "metrics.csv").read_bytes())
         assert texts[0] == texts[1]
+
+
+class TestPairListMutations:
+    def test_each_mutant_line_parses_or_is_skipped_with_warning(self, tmp_path, capsys):
+        rng = np.random.default_rng(20191007)
+        for name in ("a.pgm", "b.pgm"):
+            write_pnm(tmp_path / name, rng.random((8, 8)))
+        source = (b"# imgA imgB h11..h33\n"
+                  b"a.pgm b.pgm 1 0 0 0 1 0 0 0 1\n"
+                  b"b.pgm a.pgm 1 0 2 0 1 -1 0 0 1\n"
+                  b"a.pgm a.pgm 0.9 0.1 0 -0.1 0.9 0 0 0 1\n")
+        path = tmp_path / "pairs.txt"
+        parsed = skipped_total = rejected = 0
+        for _ in range(200):
+            path.write_bytes(mutate_bytes(source, rng))
+            try:
+                pairs, skipped = cli._pairs_from_file(path)
+            except ValueError as err:
+                assert str(path) in str(err)
+                rejected += 1
+                continue
+            assert capsys.readouterr().err.count("warning: pair line") == skipped
+            for _, img_a, img_b, hom in pairs:
+                assert img_a.shape == img_b.shape == (8, 8)
+                assert hom.shape == (3, 3) and np.all(np.isfinite(hom))
+            parsed += len(pairs)
+            skipped_total += skipped
+        assert parsed > 0 and skipped_total > 0 and rejected > 0
 
 
 class TestOracleCheckCommand:

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from conftest import mutate_bytes
 from pointprops import cli, config
 
 
@@ -135,3 +137,29 @@ class TestConfigFile:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):
             config.build_run_config({}, preset="pn-x")
+
+
+class TestConfigMutations:
+    SOURCE = (b"# tiny run\n"
+              b"[train]\niterations = 2\nbatch_scenes = 2\ndescriptor_dim = 4\n"
+              b"image_height = 24\nimage_width = 24\nbeta1 = 0.9\nseed = 9\n"
+              b"[properties]\nrad = 2\nn_min = 1\nn_max = 12\nm_p = 0.9\nm_n = 0.1\n"
+              b"[simulate]\nillumination = illum_mild\n"
+              b"[eval]\nmax_points = 20\nransac_iters = 300\n")
+
+    def test_each_mutant_loads_whole_or_names_the_file(self, tmp_path):
+        rng = np.random.default_rng(20191006)
+        path = tmp_path / "mutant.cfg"
+        args = cli.build_parser().parse_args(["train", "--config", str(path)])
+        loaded = rejected = 0
+        for _ in range(200):
+            path.write_bytes(mutate_bytes(self.SOURCE, rng))
+            try:
+                run = cli._load_config(args)
+            except ValueError as err:
+                assert str(path) in str(err)
+                rejected += 1
+                continue
+            assert isinstance(run, config.RunConfig)
+            loaded += 1
+        assert loaded > 0 and rejected > 0

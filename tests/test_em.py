@@ -6,7 +6,7 @@ import pytest
 from pointprops import em, model, oracle, properties
 from pointprops.config import PropertyConfig, TrainConfig
 from pointprops.model import ModelOutput
-from test_properties import sparsity_brute_force
+from test_properties import paper_scale_config, sparsity_brute_force
 
 
 def local_max_brute_force(values, rad):
@@ -177,6 +177,21 @@ def unit_fields(rng, shape, j):
         f /= np.linalg.norm(f, axis=-1, keepdims=True)
         fields.append(f)
     return fields
+
+
+def latent_state(scene, yhat, p, cfg):
+    """E-step state of ``scene`` for a given candidate mask and posterior."""
+    r, valid_count = em.repeatability(scene, scene.outputs)
+    rows, cols = np.nonzero(yhat)
+    descriptors, valid = properties.gather_selected_descriptors(rows, cols, scene.outputs,
+                                                                scene)
+    h = np.full(yhat.shape, cfg.margin_max)
+    h[rows, cols] = properties.margins(len(rows), descriptors, valid, cfg)
+    return em.LatentState(
+        yhat=yhat, p=np.where(yhat, p, 0.0), r=r, valid_count=valid_count, h=h,
+        c_tilde=np.ones(yhat.shape), counts=None, expected_log_likelihood=0.0,
+        sel_rows=rows, sel_cols=cols, sel_descriptors=descriptors, sel_valid=valid,
+    )
 
 
 class TestEStep:
@@ -350,6 +365,78 @@ class TestDescriptorGradient:
         for j, grid in enumerate(em.descriptor_field_gradients(state, scene, cfg)):
             np.testing.assert_array_equal(grid[state.sel_rows, state.sel_cols], rows[j])
             assert not grid[~state.yhat].any()
+
+    def test_margins_above_the_cap_carry_no_gradient(self):
+        # the one-hot fixture of test_orthogonal_descriptors_paper_constants:
+        # h = 0.99502 > margin_max = 0.995, where the logged min(h, margin_max)
+        # is flat
+        cfg = paper_scale_config()
+        shape = (15, 20)
+        field = np.eye(300).reshape(*shape, 300)
+        scene = synthetic_scene([np.full(shape, 0.5)] * 2, [field, field.copy()])
+        state = latent_state(scene, np.ones(shape, dtype=bool), 0.5, cfg)
+        assert np.all(state.h > cfg.margin_max)
+        for g in em.descriptor_field_gradients(state, scene, cfg):
+            assert not g.any()
+
+
+class TestViewScatter:
+    """The view-major gathers and scatters against literal per-point loops,
+    on a scene whose correspondence is many-to-one and partly invalid."""
+
+    J, H, W, D = 3, 6, 7, 4
+
+    def scene_and_state(self):
+        rng = np.random.default_rng(21)
+        shape = (self.H, self.W)
+        probs = [rng.uniform(0.1, 0.9, shape) for _ in range(self.J)]
+        scene = synthetic_scene(probs, unit_fields(rng, (*shape, self.D), self.J))
+        scene.map_rows = rng.integers(0, self.H, size=(self.J, *shape))
+        scene.map_cols = rng.integers(0, self.W, size=(self.J, *shape))
+        scene.valid = rng.random((self.J, *shape)) < 0.7
+        # two selected points land on one pixel of view 0; one is unseen in view 2
+        scene.map_rows[0, 4, 5] = scene.map_rows[0, 1, 1]
+        scene.map_cols[0, 4, 5] = scene.map_cols[0, 1, 1]
+        scene.valid[0, [1, 4], [1, 5]] = True
+        scene.valid[2, 0, 3] = False
+        yhat = np.zeros(shape, dtype=bool)
+        yhat[[1, 4, 0, 2, 5, 3], [1, 5, 3, 6, 0, 2]] = True
+        cfg = PropertyConfig(rad=1, n_min=1, n_max=9, m_p=0.9, m_n=-0.2, neg_weight=0.5)
+        state = latent_state(scene, yhat, rng.uniform(0.1, 0.9, shape), cfg)
+        return scene, state, cfg
+
+    def test_detector_coefficients_match_per_point_loop(self):
+        scene, state, _ = self.scene_and_state()
+        expected = np.zeros((self.J, self.H, self.W))
+        for j in range(self.J):
+            for y in range(self.H):
+                for x in range(self.W):
+                    if not scene.valid[j, y, x]:
+                        continue
+                    r = min(max(state.r[y, x], properties.PROB_EPS),
+                            1.0 - properties.PROB_EPS)
+                    coeff = (state.p[y, x] - r) / (state.valid_count[y, x] * r * (1.0 - r))
+                    expected[j, scene.map_rows[j, y, x], scene.map_cols[j, y, x]] += coeff
+        np.testing.assert_array_equal(em.detector_gradient_coefficients(state, scene),
+                                      expected)
+
+    def test_descriptor_gradients_match_per_point_loop(self):
+        scene, state, cfg = self.scene_and_state()
+        points = list(zip(state.sel_rows, state.sel_cols))
+        weights = [cfg.alpha * state.p[y, x] if state.h[y, x] <= cfg.margin_max else 0.0
+                   for y, x in points]
+        row_grads = properties.margin_gradients(state.sel_descriptors, state.sel_valid,
+                                                cfg, weights)
+        expected = [np.zeros((self.H, self.W, self.D)) for _ in range(self.J)]
+        for j in range(self.J):
+            for i, (y, x) in enumerate(points):
+                if scene.valid[j, y, x]:
+                    expected[j][scene.map_rows[j, y, x], scene.map_cols[j, y, x]] += \
+                        row_grads[j, i]
+        got = em.descriptor_field_gradients(state, scene, cfg)
+        assert len(got) == self.J and any(g.any() for g in got)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
 
 
 class TestTrain:

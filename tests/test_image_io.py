@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import write_pnm
+from conftest import mutate_bytes, write_pnm
 from pointprops import image_io
 
 
@@ -88,6 +88,29 @@ class TestPNM:
         path = tmp_path / "low.pgm"
         path.write_bytes(b"P5\n2 1\n15\n" + bytes([0, 15]))
         np.testing.assert_allclose(image_io.read_image(path), [[0.0, 1.0]])
+
+
+class TestPNMMutations:
+    def test_each_mutant_reads_whole_or_names_the_file(self, tmp_path):
+        rng = np.random.default_rng(20191005)
+        binary = tmp_path / "source.pgm"
+        write_pnm(binary, quantized(rng, (6, 5)))
+        ascii_rgb = b"P3\n# comment\n2 2\n255\n255 0 128 1 2 3\n64 32 16 9 8 7\n"
+        sources = [binary.read_bytes(), ascii_rgb]
+        path = tmp_path / "mutant.pnm"
+        read = rejected = 0
+        for k in range(200):
+            path.write_bytes(mutate_bytes(sources[k % 2], rng))
+            try:
+                img = image_io.read_pnm(path)
+            except ValueError as err:
+                assert str(path) in str(err)
+                rejected += 1
+                continue
+            assert img.ndim in (2, 3) and img.size > 0
+            assert np.all((img >= 0.0) & (img <= 1.0))
+            read += 1
+        assert read > 0 and rejected > 0
 
 
 class TestPNG:

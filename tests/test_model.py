@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import naive_net
+from conftest import mutate_bytes
 from pointprops import model
 
 
@@ -491,28 +492,6 @@ class TestCheckpoint:
             model.load_checkpoint(path)
 
 
-def mutate_checkpoint(data: bytes, rng) -> bytes:
-    """One seeded damage: a flipped byte, a cut or duplicated line, or two
-    swapped whitespace-separated tokens."""
-    kind = rng.integers(4)
-    if kind == 0:
-        pos = rng.integers(len(data))
-        return data[:pos] + bytes([data[pos] ^ int(rng.integers(1, 256))]) + data[pos + 1 :]
-    lines = data.split(b"\n")
-    if kind == 1:
-        del lines[rng.integers(len(lines))]
-        return b"\n".join(lines)
-    if kind == 2:
-        pos = rng.integers(len(lines))
-        return b"\n".join(lines[: pos + 1] + lines[pos:])
-    tokens = [(i, j) for i, line in enumerate(lines) for j in range(len(line.split()))]
-    (i1, j1), (i2, j2) = (tokens[k] for k in rng.choice(len(tokens), 2, replace=False))
-    split = [line.split() for line in lines]
-    split[i1][j1], split[i2][j2] = split[i2][j2], split[i1][j1]
-    lines[i1], lines[i2] = b" ".join(split[i1]), b" ".join(split[i2])
-    return b"\n".join(lines)
-
-
 class TestCheckpointMutations:
     def test_each_mutant_loads_whole_or_names_the_file(self, tmp_path):
         source = tmp_path / "model.ckpt"
@@ -522,7 +501,7 @@ class TestCheckpointMutations:
         path = tmp_path / "mutant.ckpt"
         loaded = rejected = 0
         for _ in range(200):
-            path.write_bytes(mutate_checkpoint(data, rng))
+            path.write_bytes(mutate_bytes(data, rng))
             try:
                 params = model.load_checkpoint(path)
             except ValueError as err:

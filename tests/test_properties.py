@@ -218,6 +218,17 @@ class TestDiscriminabilityMargin:
             ref = transcribe_margin(idx, desc, 0.9, -0.2, 0.5)
             assert h[idx] == pytest.approx(ref, abs=1e-12)
 
+    def test_pair_counts_match_pair_enumeration(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            j, n = int(rng.integers(2, 6)), int(rng.integers(2, 9))
+            valid = rng.random((j, n)) < rng.uniform(0.2, 0.9)
+            valid[rng.integers(j)] = False  # a view that observes no selected point
+            pairs = np.zeros(n)
+            for _, _, _, both, _, _ in properties._ordered_pairs(np.zeros((j, n, 2)), valid):
+                pairs[both] += 1.0
+            np.testing.assert_array_equal(properties._pair_counts(valid), pairs)
+
     def test_degenerate_set_rejected(self):
         cfg = paper_scale_config()
         with pytest.raises(ValueError):
