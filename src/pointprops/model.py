@@ -15,10 +15,11 @@ head outputs):
     description:  conv(16->16), conv(16->d), L2 normalize, bilinear x4, renormalize
 
 Convolutions use reflection padding so image borders carry no constant frame
-cue. No convolution builds a (H*W, C*9) patch matrix: ``_conv3`` multiplies
-each padded pixel by all 9 taps' weights and shifts the 9 products after,
-one band of rows at a time, and the training tape keeps only each conv's
-padded input.
+cue. No convolution builds a (H*W, C*9) patch matrix or a per-tap product
+buffer: flattened at its row stride, the padded input holds each of the 9
+taps as one contiguous row slice, so ``_conv3`` sums 9 row-offset GEMMs, one
+band of rows at a time, and the training tape keeps only each conv's padded
+input.
 The detection head needs the full-resolution skip: without it the head only
 sees 4x-upsampled features and cannot localize maxima to the pixel, which
 the selection step requires. The per-image logit standardization
@@ -125,8 +126,9 @@ def glorot_bound(cin: int, cout: int, ksize: int = 3) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Least size of one band of a convolution's (rows, W+2, 9, Cout) tap
-# products in ``_conv3``. Bands keep that intermediate cache-sized and bound
+# Least size of one band of rows in ``_conv3`` and ``_conv3_backward``: of
+# ``_shifted_gemm``'s scratch, or of the input and gradient rows that one
+# band of weight-gradient GEMMs reads. Bands keep these cache-sized and bound
 # the memory of a large image's forward to one band per layer.
 BAND_BYTES = 1 << 20
 
@@ -165,31 +167,47 @@ def _reflect_fold(dxp: np.ndarray) -> np.ndarray:
     return dxp[1:-1, 1:-1]
 
 
-def _conv3_plan(xp: np.ndarray, w: np.ndarray):
-    """How ``_conv3`` and ``_conv3_backward`` lay out one 3x3 conv of the
-    padded (H+2, W+2, Cin) input ``xp`` with (Cout, Cin, 3, 3) weights ``w``.
+def _tap_offsets(wp: int):
+    """Row offset ki * wp + kj of each tap t = 3 * ki + kj of a 3x3 kernel in
+    a padded image flattened to (rows, C) with row stride ``wp``."""
+    return [ki * wp + kj for ki in range(3) for kj in range(3)]
 
-    Returns (taps, bands, band_rows): the weights as (Cin, 9*Cout), the bands
-    of padded rows and the rows of the largest band.
+
+def _stacks_taps(k: int, n: int) -> bool:
+    """Whether ``_shifted_gemm`` with (K, N) taps stacks the 9 slices: only
+    where each tap's GEMM would write at least 4 times the floats it reads,
+    as with K = 1, where each tap's GEMM is an outer product."""
+    return n >= 4 * k
+
+
+def _scratch_width(k: int, n: int) -> int:
+    """Floats per row of ``_shifted_gemm``'s scratch for (K, N) taps."""
+    return 9 * k if _stacks_taps(k, n) else n
+
+
+def _shifted_gemm(src, offsets, taps, out, scratch) -> None:
+    """``out[r] = sum_t src[offsets[t] + r] @ taps[t]`` for every row r of
+    ``out``.
+
+    ``src`` is (rows, K), ``taps`` (9, K, N), ``out`` (m, N) and ``scratch``
+    a flat buffer of at least m * ``_scratch_width(K, N)`` floats; each
+    ``src[o : o + m]`` is a contiguous row slice. The 9 products are added
+    tap by tap, one GEMM each, or, where ``_stacks_taps``, the 9 slices are
+    copied side by side into an (m, 9*K) matrix and multiplied once.
     """
-    hp, wp, cin = xp.shape
-    cout = w.shape[0]
-    taps = w.transpose(1, 2, 3, 0).reshape(cin, 9 * cout)
-    bands = _bands(hp, wp * 9 * cout * 8)  # 8 bytes per float64
-    return taps, bands, max(stop - start for start, stop in bands)
-
-
-def _tap_windows(h: int, p0: int, p1: int):
-    """Per tap t = 3 * ki + kj of a 3x3 kernel: (t, kj, i0, i1, q0, q1), the
-    output rows i0:i1 that read padded rows q0 + p0 : q1 + p0, the part of
-    p0:p1 that tap row ki reaches."""
-    windows = []
-    for t in range(9):
-        ki, kj = divmod(t, 3)
-        i0, i1 = max(p0 - ki, 0), min(p1 - ki, h)
-        if i0 < i1:
-            windows.append((t, kj, i0, i1, i0 + ki - p0, i1 + ki - p0))
-    return windows
+    m, k = out.shape[0], src.shape[1]
+    n = taps.shape[2]
+    if _stacks_taps(k, n):
+        stacked = scratch[: m * 9 * k].reshape(m, 9, k)
+        for t, o in enumerate(offsets):
+            stacked[:, t] = src[o : o + m]
+        np.matmul(stacked.reshape(m, 9 * k), taps.reshape(9 * k, n), out=out)
+    else:
+        np.matmul(src[offsets[0] : offsets[0] + m], taps[0], out=out)
+        product = scratch[: m * n].reshape(m, n)
+        for o, tap in zip(offsets[1:], taps[1:]):
+            np.matmul(src[o : o + m], tap, out=product)
+            out += product
 
 
 def _conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,55 +217,76 @@ def _conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     Reflection padding keeps border responses content-driven; zero padding
     would hand the detector a constant frame cue.
 
-    No (H*W, Cin*9) patch matrix is built: one GEMM of the padded pixels
-    (rows, Cin) by the weights laid out (Cin, 9*Cout) gives every tap's
-    product Y at every padded pixel, and the output is the bias plus 9
-    shifted slices of Y. Y is built one band of padded rows (``_bands``) at
-    a time in one buffer local to the call, so no whole-image intermediate
-    is held and concurrent calls share nothing.
+    No patch matrix is built. Flattened to (rows, Cin) with row stride
+    W+2, the padded input holds every tap (ki, kj) as one contiguous row
+    slice at offset ki*(W+2) + kj, so the output rows are
+    ``sum_t xp[o_t : o_t + n] @ W_t`` (``_shifted_gemm``); the 2 rows that
+    wrap round each image row are computed and dropped. This runs one band
+    of output rows (``_bands``) at a time through buffers local to the call,
+    so no whole-image intermediate is held and concurrent calls share
+    nothing.
     """
     hp, wp, cin = xp.shape
     h, wid = hp - 2, wp - 2
     cout = w.shape[0]
-    taps, bands, band_rows = _conv3_plan(xp, w)
-    buffer = np.empty((band_rows * wp, 9 * cout))
+    src = xp.reshape(-1, cin)
+    taps = w.transpose(2, 3, 1, 0).reshape(9, cin, cout)
+    offsets = _tap_offsets(wp)
+    width = _scratch_width(cin, cout)
+    bands = _bands(h, 8 * wp * width)  # 8 bytes per float64
+    rows = max(i1 - i0 for i0, i1 in bands) * wp
+    scratch = np.empty(rows * width)
+    acc = np.empty((rows, cout))
     out = np.empty((h, wid, cout))
-    out[...] = b
-    for p0, p1 in bands:
-        y = buffer[: (p1 - p0) * wp]
-        np.matmul(xp[p0:p1].reshape(-1, cin), taps, out=y)
-        y = y.reshape(p1 - p0, wp, 9, cout)
-        for t, kj, i0, i1, q0, q1 in _tap_windows(h, p0, p1):
-            out[i0:i1] += y[q0:q1, kj : kj + wid, t]
+    for i0, i1 in bands:
+        m = (i1 - i0) * wp
+        _shifted_gemm(src[i0 * wp :], offsets, taps, acc[: m - 2], scratch)
+        np.add(acc[:m].reshape(i1 - i0, wp, cout)[:, :wid], b, out=out[i0:i1])
     return out
 
 
-def _conv3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
+def _conv3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
+                    input_grad: bool = True):
     """Returns (dw, db, dx) of ``_conv3(xp, w, b)``, with dx the gradient of
-    the unpadded input (the reflect fold of the padded one), over the
-    forward's bands.
+    the unpadded input (the reflect fold of the padded one), or None
+    without ``input_grad``.
 
-    dY holds the upstream gradient at every (padded pixel, tap) it came
-    through; then dxp = dY @ taps.T and dtaps = xp.T @ dY, with no col2im
-    fold.
+    The upstream gradient is laid out at the padded row stride W+2 inside a
+    frame of zeros, G, whose zero columns also fill the rows that wrap round.
+    Then dW_t = ``xp[o_t : o_t + n].T @ G[reach : reach + n]`` over the
+    n = H*(W+2) - 2 rows from the first output pixel to the last, one GEMM
+    per tap and band of rows, so that a band of the input is read 9 times
+    from cache; and dxp is the forward's shifted sum over G with offsets
+    ``reach - o_t`` and taps W_t.T, ``reach`` being the last tap's offset.
     """
     hp, wp, cin = xp.shape
-    h, wid = hp - 2, wp - 2
+    h = hp - 2
     cout = w.shape[0]
-    taps, bands, band_rows = _conv3_plan(xp, w)
+    offsets = _tap_offsets(wp)
+    reach = offsets[-1]
+    gz = np.zeros(((h + 4) * wp + 2, cout))
+    gz[: (h + 4) * wp].reshape(h + 4, wp, cout)[2:-2, 2:] = grad_out
+    src = xp.reshape(-1, cin)
+    n = h * wp - 2
+    dtaps = np.zeros((9, cin, cout))
+    for i0, i1 in _bands(h, 8 * wp * (cin + cout)):
+        r0, r1 = i0 * wp, min(i1 * wp, n)
+        g = gz[reach + r0 : reach + r1]
+        for t, o in enumerate(offsets):
+            dtaps[t] += src[o + r0 : o + r1].T @ g
+    dw = dtaps.reshape(3, 3, cin, cout).transpose(3, 2, 0, 1)
     db = grad_out.reshape(-1, cout).sum(axis=0)
-    dtaps = np.zeros(taps.shape)
-    buffer = np.empty((band_rows, wp, 9, cout))
+    if not input_grad:
+        return dw, db, None
+    taps = w.transpose(2, 3, 0, 1).reshape(9, cout, cin)
+    width = _scratch_width(cout, cin)
+    bands = _bands(hp, 8 * wp * width)
+    scratch = np.empty(max(p1 - p0 for p0, p1 in bands) * wp * width)
     dxp = np.empty_like(xp)
+    flat = dxp.reshape(-1, cin)
+    back = [reach - o for o in offsets]
     for p0, p1 in bands:
-        dy = buffer[: p1 - p0]
-        dy.fill(0.0)
-        for t, kj, i0, i1, q0, q1 in _tap_windows(h, p0, p1):
-            dy[q0:q1, kj : kj + wid, t] = grad_out[i0:i1]
-        dy = dy.reshape(-1, 9 * cout)
-        np.matmul(dy, taps.T, out=dxp[p0:p1].reshape(-1, cin))
-        dtaps += xp[p0:p1].reshape(-1, cin).T @ dy
-    dw = dtaps.reshape(cin, 3, 3, cout).transpose(3, 0, 1, 2)
+        _shifted_gemm(gz[p0 * wp :], back, taps, flat[p0 * wp : p1 * wp], scratch)
     return dw, db, _reflect_fold(dxp)
 
 
@@ -428,14 +467,14 @@ def backward(
 
     grads = zero_grads(params)
 
-    def conv_backward(name, g):
-        dw, db, dx = _conv3_backward(cache[name + "_xp"], wts[name + "_w"], g)
+    def conv_backward(name, g, input_grad=True):
+        dw, db, dx = _conv3_backward(cache[name + "_xp"], wts[name + "_w"], g, input_grad)
         grads[name + "_w"] += dw
         grads[name + "_b"] += db
         return dx
 
-    def conv_relu_backward(name, grad_post):
-        return conv_backward(name, grad_post * (cache[name + "_pre"] > 0.0))
+    def conv_relu_backward(name, grad_post, input_grad=True):
+        return conv_backward(name, grad_post * (cache[name + "_pre"] > 0.0), input_grad)
 
     # detection head (standardization backward: remove the gradient's mean
     # and its projection onto the standardized field, then unscale)
@@ -461,7 +500,7 @@ def backward(
     g = conv_relu_backward("enc3", g)
     g = _maxpool2_backward(g, cache["pool1_arg"], cache["pool1_shape"]) + g_skip
     g = conv_relu_backward("enc2", g)
-    g = conv_relu_backward("enc1", g)
+    conv_relu_backward("enc1", g, input_grad=False)  # nothing reads the image's gradient
     return grads
 
 

@@ -186,6 +186,30 @@ class TestPNG:
             image_io.read_image(path)
 
 
+class TestPNGMutations:
+    def test_each_mutant_reads_whole_or_names_the_file(self, tmp_path):
+        rng = np.random.default_rng(20191006)
+        sources = []
+        for shape in [(9, 7), (5, 6, 3)]:
+            source = tmp_path / "source.png"
+            image_io.write_png(source, quantized(rng, shape))
+            sources.append(source.read_bytes())
+        path = tmp_path / "mutant.png"
+        read = rejected = 0
+        for k in range(200):
+            path.write_bytes(mutate_bytes(sources[k % 2], rng))
+            try:
+                img = image_io.read_png(path)
+            except ValueError as err:
+                assert str(path) in str(err)
+                rejected += 1
+                continue
+            assert img.ndim in (2, 3) and img.size > 0
+            assert np.all((img >= 0.0) & (img <= 1.0))
+            read += 1
+        assert read > 0 and rejected > 0
+
+
 def corrupt_idat(blob: bytes) -> bytes:
     """Flip bytes inside the IDAT payload; the zlib stream no longer checks out."""
     start = blob.index(b"IDAT") + 4

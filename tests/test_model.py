@@ -164,11 +164,6 @@ def assert_close(actual, expected, rel=1e-12):
     assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
 
 
-def band_plan(h, w, cin, cout):
-    """The row bands ``_conv3`` walks for this shape."""
-    return model._conv3_plan(np.empty((h + 2, w + 2, cin)), np.empty((cout, cin, 3, 3)))[1]
-
-
 def random_conv(h, w, cin, cout):
     rng = np.random.default_rng(h * w + cin * 31 + cout)
     return (rng.random((h, w, cin)), rng.normal(size=(cout, cin, 3, 3)),
@@ -176,12 +171,13 @@ def random_conv(h, w, cin, cout):
 
 
 class TestBandedConv:
-    # (H, W, Cin, Cout): one band, several uneven bands and one-row bands
-    # (test_shapes_cover_...); Cin above, equal to and below Cout; also
-    # Cin = 1, Cout = 1 and 1-pixel axes
+    # (H, W, Cin, Cout): Cin above, equal to and below Cout; Cin = 1, Cout = 1
+    # and 1-pixel axes; the last three give the per-tap and the stacked
+    # layout several uneven bands (test_shapes_cover_...)
     SHAPES = [(37, 64, 24, 8), (6, 640, 24, 8), (4, 4, 24, 8), (48, 64, 16, 1),
               (40, 80, 16, 3), (38, 160, 24, 8), (3, 1822, 8, 8), (37, 160, 8, 16),
-              (2, 1824, 8, 16), (5, 6, 3, 7), (1, 1, 16, 16), (1, 4, 1, 8)]
+              (2, 1824, 8, 16), (5, 6, 3, 7), (1, 1, 16, 16), (1, 4, 1, 8),
+              (37, 1000, 8, 8), (21, 1000, 2, 8), (21, 1000, 8, 2)]
 
     @pytest.mark.parametrize("h, w, cin, cout", SHAPES)
     def test_equals_one_full_matrix_gemm(self, h, w, cin, cout):
@@ -203,11 +199,27 @@ class TestBandedConv:
         expected = naive_net.conv3(x, wts, bias)
         assert_close(model._conv3(model._reflect_pad(x), wts, bias), expected)
 
-    def test_shapes_cover_several_bands_and_one_row_bands(self):
-        sizes = [[stop - start for start, stop in band_plan(*shape)] for shape in self.SHAPES]
-        assert any(len(s) >= 3 and len(set(s)) > 1 for s in sizes)  # uneven
-        assert any(len(s) >= 2 and set(s) == {1} for s in sizes)  # one-row
-        assert any(len(s) == 1 for s in sizes)
+    def test_shapes_cover_each_layout_with_one_and_several_bands(self, monkeypatch):
+        # per conv call: (stacked layout?, more than one band?) of its
+        # forward and of its input gradient, one _shifted_gemm call per band
+        calls, seen = [], set()
+        shifted_gemm = model._shifted_gemm
+
+        def record(src, offsets, taps, out, scratch):
+            calls.append(model._stacks_taps(*taps.shape[1:]))
+            shifted_gemm(src, offsets, taps, out, scratch)
+
+        monkeypatch.setattr(model, "_shifted_gemm", record)
+        for shape in self.SHAPES:
+            x, wts, bias, grad_out = random_conv(*shape)
+            xp = model._reflect_pad(x)
+            for run in (lambda: model._conv3(xp, wts, bias),
+                        lambda: model._conv3_backward(xp, wts, grad_out)):
+                calls.clear()
+                run()
+                assert len(set(calls)) == 1
+                seen.add((calls[0], len(calls) > 1))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_taped_forward_keeps_only_padded_inputs(self):
         params = model.init_params(0, 16)
@@ -216,8 +228,14 @@ class TestBandedConv:
         patch_widths = {9 * cin for _, kind, cin, _ in params.layer_topology
                         if kind.startswith("conv3x3")}
         assert not any(a.ndim == 2 and a.shape[1] in patch_widths for a in arrays)
+        # a cached view keeps its whole base buffer alive: count each once
+        bases = {}
+        for a in arrays:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            bases[id(a)] = a.nbytes
         # padded inputs take 3.5 MiB; (H*W, 9*C) patch matrices would take 15.6
-        assert sum(a.nbytes for a in arrays) < 6 * 2**20
+        assert sum(bases.values()) < 6 * 2**20
 
     def test_inference_forward_never_holds_a_whole_patch_matrix(self):
         params = model.init_params(0, 16)
@@ -228,8 +246,9 @@ class TestBandedConv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the det1 patch matrix alone is 240 * 320 * 216 * 8 bytes = 126.6 MiB
-        assert peak < 96 * 2**20
+        # measured 60.2 MiB; a whole-image (rows, W+2, 9, Cout) tap-product
+        # buffer of det1 would add 42 MiB, its patch matrix 126.6 MiB
+        assert peak < 64 * 2**20
 
 
 class TestOnePixelAxes:
@@ -287,6 +306,21 @@ class TestBackward:
         )
         for v in grads.values():
             assert np.all(v == 0.0)
+
+    def test_image_gradient_is_not_computed(self, monkeypatch):
+        skipped = []
+        conv3_backward = model._conv3_backward
+
+        def record(xp, w, grad_out, input_grad=True):
+            if not input_grad:
+                skipped.append(xp.shape[2])
+            return conv3_backward(xp, w, grad_out, input_grad)
+
+        monkeypatch.setattr(model, "_conv3_backward", record)
+        params = random_params(4, d=4)
+        out = model.forward(params, np.random.default_rng(2).random((8, 8)))
+        model.backward(params, out, np.ones_like(out.prob_map), np.ones_like(out.desc_field))
+        assert skipped == [1]  # enc1 alone, whose input is the 1-channel image
 
     def test_linearity(self):
         params = random_params(4, d=4)
