@@ -1,9 +1,7 @@
 """Self-contained validation suite: counting, posterior, expectation and
 gradient checks at fixed seeds, each reporting a numeric deviation.
 
-Driven by the ``oracle-check`` command; also reused by the test suite. The
-``corrupt_counts`` hook deliberately breaks the counting path so the harness
-itself can be shown to catch regressions.
+Driven by the ``oracle-check`` command; also reused by the test suite.
 """
 
 from __future__ import annotations
@@ -40,24 +38,12 @@ def _comb_product(m: int, n: int) -> int:
     return num // den
 
 
-def _counts(m, n_min, n_max, method="auto", corrupt=False) -> em.SpaceCounts:
-    counts = em.log_count_sample_space(m, n_min, n_max, method=method)
-    if corrupt:
-        return em.SpaceCounts(
-            counts.log_total + 0.05,
-            counts.log_with_point,
-            counts.log_without_point,
-            None,
-        )
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # counting checks
 # ---------------------------------------------------------------------------
 
 
-def check_counts_vs_enumeration(corrupt=False) -> CheckResult:
+def check_counts_vs_enumeration() -> CheckResult:
     """Closed-form counts equal literal subset enumeration (small supports)."""
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -70,7 +56,7 @@ def check_counts_vs_enumeration(corrupt=False) -> CheckResult:
         )
         space = oracle.enumerate_reduced_space(inst, np.ones(m, dtype=bool))
         try:
-            counts = _counts(m, n_min, n_max, corrupt=corrupt)
+            counts = em.log_count_sample_space(m, n_min, n_max)
         except em.EmptySampleSpaceError:
             worst = max(worst, float(len(space) != 0))
             continue
@@ -82,7 +68,7 @@ def check_counts_vs_enumeration(corrupt=False) -> CheckResult:
     return CheckResult("counts-vs-enumeration", worst, 0.0)
 
 
-def check_counts_bigint(corrupt=False) -> CheckResult:
+def check_counts_bigint() -> CheckResult:
     """Counts for every m <= 60 equal independent big-integer binomial sums."""
     rng = np.random.default_rng(102)
     bounds = [(int(lo), int(lo) + int(step)) for lo, step in
@@ -95,7 +81,7 @@ def check_counts_bigint(corrupt=False) -> CheckResult:
                 continue
             total = sum(_comb_product(m, n) for n in range(lo, hi + 1))
             with_point = sum(_comb_product(m - 1, n - 1) for n in range(lo, hi + 1))
-            counts = _counts(m, n_min, n_max, corrupt=corrupt)
+            counts = em.log_count_sample_space(m, n_min, n_max)
             expected = (total, with_point, total - with_point)
             mismatch = counts.exact is None or tuple(counts.exact) != expected
             worst = max(worst, float(mismatch),
@@ -103,11 +89,11 @@ def check_counts_bigint(corrupt=False) -> CheckResult:
     return CheckResult("counts-bigint-exact", worst, 0.0)
 
 
-def check_count_split_identity(corrupt=False) -> CheckResult:
+def check_count_split_identity() -> CheckResult:
     """exp(logW1) + exp(logW0) equals exp(logTotal) to 1e-9 relative."""
     worst = 0.0
     for m, n_min, n_max in [(40, 5, 20), (60, 10, 40), (300, 40, 120), (2000, 200, 400)]:
-        counts = _counts(m, n_min, n_max, corrupt=corrupt)
+        counts = em.log_count_sample_space(m, n_min, n_max)
         s = np.exp(counts.log_with_point - counts.log_total) + np.exp(
             counts.log_without_point - counts.log_total
         )
@@ -115,13 +101,13 @@ def check_count_split_identity(corrupt=False) -> CheckResult:
     return CheckResult("count-split-identity", worst, 1e-9)
 
 
-def check_gammaln_matches_exact(corrupt=False) -> CheckResult:
+def check_gammaln_matches_exact() -> CheckResult:
     """Log-gamma counting agrees with big integers near the method switch."""
     worst = 0.0
     for m in range(30, 61, 5):
         for n_min, n_max in [(4, 12), (10, 25), (0, m + 1)]:
-            a = _counts(m, n_min, n_max, method="exact", corrupt=corrupt)
-            b = _counts(m, n_min, n_max, method="gammaln")
+            a = em.log_count_sample_space(m, n_min, n_max, method="exact")
+            b = em.log_count_sample_space(m, n_min, n_max, method="gammaln")
             for x, y in [
                 (a.log_total, b.log_total),
                 (a.log_with_point, b.log_with_point),
@@ -374,12 +360,12 @@ def check_descriptor_chain(step=1e-5) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def run_all_checks(corrupt_counts: bool = False) -> list:
+def run_all_checks() -> list:
     return [
-        check_counts_vs_enumeration(corrupt=corrupt_counts),
-        check_counts_bigint(corrupt=corrupt_counts),
-        check_count_split_identity(corrupt=corrupt_counts),
-        check_gammaln_matches_exact(corrupt=corrupt_counts),
+        check_counts_vs_enumeration(),
+        check_counts_bigint(),
+        check_count_split_identity(),
+        check_gammaln_matches_exact(),
         check_posterior_tiny(),
         check_posterior_symmetric(),
         check_expectation_identities(),

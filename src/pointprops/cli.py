@@ -59,9 +59,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--save-visuals", action="store_true",
                         help="also write per-pair match composites")
 
-    p_check = sub.add_parser("oracle-check", help="run the validation suite")
-    p_check.add_argument("--self-test-corrupt-counts", action="store_true",
-                         help=argparse.SUPPRESS)
+    sub.add_parser("oracle-check", help="run the validation suite")
 
     p_vis = sub.add_parser("visualize", help="render matches for one image pair")
     config_flags(p_vis)
@@ -332,7 +330,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    results = checks.run_all_checks(corrupt_counts=args.self_test_corrupt_counts)
+    results = checks.run_all_checks()
     failures = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -139,6 +139,10 @@ def matching_score(
 # computed together; trials past the adaptive stop are computed and discarded
 RANSAC_CHUNK = 64
 
+# probability that the adaptive trial budget draws at least one
+# outlier-free sample, at the best inlier ratio found so far
+RANSAC_CONFIDENCE = 0.99
+
 # the four triples of a 4-point sample, each leaving one point out
 _TRIPLES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
@@ -238,7 +242,6 @@ def estimate_homography(
     seed: int = 0,
     max_iters: int = 2000,
     inlier_threshold: float = 3.0,
-    confidence: float = 0.99,
 ) -> np.ndarray | None:
     """RANSAC over 4-point samples with a final refit on the inliers.
 
@@ -292,7 +295,7 @@ def estimate_homography(
                 if misses <= 1e-12:
                     needed = trial + offset + 1
                 else:
-                    needed = int(np.ceil(np.log(1.0 - confidence) / np.log(misses)))
+                    needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / np.log(misses)))
         trial += size
     if best_inliers is None or best_count < 4:
         return None

@@ -115,10 +115,9 @@ def param_shapes(descriptor_dim: int) -> dict:
     return shapes
 
 
-def glorot_bound(cin: int, cout: int, ksize: int = 3) -> float:
-    fan_in = cin * ksize * ksize
-    fan_out = cout * ksize * ksize
-    return float(np.sqrt(6.0 / (fan_in + fan_out)))
+def glorot_bound(cin: int, cout: int) -> float:
+    """Uniform Glorot bound of a 3x3 conv weight (fan-in 9 * cin, fan-out 9 * cout)."""
+    return float(np.sqrt(6.0 / (cin * 9 + cout * 9)))
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +507,10 @@ def zero_grads(params: ModelParams) -> dict:
     return {k: np.zeros_like(v) for k, v in params.weights.items()}
 
 
-def accumulate_grads(total: dict, part: dict, scale: float = 1.0) -> None:
-    """In-place ``total += scale * part``; summation order is the caller's loop order."""
+def accumulate_grads(total: dict, part: dict) -> None:
+    """In-place ``total += part``; summation order is the caller's loop order."""
     for k, v in part.items():
-        total[k] += scale * v
+        total[k] += v
 
 
 # ---------------------------------------------------------------------------

@@ -132,34 +132,3 @@ def exact_expectation(inst: TinyInstance, space) -> float:
         raise ValueError("distribution has zero mass")
     values = np.array([log_likelihood_of_mask(inst, mask) for mask in space])
     return float((weights / z) @ values)
-
-
-def sharp_discriminability(descriptors, valid) -> np.ndarray:
-    """Indicator form of discriminability, for reporting only.
-
-    Fraction of ordered image pairs in which the point's positive similarity
-    strictly beats every negative similarity against the other selected
-    points of the second image. Not differentiable; never trained against.
-    """
-    valid = [np.asarray(v, dtype=bool) for v in valid]
-    n = valid[0].shape[0]
-    wins = np.zeros(n)
-    pairs = np.zeros(n)
-    j_images = len(descriptors)
-    for j in range(j_images):
-        for jp in range(j_images):
-            if jp == j:
-                continue
-            both = valid[j] & valid[jp]
-            if not both.any():
-                continue
-            sims = descriptors[j] @ descriptors[jp].T
-            negs = np.where(valid[jp][None, :], sims, -np.inf)
-            np.fill_diagonal(negs, -np.inf)
-            best_neg = negs.max(axis=1)
-            wins[both] += (np.diag(sims) > best_neg)[both]
-            pairs[both] += 1.0
-    out = np.zeros(n)
-    seen = pairs > 0
-    out[seen] = wins[seen] / pairs[seen]
-    return out

@@ -2,6 +2,12 @@
 margins and their gradients, and the per-point expected log-likelihood.
 Repeatability, the mean view probability, is ``em.repeatability``.
 
+Discriminability scores each selected point over every ordered pair of
+views (a, b). Margins and their gradients share one walk over the J views,
+not over the J(J-1) pairs: for each view a, one GEMM of its n rows against
+all J*n rows gives the (n, J, n) block of similarities to every view, from
+which the terms of all pairs (a, b) are read at once.
+
 All functions are pure. Grids are (H, W) numpy arrays indexed [row, col];
 neighborhoods use the Chebyshev (square) metric of radius ``rad`` and never
 include the center pixel.
@@ -32,34 +38,43 @@ def neighborhood_max(values: np.ndarray, rad: int) -> np.ndarray:
     )
 
 
-def _ordered_pairs(descriptors, valid):
-    """Yield (j, jp, sims, both, vjp, n_other) over ordered view pairs.
+def _view_blocks(descriptors, valid, neg_weight):
+    """The walk over views shared by ``margins`` and ``margin_gradients``.
 
-    ``both`` marks points observed in views j and jp; ``n_other`` is the
-    number of selected points observed in jp (the negative normalizer).
-    Pairs with no jointly observed point or an empty jp set are skipped.
+    Returns ``(pairs, rows, neg, blocks)``:
+
+    - ``pairs`` (n,): the ordered view pairs behind each point's margin,
+      k * (k - 1) for a point seen in k views;
+    - ``rows`` (J*n, d): every view's descriptor rows, view-major, zero
+      where unobserved;
+    - ``neg`` (J, n): the weight neg_weight / |S_b| of each negative point
+      k of view b, 0 where b does not observe k (|S_b| clamped to >= 1);
+    - ``blocks``: yields ``(a, sims, both)`` for each view a, where
+      sims[i, b, k] = <d_ai, d_bk> is one (n, J, n) GEMM of view a's rows
+      against all J*n rows, and both[i, b] says that point i is observed
+      in views a and b != a, i.e. that the ordered pair (a, b) counts
+      toward point i's margin. ``sims`` is one buffer, refilled for each
+      view, so callers may overwrite it.
+
+    An empty view, or a pair with no jointly observed point, has no
+    ``both`` entry and so contributes exactly 0. Temporaries stay
+    O(J * n^2): no (J*n)^2 Gram matrix is formed.
     """
-    j_images = len(descriptors)
-    for j in range(j_images):
-        vj = valid[j]
-        for jp in range(j_images):
-            if jp == j:
-                continue
-            vjp = valid[jp]
-            n_other = int(vjp.sum())
-            if n_other == 0:
-                continue
-            both = vj & vjp
-            if not both.any():
-                continue
-            yield j, jp, descriptors[j] @ descriptors[jp].T, both, vjp, n_other
+    valid = np.asarray(valid, dtype=bool)
+    desc = np.where(valid[:, :, None], np.asarray(descriptors, dtype=float), 0.0)
+    j_views, n, _ = desc.shape
+    rows = desc.reshape(j_views * n, -1)
+    seen = valid.sum(axis=0)
+    neg = valid * (neg_weight / np.maximum(valid.sum(axis=1), 1))[:, None]
+    block = np.empty((n, j_views * n))
 
+    def blocks():
+        for a in range(j_views):
+            both = valid[a][:, None] & valid.T
+            both[:, a] = False
+            yield a, np.matmul(desc[a], rows.T, out=block).reshape(n, j_views, n), both
 
-def _pair_counts(valid) -> np.ndarray:
-    """Ordered view pairs contributing to each point's margin: k * (k - 1)
-    for a point observed in k of the views."""
-    k = np.sum(valid, axis=0)
-    return k * (k - 1.0)
+    return seen * (seen - 1.0), rows, neg, blocks()
 
 
 def margins(yhat_count: int, descriptors, valid, cfg: PropertyConfig) -> np.ndarray:
@@ -77,15 +92,20 @@ def margins(yhat_count: int, descriptors, valid, cfg: PropertyConfig) -> np.ndar
 
     Returns
     -------
-    (n,) array: per-point average over ordered view pairs (j, j') with the
+    (n,) array: per-point average over ordered view pairs (a, b) with the
     point observed in both of
 
-        min(m_p, sim(d_ij, d_ij'))
-        - neg_weight / |S_j'| * sum over other observed points of max(m_n, sim)
+        min(m_p, sim(d_ai, d_bi))
+        - neg_weight / |S_b| * sum over other observed points k of max(m_n, sim(d_ai, d_bk))
 
-    where |S_j'| is the count of selected points observed in j'. Points
+    where |S_b| is the count of selected points observed in b. Points
     observed in fewer than two views get the maximal margin (no pair
     evidence, neutral).
+
+    One similarity block per view a, against every view's rows at once,
+    gives the terms of all pairs (a, b): the positive similarity is the
+    block's diagonal sims[i, b, i], and the negative sum runs over the
+    block's row (i, b), minus its k = i term.
     """
     n = int(yhat_count)
     if n < 2:
@@ -93,19 +113,15 @@ def margins(yhat_count: int, descriptors, valid, cfg: PropertyConfig) -> np.ndar
     if len(descriptors) < 2:
         raise ValueError(f"need at least 2 views, got {len(descriptors)}")
 
+    pairs, _, neg, blocks = _view_blocks(descriptors, valid, cfg.neg_weight)
+    diag = np.arange(n)
     total = np.zeros(n)
-    for _, _, sims, both, vjp, n_other in _ordered_pairs(descriptors, valid):
-        pos = np.minimum(cfg.m_p, np.diag(sims))
-        neg = np.maximum(cfg.m_n, sims)
-        neg[:, ~vjp] = 0.0
-        neg_sum = neg.sum(axis=1) - np.where(vjp, np.diag(neg), 0.0)
-        term = pos - cfg.neg_weight / n_other * neg_sum
-        total[both] += term[both]
-    pairs = _pair_counts(valid)
-    h = np.full(n, cfg.margin_max)
-    seen = pairs > 0
-    h[seen] = total[seen] / pairs[seen]
-    return h
+    for _, sims, both in blocks:
+        own = sims[diag, :, diag]
+        hinge = np.maximum(sims, cfg.m_n, out=sims)
+        neg_sum = np.einsum("ibk,bk->ib", hinge, neg) - neg.T * np.maximum(cfg.m_n, own)
+        total += np.where(both, np.minimum(cfg.m_p, own) - neg_sum, 0.0).sum(axis=1)
+    return np.where(pairs > 0, total / np.maximum(pairs, 1.0), cfg.margin_max)
 
 
 def margin_gradients(descriptors, valid, cfg: PropertyConfig, point_weights):
@@ -113,24 +129,33 @@ def margin_gradients(descriptors, valid, cfg: PropertyConfig, point_weights):
 
     Min/max hinges contribute zero on their clipped branch and pass through
     on the active branch; exact equality passes through. Arguments are as
-    for ``margins``; returns a (J, n, d) array.
+    for ``margins``; returns a (J, n, d) array, zero at unobserved rows.
+
+    Walks the same per-view blocks as ``margins``. With w_i the point's
+    weight over its pair count, view a's block turns into the (n, J*n)
+    coefficient matrix C_a = diag(w) @ coef, where coef[i, (b, k)] is 1 on
+    an open positive hinge (k = i), -neg_weight / |S_b| on an open negative
+    hinge (k != i) and 0 elsewhere, for the pairs (a, b) that count. Two
+    GEMMs per view then add C_a @ rows to view a's rows and C_a^T @ d_a to
+    every view's rows.
     """
-    weights = np.asarray(point_weights, dtype=float)
-    pairs = _pair_counts(valid)
-    w = np.where(pairs > 0, weights / np.maximum(pairs, 1.0), 0.0)
-
-    grads = np.zeros_like(descriptors)
-    for j, jp, sims, both, vjp, n_other in _ordered_pairs(descriptors, valid):
-        pos_open = both & (np.diag(sims) <= cfg.m_p)
-        grads[j][pos_open] += w[pos_open, None] * descriptors[jp][pos_open]
-        grads[jp][pos_open] += w[pos_open, None] * descriptors[j][pos_open]
-
-        neg_open = both[:, None] & vjp[None, :] & (sims >= cfg.m_n)
-        np.fill_diagonal(neg_open, False)
-        scale = (w * cfg.neg_weight / n_other)[:, None] * neg_open
-        grads[j] -= scale @ descriptors[jp]
-        grads[jp] -= scale.T @ descriptors[j]
-    return grads
+    pairs, rows, neg, blocks = _view_blocks(descriptors, valid, cfg.neg_weight)
+    j_views, n = neg.shape
+    w = np.where(pairs > 0, np.asarray(point_weights, dtype=float) / np.maximum(pairs, 1.0),
+                 0.0)
+    diag = np.arange(n)
+    grads = np.zeros_like(rows)
+    for a, sims, both in blocks:
+        pos_open = both & (sims[diag, :, diag] <= cfg.m_p)
+        sims[~both] = -np.inf
+        coef = np.greater_equal(sims, cfg.m_n, out=sims)
+        coef *= -neg
+        coef[diag, :, diag] = pos_open
+        coef = coef.reshape(n, j_views * n)
+        own = slice(a * n, (a + 1) * n)
+        grads[own] += w[:, None] * (coef @ rows)
+        grads += coef.T @ (w[:, None] * rows[own])
+    return grads.reshape(j_views, n, -1)
 
 
 def gather_selected_descriptors(rows, cols, outputs, scene):

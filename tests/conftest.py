@@ -1,11 +1,13 @@
 """Shared fixtures: synthetic shape scenes used by training-level tests, a
-PGM/PPM writer for image-file fixtures, and the seeded byte mutator of the
-reader mutation tests."""
+PGM/PPM writer for image-file fixtures, the seeded byte mutator of the
+reader mutation tests, and a deliberately broken counting path that the
+oracle-check battery must catch."""
 
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -84,3 +86,19 @@ def mutate_bytes(data: bytes, rng) -> bytes:
     split[i1][j1], split[i2][j2] = split[i2][j2], split[i1][j1]
     lines[i1], lines[i2] = b" ".join(split[i1]), b" ".join(split[i2])
     return b"\n".join(lines)
+
+
+@pytest.fixture
+def corrupted_counts(monkeypatch):
+    """Break ``em.log_count_sample_space``: log_total off by 0.05 and no
+    exact big-integer counts."""
+    from pointprops import em
+
+    exact_counts = em.log_count_sample_space
+
+    def corrupted(*args, **kwargs):
+        counts = exact_counts(*args, **kwargs)
+        return em.SpaceCounts(counts.log_total + 0.05, counts.log_with_point,
+                              counts.log_without_point, None)
+
+    monkeypatch.setattr(em, "log_count_sample_space", corrupted)

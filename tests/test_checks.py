@@ -11,9 +11,10 @@ class TestCountingChecks:
             result = check()
             assert result.passed, result
 
-    def test_corruption_hook_detected(self):
-        assert not checks.check_counts_bigint(corrupt=True).passed
-        assert not checks.check_count_split_identity(corrupt=True).passed
+    def test_corruption_hook_detected(self, corrupted_counts):
+        assert not checks.check_counts_vs_enumeration().passed
+        assert not checks.check_counts_bigint().passed
+        assert not checks.check_count_split_identity().passed
 
     def test_comb_product_matches_math(self):
         import math

@@ -327,9 +327,15 @@ class TestOracleCheckCommand:
             if "PASS" in line:
                 assert "deviation=" in line and "tolerance=" in line
 
-    def test_corrupted_counts_fail(self, capsys):
-        assert cli.main(["oracle-check", "--self-test-corrupt-counts"]) == 3
-        assert "FAIL" in capsys.readouterr().out
+    def test_corrupted_counts_fail(self, corrupted_counts, capsys):
+        assert cli.main(["oracle-check"]) == 3
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                  if line.endswith("FAIL")]
+        assert failed == ["counts-vs-enumeration", "counts-bigint-exact",
+                          "count-split-identity"]
+        # the former self-test flag is an unknown flag like any other
+        assert cli.main(["oracle-check", "--self-test-corrupt-counts"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVisualizeCommand:

@@ -186,15 +186,3 @@ class TestGuards:
         with pytest.raises(ValueError):
             oracle.TinyInstance(r=np.array([0.0, 0.5]), n_min=0, n_max=2,
                                 c_tilde=np.ones(2))
-
-
-class TestSharpDiscriminability:
-    def test_orthogonal_descriptors_always_win(self):
-        eye = np.eye(5)
-        scores = oracle.sharp_discriminability([eye, eye], [np.ones(5, bool)] * 2)
-        np.testing.assert_array_equal(scores, np.ones(5))
-
-    def test_identical_descriptors_never_win(self):
-        same = np.tile(np.eye(1, 4, 0), (5, 1))
-        scores = oracle.sharp_discriminability([same, same], [np.ones(5, bool)] * 2)
-        np.testing.assert_array_equal(scores, np.zeros(5))

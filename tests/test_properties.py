@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import naive_margins
 from pointprops import em, properties
 from pointprops.config import PropertyConfig
 from pointprops.model import ModelOutput
@@ -218,16 +220,57 @@ class TestDiscriminabilityMargin:
             ref = transcribe_margin(idx, desc, 0.9, -0.2, 0.5)
             assert h[idx] == pytest.approx(ref, abs=1e-12)
 
-    def test_pair_counts_match_pair_enumeration(self):
+    def test_matches_per_pair_reference(self):
         rng = np.random.default_rng(12)
-        for _ in range(50):
-            j, n = int(rng.integers(2, 6)), int(rng.integers(2, 9))
-            valid = rng.random((j, n)) < rng.uniform(0.2, 0.9)
-            valid[rng.integers(j)] = False  # a view that observes no selected point
-            pairs = np.zeros(n)
-            for _, _, _, both, _, _ in properties._ordered_pairs(np.zeros((j, n, 2)), valid):
-                pairs[both] += 1.0
-            np.testing.assert_array_equal(properties._pair_counts(valid), pairs)
+        seen = {"empty view": 0, "point in <= 1 view": 0, "negative m_n": 0}
+        for draw in range(240):
+            j, n, d = int(rng.integers(2, 7)), int(rng.integers(2, 10)), int(rng.integers(1, 6))
+            desc = rng.normal(size=(j, n, d))
+            desc /= np.linalg.norm(desc, axis=-1, keepdims=True)
+            valid = rng.random((j, n)) < rng.uniform(0.2, 1.0)
+            if draw % 3 == 0:
+                valid[rng.integers(j)] = False  # a view that observes no selected point
+            m_p = float(rng.uniform(0.5, 1.0))
+            m_n = float(rng.uniform(-0.9, m_p - 0.05))
+            cfg = PropertyConfig(rad=1, n_min=0, n_max=n + 2, m_p=m_p, m_n=m_n,
+                                 neg_weight=float(rng.uniform(0.05, 1.0)))
+            seen["empty view"] += int((~valid.any(axis=1)).any())
+            seen["point in <= 1 view"] += int((valid.sum(axis=0) <= 1).any())
+            seen["negative m_n"] += int(m_n < 0)
+            # unobserved rows hold finite junk, which both sides must ignore
+            desc[~valid] = rng.normal(size=(int((~valid).sum()), d))
+            weights = rng.normal(size=n)
+            args = (list(desc), list(valid)) if draw % 2 else (desc, valid)
+
+            h = properties.margins(n, *args, cfg)
+            ref_h = naive_margins.margins(desc, valid, m_p, m_n, cfg.neg_weight, cfg.margin_max)
+            np.testing.assert_allclose(h, ref_h, rtol=0, atol=1e-12)
+            grads = properties.margin_gradients(*args, cfg, weights)
+            ref_grads = naive_margins.margin_gradients(desc, valid, m_p, m_n, cfg.neg_weight,
+                                                       weights)
+            assert grads.shape == (j, n, d)
+            np.testing.assert_allclose(grads, ref_grads, rtol=0, atol=1e-12)
+            assert not grads[~valid].any()
+        assert min(seen.values()) >= 20, seen
+
+    def test_walk_never_forms_the_whole_gram_matrix(self):
+        # a (J*n)^2 float Gram matrix at J = 10, n = 300 alone is 69 MiB;
+        # the per-view (n, J, n) block is 6.9 MiB
+        rng = np.random.default_rng(4)
+        j, n = 10, 300
+        desc = rng.normal(size=(j, n, 16))
+        desc /= np.linalg.norm(desc, axis=-1, keepdims=True)
+        valid = rng.random((j, n)) < 0.8
+        cfg = paper_scale_config()
+        for call in (lambda: properties.margins(n, desc, valid, cfg),
+                     lambda: properties.margin_gradients(desc, valid, cfg, rng.random(n))):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 40 * 2**20, peak
 
     def test_degenerate_set_rejected(self):
         cfg = paper_scale_config()
