@@ -311,35 +311,34 @@ def toy_scene_state(seed=7, size=24, views=3):
     return scene, state, params, cfg
 
 
-def detector_chain_objective(params, scene, state):
-    """Repeatability part of the expected log-likelihood, posteriors frozen."""
+def detector_chain_objective(params, scene, state, cfg):
+    """The logged expected log-likelihood (summed ``log_likelihood_item``) as
+    a function of repeatability, with the posteriors and margins frozen."""
     outs = [model.forward(params, img, keep_cache=False) for img in scene.images]
     r, valid_count = em.repeatability(scene, outs)
-    observed = valid_count > 0
-    r = np.clip(r, properties.PROB_EPS, 1.0 - properties.PROB_EPS)
-    items = state.p * np.log(r) + (1.0 - state.p) * np.log1p(-r)
-    return float(items[observed].sum())
+    items = properties.log_likelihood_item(state.p, r, state.h, cfg)
+    return float(items[valid_count > 0].sum())
 
 
 def descriptor_chain_objective(params, scene, state, cfg):
-    """Discriminability part as logged (sum of alpha * p * min(h, margin_max)),
-    structure frozen."""
+    """The logged expected log-likelihood of the selected points as a function
+    of their margins, with their posteriors and repeatability frozen."""
     outs = [model.forward(params, img, keep_cache=False) for img in scene.images]
     descriptors, valid = properties.gather_selected_descriptors(
         state.sel_rows, state.sel_cols, outs, scene
     )
     h = properties.margins(state.num_selected, descriptors, valid, cfg)
-    weights = cfg.alpha * state.p[state.sel_rows, state.sel_cols]
-    return float((weights * np.minimum(h, cfg.margin_max)).sum())
+    sel = state.sel_rows, state.sel_cols
+    return float(properties.log_likelihood_item(state.p[sel], state.r[sel], h, cfg).sum())
 
 
 def check_detector_chain(step=1e-5) -> CheckResult:
-    scene, state, params, _ = toy_scene_state()
+    scene, state, params, cfg = toy_scene_state()
     prob_up = em.detector_gradient_coefficients(state, scene)
     desc_up = np.zeros((scene.num_views, *scene.outputs[0].desc_field.shape))
     keys = ["enc1_w", "enc2_w", "enc3_w", "enc4_w", "det1_w", "det2_w", "det2_b"]
     worst = _chain_deviation(scene, params, prob_up, desc_up,
-                             lambda p: detector_chain_objective(p, scene, state),
+                             lambda p: detector_chain_objective(p, scene, state, cfg),
                              keys, 108, step)
     return CheckResult("grad-detector-chain-vs-fd", worst, 1e-4)
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import checks, em, evaluate, image_io, model, simulate
 from .config import PRESETS, RunConfig, build_run_config, parse_config_text
-from .estimator import pad_to_multiple_of_4
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
@@ -118,7 +117,7 @@ def _load_gray_images(directory, size=None):
         if path.suffix.lower() not in (".png", ".pgm", ".ppm"):
             continue
         try:
-            img = image_io.to_grayscale(image_io.read_image(path))
+            img = image_io.read_image(path)
         except (ValueError, OSError) as exc:
             print(f"warning: skipping unreadable image {path}: {exc}", file=sys.stderr)
             continue
@@ -208,8 +207,8 @@ def _pairs_from_file(path):
             if len(tokens) != 11:
                 raise ValueError("want 11 fields: imgA imgB h11..h33")
             hom = _checked_homography([float(t) for t in tokens[2:]])
-            img_a = image_io.to_grayscale(image_io.read_image(base / tokens[0]))
-            img_b = image_io.to_grayscale(image_io.read_image(base / tokens[1]))
+            img_a = image_io.read_image(base / tokens[0])
+            img_b = image_io.read_image(base / tokens[1])
         except (OSError, ValueError) as exc:
             print(f"warning: pair line {lineno} skipped: {exc}", file=sys.stderr)
             skipped += 1
@@ -222,7 +221,7 @@ def _pairs_from_directory(run: RunConfig):
     images, names = _load_gray_images(run.images_dir)
     pairs = []
     for idx, (img, name) in enumerate(zip(images, names)):
-        padded, _ = pad_to_multiple_of_4(img)
+        padded, _ = image_io.pad_to_multiple_of_4(img)
         for k in range(run.eval.pairs_per_image):
             rng = np.random.default_rng(
                 np.random.SeedSequence([run.train.seed, idx, k, 0xE7A1])
@@ -236,15 +235,12 @@ def _pairs_from_directory(run: RunConfig):
 
 def evaluate_pair(params, img_a, img_b, hom, eval_cfg, rad, pair_seed=0):
     """Full pipeline on one pair; returns the metrics row plus artifacts."""
-    pad_a, shape_a = pad_to_multiple_of_4(img_a)
-    pad_b, shape_b = pad_to_multiple_of_4(img_b)
-    out_a = model.forward(params, pad_a, keep_cache=False)
-    out_b = model.forward(params, pad_b, keep_cache=False)
-    pts_a = evaluate.extract_points(out_a, eval_cfg.prob_threshold, rad, eval_cfg.max_points)
-    pts_b = evaluate.extract_points(out_b, eval_cfg.prob_threshold, rad, eval_cfg.max_points)
+    threshold, max_points = eval_cfg.prob_threshold, eval_cfg.max_points
+    pts_a = evaluate.detect_points(params, img_a, threshold, rad, max_points)
+    pts_b = evaluate.detect_points(params, img_b, threshold, rad, max_points)
     matches = evaluate.match_two_way(pts_a, pts_b)
     score = evaluate.matching_score(
-        matches, pts_a, pts_b, hom, shape_a, shape_b, eval_cfg.epsilon
+        matches, pts_a, pts_b, hom, img_a.shape, img_b.shape, eval_cfg.epsilon
     )
     estimate = evaluate.estimate_homography(
         matches, pts_a, pts_b,
@@ -252,7 +248,7 @@ def evaluate_pair(params, img_a, img_b, hom, eval_cfg, rad, pair_seed=0):
         max_iters=eval_cfg.ransac_iters,
         inlier_threshold=eval_cfg.ransac_threshold,
     )
-    width, height = shape_a[1], shape_a[0]
+    height, width = img_a.shape
     error, correct = evaluate.homography_error(estimate, hom, (width, height),
                                                eval_cfg.epsilon)
     row = {
@@ -361,8 +357,8 @@ def cmd_visualize(args) -> int:
         except ValueError as exc:
             raise ValueError(f"--homography: {exc}") from None
     params = model.load_checkpoint(run.checkpoint)
-    img_a = image_io.to_grayscale(image_io.read_image(args.image_a))
-    img_b = image_io.to_grayscale(image_io.read_image(args.image_b))
+    img_a = image_io.read_image(args.image_a)
+    img_b = image_io.read_image(args.image_b)
     row, (pts_a, pts_b, matches) = evaluate_pair(
         params, img_a, img_b, hom, run.eval, run.train.properties.rad
     )

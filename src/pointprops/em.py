@@ -118,7 +118,6 @@ class LatentState:
     valid_count: np.ndarray  # (H, W) number of views observing each point
     h: np.ndarray  # (H, W) margins (margin_max off yhat)
     c_tilde: np.ndarray  # (H, W) discriminability probability (1 off yhat)
-    counts: SpaceCounts
     expected_log_likelihood: float
     # selected-point gather, reused by the gradient passes
     sel_rows: np.ndarray = field(repr=False, default=None)
@@ -178,7 +177,7 @@ def _view_pixels(scene, shape):
 
 def _e_step_scene(scene, cfg: PropertyConfig) -> LatentState:
     j_images = scene.num_views
-    height, width = scene.canonical.shape[:2]
+    height, width = scene.valid.shape[1:]
     r, valid_count = repeatability(scene, scene.outputs)
     observed = valid_count > 0
 
@@ -214,7 +213,6 @@ def _e_step_scene(scene, cfg: PropertyConfig) -> LatentState:
         valid_count=valid_count,
         h=h_grid,
         c_tilde=c_grid,
-        counts=counts,
         expected_log_likelihood=expected,
         sel_rows=sel_rows,
         sel_cols=sel_cols,
@@ -285,7 +283,6 @@ def scene_parameter_gradients(state: LatentState, scene, params, cfg: PropertyCo
 class TrainResult:
     params: model.ModelParams
     log_rows: list  # dicts: iteration, E_y_L, mean_num_yhat, skipped_scenes, seconds
-    adam_state: model.AdamState
 
 
 def train(images, cfg: TrainConfig) -> TrainResult:
@@ -360,4 +357,4 @@ def train(images, cfg: TrainConfig) -> TrainResult:
             "skipped_scenes": skipped,
             "seconds": time.perf_counter() - start,
         })
-    return TrainResult(params=params, log_rows=rows, adam_state=adam)
+    return TrainResult(params=params, log_rows=rows)

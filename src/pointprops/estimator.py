@@ -31,20 +31,6 @@ def as_float_image(image, name: str = "image") -> np.ndarray:
     return arr
 
 
-def pad_to_multiple_of_4(image: np.ndarray):
-    """Edge-pad bottom/right so both dimensions divide by 4.
-
-    Returns (padded, original_shape) so callers can crop outputs back.
-    """
-    height, width = image.shape[:2]
-    pad_h = (-height) % 4
-    pad_w = (-width) % 4
-    if pad_h == 0 and pad_w == 0:
-        return image, (height, width)
-    pad = ((0, pad_h), (0, pad_w)) + ((0, 0),) * (image.ndim - 2)
-    return np.pad(image, pad, mode="edge"), (height, width)
-
-
 class PointPropsDetector:
     """Joint interest-point detector/descriptor trained by property EM.
 
@@ -138,14 +124,8 @@ class PointPropsDetector:
     def detect(self, image) -> evaluate.PointSet:
         """Extract interest points with descriptors from one image."""
         self._check_fitted()
-        img = as_float_image(image)
-        padded, (height, width) = pad_to_multiple_of_4(img)
-        out = model.forward(self.params_, padded, keep_cache=False)
-        points = evaluate.extract_points(out, self.prob_threshold, self.rad, self.max_points)
-        inside = (points.xy[:, 0] <= width - 1) & (points.xy[:, 1] <= height - 1)
-        return evaluate.PointSet(
-            points.xy[inside], points.scores[inside], points.descriptors[inside]
-        )
+        return evaluate.detect_points(self.params_, as_float_image(image),
+                                      self.prob_threshold, self.rad, self.max_points)
 
     def predict(self, X) -> list:
         """Detect on a list of images; returns one PointSet per image."""

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelOutput
+from . import model
+from .image_io import pad_to_multiple_of_4
 from .properties import neighborhood_max
 from .simulate import map_points
 
@@ -40,14 +41,13 @@ class MatchSet:
 
     index_a: np.ndarray
     index_b: np.ndarray
-    similarity: np.ndarray
 
     def __len__(self) -> int:
         return self.index_a.shape[0]
 
 
 def extract_points(
-    output: ModelOutput, prob_threshold: float, rad: int, max_points: int
+    output: model.ModelOutput, prob_threshold: float, rad: int, max_points: int
 ) -> PointSet:
     """Strict NMS, then probability threshold, then top-K by score.
 
@@ -71,16 +71,25 @@ def extract_points(
     )
 
 
+def detect_points(params, image, prob_threshold: float, rad: int, max_points: int) -> PointSet:
+    """Points of one image: edge-pad to multiples of 4, tape-free forward,
+    ``extract_points``, then drop the points that top-K kept in the pad."""
+    padded, (height, width) = pad_to_multiple_of_4(image)
+    points = extract_points(model.forward(params, padded, keep_cache=False),
+                            prob_threshold, rad, max_points)
+    inside = (points.xy[:, 0] <= width - 1) & (points.xy[:, 1] <= height - 1)
+    return PointSet(points.xy[inside], points.scores[inside], points.descriptors[inside])
+
+
 def match_two_way(a: PointSet, b: PointSet) -> MatchSet:
     """Mutual nearest neighbors by descriptor similarity; ties pick the lowest index."""
     if len(a) == 0 or len(b) == 0:
-        return MatchSet(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+        return MatchSet(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     sims = a.descriptors @ b.descriptors.T
     fwd = sims.argmax(axis=1)
     bwd = sims.argmax(axis=0)
     ia = np.flatnonzero(bwd[fwd] == np.arange(len(a)))
-    ib = fwd[ia]
-    return MatchSet(ia, ib, sims[ia, ib])
+    return MatchSet(ia, fwd[ia])
 
 
 def match_correctness(
@@ -333,13 +342,6 @@ _MATCH_LINE = (0.1, 0.9, 0.1)
 _MATCH_DOT = (1.0, 0.15, 0.15)
 
 
-def _to_rgb(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img, dtype=float)
-    if img.ndim == 2:
-        return np.repeat(img[:, :, None], 3, axis=2)
-    return img[:, :, :3]
-
-
 def _stamp(img, x, y, color, half=1):
     h, w, _ = img.shape
     r0, r1 = max(y - half, 0), min(y + half + 1, h)
@@ -357,12 +359,13 @@ def _line(img, x0, y0, x1, y1, color):
 def render_matches(
     img_a, img_b, a: PointSet, b: PointSet, matches: MatchSet, correctness=None
 ) -> np.ndarray:
-    """Side-by-side composite: every point marked, correct matches as lines.
+    """Side-by-side composite of two (H, W) images: every point marked,
+    correct matches as lines.
 
     Output shape is (max height, width_a + width_b, 3) in [0, 1].
     """
-    left = _to_rgb(img_a)
-    right = _to_rgb(img_b)
+    left = np.repeat(np.asarray(img_a, dtype=float)[:, :, None], 3, axis=2)
+    right = np.repeat(np.asarray(img_b, dtype=float)[:, :, None], 3, axis=2)
     height = max(left.shape[0], right.shape[0])
     canvas = np.zeros((height, left.shape[1] + right.shape[1], 3))
     canvas[: left.shape[0], : left.shape[1]] = left

@@ -1,7 +1,9 @@
 """Self-contained image I/O: PGM/PPM (ASCII and binary) reading, basic 8-bit
-PNG reading and writing, and bilinear resizing.
+PNG reading and writing, bilinear resizing, and padding to the model's grid.
 
-Images are float arrays in [0, 1], either (H, W) grayscale or (H, W, 3) RGB.
+Images are float arrays in [0, 1]. ``read_png``/``read_pnm`` decode (H, W)
+grayscale or (H, W, 3) RGB; ``read_image``, the reader the program uses,
+returns (H, W) grayscale, the one layout every later stage takes.
 """
 
 from __future__ import annotations
@@ -16,17 +18,18 @@ PNG_MAGIC = b"\x89PNG\r\n\x1a\n"
 
 
 def read_image(path) -> np.ndarray:
+    """Read a PNG or PGM/PPM file as an (H, W) grayscale image in [0, 1].
+
+    Colour is mixed to gray with the ITU-R 601 luma weights.
+    """
     with open(path, "rb") as fh:
         head = fh.read(8)
     if head.startswith(PNG_MAGIC):
-        return read_png(path)
-    if head[:2] in (b"P2", b"P3", b"P5", b"P6"):
-        return read_pnm(path)
-    raise ValueError(f"{path}: unsupported image format")
-
-
-def to_grayscale(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img, dtype=float)
+        img = read_png(path)
+    elif head[:2] in (b"P2", b"P3", b"P5", b"P6"):
+        img = read_pnm(path)
+    else:
+        raise ValueError(f"{path}: unsupported image format")
     if img.ndim == 2:
         return img
     return img[:, :, 0] * 0.299 + img[:, :, 1] * 0.587 + img[:, :, 2] * 0.114
@@ -54,16 +57,27 @@ def resample_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def resize_bilinear(img: np.ndarray, size) -> np.ndarray:
-    """Resize to (height, width) with separable bilinear interpolation."""
+    """Resize an (H, W) image to (height, width) with separable bilinear
+    interpolation."""
     img = np.asarray(img, dtype=float)
     height, width = size
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = img[:, :, None]
     mh = resample_matrix(img.shape[0], height)
     mw = resample_matrix(img.shape[1], width)
-    out = np.einsum("ih,hwc,jw->ijc", mh, img, mw, optimize=True)
-    return out[:, :, 0] if squeeze else out
+    return np.einsum("ih,hw,jw->ij", mh, img, mw, optimize=True)
+
+
+def pad_to_multiple_of_4(image: np.ndarray):
+    """Edge-pad bottom/right so both dimensions divide by 4.
+
+    Returns (padded, original_shape) so callers can crop outputs back.
+    """
+    height, width = image.shape[:2]
+    pad_h = (-height) % 4
+    pad_w = (-width) % 4
+    if pad_h == 0 and pad_w == 0:
+        return image, (height, width)
+    pad = ((0, pad_h), (0, pad_w)) + ((0, 0),) * (image.ndim - 2)
+    return np.pad(image, pad, mode="edge"), (height, width)
 
 
 # ---------------------------------------------------------------------------

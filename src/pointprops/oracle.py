@@ -18,41 +18,25 @@ MAX_POINTS = 20
 
 @dataclass
 class TinyInstance:
-    """A small abstract scene: per-point repeatability and discriminability.
-
-    ``c_tilde`` holds constant per-point discriminability probabilities;
-    ``c_fn`` may instead supply the mask-dependent form as a callable
-    mask -> (n,) array of per-point probabilities. ``coords`` (n, 2) and
-    ``rad`` feed the local-sparsity filter of the full space enumeration.
-    """
+    """A small abstract scene: per-point repeatability ``r`` and constant
+    per-point discriminability probabilities ``c_tilde``."""
 
     r: np.ndarray
     n_min: int
     n_max: int
-    c_tilde: np.ndarray | None = None
-    c_fn: object = None
-    coords: np.ndarray | None = None
-    rad: int = 1
+    c_tilde: np.ndarray
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
+        self.c_tilde = np.asarray(self.c_tilde, dtype=float)
         if self.num_points > MAX_POINTS:
             raise ValueError(f"instance has {self.num_points} points; cap is {MAX_POINTS}")
         if np.any(self.r <= 0.0) or np.any(self.r >= 1.0):
             raise ValueError("repeatability values must lie strictly inside (0, 1)")
-        if self.c_tilde is not None:
-            self.c_tilde = np.asarray(self.c_tilde, dtype=float)
-        if self.c_tilde is None and self.c_fn is None:
-            raise ValueError("provide c_tilde or c_fn")
 
     @property
     def num_points(self) -> int:
         return self.r.size
-
-    def c_values(self, mask: np.ndarray) -> np.ndarray:
-        if self.c_fn is not None:
-            return np.asarray(self.c_fn(mask), dtype=float)
-        return self.c_tilde
 
 
 def enumerate_reduced_space(inst: TinyInstance, yhat) -> list:
@@ -70,36 +54,9 @@ def enumerate_reduced_space(inst: TinyInstance, yhat) -> list:
     return masks
 
 
-def enumerate_full_space(inst: TinyInstance) -> list:
-    """All masks meeting both the count bounds and local sparsity at ``rad``.
-
-    Local sparsity uses the Chebyshev distance between the instance's point
-    coordinates: no two chosen points may be within ``rad`` of each other.
-    """
-    if inst.coords is None:
-        raise ValueError("full-space enumeration needs point coordinates")
-    n_points = inst.num_points
-    if n_points > MAX_POINTS:
-        raise ValueError(f"{n_points} points exceed the cap of {MAX_POINTS}")
-    coords = np.asarray(inst.coords, dtype=float)
-    cheb = np.max(np.abs(coords[:, None, :] - coords[None, :, :]), axis=2)
-    conflict = (cheb <= inst.rad) & ~np.eye(n_points, dtype=bool)
-    masks = []
-    for bits in itertools.product((False, True), repeat=n_points):
-        mask = np.array(bits)
-        count = int(mask.sum())
-        if not inst.n_min < count < inst.n_max:
-            continue
-        if np.any(conflict[np.ix_(mask, mask)]):
-            continue
-        masks.append(mask)
-    return masks
-
-
 def _mask_weight(inst: TinyInstance, mask: np.ndarray) -> float:
-    c = inst.c_values(mask)
     rep = np.where(mask, inst.r, 1.0 - inst.r)
-    disc = np.where(mask, c, 1.0)
+    disc = np.where(mask, inst.c_tilde, 1.0)
     return float(np.prod(rep) * np.prod(disc))
 
 
@@ -117,8 +74,7 @@ def exact_posterior(inst: TinyInstance, space) -> np.ndarray:
 
 def log_likelihood_of_mask(inst: TinyInstance, mask: np.ndarray) -> float:
     """log of the mask's unnormalized weight: the latent log-likelihood."""
-    c = inst.c_values(mask)
-    terms = np.where(mask, np.log(inst.r) + np.log(c), np.log1p(-inst.r))
+    terms = np.where(mask, np.log(inst.r) + np.log(inst.c_tilde), np.log1p(-inst.r))
     return float(terms.sum())
 
 

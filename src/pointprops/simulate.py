@@ -1,10 +1,11 @@
 """Scene simulation: photometric transforms, random homographies, warping.
 
-A scene is one canonical image; a training sample is a set of J transformed
-views, each produced by warping under a random homography and then applying
-a short list of photometric operations. Correspondence between the canonical
-pixel grid and every view is tracked alongside, with validity masks for
-points that leave the frame.
+Images are (H, W) grayscale float arrays in [0, 1]. A scene is one canonical
+image; a training sample is a set of J transformed views, each produced by
+warping under a random homography and then applying a short list of
+photometric operations. Correspondence between the canonical pixel grid and
+every view is tracked alongside, with validity masks for points that leave
+the frame.
 
 Every sampler takes an explicit numpy Generator, so all randomness is
 reproducible from seed streams derived per (seed, scene id, view index).
@@ -44,13 +45,7 @@ class PhotometricOp:
 
 
 def _op(kind, **params):
-    packed = []
-    for key in sorted(params):
-        val = params[key]
-        if isinstance(val, np.ndarray):
-            val = tuple(map(tuple, np.round(val, 6).tolist()))
-        packed.append((key, val))
-    return PhotometricOp(kind, tuple(packed))
+    return PhotometricOp(kind, tuple(sorted(params.items())))
 
 
 def sample_photometric(rng: np.random.Generator, level: str = "illum_full"):
@@ -138,47 +133,30 @@ def _points_in_convex_polygon(xs, ys, vertices):
 
 
 def apply_photometric(image: np.ndarray, spec) -> np.ndarray:
-    """Apply transform records in order; output stays in [0, 1]."""
+    """Apply transform records in order to an (H, W) image; output stays in [0, 1]."""
     img = np.asarray(image, dtype=float).copy()
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = img[:, :, None]
     for op in spec:
         img = _apply_one(img, op)
         np.clip(img, 0.0, 1.0, out=img)
-    return img[:, :, 0] if squeeze else img
+    return img
 
 
 def _apply_one(img, op: PhotometricOp):
-    h, w, c = img.shape
+    """One record on an (H, W) image. ``channel_shuffle`` and ``grayscale_mix``
+    act on colour channels, so on one channel they are identities."""
+    h, w = img.shape
     if op.kind == "blur":
         radius = op.get("radius")
         mode = op.get("mode")
-        out = np.empty_like(img)
-        for ch in range(c):
-            if mode == "gaussian":
-                out[:, :, ch] = ndimage.gaussian_filter(img[:, :, ch], sigma=0.5 * radius,
-                                                        mode="nearest")
-            elif mode == "average":
-                out[:, :, ch] = ndimage.uniform_filter(img[:, :, ch], size=2 * radius + 1,
-                                                       mode="nearest")
-            else:
-                out[:, :, ch] = ndimage.median_filter(img[:, :, ch], size=2 * radius + 1,
-                                                      mode="nearest")
-        return out
-    if op.kind == "channel_shuffle":
-        if c == 1:
-            return img
-        order = list(op.get("order"))[:c]
-        return img[:, :, order]
+        if mode == "gaussian":
+            return ndimage.gaussian_filter(img, sigma=0.5 * radius, mode="nearest")
+        if mode == "average":
+            return ndimage.uniform_filter(img, size=2 * radius + 1, mode="nearest")
+        return ndimage.median_filter(img, size=2 * radius + 1, mode="nearest")
+    if op.kind in ("channel_shuffle", "grayscale_mix"):
+        return img
     if op.kind == "contrast":
         return 0.5 + (img - 0.5) * (1.0 + op.get("strength"))
-    if op.kind == "grayscale_mix":
-        weight = op.get("weight")
-        if c == 1:
-            return img
-        gray = img[:, :, 0] * 0.299 + img[:, :, 1] * 0.587 + img[:, :, 2] * 0.114
-        return weight * gray[:, :, None] + (1.0 - weight) * img
     if op.kind == "invert":
         return 1.0 - img
     if op.kind == "salt_pepper":
@@ -312,16 +290,14 @@ def map_points(points, h: np.ndarray, bounds):
 
 
 def warp_image(image: np.ndarray, h: np.ndarray):
-    """Inverse-mapped bilinear warp; returns (warped, validity mask).
+    """Inverse-mapped bilinear warp of an (H, W) image; returns (warped,
+    validity mask).
 
     Output pixels whose source falls outside the input are zero and masked
     invalid.
     """
     img = np.asarray(image, dtype=float)
-    squeeze = img.ndim == 2
-    if squeeze:
-        img = img[:, :, None]
-    height, width, _ = img.shape
+    height, width = img.shape
     h_inv = np.linalg.inv(h)
     cols, rows = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
     src, _ = map_points(np.stack([cols.ravel(), rows.ravel()], axis=1), h_inv, (width, height))
@@ -334,14 +310,12 @@ def warp_image(image: np.ndarray, h: np.ndarray):
     y0 = np.floor(sy).astype(int)
     x1 = np.minimum(x0 + 1, width - 1)
     y1 = np.minimum(y0 + 1, height - 1)
-    tx = (sx - x0)[:, :, None]
-    ty = (sy - y0)[:, :, None]
+    tx = sx - x0
+    ty = sy - y0
     top = img[y0, x0] * (1 - tx) + img[y0, x1] * tx
     bottom = img[y1, x0] * (1 - tx) + img[y1, x1] * tx
     warped = top * (1 - ty) + bottom * ty
     warped[~mask] = 0.0
-    if squeeze:
-        warped = warped[:, :, 0]
     return warped, mask
 
 
@@ -352,17 +326,14 @@ def warp_image(image: np.ndarray, h: np.ndarray):
 
 @dataclass
 class SceneBatch:
-    """One canonical image plus J transformed views and their correspondence.
+    """J transformed views of one canonical image and their correspondence.
 
     ``map_rows``/``map_cols`` give, for every canonical pixel, the nearest
     pixel of each view; ``valid`` marks points that stay inside the view and
     land on warped content.
     """
 
-    canonical: np.ndarray
     images: list
-    homographies: list
-    photometric_specs: list
     map_rows: np.ndarray  # (J, H, W) int
     map_cols: np.ndarray  # (J, H, W) int
     valid: np.ndarray  # (J, H, W) bool
@@ -378,6 +349,14 @@ def view_rng(seed: int, scene_id: int, view: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, scene_id, view]))
 
 
+def _simulate_view(img, rng, illumination, viewpoint):
+    """Draw a homography, warp ``img`` by it, then draw and apply a photometric
+    spec. Returns (view, homography, warp validity mask)."""
+    hom = sample_homography_for_level(rng, viewpoint, img.shape)
+    warped, warp_mask = warp_image(img, hom)
+    return apply_photometric(warped, sample_photometric(rng, illumination)), hom, warp_mask
+
+
 def make_scene(
     image: np.ndarray,
     num_views: int,
@@ -386,30 +365,25 @@ def make_scene(
     illumination: str = "illum_mild",
     viewpoint: str = "viewpoint_medium",
 ) -> SceneBatch:
-    """Simulate J views of one canonical image with tracked correspondence.
+    """Simulate J views of one canonical (H, W) image with tracked correspondence.
 
     Correspondences landing near a view's frame stay valid: label-free frame
     bands would give the detector an unsupervised region to dump probability
     mass into, which measurably destabilizes training.
     """
     img = np.asarray(image, dtype=float)
-    height, width = img.shape[:2]
+    height, width = img.shape
     cols, rows = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
     grid = np.stack([cols.ravel(), rows.ravel()], axis=1)
 
-    images, homs, specs = [], [], []
+    images = []
     map_rows = np.zeros((num_views, height, width), dtype=int)
     map_cols = np.zeros((num_views, height, width), dtype=int)
     valid = np.zeros((num_views, height, width), dtype=bool)
     for j in range(num_views):
-        rng = view_rng(seed, scene_id, j)
-        hom = sample_homography_for_level(rng, viewpoint, (height, width))
-        warped, warp_mask = warp_image(img, hom)
-        spec = sample_photometric(rng, illumination)
-        images.append(apply_photometric(warped, spec))
-        homs.append(hom)
-        specs.append(spec)
-
+        view, hom, warp_mask = _simulate_view(img, view_rng(seed, scene_id, j),
+                                              illumination, viewpoint)
+        images.append(view)
         mapped, ok = map_points(grid, hom, (width, height))
         cc = np.clip(np.rint(np.where(ok, mapped[:, 0], 0.0)).astype(int), 0, width - 1)
         rr = np.clip(np.rint(np.where(ok, mapped[:, 1], 0.0)).astype(int), 0, height - 1)
@@ -417,15 +391,7 @@ def make_scene(
         map_rows[j] = rr.reshape(height, width)
         map_cols[j] = cc.reshape(height, width)
         valid[j] = ok.reshape(height, width)
-    return SceneBatch(
-        canonical=img,
-        images=images,
-        homographies=homs,
-        photometric_specs=specs,
-        map_rows=map_rows,
-        map_cols=map_cols,
-        valid=valid,
-    )
+    return SceneBatch(images=images, map_rows=map_rows, map_cols=map_cols, valid=valid)
 
 
 def make_pair(
@@ -434,9 +400,8 @@ def make_pair(
     illumination: str = "illum_mild",
     viewpoint: str = "viewpoint_medium",
 ):
-    """One evaluation pair: (original, transformed view, ground-truth H)."""
+    """One evaluation pair from an (H, W) image: (original, transformed view,
+    ground-truth H)."""
     img = np.asarray(image, dtype=float)
-    hom = sample_homography_for_level(rng, viewpoint, img.shape[:2])
-    warped, _ = warp_image(img, hom)
-    transformed = apply_photometric(warped, sample_photometric(rng, illumination))
+    transformed, hom, _ = _simulate_view(img, rng, illumination, viewpoint)
     return img, transformed, hom

@@ -154,7 +154,7 @@ class TestCriterion5Homography:
         src = rng.uniform(0, 48, size=(12, 2))
         a = evaluate.PointSet(src, np.ones(12), np.eye(12))
         b = evaluate.PointSet(apply_h(h_true, src), np.ones(12), np.eye(12))
-        matches = evaluate.MatchSet(np.arange(12), np.arange(12), np.ones(12))
+        matches = evaluate.MatchSet(np.arange(12), np.arange(12))
         est = evaluate.estimate_homography(matches, a, b, seed=0)
         noiseless_err, _ = evaluate.homography_error(est, h_true, (48, 48))
 
@@ -166,7 +166,7 @@ class TestCriterion5Homography:
             dst = np.vstack([apply_h(h_true, src_in), t_rng.uniform(0, 48, size=(20, 2))])
             a = evaluate.PointSet(src, np.ones(40), np.eye(40))
             b = evaluate.PointSet(dst, np.ones(40), np.eye(40))
-            matches = evaluate.MatchSet(np.arange(40), np.arange(40), np.ones(40))
+            matches = evaluate.MatchSet(np.arange(40), np.arange(40))
             est = evaluate.estimate_homography(matches, a, b, seed=seed)
             err, _ = evaluate.homography_error(est, h_true, (48, 48))
             successes += err < 0.5
@@ -278,7 +278,7 @@ class TestCriterion8Invariants:
         # photometric range preservation
         photo_checked = 0
         for _ in range(1000):
-            img = rng.random((8, 8, 3))
+            img = rng.random((8, 8))
             spec = simulate.sample_photometric(rng, "illum_full")
             out = simulate.apply_photometric(img, spec)
             assert out.min() >= 0.0 and out.max() <= 1.0

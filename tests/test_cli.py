@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import mutate_bytes, write_pnm
+from conftest import mutate_bytes, shape_scenes, write_pnm
 from pointprops import cli, image_io, model
+from pointprops.config import EvalConfig
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +288,21 @@ class TestEvalCommand:
                              "--threads", threads]) == 0
             texts.append((out / "metrics.csv").read_bytes())
         assert texts[0] == texts[1]
+
+    def test_points_in_the_edge_padding_are_dropped(self):
+        # 62x61 images are edge-padded to 64x64 for the model; points that
+        # land in the pad lie outside the image and must not be scored
+        params = model.init_params(0, 16)
+        scored = 0
+        for img in shape_scenes(0, 6, 64):
+            crop = img[:62, :61]
+            row, (pts_a, pts_b, _) = cli.evaluate_pair(params, crop, crop, np.eye(3),
+                                                       EvalConfig(), rad=4)
+            for pts in (pts_a, pts_b):
+                assert np.all(pts.xy[:, 0] <= 60) and np.all(pts.xy[:, 1] <= 61)
+            assert row["num_points_A"] == len(pts_a)
+            scored += len(pts_a)
+        assert scored > 0
 
 
 class TestPairListMutations:

@@ -189,7 +189,7 @@ def latent_state(scene, yhat, p, cfg):
     h[rows, cols] = properties.margins(len(rows), descriptors, valid, cfg)
     return em.LatentState(
         yhat=yhat, p=np.where(yhat, p, 0.0), r=r, valid_count=valid_count, h=h,
-        c_tilde=np.ones(yhat.shape), counts=None, expected_log_likelihood=0.0,
+        c_tilde=np.ones(yhat.shape), expected_log_likelihood=0.0,
         sel_rows=rows, sel_cols=cols, sel_descriptors=descriptors, sel_valid=valid,
     )
 
@@ -292,7 +292,7 @@ class TestDetectorGradient:
         state = em.LatentState(
             yhat=yhat, p=p, r=np.full((8, 8), r_value),
             valid_count=np.full((8, 8), j), h=np.zeros((8, 8)),
-            c_tilde=np.ones((8, 8)), counts=None, expected_log_likelihood=0.0,
+            c_tilde=np.ones((8, 8)), expected_log_likelihood=0.0,
         )
         return state, scene
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import shape_scenes
-from pointprops import config, estimator
+from pointprops import config, estimator, image_io
 from pointprops.estimator import NotFittedError, PointPropsDetector
 
 
@@ -40,7 +40,7 @@ class TestValidationHelpers:
 
     def test_padding(self):
         img = np.random.default_rng(1).random((9, 14))
-        padded, shape = estimator.pad_to_multiple_of_4(img)
+        padded, shape = image_io.pad_to_multiple_of_4(img)
         assert shape == (9, 14)
         assert padded.shape == (12, 16)
         np.testing.assert_array_equal(padded[:9, :14], img)
@@ -48,7 +48,7 @@ class TestValidationHelpers:
 
     def test_padding_noop(self):
         img = np.zeros((8, 8))
-        padded, _ = estimator.pad_to_multiple_of_4(img)
+        padded, _ = image_io.pad_to_multiple_of_4(img)
         assert padded is img
 
 

@@ -111,7 +111,6 @@ class TestMatchTwoWay:
         m = evaluate.match_two_way(a, a)
         np.testing.assert_array_equal(m.index_a, [0, 1, 2])
         np.testing.assert_array_equal(m.index_b, [0, 1, 2])
-        np.testing.assert_allclose(m.similarity, 1.0)
 
     def test_collision_keeps_only_mutual_pair(self):
         desc_a = np.array([[1.0, 0.0], [0.96, 0.28]])
@@ -161,9 +160,7 @@ class TestMatchingScore:
         desc = np.eye(12)
         a = point_set(xy_a, desc[:10, :])
         b = point_set(xy_b_all, desc)
-        matches = evaluate.MatchSet(
-            index_a=np.arange(10), index_b=np.arange(10), similarity=np.ones(10)
-        )
+        matches = evaluate.MatchSet(index_a=np.arange(10), index_b=np.arange(10))
         # displace 4 partners well beyond epsilon (still in-region)
         b.xy[6:10] += 10.0
         score = evaluate.matching_score(matches, a, b, np.eye(3), (16, 16), (16, 16),
@@ -208,7 +205,7 @@ class TestEstimateHomography:
         dst = apply_h(h_true, src)
         a = point_set(src, np.eye(12))
         b = point_set(dst, np.eye(12))
-        matches = evaluate.MatchSet(np.arange(12), np.arange(12), np.ones(12))
+        matches = evaluate.MatchSet(np.arange(12), np.arange(12))
         h_est = evaluate.estimate_homography(matches, a, b, seed=0)
         error, correct = evaluate.homography_error(h_est, h_true, (48, 48))
         assert error < 1e-6
@@ -227,7 +224,7 @@ class TestEstimateHomography:
             dst = np.vstack([dst_in, dst_out])
             a = point_set(src, np.eye(40))
             b = point_set(dst, np.eye(40))
-            matches = evaluate.MatchSet(np.arange(40), np.arange(40), np.ones(40))
+            matches = evaluate.MatchSet(np.arange(40), np.arange(40))
             h_est = evaluate.estimate_homography(matches, a, b, seed=seed)
             error, _ = evaluate.homography_error(h_est, h_true, (48, 48))
             successes += error < 0.5
@@ -235,13 +232,13 @@ class TestEstimateHomography:
 
     def test_too_few_matches(self):
         a = one_hot_points([[0, 0], [5, 1], [3, 7]])
-        matches = evaluate.MatchSet(np.arange(3), np.arange(3), np.ones(3))
+        matches = evaluate.MatchSet(np.arange(3), np.arange(3))
         assert evaluate.estimate_homography(matches, a, a, seed=0) is None
 
     def test_collinear_sample_degenerate(self):
         xy = [[float(i), 2.0 * i + 1.0] for i in range(8)]  # all on one line
         a = one_hot_points(xy)
-        matches = evaluate.MatchSet(np.arange(8), np.arange(8), np.ones(8))
+        matches = evaluate.MatchSet(np.arange(8), np.arange(8))
         assert evaluate.estimate_homography(matches, a, a, seed=0) is None
 
     def test_deterministic(self):
@@ -251,7 +248,7 @@ class TestEstimateHomography:
         dst = np.vstack([apply_h(h_true, src[:15]), rng.uniform(0, 32, (5, 2))])
         a = point_set(src, np.eye(20))
         b = point_set(dst, np.eye(20))
-        matches = evaluate.MatchSet(np.arange(20), np.arange(20), np.ones(20))
+        matches = evaluate.MatchSet(np.arange(20), np.arange(20))
         h1 = evaluate.estimate_homography(matches, a, b, seed=5)
         h2 = evaluate.estimate_homography(matches, a, b, seed=5)
         np.testing.assert_array_equal(h1, h2)
@@ -271,7 +268,7 @@ def both_ways(src, dst, seed, **kwargs):
     n = len(src)
     a = point_set(src, np.zeros((n, 2)))
     b = point_set(dst, np.zeros((n, 2)))
-    matches = evaluate.MatchSet(np.arange(n), np.arange(n), np.ones(n))
+    matches = evaluate.MatchSet(np.arange(n), np.arange(n))
     return (evaluate.estimate_homography(matches, a, b, seed=seed, **kwargs),
             naive_ransac.estimate_homography(matches, a, b, seed=seed, **kwargs))
 
@@ -402,7 +399,7 @@ class TestRenderMatches:
         img_b = np.zeros((24, 18))
         canvas = evaluate.render_matches(
             img_a, img_b, evaluate.PointSet.empty(2), evaluate.PointSet.empty(2),
-            evaluate.MatchSet(np.zeros(0, int), np.zeros(0, int), np.zeros(0)),
+            evaluate.MatchSet(np.zeros(0, int), np.zeros(0, int)),
         )
         assert canvas.shape == (24, 48, 3)
 
@@ -412,7 +409,7 @@ class TestRenderMatches:
         b = one_hot_points([[10, 10]])
         canvas = evaluate.render_matches(
             img, img, a, b,
-            evaluate.MatchSet(np.zeros(0, int), np.zeros(0, int), np.zeros(0)),
+            evaluate.MatchSet(np.zeros(0, int), np.zeros(0, int)),
         )
         assert (canvas[4, 4] != 0).any()
         assert (canvas[10, 16 + 10] != 0).any()
@@ -423,7 +420,7 @@ class TestRenderMatches:
         img = np.zeros((16, 16))
         a = one_hot_points([[3, 8]])
         b = one_hot_points([[12, 8]])
-        matches = evaluate.MatchSet(np.array([0]), np.array([0]), np.ones(1))
+        matches = evaluate.MatchSet(np.array([0]), np.array([0]))
         canvas = evaluate.render_matches(img, img, a, b, matches, np.array([True]))
         red = (canvas[:, :, 0] > 0.8) & (canvas[:, :, 1] < 0.4)
         assert red[8, 3] and red[8, 16 + 12]

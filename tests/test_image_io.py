@@ -220,10 +220,14 @@ def corrupt_idat(blob: bytes) -> bytes:
 
 
 class TestHelpers:
-    def test_grayscale_weights(self):
+    def test_grayscale_weights(self, tmp_path):
         img = np.zeros((2, 2, 3))
         img[:, :, 1] = 1.0
-        np.testing.assert_allclose(image_io.to_grayscale(img), 0.587)
+        ppm, png = tmp_path / "green.ppm", tmp_path / "green.png"
+        write_pnm(ppm, img)
+        image_io.write_png(png, img)
+        for path in (ppm, png):
+            np.testing.assert_allclose(image_io.read_image(path), 0.587)
 
     def test_resize_identity(self):
         rng = np.random.default_rng(6)
@@ -237,9 +241,3 @@ class TestHelpers:
         assert out.shape == (16, 24)
         np.testing.assert_allclose(out, 0.37, atol=1e-12)
 
-    def test_resize_channels(self):
-        rng = np.random.default_rng(7)
-        img = rng.random((6, 6, 3))
-        out = image_io.resize_bilinear(img, (12, 8))
-        assert out.shape == (12, 8, 3)
-        assert out.min() >= 0.0 and out.max() <= 1.0

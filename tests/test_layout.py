@@ -1,9 +1,13 @@
-"""Dead-code guard for the library.
+"""Dead-code guards for the library.
 
 Every top-level function or class in ``src/pointprops/*.py`` must be named
 somewhere else in the package (an ``ast.Name`` or ``ast.Attribute``) or be
 exported in ``pointprops.__all__``. Code that only tests call belongs in
 ``tests/``. ``oracle.py`` is exempt: it is the brute-force reference module.
+
+Every field of a ``@dataclass`` in the package must be read as an attribute
+(a loaded ``ast.Attribute``) somewhere in the package: a field that is only
+written is state nothing uses.
 """
 
 import ast
@@ -15,9 +19,13 @@ SRC = Path(pointprops.__file__).resolve().parent
 EXEMPT = {"oracle.py"}
 
 
+def _parse(src):
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(src.glob("*.py"))}
+
+
 def unreferenced_definitions(src=SRC):
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(src.glob("*.py"))}
+    trees = _parse(src)
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -46,3 +54,38 @@ def test_guard_flags_an_unused_function(tmp_path):
         "def used():\n    return 1\n\n\ndef unused():\n    return used()\n"
     )
     assert unreferenced_definitions(tmp_path) == ["mod.py:5 unused"]
+
+
+def _is_dataclass(node):
+    return any((isinstance(d, ast.Name) and d.id == "dataclass")
+               or (isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass")
+               for d in node.decorator_list)
+
+
+def unread_dataclass_fields(src=SRC):
+    trees = _parse(src)
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for filename, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                        and node.target.id not in read):
+                    unread.append(f"{filename}:{node.lineno} {cls.name}.{node.target.id}")
+    return unread
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_dataclass_fields() == []
+
+
+def test_guard_flags_an_unread_field(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Box:\n    read: int\n    written: int\n\n\n"
+        "def size(box):\n    box.written = 2\n    return box.read\n"
+    )
+    assert unread_dataclass_fields(tmp_path) == ["mod.py:7 Box.written"]

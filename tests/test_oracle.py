@@ -2,18 +2,15 @@ import numpy as np
 import pytest
 
 from pointprops import em, oracle
-from test_properties import sparsity_brute_force
 
 
-def make_instance(n, n_min, n_max, seed=0, coords=None, rad=1):
+def make_instance(n, n_min, n_max, seed=0):
     rng = np.random.default_rng(seed)
     return oracle.TinyInstance(
         r=rng.uniform(0.2, 0.8, size=n),
         n_min=n_min,
         n_max=n_max,
         c_tilde=np.exp(rng.uniform(-0.6, 0.0, size=n)),
-        coords=coords,
-        rad=rad,
     )
 
 
@@ -62,39 +59,6 @@ class TestEnumerateReducedSpace:
         inst.r = np.full(21, 0.5)  # bypass constructor cap to hit the op guard
         with pytest.raises(ValueError):
             oracle.enumerate_reduced_space(inst, np.ones(21, dtype=bool))
-
-
-class TestEnumerateFullSpace:
-    def test_conflicting_pair_leaves_singletons(self):
-        coords = np.array([[0, 0], [1, 1]])
-        inst = make_instance(2, 0, 3, coords=coords, rad=2)
-        space = oracle.enumerate_full_space(inst)
-        assert len(space) == 2
-        assert all(int(mask.sum()) == 1 for mask in space)
-
-    def test_distant_points_match_reduced_space(self):
-        coords = np.array([[0, 0], [0, 10], [10, 0], [10, 10]])
-        inst = make_instance(4, 0, 4, coords=coords, rad=2)
-        full = oracle.enumerate_full_space(inst)
-        reduced = oracle.enumerate_reduced_space(inst, np.ones(4, dtype=bool))
-        key = lambda mask: tuple(int(b) for b in mask)
-        assert sorted(map(key, full)) == sorted(map(key, reduced))
-
-    def test_every_mask_is_locally_sparse_on_grid(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            coords = rng.integers(0, 10, size=(8, 2))
-            inst = make_instance(8, 0, 4, seed=int(rng.integers(1 << 30)),
-                                 coords=coords, rad=2)
-            for mask in oracle.enumerate_full_space(inst):
-                grid = np.zeros((10, 10), dtype=bool)
-                for (row, col), bit in zip(coords, mask):
-                    if bit:
-                        grid[row, col] = True
-                # duplicated coordinates collapse on the grid; skip those draws
-                if grid.sum() != mask.sum():
-                    continue
-                np.testing.assert_array_equal(sparsity_brute_force(grid, rad=2), grid)
 
 
 class TestExactPosterior:
@@ -162,18 +126,6 @@ class TestExactExpectation:
         a = oracle.exact_expectation(inst, space)
         b = oracle.exact_expectation(inst, list(reversed(space)))
         assert a == pytest.approx(b, abs=1e-12)
-
-    def test_mask_dependent_discriminability_evaluator(self):
-        # with c_fn the weights depend on each mask; spot-check one mask by hand
-        r = np.array([0.5, 0.6, 0.7])
-
-        def c_fn(mask):
-            return np.full(3, 0.5 + 0.1 * int(mask.sum()))
-
-        inst = oracle.TinyInstance(r=r, n_min=0, n_max=4, c_fn=c_fn)
-        mask = np.array([True, False, True])
-        expected = np.log(0.5) + np.log(0.7) + np.log1p(-0.6) + 2 * np.log(0.7)
-        assert oracle.log_likelihood_of_mask(inst, mask) == pytest.approx(expected, 1e-12)
 
 
 class TestGuards:
