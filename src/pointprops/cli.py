@@ -221,15 +221,14 @@ def _pairs_from_directory(run: RunConfig):
     images, names = _load_gray_images(run.images_dir)
     pairs = []
     for idx, (img, name) in enumerate(zip(images, names)):
-        padded, _ = image_io.pad_to_multiple_of_4(img)
         for k in range(run.eval.pairs_per_image):
             rng = np.random.default_rng(
                 np.random.SeedSequence([run.train.seed, idx, k, 0xE7A1])
             )
             _, warped, hom = simulate.make_pair(
-                padded, rng, run.train.illumination, run.train.viewpoint
+                img, rng, run.train.illumination, run.train.viewpoint
             )
-            pairs.append((f"{name}#{k}", padded, warped, hom))
+            pairs.append((f"{name}#{k}", img, warped, hom))
     return pairs, 0
 
 

@@ -18,8 +18,11 @@ Convolutions use reflection padding so image borders carry no constant frame
 cue. No convolution builds a (H*W, C*9) patch matrix or a per-tap product
 buffer: flattened at its row stride, the padded input holds each of the 9
 taps as one contiguous row slice, so ``_conv3`` sums 9 row-offset GEMMs, one
-band of rows at a time, and the training tape keeps only each conv's padded
-input.
+band of rows at a time. Each layer writes its output into the array its
+consumer reads, so a conv's ReLU output is the interior of the next conv's
+padded input; the training tape keeps those padded inputs, and the
+tape-free (inference) forward takes its arrays from a workspace kept per
+thread (``_workspace``).
 The detection head needs the full-resolution skip: without it the head only
 sees 4x-upsampled features and cannot localize maxima to the pixel, which
 the selection step requires. The per-image logit standardization
@@ -30,7 +33,10 @@ suppression would reject.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,23 +147,21 @@ def _bands(n_rows: int, row_bytes: int):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _reflect_pad(x: np.ndarray) -> np.ndarray:
-    """Pad (H, W, C) by one reflected pixel on each side, as
-    ``np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="reflect")`` does: a 1-pixel
-    axis repeats its pixel."""
-    h, w, c = x.shape
-    xp = np.empty((h + 2, w + 2, c))
-    xp[1:-1, 1:-1] = x
-    xp[0, 1:-1] = x[min(1, h - 1)]
-    xp[-1, 1:-1] = x[max(h - 2, 0)]
+def _reflect_border(xp: np.ndarray) -> None:
+    """Fill the 1-pixel border of a padded (H+2, W+2, C) array from its
+    interior, in place, so that it equals ``np.pad(interior, ((1, 1), (1, 1),
+    (0, 0)), mode="reflect")``: a 1-pixel axis repeats its pixel."""
+    h, w = xp.shape[0] - 2, xp.shape[1] - 2
+    xp[0, 1:-1] = xp[1 + min(1, h - 1), 1:-1]
+    xp[-1, 1:-1] = xp[1 + max(h - 2, 0), 1:-1]
     xp[:, 0] = xp[:, 1 + min(1, w - 1)]
     xp[:, -1] = xp[:, 1 + max(w - 2, 0)]
-    return xp
 
 
 def _reflect_fold(dxp: np.ndarray) -> np.ndarray:
-    """Adjoint of ``_reflect_pad``: adds each pad pixel's gradient onto the
-    pixel it copies (in place) and returns the (H, W, C) interior."""
+    """Adjoint of the reflect padding that ``_reflect_border`` completes: adds
+    each pad pixel's gradient onto the pixel it copies (in place) and returns
+    the (H, W, C) interior."""
     h, w = dxp.shape[0] - 2, dxp.shape[1] - 2
     dxp[1 + min(1, h - 1)] += dxp[0]
     dxp[1 + max(h - 2, 0)] += dxp[-1]
@@ -209,9 +213,21 @@ def _shifted_gemm(src, offsets, taps, out, scratch) -> None:
             out += product
 
 
-def _conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 conv, stride 1, channels-last, of a reflect-padded (H+2, W+2, Cin)
-    input ``xp = _reflect_pad(x)``; returns the (H, W, Cout) output.
+def _conv3_bands(h: int, wp: int, cin: int, cout: int):
+    """Output row bands of a conv on an (h + 2, wp, cin) padded input, and
+    the floats of scratch and of accumulator that its largest band needs."""
+    width = _scratch_width(cin, cout)
+    bands = _bands(h, 8 * wp * width)  # 8 bytes per float64
+    rows = max(i1 - i0 for i0, i1 in bands) * wp
+    return bands, rows * width, rows * cout
+
+
+def _conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
+           relu: bool, scratch: np.ndarray, acc: np.ndarray) -> None:
+    """3x3 conv, stride 1, channels-last, of a contiguous reflect-padded
+    (H+2, W+2, Cin) input ``xp``, written into ``out`` (H, W, Cout), through
+    a ReLU where ``relu``. ``out`` may be a strided view, such as the
+    interior of the next conv's padded input.
 
     Reflection padding keeps border responses content-driven; zero padding
     would hand the detector a constant frame cue.
@@ -221,9 +237,10 @@ def _conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     slice at offset ki*(W+2) + kj, so the output rows are
     ``sum_t xp[o_t : o_t + n] @ W_t`` (``_shifted_gemm``); the 2 rows that
     wrap round each image row are computed and dropped. This runs one band
-    of output rows (``_bands``) at a time through buffers local to the call,
-    so no whole-image intermediate is held and concurrent calls share
-    nothing.
+    of output rows at a time through the flat buffers ``scratch`` and
+    ``acc``, of at least the floats ``_conv3_bands`` gives, and adds the
+    bias (then takes the ReLU) band by band in ``out``, so no whole-image
+    intermediate is held.
     """
     hp, wp, cin = xp.shape
     h, wid = hp - 2, wp - 2
@@ -231,24 +248,22 @@ def _conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     src = xp.reshape(-1, cin)
     taps = w.transpose(2, 3, 1, 0).reshape(9, cin, cout)
     offsets = _tap_offsets(wp)
-    width = _scratch_width(cin, cout)
-    bands = _bands(h, 8 * wp * width)  # 8 bytes per float64
-    rows = max(i1 - i0 for i0, i1 in bands) * wp
-    scratch = np.empty(rows * width)
-    acc = np.empty((rows, cout))
-    out = np.empty((h, wid, cout))
+    bands, _, acc_size = _conv3_bands(h, wp, cin, cout)
+    acc = acc[:acc_size].reshape(-1, cout)
     for i0, i1 in bands:
         m = (i1 - i0) * wp
         _shifted_gemm(src[i0 * wp :], offsets, taps, acc[: m - 2], scratch)
-        np.add(acc[:m].reshape(i1 - i0, wp, cout)[:, :wid], b, out=out[i0:i1])
-    return out
+        band = out[i0:i1]
+        np.add(acc[:m].reshape(i1 - i0, wp, cout)[:, :wid], b, out=band)
+        if relu:
+            np.maximum(band, 0.0, out=band)
 
 
 def _conv3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
                     input_grad: bool = True):
-    """Returns (dw, db, dx) of ``_conv3(xp, w, b)``, with dx the gradient of
-    the unpadded input (the reflect fold of the padded one), or None
-    without ``input_grad``.
+    """Returns (dw, db, dx) of ``_conv3(xp, w, b, ...)`` without its ReLU,
+    with dx the gradient of the unpadded input (the reflect fold of the
+    padded one), or None without ``input_grad``.
 
     The upstream gradient is laid out at the padded row stride W+2 inside a
     frame of zeros, G, whose zero columns also fill the rows that wrap round.
@@ -289,14 +304,20 @@ def _conv3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
     return dw, db, _reflect_fold(dxp)
 
 
-def _maxpool2(x: np.ndarray):
-    """2x2 stride-2 max pool; returns (out, argmax) with argmax over the 4 cells."""
+def _maxpool2(x: np.ndarray, out: np.ndarray) -> None:
+    """2x2 stride-2 max pool of (H, W, C) ``x``, written into ``out``
+    (H/2, W/2, C) as the max of the 4 strided views of the cells."""
+    np.maximum(x[0::2, 0::2], x[0::2, 1::2], out=out)
+    np.maximum(out, x[1::2, 0::2], out=out)
+    np.maximum(out, x[1::2, 1::2], out=out)
+
+
+def _maxpool2_argmax(x: np.ndarray) -> np.ndarray:
+    """Which of the 4 cells of each 2x2 block of (H, W, C) ``x`` holds its
+    max, the first on ties: the cell ``_maxpool2_backward`` routes to."""
     h, w, c = x.shape
     blocks = x.reshape(h // 2, 2, w // 2, 2, c).transpose(0, 2, 1, 3, 4)
-    blocks = blocks.reshape(h // 2, w // 2, 4, c)
-    arg = blocks.argmax(axis=2)
-    out = np.take_along_axis(blocks, arg[:, :, None, :], axis=2)[:, :, 0, :]
-    return out, arg
+    return blocks.reshape(h // 2, w // 2, 4, c).argmax(axis=2)
 
 
 def _maxpool2_backward(grad_out: np.ndarray, arg: np.ndarray, in_shape):
@@ -307,14 +328,23 @@ def _maxpool2_backward(grad_out: np.ndarray, arg: np.ndarray, in_shape):
     return dblocks.reshape(h, w, c)
 
 
-def _apply_rowcol(mat_h: np.ndarray, x: np.ndarray, mat_w: np.ndarray) -> np.ndarray:
-    """out[i, j, c] = sum_h sum_w mat_h[i, h] * x[h, w, c] * mat_w[j, w]."""
+def _apply_rowcol(mat_h: np.ndarray, x: np.ndarray, mat_w: np.ndarray,
+                  tall=None, turned=None, wide=None) -> np.ndarray:
+    """out[i, j, c] = sum_h sum_w mat_h[i, h] * x[h, w, c] * mat_w[j, w].
+
+    Two GEMMs, over rows and then over columns, with a transposed copy
+    between them. They write into ``tall`` (I, W*C), ``turned`` (W, I*C)
+    and ``wide`` (J, I*C) where given, else into fresh arrays; the result is
+    an (I, J, C) view of ``wide``.
+    """
     h, w, c = x.shape
-    tall = (mat_h @ x.reshape(h, w * c)).reshape(-1, w, c)
-    wide = (mat_w @ tall.transpose(1, 0, 2).reshape(w, -1)).reshape(
-        mat_w.shape[0], tall.shape[0], c
-    )
-    return wide.transpose(1, 0, 2)
+    tall = np.matmul(mat_h, x.reshape(h, w * c), out=tall)
+    rows = tall.shape[0]
+    if turned is None:
+        turned = np.empty((w, rows * c))
+    turned.reshape(w, rows, c)[...] = tall.reshape(rows, w, c).transpose(1, 0, 2)
+    wide = np.matmul(mat_w, turned, out=wide)
+    return wide.reshape(-1, rows, c).transpose(1, 0, 2)
 
 
 def _upsample_matrix(n_in: int) -> np.ndarray:
@@ -322,8 +352,11 @@ def _upsample_matrix(n_in: int) -> np.ndarray:
     return image_io.resample_matrix(n_in, 4 * n_in)
 
 
-def _upsample4(x: np.ndarray) -> np.ndarray:
-    return _apply_rowcol(_upsample_matrix(x.shape[0]), x, _upsample_matrix(x.shape[1]))
+def _upsample4(x: np.ndarray, tall, turned, wide) -> np.ndarray:
+    """Bilinear x4 of (H, W, C) ``x``: a (4H, 4W, C) view of ``wide``
+    (``_apply_rowcol``)."""
+    return _apply_rowcol(_upsample_matrix(x.shape[0]), x, _upsample_matrix(x.shape[1]),
+                         tall, turned, wide)
 
 
 def _upsample4_backward(grad_out: np.ndarray, in_shape) -> np.ndarray:
@@ -356,12 +389,87 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _DiscardWrites(dict):
-    """Stands in for the cache when no backward pass will follow: every
-    ``cache[key] = value`` is dropped, so nothing outlives its layer."""
+# Resolution divisor of each conv layer's input: the encoder tail works at
+# 1/2, the description head at 1/4 of the image.
+_CONV_SCALE = {"enc1": 1, "enc2": 1, "enc3": 2, "enc4": 2,
+               "det1": 1, "det2": 1, "desc1": 4, "desc2": 4}
 
-    def __setitem__(self, key, value):
-        pass
+
+@functools.lru_cache(maxsize=16)
+def _layout(h: int, w: int, d: int) -> dict:
+    """Name -> (arena, offset, shape) of each array ``forward`` writes on an
+    (h, w) image at descriptor width d, the returned maps and small
+    temporaries aside. Offsets count floats within an arena.
+
+    The tape-free forward places every array at its offset in one buffer
+    (``_workspace``), so arrays whose lifetimes do not overlap share memory:
+
+    - arena "a" holds det1's padded input from enc2, which writes channels
+      16:24, to det1; then the description head's upsample;
+    - arena "b" holds one stage at a time: enc1 and enc2's padded inputs,
+      then enc3 and enc4's padded inputs and enc4's output (over enc3's
+      input, read by then), then the detection upsample, then det2's padded
+      input and the logits, then desc2's output;
+    - arena "c" holds the detection upsample's transposed copy, which lives
+      beside its two GEMM outputs in "b", and the description head's padded
+      inputs, which live from pool2 to desc2;
+    - arena "s" holds one band scratch and accumulator for every conv.
+
+    The taped forward takes a fresh array of each shape instead.
+    """
+    convs = {name: ((h // _CONV_SCALE[name] + 2, w // _CONV_SCALE[name] + 2, cin), cout)
+             for name, kind, cin, cout in topology(d) if kind.startswith("conv3x3")}
+    xp = {name: shape for name, (shape, _) in convs.items()}
+    size = {name: math.prod(shape) for name, shape in xp.items()}
+    work = [_conv3_bands(shape[0] - 2, shape[1], shape[2], cout)[1:]
+            for shape, cout in convs.values()]
+    scratch, acc = max(s for s, _ in work), max(a for _, a in work)
+    hw, w4 = h * w, w // 4
+    return {
+        "det1_xp": ("a", 0, xp["det1"]),
+        "desc_tall": ("a", 0, (h, w4 * d)),
+        "desc_wide": ("a", 0, (w, h * d)),  # over desc_tall, copied out by then
+        "desc_turned": ("a", hw * d, (w4, h * d)),
+        "enc2_xp": ("b", 0, xp["enc2"]),
+        "enc1_xp": ("b", size["enc2"], xp["enc1"]),
+        "enc4_xp": ("b", 0, xp["enc4"]),
+        "enc3_xp": ("b", size["enc4"], xp["enc3"]),
+        "enc4_out": ("b", size["enc4"], (h // 2, w // 2, 16)),
+        "det_tall": ("b", 0, (h, w4 * 16)),
+        "det_wide": ("b", 0, (w, h * 16)),
+        "det2_xp": ("b", 0, xp["det2"]),
+        "logits": ("b", size["det2"], (h, w, 1)),
+        "desc_raw": ("b", 0, (h // 4, w4, d)),
+        "det_turned": ("c", 0, (w4, h * 16)),
+        "desc1_xp": ("c", 4 * hw, xp["desc1"]),
+        "desc2_xp": ("c", 4 * hw + size["desc1"], xp["desc2"]),
+        "scratch": ("s", 0, (scratch,)),
+        "acc": ("s", scratch, (acc,)),
+    }
+
+
+_thread = threading.local()
+
+
+def _workspace(h: int, w: int, d: int) -> dict:
+    """This thread's tape-free forward arrays for an (h, w) image at
+    descriptor width d: views at their ``_layout`` offsets into one buffer,
+    kept across calls and rebuilt when the shape changes."""
+    key = (h, w, d)
+    if getattr(_thread, "key", None) != key:
+        _thread.key = _thread.arrays = None  # free the old buffer first
+        layout = _layout(h, w, d)
+        ends = {}
+        for arena, offset, shape in layout.values():
+            ends[arena] = max(ends.get(arena, 0), offset + math.prod(shape))
+        starts = dict(zip(ends, itertools.accumulate(ends.values(), initial=0)))
+        memory = np.empty(sum(ends.values()))
+        _thread.arrays = {
+            name: memory[starts[arena] + offset :][: math.prod(shape)].reshape(shape)
+            for name, (arena, offset, shape) in layout.items()
+        }
+        _thread.key = key
+    return _thread.arrays
 
 
 def forward(
@@ -370,13 +478,21 @@ def forward(
     """Evaluate the network on one image.
 
     ``image`` is (H, W) or (H, W, 1) with H and W divisible by 4. Pure
-    function of (params, image); the returned cache feeds ``backward`` and
-    holds each conv's reflect-padded input (``<layer>_xp``) and
-    pre-activation, not its patches. With ``keep_cache=False`` nothing is
-    written to the cache, so each padded input and pre-activation is freed
-    as soon as the next layer has consumed it; the maps are the same bits,
-    but ``backward`` rejects the output. Inference (eval, visualize,
-    detect) uses this.
+    function of (params, image). Each layer writes its output straight into
+    the array its consumer reads: a conv adds its bias and ReLU band by band
+    into the interior of the next conv's reflect-padded input, whose border
+    is then filled in place; enc2 and the upsampled encoding fill det1's
+    input side by side; the pools write into enc3's and desc1's inputs.
+
+    ``keep_cache`` decides only where those arrays come from. With it, they
+    are fresh, and the returned cache, which feeds ``backward``, keeps each
+    conv's padded input (``<layer>_xp``), enc4's output and the pool
+    argmaxes; each ReLU's mask is read back as ``post > 0`` from its
+    consumer's input. Without it (inference: eval, visualize, detect) they
+    are views into this thread's workspace (``_workspace``), reused by the
+    thread's next tape-free forward of the same shape, no argmax is taken,
+    and the cache is empty, so ``backward`` rejects the output. The maps are
+    the same bits either way, and are always fresh arrays.
     """
     x = np.asarray(image, dtype=float)
     if x.ndim == 2:
@@ -388,37 +504,62 @@ def forward(
         raise ValueError(f"expected 1 (grayscale) channel, got {c}")
 
     wts = params.weights
-    cache = {} if keep_cache else _DiscardWrites()
-    cache["image"] = x
+    if keep_cache:
+        layout = _layout(h, w, params.descriptor_dim)
 
-    def conv(name, inp):
-        xp = _reflect_pad(inp)
+        def take(name):
+            return np.empty(layout[name][2])
+    else:
+        take = _workspace(h, w, params.descriptor_dim).__getitem__
+    scratch, acc = take("scratch"), take("acc")
+    cache = {}
+
+    def conv(name, xp, out, relu=True):
         cache[name + "_xp"] = xp
-        return _conv3(xp, wts[name + "_w"], wts[name + "_b"])
+        _conv3(xp, wts[name + "_w"], wts[name + "_b"], out, relu, scratch, acc)
 
-    def conv_relu(name, inp):
-        pre = conv(name, inp)
-        cache[name + "_pre"] = pre
-        return np.maximum(pre, 0.0)
+    def pool(name, inp, out):
+        _maxpool2(inp, out)
+        if keep_cache:
+            cache[name + "_arg"], cache[name + "_shape"] = _maxpool2_argmax(inp), inp.shape
 
-    a1 = conv_relu("enc1", x)
-    a2 = conv_relu("enc2", a1)
-    p1, arg1 = _maxpool2(a2)
-    cache["pool1_arg"], cache["pool1_shape"] = arg1, a2.shape
-    a3 = conv_relu("enc3", p1)
-    a4 = conv_relu("enc4", a3)
-    p2, arg2 = _maxpool2(a4)
-    cache["pool2_arg"], cache["pool2_shape"] = arg2, a4.shape
-    cache["encoded"] = p2
+    xp1 = take("enc1_xp")
+    xp1[1:-1, 1:-1] = x
+    _reflect_border(xp1)
+    xp2 = take("enc2_xp")
+    conv("enc1", xp1, xp2[1:-1, 1:-1])
+    _reflect_border(xp2)
+    # det1's input: the upsampled encoding at channels 0:16, the full-res
+    # skip (enc2's output, which pool1 reads) at 16:24
+    det_xp = take("det1_xp")
+    a2 = det_xp[1:-1, 1:-1, 16:]
+    conv("enc2", xp2, a2)
+    xp3 = take("enc3_xp")
+    pool("pool1", a2, xp3[1:-1, 1:-1])
+    _reflect_border(xp3)
+    xp4 = take("enc4_xp")
+    conv("enc3", xp3, xp4[1:-1, 1:-1])
+    _reflect_border(xp4)
+    a4 = cache["enc4_out"] = take("enc4_out")
+    conv("enc4", xp4, a4)
+    xq1 = take("desc1_xp")
+    p2 = xq1[1:-1, 1:-1]
+    pool("pool2", a4, p2)
+    _reflect_border(xq1)
 
-    # detection head: upsampled encoding concatenated with the full-res skip,
-    # then convs at full resolution; logits are standardized per image (zero
-    # mean, unit variance) so probability mass can only be redistributed,
-    # never deflated or saturated globally (the stabilizing role of the
-    # omitted batch norm)
-    det_up = np.concatenate([_upsample4(p2), a2], axis=2)
-    d1 = conv_relu("det1", det_up)
-    logits = conv("det2", d1)[:, :, 0]
+    # detection head: convs at full resolution; logits are standardized per
+    # image (zero mean, unit variance) so probability mass can only be
+    # redistributed, never deflated or saturated globally (the stabilizing
+    # role of the omitted batch norm)
+    det_xp[1:-1, 1:-1, :16] = _upsample4(p2, take("det_tall"), take("det_turned"),
+                                         take("det_wide"))
+    _reflect_border(det_xp)
+    xd2 = take("det2_xp")
+    conv("det1", det_xp, xd2[1:-1, 1:-1])
+    _reflect_border(xd2)
+    logits = take("logits")
+    conv("det2", xd2, logits, relu=False)
+    logits = logits[:, :, 0]
     centered = logits - logits.mean()
     scale = np.sqrt((centered * centered).mean() + NORM_EPS)
     z = centered / scale
@@ -427,15 +568,18 @@ def forward(
     cache["logit_z"], cache["logit_scale"] = z, scale
 
     # description head: convs at quarter resolution, normalize, upsample, renormalize
-    e1 = conv_relu("desc1", p2)
-    raw = conv("desc2", e1)
+    xq2 = take("desc2_xp")
+    conv("desc1", xq1, xq2[1:-1, 1:-1])
+    _reflect_border(xq2)
+    raw = take("desc_raw")
+    conv("desc2", xq2, raw, relu=False)
     unit_q, norm_q = _l2norm(raw)
     cache["desc_unit_q"], cache["desc_norm_q"] = unit_q, norm_q
-    up = _upsample4(unit_q)
+    up = _upsample4(unit_q, take("desc_tall"), take("desc_turned"), take("desc_wide"))
     unit_f, norm_f = _l2norm(up)
     cache["desc_unit_f"], cache["desc_norm_f"] = unit_f, norm_f
 
-    return ModelOutput(prob_map=prob, desc_field=unit_f, cache=cache)
+    return ModelOutput(prob_map=prob, desc_field=unit_f, cache=cache if keep_cache else {})
 
 
 def backward(
@@ -472,8 +616,12 @@ def backward(
         grads[name + "_b"] += db
         return dx
 
-    def conv_relu_backward(name, grad_post, input_grad=True):
-        return conv_backward(name, grad_post * (cache[name + "_pre"] > 0.0), input_grad)
+    def conv_relu_backward(name, grad_post, post, input_grad=True):
+        # post > 0 is the same mask as pre > 0, as post = max(pre, 0)
+        return conv_backward(name, grad_post * (post > 0.0), input_grad)
+
+    def interior(key):
+        return cache[key][1:-1, 1:-1]
 
     # detection head (standardization backward: remove the gradient's mean
     # and its projection onto the standardized field, then unscale)
@@ -482,8 +630,9 @@ def backward(
     g = grad_prob * prob * (1.0 - prob)
     g = (g - g.mean() - z * (g * z).mean()) / scale
     g = conv_backward("det2", g[:, :, None])
-    g = conv_relu_backward("det1", g)  # (H, W, 16 + 8): upsampled part + skip
-    g_enc = _upsample4_backward(g[:, :, :16], cache["encoded"].shape)
+    g = conv_relu_backward("det1", g, interior("det2_xp"))  # (H, W, 16 + 8)
+    encoded = interior("desc1_xp")
+    g_enc = _upsample4_backward(g[:, :, :16], encoded.shape)
     g_skip = g[:, :, 16:]
 
     # description head
@@ -491,15 +640,16 @@ def backward(
     g = _upsample4_backward(g, cache["desc_unit_q"].shape)
     g = _l2norm_backward(g, cache["desc_unit_q"], cache["desc_norm_q"])
     g = conv_backward("desc2", g)
-    g_enc = g_enc + conv_relu_backward("desc1", g)
+    g_enc = g_enc + conv_relu_backward("desc1", g, interior("desc2_xp"))
 
     # shared encoder; the skip gradient joins at the second encoder activation
     g = _maxpool2_backward(g_enc, cache["pool2_arg"], cache["pool2_shape"])
-    g = conv_relu_backward("enc4", g)
-    g = conv_relu_backward("enc3", g)
+    g = conv_relu_backward("enc4", g, cache["enc4_out"])
+    g = conv_relu_backward("enc3", g, interior("enc4_xp"))
     g = _maxpool2_backward(g, cache["pool1_arg"], cache["pool1_shape"]) + g_skip
-    g = conv_relu_backward("enc2", g)
-    conv_relu_backward("enc1", g, input_grad=False)  # nothing reads the image's gradient
+    g = conv_relu_backward("enc2", g, interior("det1_xp")[:, :, 16:])
+    # nothing reads the image's gradient
+    conv_relu_backward("enc1", g, interior("enc2_xp"), input_grad=False)
     return grads
 
 

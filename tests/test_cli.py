@@ -304,6 +304,33 @@ class TestEvalCommand:
             scored += len(pts_a)
         assert scored > 0
 
+    def test_images_directory_scores_no_points_in_the_edge_padding(self, tmp_path,
+                                                                   monkeypatch):
+        # self-pairs simulated from 62x61 images must keep the image's own
+        # size, so that the model's 64x64 edge pad is cropped off again
+        images = tmp_path / "crops"
+        images.mkdir()
+        for i, img in enumerate(shape_scenes(0, 6, 64)):
+            write_pnm(images / f"crop_{i}.pgm", img[:62, :61])
+        ckpt = tmp_path / "init.ckpt"
+        model.save_checkpoint(ckpt, model.init_params(0, 16))
+        scored = []
+        evaluate_pair = cli.evaluate_pair
+
+        def record(params, img_a, img_b, hom, eval_cfg, rad, pair_seed=0):
+            row, artifacts = evaluate_pair(params, img_a, img_b, hom, eval_cfg, rad, pair_seed)
+            scored.append((img_a.shape, artifacts[0].xy))
+            return row, artifacts
+
+        monkeypatch.setattr(cli, "evaluate_pair", record)
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--images", str(images),
+                         "--output", str(tmp_path / "eval")]) == 0
+        assert len(scored) == 6
+        for shape, xy in scored:
+            assert shape == (62, 61)
+            assert np.all(xy[:, 0] <= 60) and np.all(xy[:, 1] <= 61)
+        assert sum(len(xy) for _, xy in scored) > 0
+
 
 class TestPairListMutations:
     def test_each_mutant_line_parses_or_is_skipped_with_warning(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -164,6 +166,25 @@ def assert_close(actual, expected, rel=1e-12):
     assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
 
 
+def padded(x):
+    """The reflect-padded (H+2, W+2, C) input of a conv on x, filled in place."""
+    xp = np.empty((x.shape[0] + 2, x.shape[1] + 2, x.shape[2]))
+    xp[1:-1, 1:-1] = x
+    model._reflect_border(xp)
+    return xp
+
+
+def conv3(xp, wts, bias, out=None, relu=False):
+    """``model._conv3`` into ``out`` or a fresh array, through band buffers
+    of the size ``model._conv3_bands`` asks for."""
+    (hp, wp, cin), cout = xp.shape, wts.shape[0]
+    _, scratch, acc = model._conv3_bands(hp - 2, wp, cin, cout)
+    if out is None:
+        out = np.empty((hp - 2, wp - 2, cout))
+    model._conv3(xp, wts, bias, out, relu, np.empty(scratch), np.empty(acc))
+    return out
+
+
 def random_conv(h, w, cin, cout):
     rng = np.random.default_rng(h * w + cin * 31 + cout)
     return (rng.random((h, w, cin)), rng.normal(size=(cout, cin, 3, 3)),
@@ -182,14 +203,20 @@ class TestBandedConv:
     @pytest.mark.parametrize("h, w, cin, cout", SHAPES)
     def test_equals_one_full_matrix_gemm(self, h, w, cin, cout):
         x, wts, bias, _ = random_conv(h, w, cin, cout)
-        expected = (full_patch_matrix(x) @ wts.reshape(cout, -1).T + bias)
-        assert_close(model._conv3(model._reflect_pad(x), wts, bias),
-                     expected.reshape(h, w, cout))
+        expected = (full_patch_matrix(x) @ wts.reshape(cout, -1).T + bias).reshape(h, w, cout)
+        assert_close(conv3(padded(x), wts, bias), expected)
+        # through the ReLU into the interior of a wider padded array, as the
+        # forward writes each layer into its consumer's input
+        dest = np.full((h + 2, w + 2, cout + 3), np.nan)
+        conv3(padded(x), wts, bias, dest[1:-1, 1:-1, 3:], relu=True)
+        assert_close(dest[1:-1, 1:-1, 3:], np.maximum(expected, 0.0))
+        dest[1:-1, 1:-1, 3:] = np.nan
+        assert np.isnan(dest).all()
 
     @pytest.mark.parametrize("h, w, cin, cout", SHAPES)
     def test_backward_equals_hand_derived_gradients(self, h, w, cin, cout):
         x, wts, _, grad_out = random_conv(h, w, cin, cout)
-        got = model._conv3_backward(model._reflect_pad(x), wts, grad_out)
+        got = model._conv3_backward(padded(x), wts, grad_out)
         for actual, expected in zip(got, reference_conv3_backward(x, wts, grad_out)):
             assert_close(actual, expected)
 
@@ -197,7 +224,7 @@ class TestBandedConv:
     def test_small_shapes_match_naive_net(self, h, w, cin, cout):
         x, wts, bias, _ = random_conv(h, w, cin, cout)
         expected = naive_net.conv3(x, wts, bias)
-        assert_close(model._conv3(model._reflect_pad(x), wts, bias), expected)
+        assert_close(conv3(padded(x), wts, bias), expected)
 
     def test_shapes_cover_each_layout_with_one_and_several_bands(self, monkeypatch):
         # per conv call: (stacked layout?, more than one band?) of its
@@ -212,8 +239,8 @@ class TestBandedConv:
         monkeypatch.setattr(model, "_shifted_gemm", record)
         for shape in self.SHAPES:
             x, wts, bias, grad_out = random_conv(*shape)
-            xp = model._reflect_pad(x)
-            for run in (lambda: model._conv3(xp, wts, bias),
+            xp = padded(x)
+            for run in (lambda: conv3(xp, wts, bias),
                         lambda: model._conv3_backward(xp, wts, grad_out)):
                 calls.clear()
                 run()
@@ -224,6 +251,8 @@ class TestBandedConv:
     def test_taped_forward_keeps_only_padded_inputs(self):
         params = model.init_params(0, 16)
         out = model.forward(params, np.random.default_rng(0).random((64, 64)))
+        # each ReLU's mask is read back from its consumer's input
+        assert not [key for key in out.cache if key.endswith("_pre")]
         arrays = [v for v in out.cache.values() if isinstance(v, np.ndarray)]
         patch_widths = {9 * cin for _, kind, cin, _ in params.layer_topology
                         if kind.startswith("conv3x3")}
@@ -234,8 +263,10 @@ class TestBandedConv:
             while isinstance(a.base, np.ndarray):
                 a = a.base
             bases[id(a)] = a.nbytes
-        # padded inputs take 3.5 MiB; (H*W, 9*C) patch matrices would take 15.6
-        assert sum(bases.values()) < 6 * 2**20
+        # measured 2.499 MiB, of which the padded inputs take 1.7 MiB; with
+        # each pre-activation kept too it was 3.5 MiB, and (H*W, 9*C) patch
+        # matrices would take 15.6 MiB
+        assert sum(bases.values()) < 2.5 * 2**20
 
     def test_inference_forward_never_holds_a_whole_patch_matrix(self):
         params = model.init_params(0, 16)
@@ -246,9 +277,87 @@ class TestBandedConv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 60.2 MiB; a whole-image (rows, W+2, 9, Cout) tap-product
-        # buffer of det1 would add 42 MiB, its patch matrix 126.6 MiB
+        # measured 42.3 MiB with this thread's 29.6 MiB workspace built in
+        # the call, 12.4 MiB with it built before; a whole-image (rows, W+2,
+        # 9, Cout) tap-product buffer of det1 would add 42 MiB, its patch
+        # matrix 126.6 MiB
         assert peak < 64 * 2**20
+
+
+class TestWorkspace:
+    """The tape-free forward reuses one workspace per thread."""
+
+    def test_output_is_not_changed_by_a_later_forward_of_the_same_shape(self):
+        params = random_params(5, d=8)
+        rng = np.random.default_rng(6)
+        first, second = rng.random((2, 48, 64))
+        out = model.forward(params, first, keep_cache=False)
+        prob, desc = out.prob_map.copy(), out.desc_field.copy()
+        model.forward(params, second, keep_cache=False)
+        np.testing.assert_array_equal(out.prob_map, prob)
+        np.testing.assert_array_equal(out.desc_field, desc)
+        again = model.forward(params, first, keep_cache=False)
+        np.testing.assert_array_equal(again.prob_map, prob)
+        np.testing.assert_array_equal(again.desc_field, desc)
+
+    def test_interleaved_threads_get_the_serial_bits(self):
+        params = random_params(7, d=8)
+        rng = np.random.default_rng(8)
+        # more threads than cores; two share a shape, so one workspace shared
+        # across threads would mix their images
+        images = [rng.random(shape) for shape in [(64, 64), (48, 80), (64, 64), (16, 32)]]
+        serial = [model.forward(params, img, keep_cache=False) for img in images]
+        rounds = 4
+        barrier = threading.Barrier(len(images), timeout=60)
+        results = [[] for _ in images]
+
+        def worker(i):
+            for _ in range(rounds):
+                barrier.wait()
+                results[i].append(model.forward(params, images[i], keep_cache=False))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(images))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for expected, got in zip(serial, results):
+            assert len(got) == rounds
+            for out in got:
+                np.testing.assert_array_equal(out.prob_map, expected.prob_map)
+                np.testing.assert_array_equal(out.desc_field, expected.desc_field)
+
+    def test_second_forward_of_a_shape_allocates_little(self):
+        params = model.init_params(0, 16)
+        img = np.random.default_rng(0).random((240, 320))
+        peaks = []
+
+        def twice():
+            for _ in range(2):
+                tracemalloc.start()
+                try:
+                    model.forward(params, img, keep_cache=False)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+
+        # in a new thread, whose workspace starts empty
+        thread = threading.Thread(target=twice)
+        thread.start()
+        thread.join(120)
+        assert not thread.is_alive()
+        # measured 42.3 MiB, then 12.4 MiB: the second call reuses the
+        # thread's 29.6 MiB workspace and allocates little beside the 10 MiB
+        # of maps it returns
+        first, second = peaks
+        assert second < 14 * 2**20
+        assert first - second > 28 * 2**20
 
 
 class TestOnePixelAxes:
@@ -261,8 +370,10 @@ class TestOnePixelAxes:
     def test_pad_matches_np_pad_and_fold_is_its_adjoint(self, shape):
         rng = np.random.default_rng(sum(shape))
         x = rng.random(shape)
-        np.testing.assert_array_equal(
-            model._reflect_pad(x), np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="reflect"))
+        xp = np.full((shape[0] + 2, shape[1] + 2, shape[2]), np.nan)
+        xp[1:-1, 1:-1] = x
+        model._reflect_border(xp)
+        np.testing.assert_array_equal(xp, np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="reflect"))
         dxp = rng.normal(size=(shape[0] + 2, shape[1] + 2, shape[2]))
         source = np.pad(np.arange(shape[0] * shape[1]).reshape(shape[:2]), 1, mode="reflect")
         expected = np.zeros((shape[0] * shape[1], shape[2]))
