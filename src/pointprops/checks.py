@@ -60,7 +60,7 @@ def check_counts_vs_enumeration() -> CheckResult:
         except em.EmptySampleSpaceError:
             worst = max(worst, float(len(space) != 0))
             continue
-        with_point = sum(1 for mask in space if mask[0])
+        with_point = int(space[:, 0].sum())
         enum = (len(space), with_point, len(space) - with_point)
         worst = max(worst, float(counts.exact is None or tuple(counts.exact) != enum))
         if counts.exact is not None:
@@ -211,7 +211,7 @@ def check_expectation_identities() -> CheckResult:
         p = oracle.exact_posterior(inst, space)
         closed = float(np.sum(p * np.log(inst.r) + (1 - p) * np.log1p(-inst.r)))
         worst = max(worst, abs(value - closed))
-        reordered = oracle.exact_expectation(inst, list(reversed(space)))
+        reordered = oracle.exact_expectation(inst, space[::-1])
         worst = max(worst, abs(value - reordered))
     return CheckResult("expectation-identities", worst, 1e-12)
 

@@ -3,7 +3,7 @@
 Every top-level function or class in ``src/pointprops/*.py`` must be named
 somewhere else in the package (an ``ast.Name`` or ``ast.Attribute``) or be
 exported in ``pointprops.__all__``. Code that only tests call belongs in
-``tests/``. ``oracle.py`` is exempt: it is the brute-force reference module.
+``tests/``.
 
 Every field of a ``@dataclass`` in the package must be read as an attribute
 (a loaded ``ast.Attribute``) somewhere in the package: a field that is only
@@ -16,7 +16,6 @@ from pathlib import Path
 import pointprops
 
 SRC = Path(pointprops.__file__).resolve().parent
-EXEMPT = {"oracle.py"}
 
 
 def _parse(src):
@@ -35,8 +34,6 @@ def unreferenced_definitions(src=SRC):
                 referenced.add(node.attr)
     unused = []
     for filename, tree in trees.items():
-        if filename in EXEMPT:
-            continue
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and node.name not in referenced

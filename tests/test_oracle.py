@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import naive_oracle
 from pointprops import em, oracle
 
 
@@ -31,7 +32,7 @@ class TestEnumerateReducedSpace:
     def test_empty_feasible_range(self):
         inst = make_instance(3, 2, 3)
         space = oracle.enumerate_reduced_space(inst, np.array([True, True, False]))
-        assert space == []
+        assert len(space) == 0
 
     def test_count_matches_closed_form(self):
         rng = np.random.default_rng(9)
@@ -46,7 +47,7 @@ class TestEnumerateReducedSpace:
             try:
                 counts = em.log_count_sample_space(m, n_min, n_max)
             except (em.EmptySampleSpaceError, ValueError):
-                assert space == []
+                assert len(space) == 0
                 continue
             with_point = 0
             if m:
@@ -59,6 +60,16 @@ class TestEnumerateReducedSpace:
         inst.r = np.full(21, 0.5)  # bypass constructor cap to hit the op guard
         with pytest.raises(ValueError):
             oracle.enumerate_reduced_space(inst, np.ones(21, dtype=bool))
+
+    def test_rejects_short_candidate_mask(self):
+        inst = make_instance(4, 0, 5)
+        with pytest.raises(ValueError, match=r"yhat has shape \(2,\); the instance has 4"):
+            oracle.enumerate_reduced_space(inst, np.ones(2, dtype=bool))
+
+    def test_rejects_long_candidate_mask(self):
+        inst = make_instance(4, 0, 5)
+        with pytest.raises(ValueError, match=r"yhat has shape \(6,\); the instance has 4"):
+            oracle.enumerate_reduced_space(inst, np.ones(6, dtype=bool))
 
 
 class TestExactPosterior:
@@ -85,7 +96,7 @@ class TestExactPosterior:
             n_max = n_min + int(rng.integers(2, n - n_min + 1))
             inst = make_instance(n, n_min, n_max, seed=int(rng.integers(1 << 30)))
             space = oracle.enumerate_reduced_space(inst, np.ones(n, dtype=bool))
-            if not space:
+            if len(space) == 0:
                 continue
             p = oracle.exact_posterior(inst, space)
             assert np.all((p >= 0) & (p <= 1))
@@ -134,7 +145,57 @@ class TestGuards:
             oracle.TinyInstance(r=np.full(21, 0.5), n_min=0, n_max=5,
                                 c_tilde=np.ones(21))
 
+    def test_rejects_shorter_discriminability(self):
+        with pytest.raises(ValueError, match=r"c_tilde has shape \(3,\); r has shape \(4,\)"):
+            oracle.TinyInstance(r=np.full(4, 0.5), n_min=0, n_max=5, c_tilde=np.ones(3))
+
+    def test_rejects_broadcast_discriminability(self):
+        with pytest.raises(ValueError, match=r"c_tilde has shape \(1,\); r has shape \(4,\)"):
+            oracle.TinyInstance(r=np.full(4, 0.5), n_min=0, n_max=5, c_tilde=np.ones(1))
+
     def test_rejects_degenerate_rates(self):
         with pytest.raises(ValueError):
             oracle.TinyInstance(r=np.array([0.0, 0.5]), n_min=0, n_max=2,
                                 c_tilde=np.ones(2))
+
+
+class TestMatchesNaiveOracle:
+    """The matrix oracle against the mask-by-mask walk, bit for bit."""
+
+    @staticmethod
+    def windows(m):
+        # wide and clipped by the support size, narrow inside it, a single
+        # count, and empty (no count strictly inside the bounds)
+        return [(0, m + 3), (0, m + 1), (max(m - 4, 0), m), (max(m // 2 - 1, 0), m // 2 + 1),
+                (m, m + 4), (2, 3)]
+
+    def test_support_sizes_with_gaps(self):
+        rng = np.random.default_rng(12)
+        compared, empty = 0, 0
+        for m in range(13):
+            n = min(m + int(rng.integers(0, 6)), oracle.MAX_POINTS)
+            yhat = np.zeros(n, dtype=bool)
+            yhat[rng.choice(n, size=m, replace=False)] = True
+            for n_min, n_max in self.windows(m):
+                inst = oracle.TinyInstance(
+                    r=rng.uniform(0.05, 0.95, size=n), n_min=n_min, n_max=n_max,
+                    c_tilde=np.exp(rng.uniform(-3.0, 0.0, size=n)),
+                )
+                space = oracle.enumerate_reduced_space(inst, yhat)
+                masks = naive_oracle.enumerate_reduced_space(inst, yhat)
+                assert space.dtype == bool and space.shape == (len(masks), n)
+                np.testing.assert_array_equal(space, np.reshape(masks, (len(masks), n)))
+                if not masks:
+                    with pytest.raises(ValueError, match="empty sample space"):
+                        oracle.exact_posterior(inst, space)
+                    with pytest.raises(ValueError, match="empty sample space"):
+                        oracle.exact_expectation(inst, space)
+                    empty += 1
+                    continue
+                for rows, listed in ((space, masks), (space[::-1], masks[::-1])):
+                    assert np.array_equal(oracle.exact_posterior(inst, rows),
+                                          naive_oracle.exact_posterior(inst, listed))
+                    assert (oracle.exact_expectation(inst, rows)
+                            == naive_oracle.exact_expectation(inst, listed))
+                compared += 1
+        assert compared >= 40 and empty >= 13
