@@ -251,12 +251,14 @@ def check_model_gradients(seed=106, per_layer=8, step=1e-5) -> CheckResult:
     image = rng.random((8, 8))
     out = model.forward(params, image)
     grad_prob = rng.normal(size=out.prob_map.shape)
-    grad_desc = rng.normal(size=out.desc_field.shape)
-    grads = model.backward(params, out, grad_prob, grad_desc)
+    # a descriptor gradient at every pixel, in raster order
+    rows, cols = np.indices(image.shape).reshape(2, -1)
+    grad_desc = rng.normal(size=image.shape + (params.descriptor_dim,)).reshape(rows.size, -1)
+    grads = model.backward(params, out, grad_prob, (rows, cols, grad_desc))
 
     def objective(p):
         o = model.forward(p, image, keep_cache=False)
-        return float((grad_prob * o.prob_map).sum() + (grad_desc * o.desc_field).sum())
+        return float((grad_prob * o.prob_map).sum() + (grad_desc * o.describe(rows, cols)).sum())
 
     entries = list(_sample_entries(params, sorted(params.weights), per_layer, rng))
     assert len(entries) >= 100
@@ -335,7 +337,8 @@ def descriptor_chain_objective(params, scene, state, cfg):
 def check_detector_chain(step=1e-5) -> CheckResult:
     scene, state, params, cfg = toy_scene_state()
     prob_up = em.detector_gradient_coefficients(state, scene)
-    desc_up = np.zeros((scene.num_views, *scene.outputs[0].desc_field.shape))
+    no_points = np.zeros(0, dtype=int)
+    desc_up = [(no_points, no_points, np.zeros((0, params.descriptor_dim)))] * scene.num_views
     keys = ["enc1_w", "enc2_w", "enc3_w", "enc4_w", "det1_w", "det2_w", "det2_b"]
     worst = _chain_deviation(scene, params, prob_up, desc_up,
                              lambda p: detector_chain_objective(p, scene, state, cfg),

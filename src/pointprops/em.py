@@ -241,31 +241,35 @@ def detector_gradient_coefficients(state: LatentState, scene):
 
 
 def descriptor_field_gradients(state: LatentState, scene, cfg: PropertyConfig):
-    """Ascent-direction upstream gradients on each view's descriptor field.
+    """Ascent-direction upstream gradients on each view's descriptors, at
+    points.
 
     Chains alpha * p_i through the margin's hinge gates into every descriptor
-    row the margin touches, then scatters to view pixels. A margin above the
-    logged cap margin_max passes no gradient; at the cap it passes through.
+    row the margin touches. Returns one (rows, cols, grads) per view: the
+    view pixels of the selected points that the view observes and their
+    (n_j, d) gradients, as ``model.backward`` takes them; points that share
+    a view pixel stay separate, and the backward adds them up. A margin
+    above the logged cap margin_max passes no gradient; at the cap it
+    passes through.
     """
-    shape = scene.outputs[0].desc_field.shape
-    grads = [np.zeros(shape) for _ in range(scene.num_views)]
     if state.num_selected < 2:
-        return grads
-    sel = state.sel_rows, state.sel_cols
-    weights = np.where(state.h[sel] <= cfg.margin_max, cfg.alpha * state.p[sel], 0.0)
-    row_grads = properties.margin_gradients(
-        state.sel_descriptors, state.sel_valid, cfg, weights
-    )
+        row_grads = np.zeros_like(state.sel_descriptors)
+    else:
+        sel = state.sel_rows, state.sel_cols
+        weights = np.where(state.h[sel] <= cfg.margin_max, cfg.alpha * state.p[sel], 0.0)
+        row_grads = properties.margin_gradients(
+            state.sel_descriptors, state.sel_valid, cfg, weights
+        )
     view_rows = scene.map_rows[:, state.sel_rows, state.sel_cols]
     view_cols = scene.map_cols[:, state.sel_rows, state.sel_cols]
-    for grad, rr, cc, rows_j, vj in zip(grads, view_rows, view_cols, row_grads, state.sel_valid):
-        np.add.at(grad, (rr[vj], cc[vj]), rows_j[vj])
-    return grads
+    return [(rr[vj], cc[vj], rows_j[vj])
+            for rr, cc, rows_j, vj in zip(view_rows, view_cols, row_grads, state.sel_valid)]
 
 
 def backward_views(params, outputs, prob_up, desc_up):
-    """Summed ``model.backward`` of each view's upstream maps, accumulated
-    in view order 0..J-1 so training is deterministic."""
+    """Summed ``model.backward`` of each view's upstream gradients (a
+    probability map and descriptor gradients at points), accumulated in view
+    order 0..J-1 so training is deterministic."""
     total = model.zero_grads(params)
     for out, grad_prob, grad_desc in zip(outputs, prob_up, desc_up):
         model.accumulate_grads(total, model.backward(params, out, grad_prob, grad_desc))

@@ -59,15 +59,13 @@ def extract_points(
     prob = output.prob_map
     keep = (prob > neighborhood_max(prob, rad)) & (prob > prob_threshold)
     rows, cols = np.nonzero(keep)
-    if rows.size == 0:
-        return PointSet.empty(output.desc_field.shape[-1])
     scores = prob[rows, cols]
     order = np.argsort(-scores, kind="stable")[:max_points]
     rows, cols, scores = rows[order], cols[order], scores[order]
     return PointSet(
         xy=np.stack([cols, rows], axis=1).astype(float),
         scores=scores,
-        descriptors=output.desc_field[rows, cols].copy(),
+        descriptors=output.describe(rows, cols),
     )
 
 
@@ -169,16 +167,24 @@ def _normalizations(points: np.ndarray) -> np.ndarray:
 
 
 def _svd_stack(rows: np.ndarray):
-    """Singular values and V^T of each matrix; NaN where the SVD fails."""
+    """Singular values and the (9, 9) V^T of each (2m, 9) matrix; NaN where
+    the SVD fails.
+
+    U is never used, so it is only as wide as V^T needs: the full SVD only
+    for minimal 4-point samples (8 rows), whose null vector is the 9th row
+    of the full V^T. A refit on m points would otherwise build a (2m, 2m) U,
+    32 MB at 1,000 matches.
+    """
+    full = rows.shape[1] < rows.shape[2]
     try:
-        _, sing, vt = np.linalg.svd(rows)
+        _, sing, vt = np.linalg.svd(rows, full_matrices=full)
         return sing, vt
     except np.linalg.LinAlgError:  # isolate the matrices that did not converge
         sing = np.full((len(rows), min(rows.shape[1:])), np.nan)
         vt = np.full((len(rows), 9, 9), np.nan)
         for k, a in enumerate(rows):
             try:
-                _, sing[k], vt[k] = np.linalg.svd(a)
+                _, sing[k], vt[k] = np.linalg.svd(a, full_matrices=full)
             except np.linalg.LinAlgError:
                 pass
         return sing, vt

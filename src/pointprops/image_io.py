@@ -36,18 +36,29 @@ def read_image(path) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)  # bounded: training images may come in many sizes
-def resample_matrix(n_in: int, n_out: int) -> np.ndarray:
-    """Dense 1-D bilinear interpolation operator (n_out, n_in), read-only.
+def resample_taps(n_in: int, n_out: int):
+    """The two taps of 1-D bilinear interpolation, read-only (n_out,) arrays
+    (i0, i1, t): output sample i is (1 - t[i]) * x[i0[i]] + t[i] * x[i1[i]].
 
     Output sample i reads the source at (i + 0.5) * n_in / n_out - 0.5,
-    clamped to the valid range. The model's x4 upsampling uses the same
-    operator and its transpose for the backward pass.
+    clamped to the valid range, so i1 = i0 and t = 0 at a clamped end.
     """
     src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     i0 = np.floor(src).astype(int)
     i1 = np.minimum(i0 + 1, n_in - 1)
     t = src - i0
+    for arr in (i0, i1, t):
+        arr.flags.writeable = False
+    return i0, i1, t
+
+
+@lru_cache(maxsize=64)
+def resample_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """Dense 1-D bilinear interpolation operator (n_out, n_in), read-only:
+    ``resample_taps`` as a matrix. The model's x4 detection upsample uses it
+    and its transpose for the backward pass."""
+    i0, i1, t = resample_taps(n_in, n_out)
     mat = np.zeros((n_out, n_in))
     rows = np.arange(n_out)
     np.add.at(mat, (rows, i0), 1.0 - t)

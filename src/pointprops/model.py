@@ -2,8 +2,10 @@
 
 The network shares one encoder between two heads. The detection head emits a
 per-pixel interest probability in (0, 1); the description head emits a
-per-pixel unit-norm description vector. Everything is plain numpy so the
-backward pass is exact and checkable against finite differences.
+quarter-resolution map of unit-norm description vectors, from which
+``ModelOutput.describe`` gives the description of any image point. Everything
+is plain numpy so the backward pass is exact and checkable against finite
+differences.
 
 Architecture (all convs 3x3, stride 1, pad 1; ReLU after every conv except
 head outputs):
@@ -12,7 +14,15 @@ head outputs):
     detection:    [bilinear x4 of the encoding, skip-concat of the full-res
                    second encoder activation], conv(24->8), conv(8->1),
                    standardize logits, sigmoid
-    description:  conv(16->16), conv(16->d), L2 normalize, bilinear x4, renormalize
+    description:  conv(16->16), conv(16->d), L2 normalize  (the (H/4, W/4, d) map)
+                  at points only: bilinear x4, renormalize  (``describe``)
+
+Every consumer reads descriptors at points (the E-step's candidates, eval's
+extracted points), so no full-resolution descriptor field is built: the
+forward stops at the quarter-resolution map, ``describe`` interpolates its
+two bilinear x4 taps per axis at the asked pixels and renormalises, and
+``backward`` takes the descriptor gradient at those points and runs the
+adjoint of ``describe`` into a quarter-resolution gradient.
 
 Convolutions use reflection padding so image borders carry no constant frame
 cue. No convolution builds a (H*W, C*9) patch matrix or a per-tap product
@@ -62,8 +72,8 @@ def topology(descriptor_dim: int):
         ("desc1", "conv3x3", 16, 16),
         ("desc2", "conv3x3", 16, descriptor_dim),
         ("desc_norm", "l2norm", descriptor_dim, descriptor_dim),
-        ("desc_up", "bilinear_up4", descriptor_dim, descriptor_dim),
-        ("desc_renorm", "l2norm", descriptor_dim, descriptor_dim),
+        ("desc_up", "bilinear_up4_at_points", descriptor_dim, descriptor_dim),
+        ("desc_renorm", "l2norm_at_points", descriptor_dim, descriptor_dim),
     )
 
 
@@ -88,8 +98,19 @@ class ModelParams:
 @dataclass
 class ModelOutput:
     prob_map: np.ndarray  # (H, W) in (0, 1)
-    desc_field: np.ndarray  # (H, W, d), unit rows
+    desc_map: np.ndarray  # (H/4, W/4, d), unit rows
     cache: dict = field(default_factory=dict, repr=False)
+
+    def describe(self, rows, cols) -> np.ndarray:
+        """The (n, d) unit descriptors of the image pixels (rows, cols): the
+        bilinear x4 upsample of ``desc_map`` there, renormalised.
+
+        This is the one descriptor sampler; it gives what a full-resolution
+        field, upsampled and renormalised at every pixel, would hold at those
+        pixels. Test stand-ins that hold a hand-made per-pixel field replace
+        it with indexing.
+        """
+        return _l2norm(_upsample4_at(self.desc_map, rows, cols))[0]
 
 
 def init_params(seed: int, descriptor_dim: int) -> ModelParams:
@@ -365,6 +386,48 @@ def _upsample4_backward(grad_out: np.ndarray, in_shape) -> np.ndarray:
     )
 
 
+def _point_taps(in_shape, rows, cols):
+    """The bilinear x4 taps of the output pixels (rows, cols) into an input
+    of ``in_shape`` (h, w): source rows r0, r1 with weight tr on r1, and
+    source columns c0, c1 with weight tc on c1, each (n,) or, for the
+    weights, (n, 1)."""
+    h, w = in_shape[:2]
+    r0, r1, tr = (a[rows] for a in image_io.resample_taps(h, 4 * h))
+    c0, c1, tc = (a[cols] for a in image_io.resample_taps(w, 4 * w))
+    return r0, r1, tr[:, None], c0, c1, tc[:, None]
+
+
+def _upsample4_at(x: np.ndarray, rows, cols) -> np.ndarray:
+    """The (n, C) rows at pixels (rows, cols) of the bilinear x4 upsample of
+    (h, w, C) ``x``: its two taps per axis, rows then columns."""
+    r0, r1, tr, c0, c1, tc = _point_taps(x.shape, rows, cols)
+    left = (1.0 - tr) * x[r0, c0] + tr * x[r1, c0]
+    right = (1.0 - tr) * x[r0, c1] + tr * x[r1, c1]
+    return (1.0 - tc) * left + tc * right
+
+
+def _upsample4_at_backward(grad_out: np.ndarray, in_shape, rows, cols) -> np.ndarray:
+    """Adjoint of ``_upsample4_at``: the (h, w, C) gradient of its input,
+    each point's (n, C) gradient added onto its 4 taps (points that share a
+    pixel or a tap add up)."""
+    r0, r1, tr, c0, c1, tc = _point_taps(in_shape, rows, cols)
+    left, right = (1.0 - tc) * grad_out, tc * grad_out
+    grad = np.zeros(in_shape)
+    for r, c, part in ((r0, c0, (1.0 - tr) * left), (r1, c0, tr * left),
+                       (r0, c1, (1.0 - tr) * right), (r1, c1, tr * right)):
+        np.add.at(grad, (r, c), part)
+    return grad
+
+
+def _describe_backward(desc_map: np.ndarray, rows, cols, grad_out: np.ndarray) -> np.ndarray:
+    """Adjoint of ``ModelOutput.describe`` on ``desc_map``: the (H/4, W/4, d)
+    gradient of the map from the (n, d) gradients of the descriptors at the
+    pixels (rows, cols)."""
+    unit, norm = _l2norm(_upsample4_at(desc_map, rows, cols))
+    return _upsample4_at_backward(_l2norm_backward(grad_out, unit, norm), desc_map.shape,
+                                  rows, cols)
+
+
 def _l2norm(x: np.ndarray):
     norm = np.sqrt((x * x).sum(axis=-1) + NORM_EPS)
     return x / norm[..., None], norm
@@ -376,11 +439,10 @@ def _l2norm_backward(grad_out: np.ndarray, y: np.ndarray, norm: np.ndarray) -> n
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Clipped logistic function, in the form that never overflows: with
+    e = exp(-|x|), 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return np.clip(out, PROB_CLIP, 1.0 - PROB_CLIP)
 
 
@@ -405,7 +467,7 @@ def _layout(h: int, w: int, d: int) -> dict:
     (``_workspace``), so arrays whose lifetimes do not overlap share memory:
 
     - arena "a" holds det1's padded input from enc2, which writes channels
-      16:24, to det1; then the description head's upsample;
+      16:24, to det1;
     - arena "b" holds one stage at a time: enc1 and enc2's padded inputs,
       then enc3 and enc4's padded inputs and enc4's output (over enc3's
       input, read by then), then the detection upsample, then det2's padded
@@ -427,9 +489,6 @@ def _layout(h: int, w: int, d: int) -> dict:
     hw, w4 = h * w, w // 4
     return {
         "det1_xp": ("a", 0, xp["det1"]),
-        "desc_tall": ("a", 0, (h, w4 * d)),
-        "desc_wide": ("a", 0, (w, h * d)),  # over desc_tall, copied out by then
-        "desc_turned": ("a", hw * d, (w4, h * d)),
         "enc2_xp": ("b", 0, xp["enc2"]),
         "enc1_xp": ("b", size["enc2"], xp["enc1"]),
         "enc4_xp": ("b", 0, xp["enc4"]),
@@ -567,7 +626,8 @@ def forward(
     cache["prob"] = prob
     cache["logit_z"], cache["logit_scale"] = z, scale
 
-    # description head: convs at quarter resolution, normalize, upsample, renormalize
+    # description head: convs at quarter resolution, normalize; the x4
+    # upsample and renormalization run at points only (``describe``)
     xq2 = take("desc2_xp")
     conv("desc1", xq1, xq2[1:-1, 1:-1])
     _reflect_border(xq2)
@@ -575,20 +635,20 @@ def forward(
     conv("desc2", xq2, raw, relu=False)
     unit_q, norm_q = _l2norm(raw)
     cache["desc_unit_q"], cache["desc_norm_q"] = unit_q, norm_q
-    up = _upsample4(unit_q, take("desc_tall"), take("desc_turned"), take("desc_wide"))
-    unit_f, norm_f = _l2norm(up)
-    cache["desc_unit_f"], cache["desc_norm_f"] = unit_f, norm_f
 
-    return ModelOutput(prob_map=prob, desc_field=unit_f, cache=cache if keep_cache else {})
+    return ModelOutput(prob_map=prob, desc_map=unit_q, cache=cache if keep_cache else {})
 
 
 def backward(
     params: ModelParams,
     output: ModelOutput,
     grad_prob: np.ndarray,
-    grad_desc: np.ndarray,
+    grad_desc,
 ) -> dict:
-    """Parameter gradients of sum(grad_prob * prob_map) + sum(grad_desc * desc_field).
+    """Parameter gradients of sum(grad_prob * prob_map) + sum(grads *
+    output.describe(rows, cols)), with ``grad_desc`` = (rows, cols, grads):
+    the descriptor gradient at n image points, grads being (n, d). Points
+    may repeat.
 
     ``output`` must come from ``forward`` with the same params. Returns a dict
     keyed like ``params.weights``.
@@ -598,15 +658,20 @@ def backward(
         raise ValueError("output carries no cache; run forward first")
     wts = params.weights
     grad_prob = np.asarray(grad_prob, dtype=float)
-    grad_desc = np.asarray(grad_desc, dtype=float)
     if grad_prob.shape != output.prob_map.shape:
         raise ValueError(
             f"grad_prob shape {grad_prob.shape} != prob_map shape {output.prob_map.shape}"
         )
-    if grad_desc.shape != output.desc_field.shape:
-        raise ValueError(
-            f"grad_desc shape {grad_desc.shape} != desc_field shape {output.desc_field.shape}"
-        )
+    rows, cols, grad_points = (np.asarray(a) for a in grad_desc)
+    grad_points = grad_points.astype(float, copy=False)
+    want = (rows.size, params.descriptor_dim)
+    if rows.shape != cols.shape or rows.ndim != 1 or grad_points.shape != want:
+        raise ValueError(f"grad_desc wants rows and cols of one shape (n,) and grads "
+                         f"{want}, got {rows.shape}, {cols.shape}, {grad_points.shape}")
+    height, width = output.prob_map.shape
+    if rows.size and (rows.min() < 0 or rows.max() >= height
+                      or cols.min() < 0 or cols.max() >= width):
+        raise ValueError(f"grad_desc points outside the {height}x{width} image")
 
     grads = zero_grads(params)
 
@@ -635,10 +700,11 @@ def backward(
     g_enc = _upsample4_backward(g[:, :, :16], encoded.shape)
     g_skip = g[:, :, 16:]
 
-    # description head
-    g = _l2norm_backward(grad_desc, cache["desc_unit_f"], cache["desc_norm_f"])
-    g = _upsample4_backward(g, cache["desc_unit_q"].shape)
-    g = _l2norm_backward(g, cache["desc_unit_q"], cache["desc_norm_q"])
+    # description head: the adjoint of ``describe`` at the points, then the
+    # quarter-resolution normalization
+    unit_q = cache["desc_unit_q"]
+    g = _describe_backward(unit_q, rows, cols, grad_points)
+    g = _l2norm_backward(g, unit_q, cache["desc_norm_q"])
     g = conv_backward("desc2", g)
     g_enc = g_enc + conv_relu_backward("desc1", g, interior("desc2_xp"))
 

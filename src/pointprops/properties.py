@@ -28,14 +28,40 @@ def neighborhood_max(values: np.ndarray, rad: int) -> np.ndarray:
 
     Out-of-bounds neighbors count as -inf, so border pixels compete only
     against their in-bounds neighbors.
+
+    The holed square is the max of two separable parts: the rad pixels left
+    and right on the center row, and the rad rows above and below, each
+    reduced to its full-width max (the first part joined with the pixel
+    itself). Max is exact, so this equals the 2-D filter with the holed
+    footprint bit for bit.
     """
     if rad < 1:
         raise ValueError(f"rad must be >= 1, got {rad}")
-    footprint = np.ones((2 * rad + 1, 2 * rad + 1), dtype=bool)
-    footprint[rad, rad] = False
-    return ndimage.maximum_filter(
-        np.asarray(values, dtype=float), footprint=footprint, mode="constant", cval=-np.inf
-    )
+    values = np.asarray(values, dtype=float)
+    beside = _max_beside(values, rad, 1)
+    above_below = _max_beside(np.maximum(beside, values), rad, 0)
+    return np.maximum(above_below, beside, out=above_below)
+
+
+def _max_beside(values: np.ndarray, rad: int, axis: int) -> np.ndarray:
+    """Max over the rad cells before and the rad cells after each cell of a
+    2-D array along ``axis``, the cell itself excluded; -inf off the array.
+
+    One 1-D window of rad cells over the array behind rad cells of -inf,
+    read at two shifts: the window at i covers the cells i-rad .. i-1, the
+    one at i + rad + 1 the cells i+1 .. i+rad.
+    """
+    def cut(arr, start, stop):
+        return arr[(slice(None),) * axis + (slice(start, stop),)]
+
+    n = values.shape[axis]
+    padded = np.full(values.shape[:axis] + (n + rad,) + values.shape[axis + 1:], -np.inf)
+    cut(padded, rad, None)[...] = values
+    window = ndimage.maximum_filter1d(padded, rad, axis=axis, origin=-(rad // 2),
+                                      mode="constant", cval=-np.inf)
+    out = cut(window, 0, n)
+    np.maximum(cut(out, 0, n - 1), cut(window, rad + 1, None), out=cut(out, 0, n - 1))
+    return out
 
 
 def _view_blocks(descriptors, valid, neg_weight):
@@ -169,7 +195,7 @@ def gather_selected_descriptors(rows, cols, outputs, scene):
     valid = scene.valid[:, rows, cols]
     view_rows = np.where(valid, scene.map_rows[:, rows, cols], 0)
     view_cols = np.where(valid, scene.map_cols[:, rows, cols], 0)
-    descriptors = np.stack([out.desc_field[rr, cc]
+    descriptors = np.stack([out.describe(rr, cc)
                             for out, rr, cc in zip(outputs, view_rows, view_cols)])
     descriptors[~valid] = 0.0
     return descriptors, valid

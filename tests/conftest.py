@@ -1,9 +1,11 @@
 """Shared fixtures: synthetic shape scenes used by training-level tests, a
+stand-in model output holding a hand-made per-pixel descriptor field, a
 PGM/PPM writer for image-file fixtures, the seeded byte mutator of the
 reader mutation tests, and a deliberately broken counting path that the
 oracle-check battery must catch."""
 
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,18 @@ def shape_scenes(seed, count, size=64):
     rng = np.random.default_rng(seed)
     makers = (checkerboard_scene, polygon_scene, blob_scene)
     return [makers[i % 3](rng, size) for i in range(count)]
+
+
+@dataclass
+class FieldOutput:
+    """Stand-in for ``model.ModelOutput`` with a hand-made (H, W, d)
+    descriptor field, which ``describe`` indexes at the asked pixels."""
+
+    prob_map: np.ndarray
+    desc_field: np.ndarray
+
+    def describe(self, rows, cols):
+        return self.desc_field[rows, cols]
 
 
 def write_pnm(path, img):

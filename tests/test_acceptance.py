@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import shape_scenes, write_pnm
+from conftest import FieldOutput, shape_scenes, write_pnm
 from pointprops import checks, cli, em, evaluate, model, oracle, simulate
 from pointprops.config import PropertyConfig, TrainConfig
 from test_properties import sparsity_brute_force
@@ -215,7 +215,8 @@ class TestCriterion8Invariants:
         norm_checked = 0
         for _ in range(4):
             out = model.forward(params, rng.random((16, 20)))
-            norms = np.linalg.norm(out.desc_field, axis=-1)
+            rows, cols = np.indices((16, 20)).reshape(2, -1)
+            norms = np.linalg.norm(out.describe(rows, cols), axis=-1)
             assert np.all(np.abs(norms - 1.0) <= 1e-6)
             assert np.all((out.prob_map > 0) & (out.prob_map < 1))
             norm_checked += norms.size
@@ -229,7 +230,7 @@ class TestCriterion8Invariants:
             assert np.array_equal(sparsity_brute_force(yhat, rad), yhat)
             nms_checked += 1
         for _ in range(500):
-            out = model.ModelOutput(
+            out = FieldOutput(
                 prob_map=rng.random((14, 14)) * 0.98 + 0.01,
                 desc_field=np.ones((14, 14, 2)) / np.sqrt(2),
             )

@@ -87,4 +87,4 @@ class TestGradientChecks:
         p = state.p[state.yhat]
         assert p.min() > 0.05 and p.max() < 0.98
         upstream = em.descriptor_field_gradients(state, scene, cfg)
-        assert sum(float(np.abs(u).sum()) for u in upstream) > 0.1
+        assert sum(float(np.abs(g).sum()) for _, _, g in upstream) > 0.1

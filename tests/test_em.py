@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import FieldOutput
 from pointprops import em, model, oracle, properties
 from pointprops.config import PropertyConfig, TrainConfig
-from pointprops.model import ModelOutput
 from test_properties import paper_scale_config, sparsity_brute_force
 
 
@@ -160,8 +160,7 @@ def synthetic_scene(prob_maps, desc_fields):
     class Scene:
         canonical = np.zeros((h, w))
         images = [np.zeros((h, w))] * j
-        outputs = [ModelOutput(prob_map=p, desc_field=d)
-                   for p, d in zip(prob_maps, desc_fields)]
+        outputs = [FieldOutput(p, d) for p, d in zip(prob_maps, desc_fields)]
         map_rows = np.broadcast_to(rows, (j, h, w)).copy()
         map_cols = np.broadcast_to(cols, (j, h, w)).copy()
         valid = np.ones((j, h, w), dtype=bool)
@@ -326,7 +325,7 @@ class TestDescriptorGradient:
         states, _ = em.e_step([scene], None, cfg)
         state = states[0]
         state.p[:] = 0.0
-        for g in em.descriptor_field_gradients(state, scene, cfg):
+        for _, _, g in em.descriptor_field_gradients(state, scene, cfg):
             assert not g.any()
 
     def test_saturated_margins_give_zero(self):
@@ -347,7 +346,7 @@ class TestDescriptorGradient:
         state = states[0]
         assert state.num_selected == 4
         assert state.p[state.yhat].min() > 0.5
-        for g in em.descriptor_field_gradients(state, scene, cfg):
+        for _, _, g in em.descriptor_field_gradients(state, scene, cfg):
             assert not g.any()
 
     def test_coefficients_are_alpha_times_posterior(self):
@@ -362,9 +361,10 @@ class TestDescriptorGradient:
         weights = 1.7 * state.p[state.sel_rows, state.sel_cols]
         rows = properties.margin_gradients(state.sel_descriptors, state.sel_valid, cfg,
                                            weights)
-        for j, grid in enumerate(em.descriptor_field_gradients(state, scene, cfg)):
-            np.testing.assert_array_equal(grid[state.sel_rows, state.sel_cols], rows[j])
-            assert not grid[~state.yhat].any()
+        for j, (rr, cc, g) in enumerate(em.descriptor_field_gradients(state, scene, cfg)):
+            np.testing.assert_array_equal(rr, state.sel_rows)
+            np.testing.assert_array_equal(cc, state.sel_cols)
+            np.testing.assert_array_equal(g, rows[j])
 
     def test_margins_above_the_cap_carry_no_gradient(self):
         # the one-hot fixture of test_orthogonal_descriptors_paper_constants:
@@ -376,7 +376,7 @@ class TestDescriptorGradient:
         scene = synthetic_scene([np.full(shape, 0.5)] * 2, [field, field.copy()])
         state = latent_state(scene, np.ones(shape, dtype=bool), 0.5, cfg)
         assert np.all(state.h > cfg.margin_max)
-        for g in em.descriptor_field_gradients(state, scene, cfg):
+        for _, _, g in em.descriptor_field_gradients(state, scene, cfg):
             assert not g.any()
 
 
@@ -434,9 +434,14 @@ class TestViewScatter:
                     expected[j][scene.map_rows[j, y, x], scene.map_cols[j, y, x]] += \
                         row_grads[j, i]
         got = em.descriptor_field_gradients(state, scene, cfg)
-        assert len(got) == self.J and any(g.any() for g in got)
-        for g, e in zip(got, expected):
-            np.testing.assert_array_equal(g, e)
+        assert len(got) == self.J and any(g.any() for _, _, g in got)
+        # the two points on one pixel of view 0 stay two points
+        rr, cc, _ = got[0]
+        assert len(set(zip(rr, cc))) < len(rr)
+        for (rr, cc, g), e in zip(got, expected):
+            field = np.zeros_like(e)
+            np.add.at(field, (rr, cc), g)
+            np.testing.assert_array_equal(field, e)
 
 
 class TestTrain:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import naive_ransac
+from conftest import FieldOutput
 from pointprops import evaluate
-from pointprops.model import ModelOutput
 
 
 def output_from(prob, desc=None):
@@ -12,7 +12,7 @@ def output_from(prob, desc=None):
         rng = np.random.default_rng(0)
         desc = rng.normal(size=prob.shape + (8,))
         desc /= np.linalg.norm(desc, axis=-1, keepdims=True)
-    return ModelOutput(prob_map=prob, desc_field=desc)
+    return FieldOutput(prob, desc)
 
 
 def point_set(xy, descriptors, scores=None):

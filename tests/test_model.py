@@ -7,7 +7,7 @@ import pytest
 
 import naive_net
 from conftest import mutate_bytes
-from pointprops import model
+from pointprops import image_io, model
 
 
 def random_params(seed=7, d=8):
@@ -20,9 +20,50 @@ def random_params(seed=7, d=8):
     return params
 
 
+def pixels(shape):
+    """(rows, cols) of every pixel of an (H, W) image, in raster order."""
+    return np.indices(shape).reshape(2, -1)
+
+
+def dense_field(out):
+    """``out.describe`` at every pixel, as an (H, W, d) field."""
+    shape = out.prob_map.shape
+    return out.describe(*pixels(shape)).reshape(*shape, -1)
+
+
+def at_pixels(grad_field):
+    """An (H, W, d) descriptor gradient as ``backward``'s (rows, cols,
+    grads) at every pixel."""
+    rows, cols = pixels(grad_field.shape[:2])
+    return rows, cols, grad_field.reshape(rows.size, -1)
+
+
+def upsample_rowcol(x):
+    """Bilinear x4 of (h, w, C) x by dense ``resample_matrix`` GEMMs, rows
+    then columns: the full-resolution descriptor upsample of the design
+    before descriptors were taken at points."""
+    h, w, c = x.shape
+    tall = image_io.resample_matrix(h, 4 * h) @ x.reshape(h, w * c)
+    turned = np.ascontiguousarray(tall.reshape(4 * h, w, c).transpose(1, 0, 2))
+    wide = image_io.resample_matrix(w, 4 * w) @ turned.reshape(w, 4 * h * c)
+    return wide.reshape(4 * w, 4 * h, c).transpose(1, 0, 2)
+
+
+def unit_rows(x):
+    """x over sqrt(|x|^2 + NORM_EPS) along its last axis, and that norm."""
+    norm = np.sqrt((x * x).sum(axis=-1) + model.NORM_EPS)
+    return x / norm[..., None], norm
+
+
+def reference_field(desc_map):
+    """The full-resolution descriptor field: the dense upsample of the
+    quarter-resolution unit map, renormalised at every pixel."""
+    return unit_rows(upsample_rowcol(desc_map))[0]
+
+
 def scalar_objective(params, image, grad_prob, grad_desc):
     out = model.forward(params, image)
-    return float((grad_prob * out.prob_map).sum() + (grad_desc * out.desc_field).sum())
+    return float((grad_prob * out.prob_map).sum() + (grad_desc * dense_field(out)).sum())
 
 
 def finite_difference(params, image, grad_prob, grad_desc, key, flat_index, step=1e-4):
@@ -82,8 +123,9 @@ class TestForward:
         rng = np.random.default_rng(5)
         img = rng.random((12, 16))
         out = model.forward(params, img)
-        norms = np.linalg.norm(out.desc_field, axis=-1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-6)
+        assert out.desc_map.shape == (3, 4, 8)
+        for field in (out.desc_map, dense_field(out)):
+            np.testing.assert_allclose(np.linalg.norm(field, axis=-1), 1.0, atol=1e-6)
 
     def test_prob_map_strictly_inside_unit_interval(self):
         params = random_params(3, d=8)
@@ -97,7 +139,7 @@ class TestForward:
         out = model.forward(params, img)
         prob_ref, desc_ref = naive_net.forward(params, img)
         np.testing.assert_allclose(out.prob_map, prob_ref, atol=1e-10)
-        np.testing.assert_allclose(out.desc_field, desc_ref, atol=1e-10)
+        np.testing.assert_allclose(dense_field(out), desc_ref, atol=1e-10)
 
     def test_pure_function(self):
         params = random_params(2, d=4)
@@ -106,7 +148,7 @@ class TestForward:
         a = model.forward(params, img)
         b = model.forward(params, img)
         np.testing.assert_array_equal(a.prob_map, b.prob_map)
-        np.testing.assert_array_equal(a.desc_field, b.desc_field)
+        np.testing.assert_array_equal(a.desc_map, b.desc_map)
         for k in before:
             np.testing.assert_array_equal(params.weights[k], before[k])
 
@@ -118,11 +160,23 @@ class TestForward:
             taped = model.forward(params, img)
             free = model.forward(params, img, keep_cache=False)
             np.testing.assert_array_equal(free.prob_map, taped.prob_map)
-            np.testing.assert_array_equal(free.desc_field, taped.desc_field)
+            np.testing.assert_array_equal(free.desc_map, taped.desc_map)
             assert taped.cache and free.cache == {}
         with pytest.raises(ValueError, match="no cache"):
             model.backward(params, free, np.ones_like(free.prob_map),
-                           np.zeros_like(free.desc_field))
+                           at_pixels(np.zeros((64, 64, 16))))
+
+    def test_sigmoid_equals_the_masked_form(self):
+        rng = np.random.default_rng(15)
+        z = np.concatenate([[-800.0, -40.0, -1e-300, -0.0, 0.0, 1e-300, 40.0, 800.0],
+                            10.0 * rng.normal(size=200)]).reshape(13, 16)
+        pos = z >= 0
+        expected = np.empty_like(z)
+        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ex = np.exp(z[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        expected = np.clip(expected, model.PROB_CLIP, 1.0 - model.PROB_CLIP)
+        assert np.array_equal(model._sigmoid(z), expected)
 
     def test_rejects_bad_dimensions(self):
         params = model.init_params(0, 4)
@@ -263,10 +317,13 @@ class TestBandedConv:
             while isinstance(a.base, np.ndarray):
                 a = a.base
             bases[id(a)] = a.nbytes
-        # measured 2.499 MiB, of which the padded inputs take 1.7 MiB; with
-        # each pre-activation kept too it was 3.5 MiB, and (H*W, 9*C) patch
-        # matrices would take 15.6 MiB
-        assert sum(bases.values()) < 2.5 * 2**20
+        # descriptors are taken at points: no (H, W, d) descriptor array
+        assert not any(a.shape[:2] == (64, 64) and a.shape[-1:] == (16,) for a in arrays)
+        # measured 1.968 MiB, of which the padded inputs take 1.7 MiB; with
+        # the full-resolution descriptor field and its norms it was 2.499
+        # MiB, with each pre-activation kept too 3.5 MiB, and (H*W, 9*C)
+        # patch matrices would take 15.6 MiB
+        assert sum(bases.values()) < 2.0 * 2**20
 
     def test_inference_forward_never_holds_a_whole_patch_matrix(self):
         params = model.init_params(0, 16)
@@ -277,11 +334,77 @@ class TestBandedConv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 42.3 MiB with this thread's 29.6 MiB workspace built in
-        # the call, 12.4 MiB with it built before; a whole-image (rows, W+2,
-        # 9, Cout) tap-product buffer of det1 would add 42 MiB, its patch
+        # measured 33.5 MiB with this thread's 29.6 MiB workspace built in
+        # the call, 3.6 MiB with it built before (42.3 and 12.4 MiB with a
+        # full-resolution descriptor field); a whole-image (rows, W+2, 9,
+        # Cout) tap-product buffer of det1 would add 42 MiB, its patch
         # matrix 126.6 MiB
-        assert peak < 64 * 2**20
+        assert peak < 48 * 2**20
+
+
+class TestDescribe:
+    """Descriptors at points equal the dense full-resolution field there, and
+    ``backward`` takes their gradient as the dense field's adjoint would."""
+
+    @pytest.mark.parametrize("shape", [(8, 8), (24, 24), (64, 64), (240, 320), (4, 4),
+                                       (4, 8)])
+    def test_every_pixel_equals_the_dense_upsample(self, shape):
+        # on 4-pixel sides the quarter-resolution map has a 1-pixel axis
+        params = random_params(17, d=16)
+        out = model.forward(params, np.random.default_rng(18).random(shape),
+                            keep_cache=False)
+        assert out.desc_map.shape == (shape[0] // 4, shape[1] // 4, 16)
+        np.testing.assert_allclose(dense_field(out), reference_field(out.desc_map),
+                                   rtol=0, atol=1e-15)
+
+    def test_points_in_any_order_and_repeated(self):
+        params = random_params(19, d=6)
+        out = model.forward(params, np.random.default_rng(20).random((16, 12)))
+        field = dense_field(out)
+        rows, cols = np.array([15, 0, 7, 7, 3]), np.array([11, 0, 4, 4, 9])
+        np.testing.assert_array_equal(out.describe(rows, cols), field[rows, cols])
+        assert out.describe(rows[:0], cols[:0]).shape == (0, 6)
+
+    def test_backward_at_points_equals_the_dense_adjoint(self):
+        rng = np.random.default_rng(21)
+        desc_map, _ = unit_rows(rng.normal(size=(6, 5, 3)))
+        shape = (24, 20)
+        rows, cols = rng.integers(0, 24, 40), rng.integers(0, 20, 40)
+        rows[1], cols[1] = rows[0], cols[0]  # two points on one pixel
+        grads = rng.normal(size=(40, 3))
+        got = model._describe_backward(desc_map, rows, cols, grads)
+        # the field holding those point gradients, through the adjoint of the
+        # dense path: the full-resolution renormalization, then the upsample
+        field = np.zeros((*shape, 3))
+        np.add.at(field, (rows, cols), grads)
+        unit, norm = unit_rows(upsample_rowcol(desc_map))
+        g = (field - unit * (field * unit).sum(axis=-1, keepdims=True)) / norm[..., None]
+        mat_h, mat_w = (image_io.resample_matrix(n, 4 * n) for n in desc_map.shape[:2])
+        expected = np.einsum("ih,ijc,jw->hwc", mat_h, g, mat_w)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_two_points_on_one_pixel_get_the_summed_gradient(self):
+        params = random_params(22, d=4)
+        rng = np.random.default_rng(23)
+        out = model.forward(params, rng.random((16, 16)))
+        gp = rng.normal(size=(16, 16))
+        g = rng.normal(size=(3, 4))
+        twice = model.backward(params, out, gp, ([5, 5, 9], [2, 2, 14], g))
+        summed = model.backward(params, out, gp, ([5, 9], [2, 14], [g[0] + g[1], g[2]]))
+        for key in twice:
+            assert_close(twice[key], summed[key])
+
+    def test_backward_rejects_bad_points(self):
+        params = random_params(24, d=4)
+        out = model.forward(params, np.zeros((8, 8)))
+        gp = np.zeros((8, 8))
+        for rows, cols, grads in [([0, 8], [0, 0], np.zeros((2, 4))),
+                                  ([0, -1], [0, 0], np.zeros((2, 4))),
+                                  ([0, 1], [0, 8], np.zeros((2, 4))),
+                                  ([0, 1], [0, 1], np.zeros((2, 3))),
+                                  ([0, 1], [0], np.zeros((2, 4)))]:
+            with pytest.raises(ValueError, match="grad_desc"):
+                model.backward(params, out, gp, (rows, cols, grads))
 
 
 class TestWorkspace:
@@ -292,13 +415,13 @@ class TestWorkspace:
         rng = np.random.default_rng(6)
         first, second = rng.random((2, 48, 64))
         out = model.forward(params, first, keep_cache=False)
-        prob, desc = out.prob_map.copy(), out.desc_field.copy()
+        prob, desc = out.prob_map.copy(), out.desc_map.copy()
         model.forward(params, second, keep_cache=False)
         np.testing.assert_array_equal(out.prob_map, prob)
-        np.testing.assert_array_equal(out.desc_field, desc)
+        np.testing.assert_array_equal(out.desc_map, desc)
         again = model.forward(params, first, keep_cache=False)
         np.testing.assert_array_equal(again.prob_map, prob)
-        np.testing.assert_array_equal(again.desc_field, desc)
+        np.testing.assert_array_equal(again.desc_map, desc)
 
     def test_interleaved_threads_get_the_serial_bits(self):
         params = random_params(7, d=8)
@@ -331,7 +454,7 @@ class TestWorkspace:
             assert len(got) == rounds
             for out in got:
                 np.testing.assert_array_equal(out.prob_map, expected.prob_map)
-                np.testing.assert_array_equal(out.desc_field, expected.desc_field)
+                np.testing.assert_array_equal(out.desc_map, expected.desc_map)
 
     def test_second_forward_of_a_shape_allocates_little(self):
         params = model.init_params(0, 16)
@@ -352,11 +475,11 @@ class TestWorkspace:
         thread.start()
         thread.join(120)
         assert not thread.is_alive()
-        # measured 42.3 MiB, then 12.4 MiB: the second call reuses the
-        # thread's 29.6 MiB workspace and allocates little beside the 10 MiB
+        # measured 33.5 MiB, then 3.6 MiB: the second call reuses the
+        # thread's 29.6 MiB workspace and allocates little beside the 1.2 MiB
         # of maps it returns
         first, second = peaks
-        assert second < 14 * 2**20
+        assert second < 6 * 2**20
         assert first - second > 28 * 2**20
 
 
@@ -387,7 +510,7 @@ class TestOnePixelAxes:
         out = model.forward(params, img)
         prob_ref, desc_ref = naive_net.forward(params, img)
         np.testing.assert_allclose(out.prob_map, prob_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out.desc_field, desc_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense_field(out), desc_ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("size", SIZES)
     def test_gradients_match_finite_difference(self, size):
@@ -396,8 +519,8 @@ class TestOnePixelAxes:
         img = rng.random(size)
         out = model.forward(params, img)
         gp = rng.normal(size=out.prob_map.shape)
-        gd = rng.normal(size=out.desc_field.shape)
-        grads = model.backward(params, out, gp, gd)
+        gd = rng.normal(size=(*size, 4))
+        grads = model.backward(params, out, gp, at_pixels(gd))
         for key in sorted(params.weights):
             size = params.weights[key].size
             for flat in rng.choice(size, size=min(3, size), replace=False):
@@ -413,7 +536,7 @@ class TestBackward:
         img = np.random.default_rng(2).random((8, 8))
         out = model.forward(params, img)
         grads = model.backward(
-            params, out, np.zeros_like(out.prob_map), np.zeros_like(out.desc_field)
+            params, out, np.zeros_like(out.prob_map), at_pixels(np.zeros((8, 8, 4)))
         )
         for v in grads.values():
             assert np.all(v == 0.0)
@@ -430,7 +553,7 @@ class TestBackward:
         monkeypatch.setattr(model, "_conv3_backward", record)
         params = random_params(4, d=4)
         out = model.forward(params, np.random.default_rng(2).random((8, 8)))
-        model.backward(params, out, np.ones_like(out.prob_map), np.ones_like(out.desc_field))
+        model.backward(params, out, np.ones_like(out.prob_map), at_pixels(np.ones((8, 8, 4))))
         assert skipped == [1]  # enc1 alone, whose input is the 1-channel image
 
     def test_linearity(self):
@@ -439,9 +562,9 @@ class TestBackward:
         img = rng.random((8, 8))
         out = model.forward(params, img)
         gp = rng.normal(size=out.prob_map.shape)
-        gd = rng.normal(size=out.desc_field.shape)
-        g1 = model.backward(params, out, gp, gd)
-        g2 = model.backward(params, out, 2 * gp, 2 * gd)
+        gd = rng.normal(size=(8, 8, 4))
+        g1 = model.backward(params, out, gp, at_pixels(gd))
+        g2 = model.backward(params, out, 2 * gp, at_pixels(2 * gd))
         for k in g1:
             np.testing.assert_allclose(g2[k], 2 * g1[k], atol=1e-12)
 
@@ -449,7 +572,7 @@ class TestBackward:
         params = random_params(4, d=4)
         out = model.forward(params, np.zeros((8, 8)))
         with pytest.raises(ValueError):
-            model.backward(params, out, np.zeros((4, 4)), np.zeros_like(out.desc_field))
+            model.backward(params, out, np.zeros((4, 4)), at_pixels(np.zeros((8, 8, 4))))
 
     def test_single_hot_prob_grad_matches_finite_difference(self):
         params = random_params(9, d=4)
@@ -458,8 +581,8 @@ class TestBackward:
         out = model.forward(params, img)
         gp = np.zeros_like(out.prob_map)
         gp[rng.integers(8), rng.integers(8)] = 1.0
-        gd = np.zeros_like(out.desc_field)
-        grads = model.backward(params, out, gp, gd)
+        gd = np.zeros((8, 8, 4))
+        grads = model.backward(params, out, gp, at_pixels(gd))
         for key in ["enc1_w", "enc3_w", "det1_w", "det2_w", "det2_b"]:
             size = grads[key].size
             for flat in rng.choice(size, size=min(4, size), replace=False):
@@ -474,8 +597,8 @@ class TestBackward:
         img = rng.random((8, 8))
         out = model.forward(params, img)
         gp = rng.normal(size=out.prob_map.shape)
-        gd = rng.normal(size=out.desc_field.shape)
-        grads = model.backward(params, out, gp, gd)
+        gd = rng.normal(size=(8, 8, 4))
+        grads = model.backward(params, out, gp, at_pixels(gd))
         checked = 0
         for key in sorted(params.weights):
             size = params.weights[key].size

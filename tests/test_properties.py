@@ -4,11 +4,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import naive_margins
+from conftest import FieldOutput
 from pointprops import em, properties
 from pointprops.config import PropertyConfig
-from pointprops.model import ModelOutput
 
 
 def paper_scale_config():
@@ -34,6 +35,33 @@ def isolated(y, rad):
     """Selected points with no other selected point within Chebyshev ``rad``."""
     y = np.asarray(y, dtype=bool)
     return y & ~(properties.neighborhood_max(y.astype(float), rad) > 0.0)
+
+
+class TestNeighborhoodMax:
+    @staticmethod
+    def holed_filter(values, rad):
+        """The 2-D max filter over the (2 rad + 1)^2 square without its center."""
+        footprint = np.ones((2 * rad + 1, 2 * rad + 1), dtype=bool)
+        footprint[rad, rad] = False
+        return ndimage.maximum_filter(values, footprint=footprint, mode="constant",
+                                      cval=-np.inf)
+
+    @pytest.mark.parametrize("rad", [1, 2, 3, 4])
+    def test_equals_the_holed_footprint_filter(self, rad):
+        rng = np.random.default_rng(rad)
+        for shape in [(1, 1), (1, 9), (9, 1), (2, 3), (12, 12), (17, 40), (240, 320)]:
+            maps = {"random": rng.random(shape),
+                    "tied": rng.integers(0, 3, shape).astype(float),
+                    "-inf": np.where(rng.random(shape) < 0.4, -np.inf, rng.random(shape)),
+                    "all -inf": np.full(shape, -np.inf)}
+            for kind, values in maps.items():
+                got = properties.neighborhood_max(values, rad)
+                assert got.shape == shape
+                assert np.array_equal(got, self.holed_filter(values, rad)), (shape, kind)
+
+    def test_rejects_zero_radius(self):
+        with pytest.raises(ValueError, match="rad must be >= 1"):
+            properties.neighborhood_max(np.zeros((4, 4)), 0)
 
 
 class TestLocalSparsity:
@@ -153,8 +181,7 @@ def grid_scene(desc_fields):
     j = len(desc_fields)
 
     class Scene:
-        outputs = [ModelOutput(prob_map=np.full((h, w), 0.5), desc_field=f)
-                   for f in desc_fields]
+        outputs = [FieldOutput(np.full((h, w), 0.5), f) for f in desc_fields]
         map_rows = np.broadcast_to(rows, (j, h, w))
         map_cols = np.broadcast_to(cols, (j, h, w))
         valid = np.ones((j, h, w), dtype=bool)
