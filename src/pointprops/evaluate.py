@@ -30,10 +30,6 @@ class PointSet:
     def __len__(self) -> int:
         return self.xy.shape[0]
 
-    @classmethod
-    def empty(cls, descriptor_dim: int) -> "PointSet":
-        return cls(np.zeros((0, 2)), np.zeros(0), np.zeros((0, descriptor_dim)))
-
 
 @dataclass
 class MatchSet:
@@ -138,13 +134,13 @@ def matching_score(
 
 
 # ---------------------------------------------------------------------------
-# homography estimation (normalized DLT inside RANSAC)
+# homography estimation (closed-form 4-point fits inside RANSAC, DLT refit)
 # ---------------------------------------------------------------------------
 
 
-# RANSAC trials whose minimal-sample fits and reprojection errors are
-# computed together; trials past the adaptive stop are computed and discarded
-RANSAC_CHUNK = 64
+# RANSAC trials whose samples, fits and reprojection errors are computed
+# together; trials past the adaptive stop are computed and discarded
+RANSAC_CHUNK = 128
 
 # probability that the adaptive trial budget draws at least one
 # outlier-free sample, at the best inlier ratio found so far
@@ -154,78 +150,83 @@ RANSAC_CONFIDENCE = 0.99
 _TRIPLES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 
-def _normalizations(points: np.ndarray) -> np.ndarray:
-    """Hartley similarity per point set: (K, m, 2) -> (K, 3, 3)."""
-    centroid = points.mean(axis=1)
-    spread = np.linalg.norm(points - centroid[:, None], axis=2).mean(axis=1)
-    scale = np.sqrt(2.0) / np.maximum(spread, 1e-12)
-    t = np.zeros((points.shape[0], 3, 3))
-    t[:, 0, 0] = t[:, 1, 1] = scale
-    t[:, :2, 2] = -scale[:, None] * centroid
-    t[:, 2, 2] = 1.0
+def _normalization(points: np.ndarray) -> np.ndarray:
+    """Hartley similarity of an (m, 2) point set."""
+    centroid = points.mean(axis=0)
+    scale = np.sqrt(2.0) / max(np.linalg.norm(points - centroid, axis=1).mean(), 1e-12)
+    t = np.diag([scale, scale, 1.0])
+    t[:2, 2] = -scale * centroid
     return t
 
 
-def _svd_stack(rows: np.ndarray):
-    """Singular values and the (9, 9) V^T of each (2m, 9) matrix; NaN where
-    the SVD fails.
-
-    U is never used, so it is only as wide as V^T needs: the full SVD only
-    for minimal 4-point samples (8 rows), whose null vector is the 9th row
-    of the full V^T. A refit on m points would otherwise build a (2m, 2m) U,
-    32 MB at 1,000 matches.
-    """
-    full = rows.shape[1] < rows.shape[2]
-    try:
-        _, sing, vt = np.linalg.svd(rows, full_matrices=full)
-        return sing, vt
-    except np.linalg.LinAlgError:  # isolate the matrices that did not converge
-        sing = np.full((len(rows), min(rows.shape[1:])), np.nan)
-        vt = np.full((len(rows), 9, 9), np.nan)
-        for k, a in enumerate(rows):
-            try:
-                _, sing[k], vt[k] = np.linalg.svd(a, full_matrices=full)
-            except np.linalg.LinAlgError:
-                pass
-        return sing, vt
-
-
-def _dlt_stack(src: np.ndarray, dst: np.ndarray):
-    """Normalized DLT on K correspondence sets of m >= 4 points each.
-
-    ``src`` and ``dst`` are (K, m, 2). Returns (h, ok): h is (K, 3, 3) with
-    h[2, 2] = 1 where ``ok``; a False ``ok`` marks a degenerate set (rank
-    deficient, SVD failure, or h[2, 2] ~ 0) whose h is undefined.
-    """
-    count, m = src.shape[:2]
-    t1 = _normalizations(src)
-    t2 = _normalizations(dst)
-    ones = np.ones((count, m, 1))
-    s = (np.concatenate([src, ones], axis=2) @ t1.transpose(0, 2, 1))[:, :, :2]
-    d = (np.concatenate([dst, ones], axis=2) @ t2.transpose(0, 2, 1))[:, :, :2]
-    x, y, u, v = s[:, :, 0], s[:, :, 1], d[:, :, 0], d[:, :, 1]
-    rows = np.zeros((count, 2 * m, 9))
-    rows[:, 0::2, 0], rows[:, 0::2, 1], rows[:, 0::2, 2] = -x, -y, -1.0
-    rows[:, 1::2, 3], rows[:, 1::2, 4], rows[:, 1::2, 5] = -x, -y, -1.0
-    rows[:, 0::2, 6], rows[:, 0::2, 7], rows[:, 0::2, 8] = u * x, u * y, u
-    rows[:, 1::2, 6], rows[:, 1::2, 7], rows[:, 1::2, 8] = v * x, v * y, v
-    sing, vt = _svd_stack(rows)
-    ok = sing[:, 0] > 0
-    ok[ok] = ~(sing[ok, -2] / sing[ok, 0] < 1e-10)  # rank-deficient configuration
-    h = np.linalg.inv(t2) @ vt[:, -1].reshape(count, 3, 3) @ t1
-    ok &= ~(np.abs(h[:, 2, 2]) < 1e-12)
-    h[ok] /= h[ok, 2, 2][:, None, None]
-    return h, ok
-
-
 def dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
-    """Direct linear transform with Hartley normalization; None if degenerate."""
+    """Direct linear transform with Hartley normalization; None if degenerate.
+
+    The SVD is full only for 4 points, whose null vector is the 9th row of
+    the full V^T: a full refit on m points builds a (2m, 2m) U nothing reads.
+    """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
-    if src.shape[0] < 4:
+    m = src.shape[0]
+    if m < 4:
         return None
-    h, ok = _dlt_stack(src[None], dst[None])
-    return h[0] if ok[0] else None
+    t1 = _normalization(src)
+    t2 = _normalization(dst)
+    s = (np.hstack([src, np.ones((m, 1))]) @ t1.T)[:, :2]
+    d = (np.hstack([dst, np.ones((m, 1))]) @ t2.T)[:, :2]
+    x, y, u, v = s[:, 0], s[:, 1], d[:, 0], d[:, 1]
+    z, o = np.zeros(m), np.ones(m)
+    rows = np.stack([-x, -y, -o, z, z, z, u * x, u * y, u,
+                     z, z, z, -x, -y, -o, v * x, v * y, v], axis=1).reshape(2 * m, 9)
+    try:
+        _, sing, vt = np.linalg.svd(rows, full_matrices=m == 4)
+    except np.linalg.LinAlgError:
+        return None
+    if not sing[0] > 0 or sing[-2] / sing[0] < 1e-10:  # rank-deficient configuration
+        return None
+    h = np.linalg.inv(t2) @ vt[-1].reshape(3, 3) @ t1
+    if abs(h[2, 2]) < 1e-12:
+        return None
+    return h / h[2, 2]
+
+
+def _draw_samples(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """(size, 4) samples of 4 distinct indices in [0, n).
+
+    Entry k is the j_k-th index not yet chosen, j_k = floor(u_k * (n - k)) for
+    u = rng.random(4). The generator's stream does not depend on the shape
+    drawn, so any chunking gives the samples of one rng.random(4) per trial.
+    """
+    picks = (rng.random((size, 4)) * (n - np.arange(4))).astype(np.intp)
+    for k in range(1, 4):
+        for chosen in np.sort(picks[:, :k], axis=1).T:
+            picks[:, k] += picks[:, k] >= chosen
+    return picks
+
+
+def _four_point_homographies(src: np.ndarray, dst: np.ndarray):
+    """Closed-form homography of each of K 4-point samples, (K, 4, 2) each.
+
+    With p_i the homogeneous src points, c_i = p_j x p_k over the cyclic
+    (i, j, k) of the first three and lambda_i = p_3 . c_i, sum_i lambda_i p_i
+    is proportional to p_3 (mu_i likewise for the dst points q_i). So
+    A = [lambda_i p_i] maps the projective basis to src and B = [mu_i q_i] to
+    dst; adj(A) has rows lambda_j lambda_k c_i, so H = B adj(A) is proportional
+    to sum_i (mu_i / lambda_i) q_i c_i^T. Returns (h, ok): h[2, 2] = 1 where
+    ``ok``; False marks a non-finite H or h[2, 2] ~ 0 against its largest entry.
+    """
+    x, y = np.moveaxis(np.stack([src, dst]), -1, 0)
+    xj, yj, xk, yk = x[..., [1, 2, 0]], y[..., [1, 2, 0]], x[..., [2, 0, 1]], y[..., [2, 0, 1]]
+    c = np.stack([yj - yk, xk - xj, xj * yk - xk * yj])  # (x/y/w, src/dst, K, i)
+    lam, mu = x[..., 3:] * c[0] + y[..., 3:] * c[1] + c[2]
+    w = mu / lam
+    q = np.stack([w * dst[:, :3, 0], w * dst[:, :3, 1], w])
+    terms = q[:, None] * c[:, 0][None]
+    h = (terms[..., 0] + terms[..., 1] + terms[..., 2]).transpose(2, 0, 1)
+    scale = np.abs(h).max(axis=(1, 2))
+    ok = np.isfinite(scale) & (np.abs(h[:, 2, 2]) > 1e-12 * scale)
+    h[ok] /= h[ok, 2, 2][:, None, None]
+    return h, ok
 
 
 def _collinear(samples: np.ndarray) -> np.ndarray:
@@ -243,11 +244,12 @@ def _collinear(samples: np.ndarray) -> np.ndarray:
 
 def _transfer_errors(h: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """(K, n) distance of each h-mapped src point to its dst; inf at infinity."""
-    mapped = np.hstack([src, np.ones((src.shape[0], 1))]) @ h.transpose(0, 2, 1)
-    w = mapped[:, :, 2]
-    finite = np.abs(w) > 1e-12
-    xy = mapped[:, :, :2] / np.where(finite, w, 1.0)[:, :, None]
-    return np.where(finite, np.linalg.norm(xy - dst, axis=2), np.inf)
+    x, y = src[:, 0], src[:, 1]
+    mx, my, w = (h[:, r, 0, None] * x + h[:, r, 1, None] * y + h[:, r, 2, None]
+                 for r in range(3))
+    far = ~(np.abs(w) > 1e-12)
+    w[far] = 1.0
+    return np.where(far, np.inf, np.sqrt((mx / w - dst[:, 0]) ** 2 + (my / w - dst[:, 1]) ** 2))
 
 
 def estimate_homography(
@@ -263,16 +265,16 @@ def estimate_homography(
     Deterministic for a fixed seed. Returns None when fewer than 4 matches
     exist or every sample is degenerate.
 
-    Trials run in chunks of ``RANSAC_CHUNK``: the chunk's samples are drawn
-    by the same sequential ``rng.choice`` calls as a one-trial-at-a-time
-    loop, their collinearity tests, DLT fits and reprojection errors are
-    computed as stacks, and the trials are then scanned in order with the
-    sequential update rules (more inliers wins, equal counts go to the lower
-    inlier error sum, degenerate samples still count as trials, and the
-    adaptive trial budget stops the scan). Every stacked operation performs
-    the same floating-point operations per element as its one-trial form,
-    so the estimate is bit-identical to the sequential loop; trials drawn
-    past the stopping point are discarded.
+    Trials run in chunks of ``RANSAC_CHUNK``: one ``rng.random`` draw gives
+    the chunk's samples, and their collinearity tests, closed-form fits and
+    reprojection errors are whole-array operations. The trials are then
+    scanned in order with the sequential update rules (more inliers wins,
+    equal counts go to the lower inlier error sum, degenerate samples still
+    count as trials, and the adaptive trial budget stops the scan), visiting
+    only trials whose count reaches the running maximum: no other can win.
+    Each trial's numbers are the scalar operations of a one-trial loop, so the
+    estimate does not depend on the chunk size; trials drawn past the stop are
+    discarded. ``dlt_homography`` refits the winning inliers.
     """
     if len(matches) < 4:
         return None
@@ -287,19 +289,17 @@ def estimate_homography(
     trial = 0
     while trial < min(max_iters, needed):
         size = min(RANSAC_CHUNK, min(max_iters, needed) - trial)
-        picks = np.array([rng.choice(n, size=4, replace=False) for _ in range(size)])
+        picks = _draw_samples(rng, n, size)
         fit = np.flatnonzero(~(_collinear(src[picks]) | _collinear(dst[picks])))
-        hs, ok = _dlt_stack(src[picks[fit]], dst[picks[fit]])
+        hs, ok = _four_point_homographies(src[picks[fit]], dst[picks[fit]])
         fit, hs = fit[ok], hs[ok]
         errors = _transfer_errors(hs, src, dst)
         inliers = errors < inlier_threshold
         counts = inliers.sum(axis=1)
-        for row, offset in enumerate(fit):
-            if trial + offset >= min(max_iters, needed):
+        for row in np.flatnonzero(counts >= np.maximum.accumulate(np.maximum(counts, best_count))):
+            if trial + fit[row] >= min(max_iters, needed):
                 break
             count = int(counts[row])
-            if count < best_count:
-                continue
             err_sum = float(errors[row][inliers[row]].sum())
             if count == best_count and not err_sum < best_err:
                 continue
@@ -308,7 +308,7 @@ def estimate_homography(
                 ratio = count / n
                 misses = 1.0 - ratio**4
                 if misses <= 1e-12:
-                    needed = trial + offset + 1
+                    needed = trial + fit[row] + 1
                 else:
                     needed = int(np.ceil(np.log(1.0 - RANSAC_CONFIDENCE) / np.log(misses)))
         trial += size

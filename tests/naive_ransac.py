@@ -1,11 +1,12 @@
 """Sequential, one-trial-at-a-time RANSAC used as a test oracle.
 
 This is the straightforward loop that ``evaluate.estimate_homography``
-vectorises: one ``rng.choice`` sample per trial, a collinearity test built
-from ``np.delete``, a DLT whose rows are built in a Python loop, and the
-reprojection errors of one hypothesis at a time. It shares no code with the
-package, so the library's chunked evaluation can be checked against it for
-bit-identical results.
+vectorises: one ``rng.random(4)`` draw per trial, turned into 4 distinct
+indices in a Python loop, a collinearity test built from ``np.delete``, the
+closed-form 4-point homography in scalar arithmetic, the reprojection errors
+of one hypothesis at a time, and a final DLT refit whose rows are built in a
+Python loop. It shares no code with the package, so the library's chunked
+evaluation can be checked against it for bit-identical results.
 """
 
 import numpy as np
@@ -48,12 +49,54 @@ def dlt_homography(src, dst):
     return h / h[2, 2]
 
 
+def draw_sample(rng, n):
+    """4 distinct indices in [0, n): the k-th is the j-th index not yet chosen."""
+    u = rng.random(4)
+    pick = []
+    for k in range(4):
+        j = int(u[k] * (n - k))
+        for chosen in sorted(pick):
+            if j >= chosen:
+                j += 1
+        pick.append(j)
+    return np.array(pick)
+
+
+def four_point_homography(src, dst):
+    """H with H p_i ~ q_i for 4 point pairs, from the projective basis on each
+    side: H ~ B adj(A) = sum_i (mu_i / lambda_i) q_i c_i^T; None if degenerate."""
+
+    def crosses_and_coefficients(p):
+        # c_i = p_i+1 x p_i+2 (cyclic over the first three), lambda_i = p_3 . c_i
+        crosses = []
+        for j, k in ((1, 2), (2, 0), (0, 1)):
+            (xj, yj), (xk, yk) = p[j], p[k]
+            crosses.append((yj - yk, xk - xj, xj * yk - xk * yj))
+        x3, y3 = p[3]
+        return crosses, [x3 * cx + y3 * cy + cw for cx, cy, cw in crosses]
+
+    crosses, lam = crosses_and_coefficients(src)
+    _, mu = crosses_and_coefficients(dst)
+    weights = [mu[i] / lam[i] for i in range(3)]
+    q = [[weights[i] * dst[i][0] for i in range(3)],
+         [weights[i] * dst[i][1] for i in range(3)],
+         weights]
+    h = np.array([[q[r][0] * crosses[0][s] + q[r][1] * crosses[1][s] + q[r][2] * crosses[2][s]
+                   for s in range(3)] for r in range(3)])
+    scale = np.abs(h).max()
+    if not (np.isfinite(scale) and abs(h[2, 2]) > 1e-12 * scale):
+        return None
+    return h / h[2, 2]
+
+
 def reprojection_errors(h, src, dst):
-    mapped = np.hstack([src, np.ones((src.shape[0], 1))]) @ h.T
-    w = mapped[:, 2]
+    x, y = src[:, 0], src[:, 1]
+    w = h[2, 0] * x + h[2, 1] * y + h[2, 2]
     err = np.full(src.shape[0], np.inf)
     ok = np.abs(w) > 1e-12
-    err[ok] = np.linalg.norm(mapped[ok, :2] / w[ok, None] - dst[ok], axis=1)
+    u = (h[0, 0] * x[ok] + h[0, 1] * y[ok] + h[0, 2]) / w[ok]
+    v = (h[1, 0] * x[ok] + h[1, 1] * y[ok] + h[1, 2]) / w[ok]
+    err[ok] = np.sqrt((u - dst[ok, 0]) ** 2 + (v - dst[ok, 1]) ** 2)
     return err
 
 
@@ -86,10 +129,10 @@ def estimate_homography(matches, a, b, seed=0, max_iters=2000, inlier_threshold=
     trial = 0
     while trial < min(max_iters, needed):
         trial += 1
-        pick = rng.choice(n, size=4, replace=False)
+        pick = draw_sample(rng, n)
         if not (spread_out(src[pick]) and spread_out(dst[pick])):
             continue
-        h = dlt_homography(src[pick], dst[pick])
+        h = four_point_homography(src[pick], dst[pick])
         if h is None:
             continue
         errors = reprojection_errors(h, src, dst)

@@ -133,7 +133,7 @@ class TestMatchTwoWay:
             assert list(zip(m.index_a, m.index_b)) == reference_matcher(a, b)
 
     def test_empty_inputs(self):
-        empty = evaluate.PointSet.empty(4)
+        empty = point_set(np.zeros((0, 2)), np.zeros((0, 4)))
         assert len(evaluate.match_two_way(empty, empty)) == 0
 
 
@@ -148,7 +148,7 @@ class TestMatchingScore:
 
     def test_no_matches(self):
         a = one_hot_points([[2.0, 3.0]])
-        empty = evaluate.PointSet.empty(2)
+        empty = point_set(np.zeros((0, 2)), np.zeros((0, 2)))
         m = evaluate.match_two_way(a, empty)
         assert evaluate.matching_score(m, a, empty, np.eye(3), (16, 16), (16, 16)) == 0.0
 
@@ -338,7 +338,8 @@ class TestChunkedRansacMatchesReference:
                                             max_iters=400))
 
     def test_non_finite_coordinates(self):
-        # samples holding the bad points fail their SVD; those trials are skipped
+        # samples holding the bad points get a non-finite closed-form H; those
+        # trials are skipped
         for seed in range(3):
             src, dst = ransac_case(500 + seed, 30, 0.3, noise=0.5)
             src[3] = [np.inf, 2.0]
@@ -353,6 +354,102 @@ class TestChunkedRansacMatchesReference:
             src, dst = ransac_case(400 + seed, n, 0.0, noise=0.5)
             np.testing.assert_array_equal(evaluate.dlt_homography(src, dst),
                                           naive_ransac.dlt_homography(src, dst))
+
+
+class TestDrawSamples:
+    """RANSAC's 4-point samples, drawn a chunk of trials at a time."""
+
+    def test_chunking_gives_the_one_trial_draws(self):
+        n, trials = 37, 3 * evaluate.RANSAC_CHUNK + 5
+        ref_rng = np.random.default_rng(11)
+        reference = np.array([naive_ransac.draw_sample(ref_rng, n) for _ in range(trials)])
+        for chunk in (1, 7, evaluate.RANSAC_CHUNK):
+            rng = np.random.default_rng(11)
+            drawn = np.concatenate([evaluate._draw_samples(rng, n, min(chunk, trials - start))
+                                    for start in range(0, trials, chunk)])
+            np.testing.assert_array_equal(drawn, reference)
+
+    def test_distinct_indices_in_range(self):
+        rng = np.random.default_rng(12)
+        for n in (4, 5, 9, 100, 1000):
+            picks = np.sort(evaluate._draw_samples(rng, n, 2000), axis=1)
+            assert picks[:, 0].min() >= 0 and picks[:, 3].max() < n
+            assert (picks[:, 1:] > picks[:, :-1]).all()
+
+    def test_index_frequencies_are_uniform(self):
+        # over 20,000 samples of n = 10, an index is in a sample with
+        # probability 4/n (standard error 0.0035) and in a given slot with
+        # probability 1/n (standard error 0.0021); both bounds are > 5.5 errors
+        n, size = 10, 20000
+        picks = evaluate._draw_samples(np.random.default_rng(13), n, size)
+        assert np.abs(np.bincount(picks.ravel(), minlength=n) / size - 4 / n).max() < 0.02
+        for slot in picks.T:
+            assert np.abs(np.bincount(slot, minlength=n) / size - 1 / n).max() < 0.012
+
+
+def smallest_triangle(samples):
+    """(K, 4, 2) -> the smallest area among each sample's four triangles."""
+    areas = []
+    for skip in range(4):
+        tri = np.delete(samples, skip, axis=1)
+        t = tri - tri[:, :1]
+        areas.append(np.abs(t[:, 1, 0] * t[:, 2, 1] - t[:, 1, 1] * t[:, 2, 0]) / 2)
+    return np.min(areas, axis=0)
+
+
+def four_point_samples(seed, count):
+    """Seeded 4-point samples in a 320 px square, dst a jitter of src, every
+    triangle of both sides at least 500 px^2."""
+    rng = np.random.default_rng(seed)
+    src = rng.uniform(0, 320, (count, 4, 2))
+    dst = src + rng.uniform(-40, 40, (count, 4, 2))
+    keep = (smallest_triangle(src) > 500) & (smallest_triangle(dst) > 500)
+    return src[keep], dst[keep]
+
+
+class TestFourPointHomographies:
+    """The closed-form minimal solver of RANSAC's trials."""
+
+    def test_maps_the_four_points(self):
+        src, dst = four_point_samples(21, 400)
+        h, ok = evaluate._four_point_homographies(src, dst)
+        assert ok.all() and len(src) > 200
+        for k in range(len(src)):
+            assert np.abs(apply_h(h[k], src[k]) - dst[k]).max() < 1e-9
+
+    def test_agrees_with_dlt(self):
+        # entries within 1e-9 of the sample's largest one (1.7e-12 measured on such samples)
+        src, dst = four_point_samples(22, 400)
+        h, _ = evaluate._four_point_homographies(src, dst)
+        for k in range(len(src)):
+            ref = evaluate.dlt_homography(src[k], dst[k])
+            np.testing.assert_allclose(h[k], ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+
+    def test_fits_and_errors_match_reference_bit_for_bit(self):
+        src, dst = four_point_samples(24, 200)
+        h, _ = evaluate._four_point_homographies(src, dst)
+        points, partners = ransac_case(24, 50, 0.5, noise=1.0)
+        errors = evaluate._transfer_errors(h, points, partners)
+        for k in range(len(src)):
+            np.testing.assert_array_equal(h[k], naive_ransac.four_point_homography(src[k], dst[k]))
+            np.testing.assert_array_equal(errors[k],
+                                          naive_ransac.reprojection_errors(h[k], points, partners))
+
+    def test_bad_samples_rejected_alone(self):
+        src, dst = four_point_samples(23, 40)
+        src, dst = src[:12], dst[:12]
+        src[3, 1] = [np.inf, 5.0]
+        dst[5, 2] = [np.nan, 1.0]
+        # a homography with h[2, 2] = 0 maps the origin to infinity
+        dst[8] = apply_h(np.array([[1.0, 0.0, 5.0], [0.0, 1.0, 3.0], [1e-2, 2e-3, 0.0]]),
+                         src[8])
+        with np.errstate(all="ignore"):
+            h, ok = evaluate._four_point_homographies(src, dst)
+        np.testing.assert_array_equal(np.flatnonzero(~ok), [3, 5, 8])
+        for k in np.flatnonzero(ok):
+            alone, alone_ok = evaluate._four_point_homographies(src[k:k + 1], dst[k:k + 1])
+            assert alone_ok[0]
+            np.testing.assert_array_equal(h[k], alone[0])
 
 
 class TestHomographyError:
@@ -397,8 +494,9 @@ class TestRenderMatches:
     def test_layout_dimensions(self):
         img_a = np.zeros((20, 30))
         img_b = np.zeros((24, 18))
+        empty = point_set(np.zeros((0, 2)), np.zeros((0, 2)))
         canvas = evaluate.render_matches(
-            img_a, img_b, evaluate.PointSet.empty(2), evaluate.PointSet.empty(2),
+            img_a, img_b, empty, empty,
             evaluate.MatchSet(np.zeros(0, int), np.zeros(0, int)),
         )
         assert canvas.shape == (24, 48, 3)
