@@ -39,16 +39,6 @@ class SpaceCounts:
     exact: tuple | None = None  # (total, with, without) big ints when available
 
 
-def select_local_maxima(values: np.ndarray, rad: int) -> np.ndarray:
-    """Strict local maxima over the Chebyshev-rad neighborhood.
-
-    Plateaus are never selected; the result always satisfies local sparsity
-    because two points within rad would each need to exceed the other.
-    """
-    values = np.asarray(values, dtype=float)
-    return values > properties.neighborhood_max(values, rad)
-
-
 def log_count_sample_space(m: int, n_min: int, n_max: int, method: str = "auto") -> SpaceCounts:
     """Count masks with a feasible number of points drawn from m candidates.
 
@@ -185,7 +175,7 @@ def _e_step_scene(scene, cfg: PropertyConfig) -> LatentState:
     # estimated from one or two views is high-variance, and selecting on it
     # rewards firing at view borders instead of repeatable structure
     quorum = valid_count * 2 > j_images
-    yhat = select_local_maxima(np.where(quorum, r, -np.inf), cfg.rad)
+    yhat = properties.select_local_maxima(np.where(quorum, r, -np.inf), cfg.rad)
     m = int(yhat.sum())
     if m == 0:
         raise EmptySampleSpaceError("no candidate local maxima")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model
 from .image_io import pad_to_multiple_of_4
-from .properties import neighborhood_max
+from .properties import select_local_maxima
 from .simulate import map_points
 
 
@@ -53,7 +53,7 @@ def extract_points(
     if not 0.0 < prob_threshold < 1.0:
         raise ValueError(f"prob_threshold must be in (0, 1), got {prob_threshold}")
     prob = output.prob_map
-    keep = (prob > neighborhood_max(prob, rad)) & (prob > prob_threshold)
+    keep = select_local_maxima(prob, rad) & (prob > prob_threshold)
     rows, cols = np.nonzero(keep)
     scores = prob[rows, cols]
     order = np.argsort(-scores, kind="stable")[:max_points]

@@ -333,16 +333,12 @@ def _maxpool2(x: np.ndarray, out: np.ndarray) -> None:
     np.maximum(out, x[1::2, 1::2], out=out)
 
 
-def _maxpool2_argmax(x: np.ndarray) -> np.ndarray:
-    """Which of the 4 cells of each 2x2 block of (H, W, C) ``x`` holds its
-    max, the first on ties: the cell ``_maxpool2_backward`` routes to."""
+def _maxpool2_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Gradient of ``_maxpool2`` of (H, W, C) ``x``: each block's gradient
+    goes to the cell of the block that holds its max, the first on ties."""
     h, w, c = x.shape
     blocks = x.reshape(h // 2, 2, w // 2, 2, c).transpose(0, 2, 1, 3, 4)
-    return blocks.reshape(h // 2, w // 2, 4, c).argmax(axis=2)
-
-
-def _maxpool2_backward(grad_out: np.ndarray, arg: np.ndarray, in_shape):
-    h, w, c = in_shape
+    arg = blocks.reshape(h // 2, w // 2, 4, c).argmax(axis=2)
     dblocks = np.zeros((h // 2, w // 2, 4, c))
     np.put_along_axis(dblocks, arg[:, :, None, :], grad_out[:, :, None, :], axis=2)
     dblocks = dblocks.reshape(h // 2, w // 2, 2, 2, c).transpose(0, 2, 1, 3, 4)
@@ -350,22 +346,17 @@ def _maxpool2_backward(grad_out: np.ndarray, arg: np.ndarray, in_shape):
 
 
 def _apply_rowcol(mat_h: np.ndarray, x: np.ndarray, mat_w: np.ndarray,
-                  tall=None, turned=None, wide=None) -> np.ndarray:
+                  tall=None, out=None) -> np.ndarray:
     """out[i, j, c] = sum_h sum_w mat_h[i, h] * x[h, w, c] * mat_w[j, w].
 
-    Two GEMMs, over rows and then over columns, with a transposed copy
-    between them. They write into ``tall`` (I, W*C), ``turned`` (W, I*C)
-    and ``wide`` (J, I*C) where given, else into fresh arrays; the result is
-    an (I, J, C) view of ``wide``.
+    Two GEMMs: over rows into ``tall`` (I, W*C), then over columns, one
+    (J, W) @ (W, C) product per row of ``tall``, into ``out`` (I, J, C),
+    which may be a strided view such as the interior of det1's padded
+    input. Fresh arrays where not given.
     """
     h, w, c = x.shape
     tall = np.matmul(mat_h, x.reshape(h, w * c), out=tall)
-    rows = tall.shape[0]
-    if turned is None:
-        turned = np.empty((w, rows * c))
-    turned.reshape(w, rows, c)[...] = tall.reshape(rows, w, c).transpose(1, 0, 2)
-    wide = np.matmul(mat_w, turned, out=wide)
-    return wide.reshape(-1, rows, c).transpose(1, 0, 2)
+    return np.matmul(mat_w, tall.reshape(-1, w, c), out=out)
 
 
 def _upsample_matrix(n_in: int) -> np.ndarray:
@@ -373,11 +364,11 @@ def _upsample_matrix(n_in: int) -> np.ndarray:
     return image_io.resample_matrix(n_in, 4 * n_in)
 
 
-def _upsample4(x: np.ndarray, tall, turned, wide) -> np.ndarray:
-    """Bilinear x4 of (H, W, C) ``x``: a (4H, 4W, C) view of ``wide``
+def _upsample4(x: np.ndarray, tall: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Bilinear x4 of (H, W, C) ``x`` into ``out`` (4H, 4W, C)
     (``_apply_rowcol``)."""
     return _apply_rowcol(_upsample_matrix(x.shape[0]), x, _upsample_matrix(x.shape[1]),
-                         tall, turned, wide)
+                         tall, out)
 
 
 def _upsample4_backward(grad_out: np.ndarray, in_shape) -> np.ndarray:
@@ -470,11 +461,10 @@ def _layout(h: int, w: int, d: int) -> dict:
       16:24, to det1;
     - arena "b" holds one stage at a time: enc1 and enc2's padded inputs,
       then enc3 and enc4's padded inputs and enc4's output (over enc3's
-      input, read by then), then the detection upsample, then det2's padded
-      input and the logits, then desc2's output;
-    - arena "c" holds the detection upsample's transposed copy, which lives
-      beside its two GEMM outputs in "b", and the description head's padded
-      inputs, which live from pool2 to desc2;
+      input, read by then), then the detection upsample's row GEMM output,
+      then det2's padded input and the logits, then desc2's output;
+    - arena "c" holds the description head's padded inputs, which live from
+      pool2 to desc2;
     - arena "s" holds one band scratch and accumulator for every conv.
 
     The taped forward takes a fresh array of each shape instead.
@@ -486,7 +476,7 @@ def _layout(h: int, w: int, d: int) -> dict:
     work = [_conv3_bands(shape[0] - 2, shape[1], shape[2], cout)[1:]
             for shape, cout in convs.values()]
     scratch, acc = max(s for s, _ in work), max(a for _, a in work)
-    hw, w4 = h * w, w // 4
+    w4 = w // 4
     return {
         "det1_xp": ("a", 0, xp["det1"]),
         "enc2_xp": ("b", 0, xp["enc2"]),
@@ -495,13 +485,11 @@ def _layout(h: int, w: int, d: int) -> dict:
         "enc3_xp": ("b", size["enc4"], xp["enc3"]),
         "enc4_out": ("b", size["enc4"], (h // 2, w // 2, 16)),
         "det_tall": ("b", 0, (h, w4 * 16)),
-        "det_wide": ("b", 0, (w, h * 16)),
         "det2_xp": ("b", 0, xp["det2"]),
         "logits": ("b", size["det2"], (h, w, 1)),
         "desc_raw": ("b", 0, (h // 4, w4, d)),
-        "det_turned": ("c", 0, (w4, h * 16)),
-        "desc1_xp": ("c", 4 * hw, xp["desc1"]),
-        "desc2_xp": ("c", 4 * hw + size["desc1"], xp["desc2"]),
+        "desc1_xp": ("c", 0, xp["desc1"]),
+        "desc2_xp": ("c", size["desc1"], xp["desc2"]),
         "scratch": ("s", 0, (scratch,)),
         "acc": ("s", scratch, (acc,)),
     }
@@ -544,14 +532,16 @@ def forward(
     input side by side; the pools write into enc3's and desc1's inputs.
 
     ``keep_cache`` decides only where those arrays come from. With it, they
-    are fresh, and the returned cache, which feeds ``backward``, keeps each
-    conv's padded input (``<layer>_xp``), enc4's output and the pool
-    argmaxes; each ReLU's mask is read back as ``post > 0`` from its
-    consumer's input. Without it (inference: eval, visualize, detect) they
-    are views into this thread's workspace (``_workspace``), reused by the
-    thread's next tape-free forward of the same shape, no argmax is taken,
-    and the cache is empty, so ``backward`` rejects the output. The maps are
-    the same bits either way, and are always fresh arrays.
+    are fresh, and the returned cache, which feeds ``backward``, keeps what
+    ``backward`` cannot read elsewhere: each conv's padded input
+    (``<layer>_xp``), enc4's output, the standardized logits with their
+    scale and the descriptor norms. Each ReLU's mask is read back as
+    ``post > 0`` from its consumer's input, each pool's argmax from its
+    input, and the maps from the output. Without it (inference: eval,
+    visualize, detect) they are views into this thread's workspace
+    (``_workspace``), reused by the thread's next tape-free forward of the
+    same shape, and the cache is empty, so ``backward`` rejects the output.
+    The maps are the same bits either way, and are always fresh arrays.
     """
     x = np.asarray(image, dtype=float)
     if x.ndim == 2:
@@ -577,11 +567,6 @@ def forward(
         cache[name + "_xp"] = xp
         _conv3(xp, wts[name + "_w"], wts[name + "_b"], out, relu, scratch, acc)
 
-    def pool(name, inp, out):
-        _maxpool2(inp, out)
-        if keep_cache:
-            cache[name + "_arg"], cache[name + "_shape"] = _maxpool2_argmax(inp), inp.shape
-
     xp1 = take("enc1_xp")
     xp1[1:-1, 1:-1] = x
     _reflect_border(xp1)
@@ -594,7 +579,7 @@ def forward(
     a2 = det_xp[1:-1, 1:-1, 16:]
     conv("enc2", xp2, a2)
     xp3 = take("enc3_xp")
-    pool("pool1", a2, xp3[1:-1, 1:-1])
+    _maxpool2(a2, xp3[1:-1, 1:-1])
     _reflect_border(xp3)
     xp4 = take("enc4_xp")
     conv("enc3", xp3, xp4[1:-1, 1:-1])
@@ -603,15 +588,14 @@ def forward(
     conv("enc4", xp4, a4)
     xq1 = take("desc1_xp")
     p2 = xq1[1:-1, 1:-1]
-    pool("pool2", a4, p2)
+    _maxpool2(a4, p2)
     _reflect_border(xq1)
 
     # detection head: convs at full resolution; logits are standardized per
     # image (zero mean, unit variance) so probability mass can only be
     # redistributed, never deflated or saturated globally (the stabilizing
     # role of the omitted batch norm)
-    det_xp[1:-1, 1:-1, :16] = _upsample4(p2, take("det_tall"), take("det_turned"),
-                                         take("det_wide"))
+    _upsample4(p2, take("det_tall"), det_xp[1:-1, 1:-1, :16])
     _reflect_border(det_xp)
     xd2 = take("det2_xp")
     conv("det1", det_xp, xd2[1:-1, 1:-1])
@@ -623,7 +607,6 @@ def forward(
     scale = np.sqrt((centered * centered).mean() + NORM_EPS)
     z = centered / scale
     prob = _sigmoid(z)
-    cache["prob"] = prob
     cache["logit_z"], cache["logit_scale"] = z, scale
 
     # description head: convs at quarter resolution, normalize; the x4
@@ -634,7 +617,7 @@ def forward(
     raw = take("desc_raw")
     conv("desc2", xq2, raw, relu=False)
     unit_q, norm_q = _l2norm(raw)
-    cache["desc_unit_q"], cache["desc_norm_q"] = unit_q, norm_q
+    cache["desc_norm_q"] = norm_q
 
     return ModelOutput(prob_map=prob, desc_map=unit_q, cache=cache if keep_cache else {})
 
@@ -650,7 +633,8 @@ def backward(
     the descriptor gradient at n image points, grads being (n, d). Points
     may repeat.
 
-    ``output`` must come from ``forward`` with the same params. Returns a dict
+    ``output`` must come from ``forward`` with the same params, its maps
+    unchanged: ``backward`` reads them as part of the tape. Returns a dict
     keyed like ``params.weights``.
     """
     cache = output.cache
@@ -690,7 +674,7 @@ def backward(
 
     # detection head (standardization backward: remove the gradient's mean
     # and its projection onto the standardized field, then unscale)
-    prob = cache["prob"]
+    prob = output.prob_map
     z, scale = cache["logit_z"], cache["logit_scale"]
     g = grad_prob * prob * (1.0 - prob)
     g = (g - g.mean() - z * (g * z).mean()) / scale
@@ -702,18 +686,19 @@ def backward(
 
     # description head: the adjoint of ``describe`` at the points, then the
     # quarter-resolution normalization
-    unit_q = cache["desc_unit_q"]
+    unit_q = output.desc_map
     g = _describe_backward(unit_q, rows, cols, grad_points)
     g = _l2norm_backward(g, unit_q, cache["desc_norm_q"])
     g = conv_backward("desc2", g)
     g_enc = g_enc + conv_relu_backward("desc1", g, interior("desc2_xp"))
 
     # shared encoder; the skip gradient joins at the second encoder activation
-    g = _maxpool2_backward(g_enc, cache["pool2_arg"], cache["pool2_shape"])
-    g = conv_relu_backward("enc4", g, cache["enc4_out"])
+    a2, a4 = interior("det1_xp")[:, :, 16:], cache["enc4_out"]
+    g = _maxpool2_backward(g_enc, a4)
+    g = conv_relu_backward("enc4", g, a4)
     g = conv_relu_backward("enc3", g, interior("enc4_xp"))
-    g = _maxpool2_backward(g, cache["pool1_arg"], cache["pool1_shape"]) + g_skip
-    g = conv_relu_backward("enc2", g, interior("det1_xp")[:, :, 16:])
+    g = _maxpool2_backward(g, a2) + g_skip
+    g = conv_relu_backward("enc2", g, a2)
     # nothing reads the image's gradient
     conv_relu_backward("enc1", g, interior("enc2_xp"), input_grad=False)
     return grads

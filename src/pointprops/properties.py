@@ -43,6 +43,16 @@ def neighborhood_max(values: np.ndarray, rad: int) -> np.ndarray:
     return np.maximum(above_below, beside, out=above_below)
 
 
+def select_local_maxima(values: np.ndarray, rad: int) -> np.ndarray:
+    """Strict local maxima over the Chebyshev-rad neighborhood.
+
+    Plateaus are never selected; the result always satisfies local sparsity
+    because two points within rad would each need to exceed the other.
+    """
+    values = np.asarray(values, dtype=float)
+    return values > neighborhood_max(values, rad)
+
+
 def _max_beside(values: np.ndarray, rad: int, axis: int) -> np.ndarray:
     """Max over the rad cells before and the rad cells after each cell of a
     2-D array along ``axis``, the cell itself excluded; -inf off the array.

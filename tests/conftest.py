@@ -72,6 +72,18 @@ class FieldOutput:
         return self.desc_field[rows, cols]
 
 
+class ReadRecorder(dict):
+    """A dict that records, in ``read``, every key read by indexing."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def write_pnm(path, img):
     """Binary P5 for grayscale input, P6 for RGB, values in [0, 1]."""
     data = np.rint(np.clip(np.asarray(img, dtype=float), 0.0, 1.0) * 255).astype(np.uint8)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import FieldOutput, shape_scenes, write_pnm
-from pointprops import checks, cli, em, evaluate, model, oracle, simulate
+from pointprops import checks, cli, em, evaluate, model, oracle, properties, simulate
 from pointprops.config import PropertyConfig, TrainConfig
 from test_properties import sparsity_brute_force
 
@@ -226,7 +226,7 @@ class TestCriterion8Invariants:
         nms_checked = 0
         for _ in range(500):
             rad = int(rng.integers(1, 4))
-            yhat = em.select_local_maxima(rng.random((16, 16)), rad)
+            yhat = properties.select_local_maxima(rng.random((16, 16)), rad)
             assert np.array_equal(sparsity_brute_force(yhat, rad), yhat)
             nms_checked += 1
         for _ in range(500):

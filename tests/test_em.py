@@ -30,26 +30,26 @@ class TestSelectLocalMaxima:
     def test_single_peak(self):
         cols, rows = np.meshgrid(np.arange(16), np.arange(16))
         bump = np.exp(-((rows - 7.3) ** 2 + (cols - 9.1) ** 2) / 20.0)
-        yhat = em.select_local_maxima(bump, rad=2)
+        yhat = properties.select_local_maxima(bump, rad=2)
         assert yhat.sum() == 1
         assert yhat[7, 9]
 
     def test_constant_grid_selects_nothing(self):
-        assert not em.select_local_maxima(np.full((10, 10), 0.3), rad=2).any()
+        assert not properties.select_local_maxima(np.full((10, 10), 0.3), rad=2).any()
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             values = rng.random((16, 16))
             np.testing.assert_array_equal(
-                em.select_local_maxima(values, rad=2), local_max_brute_force(values, 2)
+                properties.select_local_maxima(values, rad=2), local_max_brute_force(values, 2)
             )
 
     def test_result_is_locally_sparse(self):
         rng = np.random.default_rng(1)
         for rad in (1, 2, 4):
             for _ in range(50):
-                yhat = em.select_local_maxima(rng.random((20, 20)), rad)
+                yhat = properties.select_local_maxima(rng.random((20, 20)), rad)
                 np.testing.assert_array_equal(sparsity_brute_force(yhat, rad), yhat)
 
 

@@ -8,12 +8,20 @@ exported in ``pointprops.__all__``. Code that only tests call belongs in
 Every field of a ``@dataclass`` in the package must be read as an attribute
 (a loaded ``ast.Attribute``) somewhere in the package: a field that is only
 written is state nothing uses.
+
+Every array that ``model._layout`` places must be taken by ``model.forward``
+(its tape-free run asks the workspace for it): an array nothing takes is
+workspace memory that nothing reads.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import pointprops
+from conftest import ReadRecorder
+from pointprops import model
 
 SRC = Path(pointprops.__file__).resolve().parent
 
@@ -86,3 +94,15 @@ def test_guard_flags_an_unread_field(tmp_path):
         "def size(box):\n    box.written = 2\n    return box.read\n"
     )
     assert unread_dataclass_fields(tmp_path) == ["mod.py:7 Box.written"]
+
+
+def test_every_layout_entry_is_taken_by_forward(monkeypatch):
+    workspace, recorders = model._workspace, []
+
+    def recording_workspace(*shape):
+        recorders.append(ReadRecorder(workspace(*shape)))
+        return recorders[-1]
+
+    monkeypatch.setattr(model, "_workspace", recording_workspace)
+    model.forward(model.init_params(0, 2), np.zeros((8, 12)), keep_cache=False)
+    assert recorders[0].read == set(model._layout(8, 12, 2))

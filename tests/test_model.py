@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import naive_net
-from conftest import mutate_bytes
+from conftest import ReadRecorder, mutate_bytes
 from pointprops import image_io, model
 
 
@@ -38,15 +38,28 @@ def at_pixels(grad_field):
     return rows, cols, grad_field.reshape(rows.size, -1)
 
 
-def upsample_rowcol(x):
-    """Bilinear x4 of (h, w, C) x by dense ``resample_matrix`` GEMMs, rows
-    then columns: the full-resolution descriptor upsample of the design
-    before descriptors were taken at points."""
+def dense_rowcol(mat_h, x, mat_w):
+    """sum_h sum_w mat_h[i, h] * x[h, w, c] * mat_w[j, w] by two whole-matrix
+    GEMMs, rows then columns, through a transposed copy between them."""
     h, w, c = x.shape
-    tall = image_io.resample_matrix(h, 4 * h) @ x.reshape(h, w * c)
-    turned = np.ascontiguousarray(tall.reshape(4 * h, w, c).transpose(1, 0, 2))
-    wide = image_io.resample_matrix(w, 4 * w) @ turned.reshape(w, 4 * h * c)
-    return wide.reshape(4 * w, 4 * h, c).transpose(1, 0, 2)
+    tall = mat_h @ x.reshape(h, w * c)
+    rows = tall.shape[0]
+    turned = np.ascontiguousarray(tall.reshape(rows, w, c).transpose(1, 0, 2))
+    wide = mat_w @ turned.reshape(w, rows * c)
+    return wide.reshape(-1, rows, c).transpose(1, 0, 2)
+
+
+def upsample_matrices(h, w):
+    """The bilinear x4 ``resample_matrix`` of each axis of an (h, w) input."""
+    return image_io.resample_matrix(h, 4 * h), image_io.resample_matrix(w, 4 * w)
+
+
+def upsample_rowcol(x):
+    """Bilinear x4 of (h, w, C) x by dense ``resample_matrix`` GEMMs: the
+    reference for the detection upsample and for the full-resolution
+    descriptor field."""
+    mat_h, mat_w = upsample_matrices(*x.shape[:2])
+    return dense_rowcol(mat_h, x, mat_w)
 
 
 def unit_rows(x):
@@ -319,11 +332,9 @@ class TestBandedConv:
             bases[id(a)] = a.nbytes
         # descriptors are taken at points: no (H, W, d) descriptor array
         assert not any(a.shape[:2] == (64, 64) and a.shape[-1:] == (16,) for a in arrays)
-        # measured 1.968 MiB, of which the padded inputs take 1.7 MiB; with
-        # the full-resolution descriptor field and its norms it was 2.499
-        # MiB, with each pre-activation kept too 3.5 MiB, and (H*W, 9*C)
-        # patch matrices would take 15.6 MiB
-        assert sum(bases.values()) < 2.0 * 2**20
+        # measured 1.812 MiB, of which the padded inputs take 1.7 MiB;
+        # (H*W, 9*C) patch matrices would take 15.6 MiB
+        assert sum(bases.values()) < 1.85 * 2**20
 
     def test_inference_forward_never_holds_a_whole_patch_matrix(self):
         params = model.init_params(0, 16)
@@ -334,10 +345,9 @@ class TestBandedConv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 33.5 MiB with this thread's 29.6 MiB workspace built in
-        # the call, 3.6 MiB with it built before (42.3 and 12.4 MiB with a
-        # full-resolution descriptor field); a whole-image (rows, W+2, 9,
-        # Cout) tap-product buffer of det1 would add 42 MiB, its patch
+        # measured 27.1 MiB with this thread's 23.2 MiB workspace built in
+        # the call, 3.6 MiB with it built before; a whole-image (rows, W+2,
+        # 9, Cout) tap-product buffer of det1 would add 42 MiB, its patch
         # matrix 126.6 MiB
         assert peak < 48 * 2**20
 
@@ -379,7 +389,7 @@ class TestDescribe:
         np.add.at(field, (rows, cols), grads)
         unit, norm = unit_rows(upsample_rowcol(desc_map))
         g = (field - unit * (field * unit).sum(axis=-1, keepdims=True)) / norm[..., None]
-        mat_h, mat_w = (image_io.resample_matrix(n, 4 * n) for n in desc_map.shape[:2])
+        mat_h, mat_w = upsample_matrices(*desc_map.shape[:2])
         expected = np.einsum("ih,ijc,jw->hwc", mat_h, g, mat_w)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -405,6 +415,42 @@ class TestDescribe:
                                   ([0, 1], [0], np.zeros((2, 4)))]:
             with pytest.raises(ValueError, match="grad_desc"):
                 model.backward(params, out, gp, (rows, cols, grads))
+
+
+class TestUpsample:
+    """The detection upsample and its adjoint equal the dense GEMMs bit for
+    bit; the forward writes into a strided view, as into det1's input."""
+
+    # quarter-resolution (h, w): 1-pixel axes, odd and uneven sides, and the
+    # quarter shapes of 64x64 and 240x320 images
+    SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (6, 6), (7, 9), (16, 16), (30, 5), (60, 80)]
+
+    @pytest.mark.parametrize("h, w", SHAPES)
+    def test_forward_writes_the_dense_upsample_into_a_strided_view(self, h, w):
+        rng = np.random.default_rng(h * 100 + w)
+        x = rng.random((h + 2, w + 2, 16))[1:-1, 1:-1]  # as desc1's input interior
+        dest = np.full((4 * h + 2, 4 * w + 2, 24), np.nan)
+        model._upsample4(x, np.empty((4 * h, w * 16)), dest[1:-1, 1:-1, :16])
+        assert np.array_equal(dest[1:-1, 1:-1, :16], upsample_rowcol(x))
+        dest[1:-1, 1:-1, :16] = np.nan
+        assert np.isnan(dest).all()
+
+    @pytest.mark.parametrize("h, w", SHAPES)
+    def test_adjoint_equals_the_transposed_dense_gemms(self, h, w):
+        rng = np.random.default_rng(h * 100 + w + 1)
+        g = rng.normal(size=(4 * h + 2, 4 * w + 2, 24))[1:-1, 1:-1, :16]
+        mat_h, mat_w = upsample_matrices(h, w)
+        got = model._upsample4_backward(g, (h, w, 16))
+        assert np.array_equal(got, dense_rowcol(mat_h.T, g, mat_w.T))
+
+
+def workspace_bytes(h, w, d):
+    """Bytes of the tape-free forward's workspace: the end of each
+    ``_layout`` arena's furthest array, summed over the arenas."""
+    ends = {}
+    for arena, offset, shape in model._layout(h, w, d).values():
+        ends[arena] = max(ends.get(arena, 0), offset + int(np.prod(shape)))
+    return 8 * sum(ends.values())
 
 
 class TestWorkspace:
@@ -475,12 +521,15 @@ class TestWorkspace:
         thread.start()
         thread.join(120)
         assert not thread.is_alive()
-        # measured 33.5 MiB, then 3.6 MiB: the second call reuses the
-        # thread's 29.6 MiB workspace and allocates little beside the 1.2 MiB
-        # of maps it returns
+        # measured 27.1 MiB, then 3.6 MiB: the second call reuses the
+        # thread's workspace and allocates little beside the 1.2 MiB of maps
+        # it returns
         first, second = peaks
+        workspace = workspace_bytes(240, 320, 16)
         assert second < 6 * 2**20
-        assert first - second > 28 * 2**20
+        assert first - second > 0.95 * workspace
+        # measured 23.23 MiB
+        assert workspace < 23.3 * 2**20
 
 
 class TestOnePixelAxes:
@@ -555,6 +604,20 @@ class TestBackward:
         out = model.forward(params, np.random.default_rng(2).random((8, 8)))
         model.backward(params, out, np.ones_like(out.prob_map), at_pixels(np.ones((8, 8, 4))))
         assert skipped == [1]  # enc1 alone, whose input is the 1-channel image
+
+    def test_reads_every_tape_entry_and_no_copy_of_an_output_map(self):
+        params = random_params(25, d=4)
+        rng = np.random.default_rng(26)
+        out = model.forward(params, rng.random((16, 16)))
+        out.cache = ReadRecorder(out.cache)
+        model.backward(params, out, rng.normal(size=(16, 16)),
+                       ([3, 12], [5, 9], rng.normal(size=(2, 4))))
+        assert out.cache.read == set(out.cache)
+        # backward reads the maps from the output and each pool's argmax
+        # from the pool's input
+        assert not any(np.shares_memory(v, m) for v in out.cache.values()
+                       if isinstance(v, np.ndarray) for m in (out.prob_map, out.desc_map))
+        assert not [key for key in out.cache if key.startswith("pool")]
 
     def test_linearity(self):
         params = random_params(4, d=4)
