@@ -7,7 +7,12 @@ Driven by the ``oracle-check`` command; also reused by the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import multiprocessing
+import os
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +25,8 @@ class CheckResult:
     name: str
     deviation: float
     tolerance: float
+    # wall time of the check in the process that ran it; not part of equality
+    seconds: float = field(default=math.nan, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -362,16 +369,53 @@ def check_descriptor_chain(step=1e-5) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+# the battery, in report order; each runs by name (``_timed_check``)
+CHECKS = (
+    check_counts_vs_enumeration,
+    check_counts_bigint,
+    check_count_split_identity,
+    check_gammaln_matches_exact,
+    check_posterior_tiny,
+    check_posterior_symmetric,
+    check_expectation_identities,
+    check_model_gradients,
+    check_detector_chain,
+    check_descriptor_chain,
+)
+
+
+def _timed_check(name: str) -> CheckResult:
+    """Run the check ``name``, looked up on this module at call time (so a
+    monkeypatched module is what a forked worker runs), and time it."""
+    start = time.perf_counter()
+    result = globals()[name]()
+    return replace(result, seconds=time.perf_counter() - start)
+
+
 def run_all_checks() -> list:
-    return [
-        check_counts_vs_enumeration(),
-        check_counts_bigint(),
-        check_count_split_identity(),
-        check_gammaln_matches_exact(),
-        check_posterior_tiny(),
-        check_posterior_symmetric(),
-        check_expectation_identities(),
-        check_model_gradients(),
-        check_detector_chain(),
-        check_descriptor_chain(),
-    ]
+    """Every check's CheckResult, in CHECKS order.
+
+    The checks share no state, so they run in a pool of forked worker
+    processes, one per usable CPU (at most one per check). Fork, not spawn:
+    workers inherit the caller's modules as they are, monkeypatches included,
+    and skip re-importing numpy and scipy. The slow gradient checks sit last
+    in the list and are submitted first. The battery runs serially in this
+    process when only one CPU is usable, when this process is a daemonic
+    worker (which may not have children), or when other threads are running
+    (fork copies only the calling thread, so a lock another thread holds
+    would stay held in the worker). A check's exception is raised here with
+    its own type; a worker that dies raises BrokenProcessPool, a
+    RuntimeError. The pool is shut down and its workers joined before this
+    returns or raises.
+    """
+    names = [check.__name__ for check in CHECKS]
+    workers = min(len(os.sched_getaffinity(0)), len(names))
+    if (workers < 2 or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return [_timed_check(name) for name in names]
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {name: pool.submit(_timed_check, name) for name in reversed(names)}
+        return [futures[name].result() for name in names]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

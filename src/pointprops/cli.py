@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -58,7 +59,9 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--save-visuals", action="store_true",
                         help="also write per-pair match composites")
 
-    sub.add_parser("oracle-check", help="run the validation suite")
+    p_oracle = sub.add_parser("oracle-check", help="run the validation suite")
+    p_oracle.add_argument("--json", action="store_true",
+                          help="print the results as one JSON list")
 
     p_vis = sub.add_parser("visualize", help="render matches for one image pair")
     config_flags(p_vis)
@@ -326,16 +329,25 @@ def cmd_eval(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     results = checks.run_all_checks()
-    failures = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"{res.name:<32} deviation={res.deviation:.3e} "
-              f"tolerance={res.tolerance:.1e} {status}")
-        failures += not res.passed
+    failures = sum(not res.passed for res in results)
+    if args.json:
+        # a deviation that is not finite is null: JSON has no nan or inf
+        print(json.dumps([
+            {"name": res.name,
+             "deviation": float(res.deviation) if math.isfinite(res.deviation) else None,
+             "tolerance": res.tolerance, "passed": bool(res.passed), "seconds": res.seconds}
+            for res in results
+        ]))
+    else:
+        for res in results:
+            status = "PASS" if res.passed else "FAIL"
+            print(f"{res.name:<32} deviation={res.deviation:.3e} "
+                  f"tolerance={res.tolerance:.1e} {status}")
+        if not failures:
+            print(f"all {len(results)} checks passed")
     if failures:
         print(f"{failures} check(s) failed", file=sys.stderr)
         return CHECK_FAILURE
-    print(f"all {len(results)} checks passed")
     return 0
 
 

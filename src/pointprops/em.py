@@ -23,6 +23,10 @@ from .config import PropertyConfig, TrainConfig
 log = logging.getLogger(__name__)
 
 EXACT_COUNT_LIMIT = 60  # big-integer binomials below, log-gamma above
+# consecutive iterations with every scene skipped after which training stops:
+# such an iteration takes no step, so a detector with no candidate left (say,
+# dead det1 ReLUs giving constant logits) could never recover
+_DEAD_ITERATIONS = 10
 
 
 class EmptySampleSpaceError(ValueError):
@@ -142,6 +146,17 @@ def e_step(scenes, params: model.ModelParams, cfg: PropertyConfig):
         states.append(state)
         total += state.expected_log_likelihood
     return states, total
+
+
+def _skip_reason(scene, cfg: PropertyConfig) -> str:
+    """Why ``e_step`` skipped ``scene``: the message of the
+    EmptySampleSpaceError that the E-step raises again on the outputs
+    ``e_step`` left on the scene."""
+    try:
+        _e_step_scene(scene, cfg)
+    except EmptySampleSpaceError as exc:
+        return str(exc)
+    return "not skipped"
 
 
 def repeatability(scene, outputs):
@@ -289,7 +304,9 @@ def train(images, cfg: TrainConfig) -> TrainResult:
 
     Raises ValueError naming the iteration when the kept scenes' E[L] or a
     summed gradient (naming the parameter) is not finite. An iteration
-    whose scenes were all skipped takes no step and logs nan.
+    whose scenes were all skipped takes no step and logs nan; after 10 such
+    iterations in a row, ValueError names the iteration and why the last
+    batch's scenes were skipped.
     """
     images = [np.asarray(img, dtype=float) for img in images]
     if not images:
@@ -301,6 +318,7 @@ def train(images, cfg: TrainConfig) -> TrainResult:
     cursor = 0
     draw = 0
     rows = []
+    all_skipped = 0  # consecutive iterations with every scene skipped
     for t in range(1, cfg.iterations + 1):
         start = time.perf_counter()
         scenes = []
@@ -323,6 +341,11 @@ def train(images, cfg: TrainConfig) -> TrainResult:
         states, expected = e_step(scenes, params, cfg.properties)
         kept = [(st, sc) for st, sc in zip(states, scenes) if st is not None]
         skipped = len(scenes) - len(kept)
+        all_skipped = 0 if kept else all_skipped + 1
+        if all_skipped == _DEAD_ITERATIONS:
+            reasons = "; ".join(sorted({_skip_reason(sc, cfg.properties) for sc in scenes}))
+            raise ValueError(f"iteration {t}: every scene skipped for {all_skipped} "
+                             f"iterations in a row ({reasons}); training takes no step")
         if kept:
             if not math.isfinite(expected):
                 raise ValueError(f"iteration {t}: expected log-likelihood E[L] is {expected}")

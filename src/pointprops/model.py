@@ -327,10 +327,10 @@ def _conv3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
 
 def _maxpool2(x: np.ndarray, out: np.ndarray) -> None:
     """2x2 stride-2 max pool of (H, W, C) ``x``, written into ``out``
-    (H/2, W/2, C) as the max of the 4 strided views of the cells."""
-    np.maximum(x[0::2, 0::2], x[0::2, 1::2], out=out)
-    np.maximum(out, x[1::2, 0::2], out=out)
-    np.maximum(out, x[1::2, 1::2], out=out)
+    (H/2, W/2, C): the max of each row pair, whose rows are contiguous, then
+    of each column pair of that."""
+    rows = np.maximum(x[0::2], x[1::2])
+    np.maximum(rows[:, 0::2], rows[:, 1::2], out=out)
 
 
 def _maxpool2_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:

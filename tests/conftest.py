@@ -128,3 +128,19 @@ def corrupted_counts(monkeypatch):
                               counts.log_without_point, None)
 
     monkeypatch.setattr(em, "log_count_sample_space", corrupted)
+
+
+@pytest.fixture
+def dead_detector(monkeypatch):
+    """Make ``model.init_params`` set det1's biases to -1e3: every det1 ReLU
+    is dead, the logits are constant, and no scene has a candidate point."""
+    from pointprops import model
+
+    init_params = model.init_params
+
+    def dead(*args, **kwargs):
+        params = init_params(*args, **kwargs)
+        params.weights["det1_b"] = np.full_like(params.weights["det1_b"], -1e3)
+        return params
+
+    monkeypatch.setattr(model, "init_params", dead)

@@ -1,7 +1,11 @@
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
-from pointprops import checks, em, oracle
+from pointprops import checks, cli, em, oracle
 
 
 class TestCountingChecks:
@@ -88,3 +92,74 @@ class TestGradientChecks:
         assert p.min() > 0.05 and p.max() < 0.98
         upstream = em.descriptor_field_gradients(state, scene, cfg)
         assert sum(float(np.abs(g).sum()) for _, _, g in upstream) > 0.1
+
+
+NAMES = [check.__name__ for check in checks.CHECKS]
+
+
+def stub_checks(monkeypatch, raising=None):
+    """Replace every check with one that reports the id of the process that
+    ran it as its deviation; the check named ``raising`` raises instead."""
+    for name in NAMES:
+        def stub(name=name):
+            if name == raising:
+                raise FloatingPointError(f"{name} failed")
+            return checks.CheckResult(name, float(os.getpid()), 0.0)
+        monkeypatch.setattr(checks, name, stub)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so the battery takes the pool path on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+class TestRunAllChecks:
+    def test_pool_results_equal_each_serial_check(self, two_cpus):
+        pooled = checks.run_all_checks()
+        serial = [getattr(checks, name)() for name in NAMES]
+        assert [(r.name, repr(r.deviation), r.tolerance) for r in pooled] == \
+            [(r.name, repr(r.deviation), r.tolerance) for r in serial]
+        assert all(r.seconds > 0 for r in pooled)
+        assert multiprocessing.active_children() == []
+
+    def test_checks_run_in_workers_and_return_in_list_order(self, two_cpus, monkeypatch):
+        stub_checks(monkeypatch)
+        results = checks.run_all_checks()
+        assert [r.name for r in results] == NAMES
+        assert os.getpid() not in {r.deviation for r in results}
+        assert multiprocessing.active_children() == []
+
+    def test_check_exception_keeps_its_type(self, two_cpus, monkeypatch):
+        stub_checks(monkeypatch, raising="check_posterior_tiny")
+        with pytest.raises(FloatingPointError, match="check_posterior_tiny failed"):
+            checks.run_all_checks()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_exits_2(self, two_cpus, monkeypatch, capsys):
+        stub_checks(monkeypatch)
+        monkeypatch.setattr(checks, "check_posterior_tiny", lambda: os._exit(1))
+        assert cli.main(["oracle-check"]) == 2
+        assert "terminated abruptly" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cause", ["one cpu", "daemonic caller", "other thread"])
+    def test_serial_in_this_process(self, two_cpus, monkeypatch, cause):
+        stub_checks(monkeypatch)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        if cause == "one cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif cause == "daemonic caller":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        else:
+            waiter.start()
+        try:
+            results = checks.run_all_checks()
+        finally:
+            release.set()
+        assert [r.name for r in results] == NAMES
+        assert {r.deviation for r in results} == {float(os.getpid())}
+        if waiter.ident is not None:
+            waiter.join(timeout=5)
+            assert not waiter.is_alive()

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -112,6 +113,19 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "cut.pgm: truncated PNM header" in err and "good.pgm" not in err
         assert (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_dead_detector_exits_2_without_checkpoint(self, dead_detector, image_dir,
+                                                       config_file, tmp_path, capsys):
+        long_run = tmp_path / "long.cfg"
+        long_run.write_text(config_file.read_text().replace("iterations = 2",
+                                                            "iterations = 12"))
+        out = tmp_path / "run"
+        code = cli.main(["train", "--config", str(long_run), "--images", str(image_dir),
+                         "--output", str(out)])
+        assert code == 2
+        assert ("iteration 10: every scene skipped for 10 iterations in a row "
+                "(no candidate local maxima)") in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
 
     def test_missing_directory_names_path(self, config_file, tmp_path, capsys):
         code = cli.main(["train", "--config", str(config_file),
@@ -379,6 +393,23 @@ class TestOracleCheckCommand:
         # the former self-test flag is an unknown flag like any other
         assert cli.main(["oracle-check", "--self-test-corrupt-counts"]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_json_lists_every_check(self, corrupted_counts, capsys):
+        assert cli.main(["oracle-check", "--json"]) == 3
+        out = capsys.readouterr().out
+        records = json.loads(out)
+        assert out.count("\n") == 1
+        assert [r["name"] for r in records] == [
+            "counts-vs-enumeration", "counts-bigint-exact", "count-split-identity",
+            "gammaln-vs-exact", "posterior-tiny-deviation", "posterior-symmetric-exact",
+            "expectation-identities", "grad-model-vs-fd", "grad-detector-chain-vs-fd",
+            "grad-descriptor-chain-vs-fd"]
+        assert all(set(r) == {"name", "deviation", "tolerance", "passed", "seconds"}
+                   for r in records)
+        assert [r["name"] for r in records if not r["passed"]] == [
+            "counts-vs-enumeration", "counts-bigint-exact", "count-split-identity"]
+        assert all(r["passed"] == (r["deviation"] <= r["tolerance"]) for r in records)
+        assert all(r["seconds"] > 0 for r in records)
 
 
 class TestVisualizeCommand:

@@ -514,3 +514,14 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"iteration 1: expected log-likelihood "
                                              r"E\[L\] is inf"):
             em.train(self.images(), self.small_config(2))
+
+    def test_dead_detector_stops_training(self, dead_detector):
+        # the last all-skipped iteration that still returns, then the guard
+        result = em.train(self.images(), self.small_config(em._DEAD_ITERATIONS - 1))
+        assert [row["skipped_scenes"] for row in result.log_rows] == \
+            [1] * (em._DEAD_ITERATIONS - 1)
+        with pytest.raises(ValueError, match=rf"iteration {em._DEAD_ITERATIONS}: every "
+                                             rf"scene skipped for {em._DEAD_ITERATIONS} "
+                                             r"iterations in a row \(no candidate local "
+                                             r"maxima\)"):
+            em.train(self.images(), self.small_config(em._DEAD_ITERATIONS + 5))

@@ -417,6 +417,34 @@ class TestDescribe:
                 model.backward(params, out, gp, (rows, cols, grads))
 
 
+class TestMaxPool:
+    """``_maxpool2`` (row pairs, then column pairs) equals the max of the 4
+    strided views of the cells, bit for bit, read from and written into
+    strided views as in the forward."""
+
+    @staticmethod
+    def four_views(x):
+        out = np.maximum(x[0::2, 0::2], x[0::2, 1::2])
+        np.maximum(out, x[1::2, 0::2], out=out)
+        return np.maximum(out, x[1::2, 1::2], out=out)
+
+    @pytest.mark.parametrize("h, w, c", [(2, 2, 1), (4, 6, 3), (8, 8, 8), (30, 22, 16)])
+    def test_equals_the_four_view_max(self, h, w, c):
+        rng = np.random.default_rng(h * 100 + w)
+        # ties (few distinct values), infinities and nan; no -0.0, whose ties
+        # with 0.0 could pick either sign: the forward pools ReLU outputs,
+        # and its ReLU, np.maximum(x, 0.0), maps -0.0 to 0.0
+        values = np.array([0.0, 1.0, 1.0 + 2.0 ** -52, -3.5, np.inf, -np.inf, np.nan])
+        big = rng.choice(values, size=(h + 2, w + 2, c + 8))
+        x = big[1:-1, 1:-1, 8:]
+        dest = np.full((h // 2 + 2, w // 2 + 2, c), 7.0)
+        model._maxpool2(x, dest[1:-1, 1:-1])
+        expected = self.four_views(x)
+        assert np.array_equal(dest[1:-1, 1:-1], expected, equal_nan=True)
+        dest[1:-1, 1:-1] = 7.0
+        assert (dest == 7.0).all()
+
+
 class TestUpsample:
     """The detection upsample and its adjoint equal the dense GEMMs bit for
     bit; the forward writes into a strided view, as into det1's input."""
