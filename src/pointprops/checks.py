@@ -398,15 +398,15 @@ def run_all_checks() -> list:
     The checks share no state, so they run in a pool of forked worker
     processes, one per usable CPU (at most one per check). Fork, not spawn:
     workers inherit the caller's modules as they are, monkeypatches included,
-    and skip re-importing numpy and scipy. The slow gradient checks sit last
-    in the list and are submitted first. The battery runs serially in this
-    process when only one CPU is usable, when this process is a daemonic
-    worker (which may not have children), or when other threads are running
-    (fork copies only the calling thread, so a lock another thread holds
-    would stay held in the worker). A check's exception is raised here with
-    its own type; a worker that dies raises BrokenProcessPool, a
-    RuntimeError. The pool is shut down and its workers joined before this
-    returns or raises.
+    and skip re-importing numpy and the program. The slow gradient checks
+    sit last in the list and are submitted first. The battery runs serially
+    in this process when only one CPU is usable, when this process is a
+    daemonic worker (which may not have children), or when other threads
+    are running (fork copies only the calling thread, so a lock another
+    thread holds would stay held in the worker). A check's exception is
+    raised here with its own type; a worker that dies raises
+    BrokenProcessPool, a RuntimeError. The pool is shut down and its workers
+    joined before this returns or raises.
     """
     names = [check.__name__ for check in CHECKS]
     workers = min(len(os.sched_getaffinity(0)), len(names))

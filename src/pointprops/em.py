@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import model, properties, simulate
 from .config import PropertyConfig, TrainConfig
@@ -76,15 +75,23 @@ def log_count_sample_space(m: int, n_min: int, n_max: int, method: str = "auto")
     if method != "gammaln":
         raise ValueError(f"unknown counting method {method!r}")
     ns = np.arange(lo, hi + 1, dtype=float)
-    log_total = logsumexp(_log_comb(float(m), ns))
-    log_with = logsumexp(_log_comb(float(m - 1), ns - 1.0))
+    log_total = _logsumexp(_log_comb(float(m), ns))
+    log_with = _logsumexp(_log_comb(float(m - 1), ns - 1.0))
     diff = log_with - log_total
     log_without = log_total + math.log1p(-math.exp(diff)) if diff < 0 else -math.inf
-    return SpaceCounts(float(log_total), float(log_with), float(log_without))
+    return SpaceCounts(log_total, log_with, log_without)
 
 
 def _log_comb(m, ns):
-    return gammaln(m + 1.0) - gammaln(ns + 1.0) - gammaln(m - ns + 1.0)
+    """log C(m, n) for each n of ``ns``, by log-gamma."""
+    return np.array([math.lgamma(m + 1.0) - math.lgamma(n + 1.0) - math.lgamma(m - n + 1.0)
+                     for n in ns.tolist()])
+
+
+def _logsumexp(terms):
+    """log(sum(exp(terms))), shifted by the largest term so no exp overflows."""
+    top = float(terms.max())
+    return top + math.log(float(np.exp(terms - top).sum()))
 
 
 def approximate_posterior(r, c_tilde, counts: SpaceCounts, yhat):

@@ -16,7 +16,6 @@ include the center pixel.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .config import PropertyConfig
 
@@ -57,20 +56,15 @@ def _max_beside(values: np.ndarray, rad: int, axis: int) -> np.ndarray:
     """Max over the rad cells before and the rad cells after each cell of a
     2-D array along ``axis``, the cell itself excluded; -inf off the array.
 
-    One 1-D window of rad cells over the array behind rad cells of -inf,
-    read at two shifts: the window at i covers the cells i-rad .. i-1, the
-    one at i + rad + 1 the cells i+1 .. i+rad.
+    The array shifted by 1..rad cells each way, folded in with np.maximum.
     """
     def cut(arr, start, stop):
         return arr[(slice(None),) * axis + (slice(start, stop),)]
 
-    n = values.shape[axis]
-    padded = np.full(values.shape[:axis] + (n + rad,) + values.shape[axis + 1:], -np.inf)
-    cut(padded, rad, None)[...] = values
-    window = ndimage.maximum_filter1d(padded, rad, axis=axis, origin=-(rad // 2),
-                                      mode="constant", cval=-np.inf)
-    out = cut(window, 0, n)
-    np.maximum(cut(out, 0, n - 1), cut(window, rad + 1, None), out=cut(out, 0, n - 1))
+    out = np.full(values.shape, -np.inf)
+    for shift in range(1, rad + 1):
+        np.maximum(cut(out, shift, None), cut(values, None, -shift), out=cut(out, shift, None))
+        np.maximum(cut(out, None, -shift), cut(values, shift, None), out=cut(out, None, -shift))
     return out
 
 

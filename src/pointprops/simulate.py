@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from functools import lru_cache
+
 import numpy as np
-from scipy import ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 ILLUM_KINDS = ("blur", "channel_shuffle", "contrast", "grayscale_mix", "invert",
                "salt_pepper", "shadow")
@@ -149,10 +151,10 @@ def _apply_one(img, op: PhotometricOp):
         radius = op.get("radius")
         mode = op.get("mode")
         if mode == "gaussian":
-            return ndimage.gaussian_filter(img, sigma=0.5 * radius, mode="nearest")
+            return gaussian_blur(img, 0.5 * radius)
         if mode == "average":
-            return ndimage.uniform_filter(img, size=2 * radius + 1, mode="nearest")
-        return ndimage.median_filter(img, size=2 * radius + 1, mode="nearest")
+            return box_blur(img, 2 * radius + 1)
+        return median_blur(img, 2 * radius + 1)
     if op.kind in ("channel_shuffle", "grayscale_mix"):
         return img
     if op.kind == "contrast":
@@ -175,6 +177,149 @@ def _apply_one(img, op: PhotometricOp):
             out[mask] *= 1.0 - attenuation
         return out
     raise ValueError(f"unknown photometric kind {op.kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# blur kernels
+#
+# Each is separable or a rank filter with edge-replicated ("nearest")
+# borders, and each matches scipy.ndimage's filter of the same name bit for
+# bit, so the simulated views do not depend on which of the two made them.
+# ---------------------------------------------------------------------------
+
+
+def _edge_pad(img: np.ndarray, r: int) -> np.ndarray:
+    """``np.pad(img, r, mode="edge")`` for an (H, W) image, by slice copies."""
+    h, w = img.shape
+    out = np.empty((h + 2 * r, w + 2 * r))
+    middle = out[r:r + h]
+    middle[:, r:r + w] = img
+    middle[:, :r] = img[:, :1]
+    middle[:, r + w:] = img[:, -1:]
+    out[:r] = middle[0]
+    out[r + h:] = middle[-1]
+    return out
+
+
+@lru_cache(maxsize=8)  # blur records use 3 sigmas
+def _gaussian_weights(sigma: float) -> tuple:
+    """Normalised taps exp(-x^2 / (2 sigma^2)) for x in -r..r, r = int(4 sigma + 0.5)."""
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x ** 2)
+    return tuple((phi / phi.sum()).tolist())
+
+
+def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian blur of an (H, W) image: along axis 0, then along axis 1.
+
+    The kernel is symmetric, so each output is the centre tap times its
+    pixel plus, from the farthest pair of taps inwards, (left + right) times
+    the pair's weight: that order of additions is the one that makes the
+    result exact against the reference filter.
+    """
+    weights = _gaussian_weights(sigma)
+    r = len(weights) // 2
+    out = _edge_pad(img, r)
+    for axis in (0, 1):
+        n = out.shape[axis] - 2 * r
+
+        def tap(k):
+            return out[(slice(None),) * axis + (slice(r + k, r + k + n),)]
+
+        acc = np.multiply(tap(0), weights[r])
+        pair = np.empty_like(acc)
+        for j in range(r, 0, -1):
+            np.add(tap(-j), tap(j), out=pair)
+            pair *= weights[r - j]
+            acc += pair
+        out = acc
+    return out
+
+
+def box_blur(img: np.ndarray, size: int) -> np.ndarray:
+    """Mean over a size x size window (size odd) of an (H, W) image.
+
+    Along each axis: a running sum, the first window added left to right
+    from +0.0 and each next one as the previous plus (entering - leaving),
+    divided by ``size`` only at the end. A running mean rounds differently.
+    """
+    r = size // 2
+    out = _edge_pad(img, r)
+    for axis in (0, 1):
+        n = out.shape[axis] - 2 * r
+
+        def cut(arr, start, stop):
+            return arr[(slice(None),) * axis + (slice(start, stop),)]
+
+        sums = np.empty(out.shape[:axis] + (n,) + out.shape[axis + 1:])
+        first = cut(sums, 0, 1)
+        np.add(cut(out, 0, 1), 0.0, out=first)
+        for k in range(1, size):
+            first += cut(out, k, k + 1)
+        np.subtract(cut(out, size, None), cut(out, 0, n - 1), out=cut(sums, 1, None))
+        np.cumsum(sums, axis=axis, out=sums)
+        sums /= size
+        out = sums
+    return out
+
+
+_MEDIAN_BAND_CELLS = 1 << 18  # window cells copied at once: 2 MiB of float64
+
+
+def median_blur(img: np.ndarray, size: int) -> np.ndarray:
+    """Median over a size x size window (size odd) of an (H, W) image.
+
+    The middle order statistic of each window, picked by ``np.partition``
+    over bands of output rows so that the window copy stays small. Any
+    selection returns the same value; only a zero can come out with either
+    sign when a window holds both +0.0 and -0.0, and there the reference
+    filter's quickselect decides (``_select``).
+    """
+    h, w = img.shape
+    cells = size * size
+    rank = cells // 2
+    padded = _edge_pad(img, size // 2)
+    windows = sliding_window_view(padded, (size, size))
+    out = np.empty((h, w))
+    rows = max(1, _MEDIAN_BAND_CELLS // (w * cells))
+    buf = np.empty((min(rows, h), w, size, size))
+    for top in range(0, h, rows):
+        band = buf[:min(rows, h - top)]
+        band[...] = windows[top:top + len(band)]
+        flat = band.reshape(-1, cells)
+        flat.partition(rank, axis=1)
+        out[top:top + len(band)] = flat[:, rank].reshape(-1, w)
+    if np.signbit(padded[padded == 0.0]).any():
+        for i, j in zip(*np.nonzero(out == 0.0)):
+            out[i, j] = _select(list(windows[i, j].ravel()), rank)
+    return out
+
+
+def _select(values: list, rank: int) -> float:
+    """The ``rank``-th smallest of ``values`` by Hoare's quickselect with the
+    first element as pivot, as scipy.ndimage's median filter selects: it
+    fixes the sign of a zero median among mixed signed zeros."""
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        pivot = values[lo]
+        i, j = lo - 1, hi + 1
+        while True:
+            j -= 1
+            while values[j] > pivot:
+                j -= 1
+            i += 1
+            while values[i] < pivot:
+                i += 1
+            if i >= j:
+                break
+            values[i], values[j] = values[j], values[i]
+        if rank <= j - lo:
+            hi = j
+        else:
+            rank -= j - lo + 1
+            lo = j + 1
+    return values[lo]
 
 
 # ---------------------------------------------------------------------------

@@ -46,18 +46,25 @@ class TestNeighborhoodMax:
         return ndimage.maximum_filter(values, footprint=footprint, mode="constant",
                                       cval=-np.inf)
 
-    @pytest.mark.parametrize("rad", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rad", [1, 2, 3, 4, 5, 6])
     def test_equals_the_holed_footprint_filter(self, rad):
         rng = np.random.default_rng(rad)
         for shape in [(1, 1), (1, 9), (9, 1), (2, 3), (12, 12), (17, 40), (240, 320)]:
+            plateaus = np.kron(rng.integers(0, 3, (shape[0] // 3 + 1, shape[1] // 3 + 1)),
+                               np.ones((3, 3)))[:shape[0], :shape[1]]
             maps = {"random": rng.random(shape),
                     "tied": rng.integers(0, 3, shape).astype(float),
+                    "plateaus": plateaus,
+                    # the E-step's quorum mask: -inf where too few views see a pixel
                     "-inf": np.where(rng.random(shape) < 0.4, -np.inf, rng.random(shape)),
                     "all -inf": np.full(shape, -np.inf)}
             for kind, values in maps.items():
                 got = properties.neighborhood_max(values, rad)
+                want = self.holed_filter(values, rad)
                 assert got.shape == shape
-                assert np.array_equal(got, self.holed_filter(values, rad)), (shape, kind)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (shape, kind)
+                assert np.array_equal(properties.select_local_maxima(values, rad),
+                                      values > want), (shape, kind)
 
     def test_rejects_zero_radius(self):
         with pytest.raises(ValueError, match="rad must be >= 1"):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import ndimage  # the reference filters; the program itself does not import scipy
 
+from conftest import shape_scenes
 from pointprops import simulate
 
 
@@ -88,6 +90,66 @@ class TestApplyPhotometric:
             out = simulate.apply_photometric(img, spec)
             assert out.shape == img.shape
             assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+def reference_blur(img, mode, radius):
+    """The blur record as scipy.ndimage computes it."""
+    if mode == "gaussian":
+        return ndimage.gaussian_filter(img, sigma=0.5 * radius, mode="nearest")
+    if mode == "average":
+        return ndimage.uniform_filter(img, size=2 * radius + 1, mode="nearest")
+    return ndimage.median_filter(img, size=2 * radius + 1, mode="nearest")
+
+
+def simulated_view(shape, seed):
+    """A view as training or eval sees it, of a mosaic of shape scenes."""
+    tiles = shape_scenes(seed, 20, 64)
+    mosaic = np.block([tiles[5 * i:5 * i + 5] for i in range(4)])  # 256 x 320
+    return simulate.make_scene(mosaic[:shape[0], :shape[1]], 1, seed, 0).images[0]
+
+
+def blur_inputs(shape, rng):
+    """Random, tied, signed-zero and simulated inputs of one shape. Mixed
+    zeros everywhere only on small images: each zero median among them takes
+    the quickselect path, one window at a time. At 240x320 the median runs
+    in several bands, the last one partial."""
+    inputs = {"random": rng.random(shape), "ties": rng.integers(0, 3, shape) / 2.0}
+    signs = rng.random(shape)
+    dense = np.where(signs < 0.5, 0.0, -0.0)
+    dense[signs > 0.8] = rng.random(shape)[signs > 0.8]
+    if dense.size <= 64 * 64:
+        inputs["signed zeros"] = dense
+    sparse = rng.random(shape)
+    sparse[signs < 0.05] = 0.0
+    sparse[signs > 0.95] = -0.0
+    inputs["some signed zeros"] = sparse
+    if min(shape) >= 8:
+        inputs["view"] = simulated_view(shape, int(rng.integers(100)))
+    return inputs
+
+
+class TestBlurMatchesScipy:
+    """Every blur record gives scipy.ndimage's bits: the views, and so the
+    checkpoints and eval rows, do not depend on which library blurred them."""
+
+    SHAPES = [(64, 64), (240, 320), (24, 24), (8, 8), (1, 1), (1, 9), (9, 1), (2, 3), (5, 14)]
+
+    @pytest.mark.parametrize("mode", ["gaussian", "average", "median"])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_bit_identical(self, mode, radius):
+        rng = np.random.default_rng(radius)
+        op = simulate._op("blur", mode=mode, radius=radius)
+        for shape in self.SHAPES:
+            for kind, img in blur_inputs(shape, rng).items():
+                got = simulate._apply_one(img, op)
+                want = reference_blur(img, mode, radius)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.flags.c_contiguous
+                assert np.array_equal(bits(got), bits(want)), (shape, kind)
 
 
 class TestHomographySampling:
