@@ -118,7 +118,6 @@ class LatentState:
     r: np.ndarray  # (H, W) repeatability (0 where never observed)
     valid_count: np.ndarray  # (H, W) number of views observing each point
     h: np.ndarray  # (H, W) margins (margin_max off yhat)
-    c_tilde: np.ndarray  # (H, W) discriminability probability (1 off yhat)
     expected_log_likelihood: float
     # selected-point gather, reused by the gradient passes
     sel_rows: np.ndarray = field(repr=False, default=None)
@@ -224,7 +223,6 @@ def _e_step_scene(scene, cfg: PropertyConfig) -> LatentState:
         r=r,
         valid_count=valid_count,
         h=h_grid,
-        c_tilde=c_grid,
         expected_log_likelihood=expected,
         sel_rows=sel_rows,
         sel_cols=sel_cols,

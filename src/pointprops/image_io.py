@@ -8,9 +8,11 @@ returns (H, W) grayscale, the one layout every later stage takes.
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -96,21 +98,15 @@ def pad_to_multiple_of_4(image: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+_PNM_TOKEN = re.compile(rb"#[^\n]*|\S+")
+
+
 def _pnm_tokens(data: bytes):
-    pos = 0
-    while pos < len(data):
-        if data[pos : pos + 1].isspace():
-            pos += 1
-            continue
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        end = pos
-        while end < len(data) and not data[end : end + 1].isspace():
-            end += 1
-        yield data[pos:end], end
-        pos = end
+    """(token, end offset) of each whitespace-separated token; a token that
+    starts with ``#`` is a comment running to the end of its line."""
+    for match in _PNM_TOKEN.finditer(data):
+        if not match[0].startswith(b"#"):
+            yield match[0], match.end()
 
 
 def read_pnm(path) -> np.ndarray:
@@ -123,18 +119,14 @@ def read_pnm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
     tokens = _pnm_tokens(data)
-    header = []
-    for tok, end in tokens:
-        header.append(tok)
-        if len(header) == 4:
-            break
+    header = list(islice(tokens, 4))
     if len(header) < 4:
         raise ValueError(f"{path}: truncated PNM header")
-    magic = header[0].decode("latin-1")
+    magic = header[0][0].decode("latin-1")
     if magic not in ("P2", "P3", "P5", "P6"):
         raise ValueError(f"{path}: unsupported PNM magic {magic!r}")
     try:
-        width, height, maxval = (int(tok) for tok in header[1:])
+        width, height, maxval = (int(tok) for tok, _ in header[1:])
     except ValueError:
         raise ValueError(f"{path}: non-integer PNM header field") from None
     if width < 1 or height < 1:
@@ -144,17 +136,13 @@ def read_pnm(path) -> np.ndarray:
     channels = 3 if magic in ("P3", "P6") else 1
     count = width * height * channels
     if magic in ("P2", "P3"):
-        values = []
-        for tok, _ in tokens:
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise ValueError(f"{path}: non-integer PNM sample") from None
-            if len(values) == count:
-                break
-        arr = np.array(values, dtype=float)
+        try:
+            arr = np.array([int(tok) for tok, _ in islice(tokens, count)], dtype=float)
+        except ValueError:
+            raise ValueError(f"{path}: non-integer PNM sample") from None
     else:
-        raw = data[end + 1 : end + 1 + count]
+        start = header[3][1] + 1  # one whitespace byte ends the header
+        raw = data[start : start + count]
         if len(raw) < count:
             raise ValueError(f"{path}: truncated pixel data")
         arr = np.frombuffer(raw, dtype=np.uint8).astype(float)
@@ -201,14 +189,13 @@ def write_png(path, img: np.ndarray) -> None:
         fh.write(_chunk(b"IEND", b""))
 
 
-def _paeth(a, b, c):
-    p = a.astype(int) + b.astype(int) - c.astype(int)
-    pa, pb, pc = np.abs(p - a), np.abs(p - b), np.abs(p - c)
-    out = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-    return out.astype(np.uint8)
-
-
 def read_png(path) -> np.ndarray:
+    """Read an 8-bit non-interlaced PNG, dropping any alpha channel.
+
+    Raises ValueError naming the file for a truncated chunk, a missing IHDR,
+    an unsupported depth, interlace or colour type, an empty size, corrupt or
+    short image data and an unknown row filter.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(PNG_MAGIC):
@@ -238,6 +225,8 @@ def read_png(path) -> np.ndarray:
     channels = {0: 1, 2: 3, 4: 2, 6: 4}.get(color_type)
     if channels is None:
         raise ValueError(f"{path}: unsupported PNG color type {color_type}")
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: PNG size {width}x{height} is empty")
     try:
         raw = zlib.decompress(idat)
     except zlib.error as exc:
@@ -245,43 +234,32 @@ def read_png(path) -> np.ndarray:
     stride = width * channels
     if len(raw) < height * (1 + stride):
         raise ValueError(f"{path}: PNG image data is truncated")
-    out = np.zeros((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.uint8)
-    pos = 0
-    for row in range(height):
-        filter_type = raw[pos]
-        line = np.frombuffer(raw[pos + 1 : pos + 1 + stride], dtype=np.uint8).copy()
-        pos += 1 + stride
-        if filter_type == 0:
-            recon = line
-        elif filter_type == 1:
-            recon = line
-            for col in range(channels, stride):
-                recon[col] = (int(recon[col]) + int(recon[col - channels])) & 0xFF
-        elif filter_type == 2:
-            recon = (line.astype(int) + prev).astype(np.uint8)
-        elif filter_type == 3:
-            recon = line
-            for col in range(stride):
-                left = int(recon[col - channels]) if col >= channels else 0
-                recon[col] = (int(recon[col]) + (left + int(prev[col])) // 2) & 0xFF
-        elif filter_type == 4:
-            recon = line
-            for col in range(stride):
-                left = recon[col - channels] if col >= channels else np.uint8(0)
-                upleft = prev[col - channels] if col >= channels else np.uint8(0)
-                recon[col] = (int(recon[col]) + int(_paeth(
-                    np.array(left), np.array(prev[col]), np.array(upleft)
-                ))) & 0xFF
+    lines = np.frombuffer(raw, np.uint8, height * (1 + stride)).reshape(height, 1 + stride)
+    # row 0 and the first `channels` columns are the zero neighbours that the
+    # filters read above and left of the image
+    recon = np.zeros((height + 1, channels + stride), dtype=np.uint8)
+    for row, (filter_type, line) in enumerate(zip(lines[:, 0].tolist(), lines[:, 1:]), 1):
+        cur, up = recon[row, channels:], recon[row - 1, channels:]
+        if filter_type == 0:  # None
+            cur[:] = line
+        elif filter_type == 1:  # Sub: a running sum per channel, mod 256
+            sums = np.cumsum(line.reshape(width, channels), axis=0, dtype=np.uint8)
+            cur[:] = sums.ravel()
+        elif filter_type == 2:  # Up
+            np.add(line, up, out=cur)
+        elif filter_type in (3, 4):  # Average, Paeth: each byte needs the one before
+            out, above = recon[row].tolist(), recon[row - 1].tolist()
+            for col, x in enumerate(line.tolist()):
+                a, b, c = out[col], above[col + channels], above[col]
+                if filter_type == 3:
+                    pred = (a + b) >> 1
+                else:
+                    pa, pb, pc = abs(b - c), abs(a - c), abs(a + b - 2 * c)
+                    pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
+                out[col + channels] = (x + pred) & 0xFF
+            recon[row] = out
         else:
             raise ValueError(f"{path}: unknown PNG filter {filter_type}")
-        out[row] = recon
-        prev = out[row]
-    img = out.reshape(height, width, channels).astype(float) / 255.0
-    if channels == 1:
-        return img[:, :, 0]
-    if channels == 2:  # gray + alpha: drop alpha
-        return img[:, :, 0]
-    if channels == 4:  # RGBA: drop alpha
-        return img[:, :, :3]
-    return img
+    img = recon[1:, channels:].reshape(height, width, channels).astype(float) / 255.0
+    # drop alpha: gray (+ alpha) decodes to (H, W), RGB (+ alpha) to (H, W, 3)
+    return img[:, :, 0] if channels <= 2 else img[:, :, :3]

@@ -50,7 +50,7 @@ def _op(kind, **params):
     return PhotometricOp(kind, tuple(sorted(params.items())))
 
 
-def sample_photometric(rng: np.random.Generator, level: str = "illum_full"):
+def sample_photometric(rng: np.random.Generator, level: str):
     """Draw an ordered list of 1..3 photometric transform records.
 
     ``illum_mild`` draws only from blur / contrast / shadow; ``illum_full``

@@ -1,10 +1,12 @@
 """Shared fixtures: synthetic shape scenes used by training-level tests, a
 stand-in model output holding a hand-made per-pixel descriptor field, a
-PGM/PPM writer for image-file fixtures, the seeded byte mutator of the
-reader mutation tests, and a deliberately broken counting path that the
-oracle-check battery must catch."""
+PGM/PPM writer and a PNG encoder with chosen row filters for image-file
+fixtures, the seeded byte mutator of the reader mutation tests, and a
+deliberately broken counting path that the oracle-check battery must catch."""
 
+import struct
 import sys
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,6 +92,48 @@ def write_pnm(path, img):
     magic = b"P5" if data.ndim == 2 else b"P6"
     height, width = data.shape[:2]
     Path(path).write_bytes(magic + b"\n%d %d\n255\n" % (width, height) + data.tobytes())
+
+
+PNG_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}  # PNG colour type -> samples per pixel
+
+
+def _paeth_predictor(a, b, c):
+    """The Paeth predictor as the PNG specification writes it."""
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    if pa <= pb and pa <= pc:
+        return a
+    return b if pb <= pc else c
+
+
+def write_filtered_png(path, data, color_type, filters):
+    """An 8-bit PNG of uint8 ``data`` (H, W, channels) whose row i is
+    filtered with type ``filters[i % len(filters)]``: 0 None, 1 Sub, 2 Up,
+    3 Average, 4 Paeth. A type above 4 is written as given, over unfiltered
+    bytes. A reference encoder, one byte at a time."""
+    height, width, channels = data.shape
+    assert PNG_CHANNELS[color_type] == channels
+    scan = bytearray()
+    prev = [0] * (width * channels)
+    for i, row in enumerate(data.reshape(height, width * channels).tolist()):
+        kind = filters[i % len(filters)]
+        scan.append(kind)
+        for k, x in enumerate(row):
+            a = row[k - channels] if k >= channels else 0
+            c = prev[k - channels] if k >= channels else 0
+            b = prev[k]
+            preds = (0, a, b, (a + b) // 2, _paeth_predictor(a, b, c))
+            scan.append((x - (preds[kind] if kind < 5 else 0)) % 256)
+        prev = row
+
+    def chunk(kind, payload):
+        crc = zlib.crc32(kind + payload)
+        return struct.pack(">I", len(payload)) + kind + payload + struct.pack(">I", crc)
+
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, color_type, 0, 0, 0)
+    Path(path).write_bytes(b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+                           + chunk(b"IDAT", zlib.compress(bytes(scan)))
+                           + chunk(b"IEND", b""))
 
 
 def mutate_bytes(data: bytes, rng) -> bytes:

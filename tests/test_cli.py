@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import mutate_bytes, shape_scenes, write_pnm
+from conftest import mutate_bytes, shape_scenes, write_filtered_png, write_pnm
 from pointprops import cli, image_io, model
 from pointprops.config import EvalConfig
 
@@ -21,6 +21,14 @@ def image_dir(tmp_path_factory):
         write_pnm(root / f"scene_{i}.pgm", img)
     (root / "notes.txt").write_text("not an image")
     return root
+
+
+@pytest.fixture(scope="module")
+def empty_png(tmp_path_factory):
+    """A PNG that declares width 0 and height 8."""
+    path = tmp_path_factory.mktemp("empty") / "empty.png"
+    write_filtered_png(path, np.zeros((8, 0, 1), dtype=np.uint8), 0, [0])
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +120,19 @@ class TestTrainCommand:
         assert code == 0
         err = capsys.readouterr().err
         assert "cut.pgm: truncated PNM header" in err and "good.pgm" not in err
+        assert (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_empty_png_is_skipped_with_warning(self, image_dir, config_file, empty_png,
+                                               tmp_path, capsys):
+        images = tmp_path / "mixed"
+        images.mkdir()
+        (images / "good.pgm").write_bytes((image_dir / "scene_0.pgm").read_bytes())
+        (images / "empty.png").write_bytes(empty_png.read_bytes())
+        code = cli.main(["train", "--config", str(config_file), "--images", str(images),
+                         "--output", str(tmp_path / "run")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "empty.png: PNG size 0x8 is empty" in err and "good.pgm" not in err
         assert (tmp_path / "run" / "model.ckpt").exists()
 
     def test_dead_detector_exits_2_without_checkpoint(self, dead_detector, image_dir,
@@ -240,6 +261,21 @@ class TestEvalCommand:
         assert "pair line 3 skipped" in err
         lines = (out / "metrics.csv").read_text().splitlines()
         assert len(lines) == 4 and lines[-1] == "# skipped_pairs 2"
+
+    def test_empty_png_pair_line_is_skipped(self, image_dir, config_file, trained_dir,
+                                            empty_png, tmp_path, capsys):
+        pairs = tmp_path / "pairs.txt"
+        scene = image_dir / "scene_0.pgm"
+        pairs.write_text(f"{scene} {empty_png} 1 0 0 0 1 0 0 0 1\n"
+                         f"{scene} {scene} 1 0 0 0 1 0 0 0 1\n")
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--config", str(config_file),
+                         "--checkpoint", str(trained_dir / "model.ckpt"),
+                         "--pairs", str(pairs), "--output", str(out)]) == 0
+        assert (f"pair line 1 skipped: {empty_png}: PNG size 0x8 is empty"
+                in capsys.readouterr().err)
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert len(lines) == 4 and lines[-1] == "# skipped_pairs 1"
 
     def test_non_utf8_pair_list_names_file_and_line(self, image_dir, config_file,
                                                     trained_dir, tmp_path, capsys):
@@ -454,6 +490,17 @@ class TestVisualizeCommand:
                          "--output", str(out)])
         assert code == 0
         assert "homo_error failed" in (out / "scene_0__scene_1.txt").read_text()
+
+    def test_empty_png_exits_2_naming_file(self, image_dir, config_file, trained_dir,
+                                           empty_png, tmp_path, capsys):
+        out = tmp_path / "vis"
+        code = cli.main(["visualize", "--config", str(config_file),
+                         "--checkpoint", str(trained_dir / "model.ckpt"),
+                         str(image_dir / "scene_0.pgm"), str(empty_png),
+                         "--output", str(out)])
+        assert code == 2
+        assert (f"pointprops visualize: {empty_png}: PNG size 0x8 is empty"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("values, message", [
         (["1", "0", "0", "0", "1", "0", "0", "0", "nan"], "holds a non-finite value"),

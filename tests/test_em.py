@@ -188,7 +188,7 @@ def latent_state(scene, yhat, p, cfg):
     h[rows, cols] = properties.margins(len(rows), descriptors, valid, cfg)
     return em.LatentState(
         yhat=yhat, p=np.where(yhat, p, 0.0), r=r, valid_count=valid_count, h=h,
-        c_tilde=np.ones(yhat.shape), expected_log_likelihood=0.0,
+        expected_log_likelihood=0.0,
         sel_rows=rows, sel_cols=cols, sel_descriptors=descriptors, sel_valid=valid,
     )
 
@@ -219,7 +219,8 @@ class TestEStep:
         np.testing.assert_array_equal(state.yhat, mask)
         np.testing.assert_allclose(state.p[mask], 1.0, atol=1e-4)
         np.testing.assert_allclose(state.p[~mask], 0.0)
-        np.testing.assert_allclose(state.c_tilde[mask], 1.0, atol=1e-12)
+        np.testing.assert_allclose(properties.discriminability_prob(state.h[mask], cfg), 1.0,
+                                   atol=1e-12)
         assert abs(expected) < 1e-3
 
     def test_expected_value_is_nonpositive(self):
@@ -249,7 +250,8 @@ class TestEStep:
                 continue
             sel = state.yhat
             inst = oracle.TinyInstance(
-                r=state.r[sel], n_min=cfg.n_min, n_max=cfg.n_max, c_tilde=state.c_tilde[sel]
+                r=state.r[sel], n_min=cfg.n_min, n_max=cfg.n_max,
+                c_tilde=properties.discriminability_prob(state.h[sel], cfg),
             )
             space = oracle.enumerate_reduced_space(
                 inst, np.ones(state.num_selected, dtype=bool)
@@ -291,7 +293,7 @@ class TestDetectorGradient:
         state = em.LatentState(
             yhat=yhat, p=p, r=np.full((8, 8), r_value),
             valid_count=np.full((8, 8), j), h=np.zeros((8, 8)),
-            c_tilde=np.ones((8, 8)), expected_log_likelihood=0.0,
+            expected_log_likelihood=0.0,
         )
         return state, scene
 

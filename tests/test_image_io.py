@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import mutate_bytes, write_pnm
+from conftest import PNG_CHANNELS, mutate_bytes, write_filtered_png, write_pnm
 from pointprops import image_io
 
 
@@ -183,6 +183,64 @@ class TestPNG:
         blob[height_at : height_at + 4] = (32).to_bytes(4, "big")
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match=r"short\.png: PNG image data is truncated"):
+            image_io.read_image(path)
+
+
+def decoded(data):
+    """What ``read_png`` returns for uint8 ``data`` (H, W, channels): alpha
+    dropped, gray as (H, W)."""
+    img = data.astype(float) / 255.0
+    return img[:, :, 0] if data.shape[2] <= 2 else img[:, :, :3]
+
+
+class TestPNGFilters:
+    """Every row filter of every colour type against the reference encoder in
+    conftest, compared exactly."""
+
+    @pytest.mark.parametrize("color_type", sorted(PNG_CHANNELS))
+    @pytest.mark.parametrize("kind", range(5))
+    def test_each_filter_decodes_exactly(self, tmp_path, color_type, kind):
+        rng = np.random.default_rng(10 * color_type + kind)
+        channels = PNG_CHANNELS[color_type]
+        path = tmp_path / "f.png"
+        # full-range bytes wrap every predictor; eight levels make Paeth ties
+        for top in (256, 8):
+            data = rng.integers(0, top, size=(9, 13, channels), dtype=np.uint8)
+            write_filtered_png(path, data, color_type, [kind])
+            np.testing.assert_array_equal(image_io.read_png(path), decoded(data))
+
+    @pytest.mark.parametrize("color_type", sorted(PNG_CHANNELS))
+    def test_filter_changes_from_row_to_row(self, tmp_path, color_type):
+        rng = np.random.default_rng(color_type)
+        data = rng.integers(0, 256, size=(12, 7, PNG_CHANNELS[color_type]), dtype=np.uint8)
+        path = tmp_path / "mixed.png"
+        write_filtered_png(path, data, color_type, [4, 0, 3, 1, 2, 4, 4, 1, 3, 0, 2, 3])
+        np.testing.assert_array_equal(image_io.read_png(path), decoded(data))
+
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (1, 1)], ids=str)
+    @pytest.mark.parametrize("color_type", [0, 6])
+    def test_one_pixel_wide_or_high(self, tmp_path, shape, color_type):
+        rng = np.random.default_rng(sum(shape) + color_type)
+        data = rng.integers(0, 256, size=shape + (PNG_CHANNELS[color_type],),
+                            dtype=np.uint8)
+        path = tmp_path / "thin.png"
+        for kind in range(5):
+            write_filtered_png(path, data, color_type, [kind, (kind + 2) % 5])
+            np.testing.assert_array_equal(image_io.read_png(path), decoded(data))
+
+    def test_unknown_filter_names_file(self, tmp_path):
+        path = tmp_path / "odd.png"
+        write_filtered_png(path, np.zeros((3, 4, 1), dtype=np.uint8), 0, [0, 5])
+        with pytest.raises(ValueError, match=r"odd\.png: unknown PNG filter 5"):
+            image_io.read_image(path)
+
+    @pytest.mark.parametrize("shape", [(8, 0), (0, 8)], ids=["0x8", "8x0"])
+    def test_empty_size_names_file(self, tmp_path, shape):
+        path = tmp_path / "flat.png"
+        write_filtered_png(path, np.zeros(shape + (1,), dtype=np.uint8), 0, [0])
+        height, width = shape
+        with pytest.raises(ValueError,
+                           match=rf"flat\.png: PNG size {width}x{height} is empty"):
             image_io.read_image(path)
 
 
