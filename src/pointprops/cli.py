@@ -224,14 +224,17 @@ def _pairs_from_directory(run: RunConfig):
     images, names = _load_gray_images(run.images_dir)
     pairs = []
     for idx, (img, name) in enumerate(zip(images, names)):
-        for k in range(run.eval.pairs_per_image):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([run.train.seed, idx, k, 0xE7A1])
-            )
-            _, warped, hom = simulate.make_pair(
-                img, rng, run.train.illumination, run.train.viewpoint
-            )
-            pairs.append((f"{name}#{k}", img, warped, hom))
+        try:
+            for k in range(run.eval.pairs_per_image):
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([run.train.seed, idx, k, 0xE7A1])
+                )
+                _, warped, hom = simulate.make_pair(
+                    img, rng, run.train.illumination, run.train.viewpoint
+                )
+                pairs.append((f"{name}#{k}", img, warped, hom))
+        except ValueError as exc:  # a side below 2 pixels, so at k = 0: no pair kept
+            print(f"warning: skipping {Path(run.images_dir) / name}: {exc}", file=sys.stderr)
     return pairs, 0
 
 

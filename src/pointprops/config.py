@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-ILLUMINATION_LEVELS = ("illum_full", "illum_mild")
-VIEWPOINT_LEVELS = ("viewpoint_full", "viewpoint_medium", "viewpoint_gentle")
+from .simulate import ILLUMINATION_KINDS, VIEWPOINT_RANGES
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,10 @@ def validate_train_config(cfg: TrainConfig) -> None:
         raise ValueError(f"iterations must be >= 0, got {cfg.iterations}")
     if cfg.descriptor_dim < 2:
         raise ValueError(f"descriptor_dim must be >= 2, got {cfg.descriptor_dim}")
-    if cfg.illumination not in ILLUMINATION_LEVELS:
-        raise ValueError(f"illumination must be one of {ILLUMINATION_LEVELS}")
-    if cfg.viewpoint not in VIEWPOINT_LEVELS:
-        raise ValueError(f"viewpoint must be one of {VIEWPOINT_LEVELS}")
+    if cfg.illumination not in ILLUMINATION_KINDS:
+        raise ValueError(f"illumination must be one of {tuple(ILLUMINATION_KINDS)}")
+    if cfg.viewpoint not in VIEWPOINT_RANGES:
+        raise ValueError(f"viewpoint must be one of {tuple(VIEWPOINT_RANGES)}")
     h, w = cfg.image_size
     if h % 4 != 0 or w % 4 != 0 or h < 8 or w < 8:
         raise ValueError(f"image_size must be multiples of 4 and >= 8, got {h}x{w}")

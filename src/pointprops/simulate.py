@@ -2,10 +2,10 @@
 
 Images are (H, W) grayscale float arrays in [0, 1]. A scene is one canonical
 image; a training sample is a set of J transformed views, each produced by
-warping under a random homography and then applying a short list of
-photometric operations. Correspondence between the canonical pixel grid and
-every view is tracked alongside, with validity masks for points that leave
-the frame.
+warping under a random homography and then by 1-3 photometric transforms,
+each drawn and applied in one pass (``photometric``). Correspondence
+between the canonical pixel grid and every view is tracked alongside, with
+validity masks for points that leave the frame.
 
 Every sampler takes an explicit numpy Generator, so all randomness is
 reproducible from seed streams derived per (seed, scene id, view index).
@@ -20,9 +20,12 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-ILLUM_KINDS = ("blur", "channel_shuffle", "contrast", "grayscale_mix", "invert",
-               "salt_pepper", "shadow")
-ILLUM_MILD_KINDS = ("blur", "contrast", "shadow")
+# level -> the photometric kinds it draws from, uniformly
+ILLUMINATION_KINDS = {
+    "illum_full": ("blur", "channel_shuffle", "contrast", "grayscale_mix", "invert",
+                   "salt_pepper", "shadow"),
+    "illum_mild": ("blur", "contrast", "shadow"),
+}
 
 # (max rotation deg, corner perturbation as a fraction of the image diagonal)
 # "gentle" suits small toy models that cannot absorb large rotations
@@ -35,67 +38,75 @@ VIEWPOINT_RANGES = {
 _W_COORD_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class PhotometricOp:
-    """One fully specified photometric transform record."""
+def photometric(image: np.ndarray, rng: np.random.Generator, level: str) -> np.ndarray:
+    """Draw 1..3 photometric transforms of ``level`` and apply each in turn to
+    an (H, W) image, clipping to [0, 1] after each.
 
-    kind: str
-    params: tuple  # sorted (key, value) pairs; values are plain scalars/tuples
-
-    def get(self, key):
-        return dict(self.params)[key]
-
-
-def _op(kind, **params):
-    return PhotometricOp(kind, tuple(sorted(params.items())))
-
-
-def sample_photometric(rng: np.random.Generator, level: str):
-    """Draw an ordered list of 1..3 photometric transform records.
-
-    ``illum_mild`` draws only from blur / contrast / shadow; ``illum_full``
-    draws uniformly from all seven kinds.
+    Each transform draws its kind and then its parameters from ``rng`` and is
+    applied before the next is drawn. Applying takes nothing from ``rng``, so
+    the stream is the one of drawing the whole list first. ``channel_shuffle``
+    and ``grayscale_mix`` act on colour channels, so on one channel they only
+    take their draws, which keeps every seeded view's bits.
     """
-    if level == "illum_full":
-        kinds = ILLUM_KINDS
-    elif level == "illum_mild":
-        kinds = ILLUM_MILD_KINDS
-    else:
+    if level not in ILLUMINATION_KINDS:
         raise ValueError(f"unknown illumination level {level!r}")
-    spec = []
+    kinds = ILLUMINATION_KINDS[level]
+    img = np.asarray(image, dtype=float).copy()
     for _ in range(int(rng.integers(1, 4))):
         kind = kinds[int(rng.integers(len(kinds)))]
         if kind == "blur":
-            spec.append(_op("blur",
-                            mode=("gaussian", "average", "median")[int(rng.integers(3))],
-                            radius=int(rng.integers(1, 4))))
+            mode = int(rng.integers(3))
+            radius = int(rng.integers(1, 4))
+            if mode == 0:
+                img = gaussian_blur(img, 0.5 * radius)
+            elif mode == 1:
+                img = box_blur(img, 2 * radius + 1)
+            else:
+                img = median_blur(img, 2 * radius + 1)
         elif kind == "channel_shuffle":
-            spec.append(_op("channel_shuffle", order=tuple(int(i) for i in rng.permutation(3))))
+            rng.permutation(3)
         elif kind == "contrast":
-            spec.append(_op("contrast", strength=float(rng.uniform(-0.5, 0.5))))
+            img = 0.5 + (img - 0.5) * (1.0 + rng.uniform(-0.5, 0.5))
         elif kind == "grayscale_mix":
-            spec.append(_op("grayscale_mix", weight=float(rng.uniform(0.0, 1.0))))
+            rng.uniform(0.0, 1.0)
         elif kind == "invert":
-            spec.append(_op("invert"))
+            img = 1.0 - img
         elif kind == "salt_pepper":
-            spec.append(_op("salt_pepper", fraction=float(rng.uniform(0.002, 0.02)),
-                            seed=int(rng.integers(2**31))))
+            _salt_pepper(img, rng)
         elif kind == "shadow":
-            spec.append(_op("shadow", polygons=_sample_shadow_polygons(rng)))
-    return spec
+            _shadow(img, rng)
+        np.clip(img, 0.0, 1.0, out=img)
+    return img
 
 
-def _sample_shadow_polygons(rng: np.random.Generator):
-    """1-3 convex dark polygons in relative [0,1]^2 coordinates."""
-    polygons = []
+def _salt_pepper(img: np.ndarray, rng: np.random.Generator) -> None:
+    """Set a random 0.2-2% of an (H, W) image's pixels to 0 or 1, in place.
+
+    ``rng`` gives the fraction and the seed of the pixels' own stream.
+    """
+    fraction = rng.uniform(0.002, 0.02)
+    noise = np.random.default_rng(int(rng.integers(2**31)))
+    hit = noise.random(img.shape) < fraction
+    salt = noise.random(img.shape) < 0.5
+    img[hit & salt] = 1.0
+    img[hit & ~salt] = 0.0
+
+
+def _shadow(img: np.ndarray, rng: np.random.Generator) -> None:
+    """Darken 1-3 random convex polygons of an (H, W) image in place.
+
+    Vertices are in relative [0, 1]^2 coordinates, rounded to 6 decimals;
+    each polygon scales the pixels inside it by 1 - attenuation, with
+    attenuation in [0.3, 0.7].
+    """
+    h, w = img.shape
+    xs, ys = np.meshgrid(np.arange(w) / max(w - 1, 1), np.arange(h) / max(h - 1, 1))
     for _ in range(int(rng.integers(1, 4))):
         center = rng.uniform(0.2, 0.8, size=2)
         radius = rng.uniform(0.1, 0.3)
         pts = center + rng.uniform(-radius, radius, size=(int(rng.integers(4, 8)), 2))
-        hull = _convex_hull(pts)
-        attenuation = float(rng.uniform(0.3, 0.7))
-        polygons.append((tuple(map(tuple, np.round(hull, 6).tolist())), attenuation))
-    return tuple(polygons)
+        inside = _points_in_convex_polygon(xs, ys, np.round(_convex_hull(pts), 6))
+        img[inside] *= 1.0 - rng.uniform(0.3, 0.7)
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -134,51 +145,6 @@ def _points_in_convex_polygon(xs, ys, vertices):
     return inside
 
 
-def apply_photometric(image: np.ndarray, spec) -> np.ndarray:
-    """Apply transform records in order to an (H, W) image; output stays in [0, 1]."""
-    img = np.asarray(image, dtype=float).copy()
-    for op in spec:
-        img = _apply_one(img, op)
-        np.clip(img, 0.0, 1.0, out=img)
-    return img
-
-
-def _apply_one(img, op: PhotometricOp):
-    """One record on an (H, W) image. ``channel_shuffle`` and ``grayscale_mix``
-    act on colour channels, so on one channel they are identities."""
-    h, w = img.shape
-    if op.kind == "blur":
-        radius = op.get("radius")
-        mode = op.get("mode")
-        if mode == "gaussian":
-            return gaussian_blur(img, 0.5 * radius)
-        if mode == "average":
-            return box_blur(img, 2 * radius + 1)
-        return median_blur(img, 2 * radius + 1)
-    if op.kind in ("channel_shuffle", "grayscale_mix"):
-        return img
-    if op.kind == "contrast":
-        return 0.5 + (img - 0.5) * (1.0 + op.get("strength"))
-    if op.kind == "invert":
-        return 1.0 - img
-    if op.kind == "salt_pepper":
-        rng = np.random.default_rng(op.get("seed"))
-        hit = rng.random((h, w)) < op.get("fraction")
-        salt = rng.random((h, w)) < 0.5
-        out = img.copy()
-        out[hit & salt] = 1.0
-        out[hit & ~salt] = 0.0
-        return out
-    if op.kind == "shadow":
-        xs, ys = np.meshgrid(np.arange(w) / max(w - 1, 1), np.arange(h) / max(h - 1, 1))
-        out = img.copy()
-        for vertices, attenuation in op.get("polygons"):
-            mask = _points_in_convex_polygon(xs, ys, vertices)
-            out[mask] *= 1.0 - attenuation
-        return out
-    raise ValueError(f"unknown photometric kind {op.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # blur kernels
 #
@@ -201,7 +167,7 @@ def _edge_pad(img: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)  # blur records use 3 sigmas
+@lru_cache(maxsize=8)  # the blur transform uses 3 sigmas
 def _gaussian_weights(sigma: float) -> tuple:
     """Normalised taps exp(-x^2 / (2 sigma^2)) for x in -r..r, r = int(4 sigma + 0.5)."""
     r = int(4.0 * sigma + 0.5)
@@ -379,13 +345,16 @@ def sample_homography(
     corner displacements bounded by ``perturb`` of the image diagonal.
 
     Resamples on fold-over, near-singularity, or a decomposed rotation at or
-    above the cap; fails after 100 rejections.
+    above the cap; fails after 100 rejections. A side below 2 pixels has no
+    4 distinct corners to move, so it raises ValueError.
     """
     if not 0 < max_rotation_deg <= 180:
         raise ValueError(f"max_rotation_deg must be in (0, 180], got {max_rotation_deg}")
     if not 0 <= perturb <= 0.3:
         raise ValueError(f"perturb must be in [0, 0.3], got {perturb}")
     height, width = size
+    if height < 2 or width < 2:
+        raise ValueError(f"image size {height}x{width} has a side below 2 pixels")
     diag = np.hypot(height, width)
     src = np.array([[0.0, 0.0], [width - 1.0, 0.0], [width - 1.0, height - 1.0],
                     [0.0, height - 1.0]])
@@ -445,10 +414,11 @@ def warp_image(image: np.ndarray, h: np.ndarray):
     height, width = img.shape
     h_inv = np.linalg.inv(h)
     cols, rows = np.meshgrid(np.arange(width, dtype=float), np.arange(height, dtype=float))
-    src, _ = map_points(np.stack([cols.ravel(), rows.ravel()], axis=1), h_inv, (width, height))
+    src, valid = map_points(np.stack([cols.ravel(), rows.ravel()], axis=1), h_inv,
+                            (width, height))
     sx = src[:, 0].reshape(height, width)
     sy = src[:, 1].reshape(height, width)
-    mask = np.isfinite(sx) & (sx >= 0) & (sx <= width - 1) & (sy >= 0) & (sy <= height - 1)
+    mask = valid.reshape(height, width)
     sx = np.where(mask, sx, 0.0)
     sy = np.where(mask, sy, 0.0)
     x0 = np.floor(sx).astype(int)
@@ -495,11 +465,11 @@ def view_rng(seed: int, scene_id: int, view: int) -> np.random.Generator:
 
 
 def _simulate_view(img, rng, illumination, viewpoint):
-    """Draw a homography, warp ``img`` by it, then draw and apply a photometric
-    spec. Returns (view, homography, warp validity mask)."""
+    """Draw a homography, warp ``img`` by it, then draw and apply photometric
+    transforms. Returns (view, homography, warp validity mask)."""
     hom = sample_homography_for_level(rng, viewpoint, img.shape)
     warped, warp_mask = warp_image(img, hom)
-    return apply_photometric(warped, sample_photometric(rng, illumination)), hom, warp_mask
+    return photometric(warped, rng, illumination), hom, warp_mask
 
 
 def make_scene(

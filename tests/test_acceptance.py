@@ -280,8 +280,7 @@ class TestCriterion8Invariants:
         photo_checked = 0
         for _ in range(1000):
             img = rng.random((8, 8))
-            spec = simulate.sample_photometric(rng, "illum_full")
-            out = simulate.apply_photometric(img, spec)
+            out = simulate.photometric(img, rng, "illum_full")
             assert out.min() >= 0.0 and out.max() <= 1.0
             photo_checked += 1
         cases["photometric-range"] = photo_checked

@@ -381,6 +381,23 @@ class TestEvalCommand:
             assert np.all(xy[:, 0] <= 60) and np.all(xy[:, 1] <= 61)
         assert sum(len(xy) for _, xy in scored) > 0
 
+    def test_images_directory_skips_an_image_too_small_to_warp(self, tmp_path, capsys):
+        images = tmp_path / "sizes"
+        images.mkdir()
+        rng = np.random.default_rng(0)
+        image_io.write_png(images / "square.png", rng.random((32, 32)))
+        image_io.write_png(images / "line.png", rng.random((1, 40)))
+        ckpt = tmp_path / "init.ckpt"
+        model.save_checkpoint(ckpt, model.init_params(0, 16))
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--images", str(images),
+                         "--output", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert f"skipping {images / 'line.png'}: image size 1x40" in err
+        assert "square.png" not in err
+        ids = [line.split(",")[0] for line in (out / "metrics.csv").read_text().splitlines()]
+        assert ids[1:3] == ["square.png#0", "aggregate"]
+
 
 class TestPairListMutations:
     def test_each_mutant_line_parses_or_is_skipped_with_warning(self, tmp_path, capsys):

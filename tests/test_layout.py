@@ -7,7 +7,10 @@ exported in ``pointprops.__all__``. Code that only tests call belongs in
 
 Every field of a ``@dataclass`` in the package must be read as an attribute
 (a loaded ``ast.Attribute``) somewhere in the package: a field that is only
-written is state nothing uses.
+written is state nothing uses. A read of a bare name cannot tell apart two
+dataclasses that declare the same field, so such a shared field must be read
+off a parameter annotated with its own class, or off ``self`` in one of that
+class's methods.
 
 Every array that ``model._layout`` places must be taken by ``model.forward``
 (its tape-free run asks the workspace for it): an array nothing takes is
@@ -15,6 +18,7 @@ workspace memory that nothing reads.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -67,19 +71,61 @@ def _is_dataclass(node):
                for d in node.decorator_list)
 
 
+def _class_names(annotation):
+    """Every class an annotation names: ``C``, ``module.C``, ``"C"``, ``C | None``."""
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def _typed_reads(tree):
+    """(class, attribute) for each attribute loaded off a parameter annotated
+    with that class, or off the first parameter of one of its methods; nested
+    functions see their enclosing functions' parameters."""
+    reads = set()
+
+    def visit(node, scope, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            scope = {**scope, **{arg.arg: _class_names(arg.annotation) if arg.annotation
+                                 else set() for arg in params}}
+            if owner and params:
+                scope[params[0].arg] = {owner}
+            owner = None
+        elif isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)):
+            reads.update((cls, node.attr) for cls in scope.get(node.value.id, ()))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, owner)
+
+    visit(tree, {}, None)
+    return reads
+
+
 def unread_dataclass_fields(src=SRC):
     trees = _parse(src)
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    typed = set().union(*map(_typed_reads, trees.values()))
+    fields = [(filename, cls.name, node) for filename, tree in trees.items()
+              for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    declared = Counter(node.target.id for _, _, node in fields)
     unread = []
-    for filename, tree in trees.items():
-        for cls in ast.walk(tree):
-            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
-                continue
-            for node in cls.body:
-                if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
-                        and node.target.id not in read):
-                    unread.append(f"{filename}:{node.lineno} {cls.name}.{node.target.id}")
+    for filename, cls, node in fields:
+        name = node.target.id
+        if not ((cls, name) in typed if declared[name] > 1 else name in read):
+            unread.append(f"{filename}:{node.lineno} {cls}.{name}")
     return unread
 
 
@@ -94,6 +140,30 @@ def test_guard_flags_an_unread_field(tmp_path):
         "def size(box):\n    box.written = 2\n    return box.read\n"
     )
     assert unread_dataclass_fields(tmp_path) == ["mod.py:7 Box.written"]
+
+
+def test_guard_ties_a_shared_field_to_its_class(tmp_path):
+    # both classes declare ``size``; only Reader's is read off a typed name,
+    # and the untyped ``loose.size`` proves nothing about Writer's
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Reader:\n    size: int\n\n\n"
+        "@dataclass\nclass Writer:\n    size: int\n\n\n"
+        "def area(box: Reader, other: Writer, loose):\n"
+        "    other.size = 2\n    return box.size * loose.size\n"
+    )
+    assert unread_dataclass_fields(tmp_path) == ["mod.py:11 Writer.size"]
+
+
+def test_guard_reads_a_shared_field_through_self(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Box:\n    size: int\n\n"
+        "    def double(self):\n        return 2 * self.size\n\n\n"
+        "@dataclass\nclass Tag:\n    size: int\n\n\n"
+        "def area(tag: 'Tag'):\n    return tag.size\n"
+    )
+    assert unread_dataclass_fields(tmp_path) == []
 
 
 def test_every_layout_entry_is_taken_by_forward(monkeypatch):

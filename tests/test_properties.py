@@ -4,7 +4,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 import naive_margins
 from conftest import FieldOutput
@@ -41,6 +40,7 @@ class TestNeighborhoodMax:
     @staticmethod
     def holed_filter(values, rad):
         """The 2-D max filter over the (2 rad + 1)^2 square without its center."""
+        ndimage = pytest.importorskip("scipy.ndimage")
         footprint = np.ones((2 * rad + 1, 2 * rad + 1), dtype=bool)
         footprint[rad, rad] = False
         return ndimage.maximum_filter(values, footprint=footprint, mode="constant",

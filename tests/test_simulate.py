@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from scipy import ndimage  # the reference filters; the program itself does not import scipy
 
+import naive_photometric
 from conftest import shape_scenes
 from pointprops import simulate
 
@@ -11,74 +11,137 @@ def checker(shape=(32, 32), period=8):
     return (((rows // period) + (cols // period)) % 2).astype(float)
 
 
+def bits(array):
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+class ScriptedRng:
+    """Hands out queued draws first, then the draws of ``rest``, and records
+    each call: a test chooses the transforms ``photometric`` applies."""
+
+    def __init__(self, *draws, rest=None):
+        self.draws, self.rest, self.calls = list(draws), rest, []
+
+    def __getattr__(self, method):
+        def draw(*args, **kwargs):
+            self.calls.append((method, args))
+            if self.draws:
+                return self.draws.pop(0)
+            return getattr(self.rest, method)(*args, **kwargs)
+        return draw
+
+
+def photometric_once(img, kind, *params, rest=None):
+    """``img`` under the one ``illum_full`` transform ``kind``, with its
+    parameters from ``params`` and then from ``rest``."""
+    index = simulate.ILLUMINATION_KINDS["illum_full"].index(kind)
+    rng = ScriptedRng(1, index, *params, rest=rest)
+    out = simulate.photometric(img, rng, "illum_full")
+    assert rng.draws == []
+    return out
+
+
 class TestPhotometricSampling:
-    def test_mild_level_restricted_to_three_kinds(self):
-        rng = np.random.default_rng(0)
+    SHAPES = [(1, 1), (1, 9), (9, 1), (2, 3), (5, 14), (12, 12), (24, 24), (37, 23)]
+
+    @pytest.mark.parametrize("level", ["illum_mild", "illum_full"])
+    def test_matches_the_two_phase_sampler(self, level):
+        """Drawing and applying each transform at once gives the bits of
+        drawing the whole list first, and leaves the generator in the same
+        state: the colour kinds' draws are taken although they change
+        nothing."""
         seen = set()
-        for _ in range(1000):
-            for op in simulate.sample_photometric(rng, "illum_mild"):
-                seen.add(op.kind)
-        assert seen <= {"blur", "contrast", "shadow"}
-        assert seen == {"blur", "contrast", "shadow"}
+        for seed in range(300):
+            shape = self.SHAPES[seed % len(self.SHAPES)]
+            img = (np.random.default_rng(seed).random(shape), np.zeros(shape),
+                   np.full(shape, 0.5), np.ones(shape))[seed % 4]
+            kept = img.copy()
+            one, two = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+            got = simulate.photometric(img, one, level)
+            spec = naive_photometric.sample(two, level)
+            want = naive_photometric.apply(img, spec)
+            assert got.shape == want.shape and np.array_equal(bits(got), bits(want)), seed
+            assert one.bit_generator.state == two.bit_generator.state, seed
+            np.testing.assert_array_equal(img, kept)
+            seen.update(kind for kind, _ in spec)
+        assert seen == set(simulate.ILLUMINATION_KINDS[level])
+
+    def test_mild_level_restricted_to_three_kinds(self):
+        """A dark image stays dark under blur, contrast and shadow; invert or
+        salt would lift pixels past 0.5, and ``illum_full`` does."""
+        img = np.full((16, 16), 0.25)
+        rng = np.random.default_rng(0)
+        mild = [simulate.photometric(img, rng, "illum_mild").max() for _ in range(1000)]
+        full = [simulate.photometric(img, rng, "illum_full").max() for _ in range(1000)]
+        assert max(mild) < 0.5
+        assert sum(m > 0.5 for m in full) > 100
 
     def test_full_level_covers_all_seven_kinds(self):
-        rng = np.random.default_rng(1)
-        seen = set()
-        for _ in range(1000):
-            for op in simulate.sample_photometric(rng, "illum_full"):
-                seen.add(op.kind)
-        assert seen == set(simulate.ILLUM_KINDS)
+        img = np.random.default_rng(3).random((16, 16))
+        out = {kind: photometric_once(img, kind, rest=np.random.default_rng(4))
+               for kind in simulate.ILLUMINATION_KINDS["illum_full"]}
+        assert len(out) == 7
+        assert out["blur"].std() < 0.9 * img.std()
+        np.testing.assert_array_equal(out["channel_shuffle"], img)
+        np.testing.assert_array_equal(out["grayscale_mix"], img)
+        assert not np.array_equal(out["contrast"], img)
+        np.testing.assert_allclose(out["invert"], 1.0 - img, atol=1e-15)
+        salted = out["salt_pepper"] != img
+        assert salted.any() and set(np.unique(out["salt_pepper"][salted])) <= {0.0, 1.0}
+        assert np.all(out["shadow"] <= img) and (out["shadow"] < img).any()
 
     def test_deterministic_per_seed(self):
-        a = simulate.sample_photometric(np.random.default_rng(7), "illum_full")
-        b = simulate.sample_photometric(np.random.default_rng(7), "illum_full")
-        assert a == b
+        img = np.random.default_rng(7).random((12, 10))
+        a = simulate.photometric(img, np.random.default_rng(7), "illum_full")
+        b = simulate.photometric(img, np.random.default_rng(7), "illum_full")
+        assert np.array_equal(bits(a), bits(b))
 
     def test_spec_length_bounded(self):
-        rng = np.random.default_rng(2)
-        for _ in range(500):
-            assert 1 <= len(simulate.sample_photometric(rng, "illum_full")) <= 4
+        """1..3 transforms, as many as drawn: an odd count of inverts inverts."""
+        img = np.full((4, 4), 0.25)
+        index = simulate.ILLUMINATION_KINDS["illum_full"].index("invert")
+        for count in (1, 2, 3):
+            rng = ScriptedRng(count, *[index] * count)
+            out = simulate.photometric(img, rng, "illum_full")
+            assert rng.calls[0] == ("integers", (1, 4)) and len(rng.calls) == 1 + count
+            np.testing.assert_allclose(out, 0.75 if count % 2 else 0.25, atol=1e-15)
 
     def test_unknown_level_rejected(self):
-        with pytest.raises(ValueError):
-            simulate.sample_photometric(np.random.default_rng(0), "illum_extreme")
+        with pytest.raises(ValueError, match="illum_extreme"):
+            simulate.photometric(np.zeros((4, 4)), np.random.default_rng(0), "illum_extreme")
 
 
 class TestApplyPhotometric:
     def test_invert_quarter(self):
-        img = np.full((8, 8), 0.25)
-        out = simulate.apply_photometric(img, [simulate._op("invert")])
+        out = photometric_once(np.full((8, 8), 0.25), "invert")
         np.testing.assert_allclose(out, 0.75, atol=1e-15)
 
     def test_colour_kinds_are_identities(self):
         img = np.random.default_rng(4).random((8, 8))
-        for op in (simulate._op("grayscale_mix", weight=0.7),
-                   simulate._op("channel_shuffle", order=(2, 0, 1))):
-            np.testing.assert_array_equal(simulate.apply_photometric(img, [op]), img)
+        np.testing.assert_array_equal(photometric_once(img, "grayscale_mix", 0.7), img)
+        np.testing.assert_array_equal(
+            photometric_once(img, "channel_shuffle", np.array([2, 0, 1])), img)
 
     def test_contrast_fixes_mid_gray(self):
         img = np.full((6, 6), 0.5)
         for strength in (-0.5, -0.2, 0.0, 0.3, 0.5):
-            out = simulate.apply_photometric(
-                img, [simulate._op("contrast", strength=strength)]
-            )
+            out = photometric_once(img, "contrast", strength)
             np.testing.assert_allclose(out, 0.5, atol=1e-15)
 
     def test_salt_pepper_deterministic_and_bounded(self):
-        img = np.full((32, 32), 0.5)
-        op = simulate._op("salt_pepper", fraction=0.02, seed=99)
-        a = simulate.apply_photometric(img, [op])
-        b = simulate.apply_photometric(img, [op])
+        a, b = np.full((32, 32), 0.5), np.full((32, 32), 0.5)
+        simulate._salt_pepper(a, np.random.default_rng(99))
+        simulate._salt_pepper(b, np.random.default_rng(99))
         np.testing.assert_array_equal(a, b)
         changed = (a != 0.5).mean()
-        assert changed <= 0.05
+        assert 0.0 < changed <= 0.05
         assert set(np.unique(a)) <= {0.0, 0.5, 1.0}
 
     def test_shadow_darkens_only(self):
         rng = np.random.default_rng(5)
         img = rng.random((24, 24))
-        op = simulate._op("shadow", polygons=simulate._sample_shadow_polygons(rng))
-        out = simulate.apply_photometric(img, [op])
+        out = img.copy()
+        simulate._shadow(out, rng)
         assert np.all(out <= img + 1e-12)
         assert (out < img - 1e-9).any()
 
@@ -86,18 +149,19 @@ class TestApplyPhotometric:
         rng = np.random.default_rng(6)
         for _ in range(250):
             img = rng.random((12, 12))
-            spec = simulate.sample_photometric(rng, "illum_full")
-            out = simulate.apply_photometric(img, spec)
+            out = simulate.photometric(img, rng, "illum_full")
             assert out.shape == img.shape
             assert out.min() >= 0.0 and out.max() <= 1.0
 
 
-def bits(array):
-    return np.ascontiguousarray(array).view(np.int64)
+BLURS = {"gaussian": lambda img, radius: simulate.gaussian_blur(img, 0.5 * radius),
+         "average": lambda img, radius: simulate.box_blur(img, 2 * radius + 1),
+         "median": lambda img, radius: simulate.median_blur(img, 2 * radius + 1)}
 
 
 def reference_blur(img, mode, radius):
-    """The blur record as scipy.ndimage computes it."""
+    """The blur transform as scipy.ndimage computes it."""
+    ndimage = pytest.importorskip("scipy.ndimage")  # the program itself does not import scipy
     if mode == "gaussian":
         return ndimage.gaussian_filter(img, sigma=0.5 * radius, mode="nearest")
     if mode == "average":
@@ -133,7 +197,7 @@ def blur_inputs(shape, rng):
 
 
 class TestBlurMatchesScipy:
-    """Every blur record gives scipy.ndimage's bits: the views, and so the
+    """Every blur kernel gives scipy.ndimage's bits: the views, and so the
     checkpoints and eval rows, do not depend on which library blurred them."""
 
     SHAPES = [(64, 64), (240, 320), (24, 24), (8, 8), (1, 1), (1, 9), (9, 1), (2, 3), (5, 14)]
@@ -142,11 +206,10 @@ class TestBlurMatchesScipy:
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_bit_identical(self, mode, radius):
         rng = np.random.default_rng(radius)
-        op = simulate._op("blur", mode=mode, radius=radius)
         for shape in self.SHAPES:
             for kind, img in blur_inputs(shape, rng).items():
-                got = simulate._apply_one(img, op)
                 want = reference_blur(img, mode, radius)
+                got = BLURS[mode](img, radius)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.flags.c_contiguous
                 assert np.array_equal(bits(got), bits(want)), (shape, kind)
@@ -180,6 +243,13 @@ class TestHomographySampling:
         with pytest.raises(ValueError):
             simulate.sample_homography_for_level(rng, "viewpoint_extreme", (32, 32))
 
+    def test_side_below_two_pixels_rejected_by_size(self):
+        rng = np.random.default_rng(5)
+        for size in [(1, 1), (1, 5), (5, 1)]:
+            with pytest.raises(ValueError, match=f"{size[0]}x{size[1]}"):
+                simulate.sample_homography(rng, 45.0, 0.1, size=size)
+        assert simulate.sample_homography(rng, 45.0, 0.1, size=(2, 2)).shape == (3, 3)
+
     def test_parameter_validation(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
@@ -206,9 +276,7 @@ class TestWarpImage:
 
     def test_round_trip_interior(self):
         rng = np.random.default_rng(6)
-        img = simulate.apply_photometric(
-            checker((40, 40), 5), [simulate._op("blur", mode="gaussian", radius=2)]
-        )
+        img = simulate.gaussian_blur(checker((40, 40), 5), 1.0)
         for _ in range(10):
             h = simulate.sample_homography(rng, 30.0, 0.05, size=img.shape)
             once, mask1 = simulate.warp_image(img, h)
@@ -254,9 +322,7 @@ class TestMapPoints:
 
         # smooth field so the double-interpolation error stays bilinear-scale;
         # skip points whose interpolation stencil touches invalid warp pixels
-        img = simulate.apply_photometric(
-            checker((40, 40), 10), [simulate._op("blur", mode="gaussian", radius=3)]
-        )
+        img = simulate.gaussian_blur(checker((40, 40), 10), 1.5)
         rng = np.random.default_rng(8)
         h = simulate.sample_homography(rng, 20.0, 0.04, size=img.shape)
         warped, mask = simulate.warp_image(img, h)
