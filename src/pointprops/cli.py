@@ -112,10 +112,12 @@ def _load_config(args) -> RunConfig:
 
 
 def _load_gray_images(directory, size=None):
+    """The readable images of ``directory`` with their file names, and the
+    number of image files skipped with a warning because they are unreadable."""
     root = Path(directory)
     if not root.is_dir():
         raise FileNotFoundError(f"image directory not found: {root}")
-    images, names = [], []
+    images, names, unreadable = [], [], 0
     for path in sorted(root.iterdir()):
         if path.suffix.lower() not in (".png", ".pgm", ".ppm"):
             continue
@@ -123,12 +125,13 @@ def _load_gray_images(directory, size=None):
             img = image_io.read_image(path)
         except (ValueError, OSError) as exc:
             print(f"warning: skipping unreadable image {path}: {exc}", file=sys.stderr)
+            unreadable += 1
             continue
         if size is not None:
             img = image_io.resize_bilinear(img, size)
         images.append(np.clip(img, 0.0, 1.0))
         names.append(path.name)
-    return images, names
+    return images, names, unreadable
 
 
 def _format(value) -> str:
@@ -161,7 +164,7 @@ def cmd_train(args) -> int:
         print("train: an image directory is required (--images or paths.images_dir)",
               file=sys.stderr)
         return USAGE_ERROR
-    images, _ = _load_gray_images(run.images_dir, size=run.train.image_size)
+    images, _, _ = _load_gray_images(run.images_dir, size=run.train.image_size)
     if not images:
         print(f"train: no usable images in {run.images_dir}", file=sys.stderr)
         return RUNTIME_ERROR
@@ -221,11 +224,12 @@ def _pairs_from_file(path):
 
 
 def _pairs_from_directory(run: RunConfig):
-    images, names = _load_gray_images(run.images_dir)
-    pairs = []
+    images, names, unreadable = _load_gray_images(run.images_dir)
+    per_image = run.eval.pairs_per_image
+    pairs, skipped = [], unreadable * per_image
     for idx, (img, name) in enumerate(zip(images, names)):
         try:
-            for k in range(run.eval.pairs_per_image):
+            for k in range(per_image):
                 rng = np.random.default_rng(
                     np.random.SeedSequence([run.train.seed, idx, k, 0xE7A1])
                 )
@@ -235,7 +239,8 @@ def _pairs_from_directory(run: RunConfig):
                 pairs.append((f"{name}#{k}", img, warped, hom))
         except ValueError as exc:  # a side below 2 pixels, so at k = 0: no pair kept
             print(f"warning: skipping {Path(run.images_dir) / name}: {exc}", file=sys.stderr)
-    return pairs, 0
+            skipped += per_image
+    return pairs, skipped
 
 
 def evaluate_pair(params, img_a, img_b, hom, eval_cfg, rad, pair_seed=0):

@@ -12,9 +12,9 @@ class PropertyConfig:
     """Hyperparameters of the three point properties.
 
     ``rad`` is the Chebyshev suppression radius in pixels, (``n_min``,
-    ``n_max``) the exclusive bounds on the point count, ``m_p``/``m_n`` the
-    positive/negative similarity margins, ``neg_weight`` the negative-pair
-    weight, ``alpha`` the discriminability sharpness.
+    ``n_max``) the exclusive bounds on the point count (so n_max >= n_min + 2),
+    ``m_p``/``m_n`` the positive/negative similarity margins, ``neg_weight``
+    the negative-pair weight, ``alpha`` the discriminability sharpness.
     """
 
     rad: int = 4
@@ -39,8 +39,9 @@ class PropertyConfig:
 def validate_property_config(cfg: PropertyConfig) -> None:
     if cfg.rad < 1:
         raise ValueError(f"rad must be >= 1, got {cfg.rad}")
-    if not 0 <= cfg.n_min < cfg.n_max:
-        raise ValueError(f"need 0 <= n_min < n_max, got n_min={cfg.n_min} n_max={cfg.n_max}")
+    if not 0 <= cfg.n_min < cfg.n_max - 1:
+        raise ValueError(f"need 0 <= n_min < n_max - 1 so the exclusive window (n_min, n_max) "
+                         f"holds a count, got n_min={cfg.n_min} n_max={cfg.n_max}")
     if not -1.0 <= cfg.m_n < cfg.m_p <= 1.0:
         raise ValueError(f"need -1 <= m_n < m_p <= 1, got m_n={cfg.m_n} m_p={cfg.m_p}")
     if cfg.neg_weight < 0:

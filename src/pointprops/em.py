@@ -2,9 +2,10 @@
 expected log-likelihood, analytic gradients, and the training loop.
 
 The E-step replaces the full latent sample space with the masks dominated by
-the local maxima of the repeatability grid, counts that space in closed form
-(log domain), and evaluates a per-point posterior. The M-step performs one
-Adam update from the analytic ascent gradients, with posteriors frozen.
+the local maxima of the repeatability grid, counts that space exactly in closed
+form (big integers from one Pascal row), and evaluates a per-point posterior.
+The M-step performs one Adam update from the analytic ascent gradients, with
+posteriors frozen.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .config import PropertyConfig, TrainConfig
 
 log = logging.getLogger(__name__)
 
-EXACT_COUNT_LIMIT = 60  # big-integer binomials below, log-gamma above
 # consecutive iterations with every scene skipped after which training stops:
 # such an iteration takes no step, so a detector with no candidate left (say,
 # dead det1 ReLUs giving constant logits) could never recover
@@ -34,24 +34,24 @@ class EmptySampleSpaceError(ValueError):
 
 @dataclass(frozen=True)
 class SpaceCounts:
-    """Log-domain sizes of the reduced sample space and its two halves."""
+    """Sizes of the reduced sample space and its two halves, with their logs."""
 
     log_total: float
     log_with_point: float
     log_without_point: float
-    exact: tuple | None = None  # (total, with, without) big ints when available
+    exact: tuple  # (total, with, without) big ints
 
 
-def log_count_sample_space(m: int, n_min: int, n_max: int, method: str = "auto") -> SpaceCounts:
+def log_count_sample_space(m: int, n_min: int, n_max: int) -> SpaceCounts:
     """Count masks with a feasible number of points drawn from m candidates.
 
     total      = sum over n in (n_min, n_max) of C(m, n)
     with point = sum of C(m - 1, n - 1)            (one point pinned to 1)
-    without    = total - with point
+    without    = sum of C(m - 1, n)                (one point pinned to 0)
 
-    Exact big-integer arithmetic for m <= 60, log-gamma sums above (override
-    with ``method``). Raises EmptySampleSpaceError when no feasible count
-    exists (m <= n_min).
+    Exact big integers from one Pascal row C(m - 1, k) for k = n_min up to
+    min(n_max - 1, m), built by one multiply-divide per step; the logs are
+    taken of those ints. Raises EmptySampleSpaceError when no feasible count exists (m <= n_min).
     """
     if m < 1:
         raise ValueError(f"need at least one candidate, got {m}")
@@ -60,38 +60,19 @@ def log_count_sample_space(m: int, n_min: int, n_max: int, method: str = "auto")
     lo, hi = n_min + 1, min(n_max - 1, m)
     if lo > hi:
         raise EmptySampleSpaceError(f"no feasible count for m={m} in ({n_min}, {n_max})")
-    if method == "auto":
-        method = "exact" if m <= EXACT_COUNT_LIMIT else "gammaln"
-    if method == "exact":
-        total = sum(math.comb(m, n) for n in range(lo, hi + 1))
-        with_point = sum(math.comb(m - 1, n - 1) for n in range(lo, hi + 1))
-        without = total - with_point
-        return SpaceCounts(
-            log_total=math.log(total),
-            log_with_point=math.log(with_point),
-            log_without_point=math.log(without) if without > 0 else -math.inf,
-            exact=(total, with_point, without),
-        )
-    if method != "gammaln":
-        raise ValueError(f"unknown counting method {method!r}")
-    ns = np.arange(lo, hi + 1, dtype=float)
-    log_total = _logsumexp(_log_comb(float(m), ns))
-    log_with = _logsumexp(_log_comb(float(m - 1), ns - 1.0))
-    diff = log_with - log_total
-    log_without = log_total + math.log1p(-math.exp(diff)) if diff < 0 else -math.inf
-    return SpaceCounts(log_total, log_with, log_without)
-
-
-def _log_comb(m, ns):
-    """log C(m, n) for each n of ``ns``, by log-gamma."""
-    return np.array([math.lgamma(m + 1.0) - math.lgamma(n + 1.0) - math.lgamma(m - n + 1.0)
-                     for n in ns.tolist()])
-
-
-def _logsumexp(terms):
-    """log(sum(exp(terms))), shifted by the largest term so no exp overflows."""
-    top = float(terms.max())
-    return top + math.log(float(np.exp(terms - top).sum()))
+    row = [math.comb(m - 1, n_min)]
+    for k in range(lo, hi + 1):
+        row.append(row[-1] * (m - k) // k)
+    # Pascal's rule C(m, n) = C(m - 1, n - 1) + C(m - 1, n) splits the total
+    with_point = sum(row[:-1])
+    without = sum(row[1:])
+    total = with_point + without
+    return SpaceCounts(
+        log_total=math.log(total),
+        log_with_point=math.log(with_point),
+        log_without_point=math.log(without) if without > 0 else -math.inf,
+        exact=(total, with_point, without),
+    )
 
 
 def approximate_posterior(r, c_tilde, counts: SpaceCounts, yhat):

@@ -348,11 +348,9 @@ _MATCH_LINE = (0.1, 0.9, 0.1)
 _MATCH_DOT = (1.0, 0.15, 0.15)
 
 
-def _stamp(img, x, y, color, half=1):
-    h, w, _ = img.shape
-    r0, r1 = max(y - half, 0), min(y + half + 1, h)
-    c0, c1 = max(x - half, 0), min(x + half + 1, w)
-    img[r0:r1, c0:c1] = color
+def _stamp(img, x, y, color):
+    """Paint the 3x3 square around (x, y), clipped to the image."""
+    img[max(y - 1, 0):y + 2, max(x - 1, 0):x + 2] = color
 
 
 def _line(img, x0, y0, x1, y1, color):

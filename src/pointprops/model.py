@@ -790,7 +790,8 @@ def load_checkpoint(path) -> ModelParams:
 
     Raises ValueError naming the file (and the line, where one is at fault)
     for a foreign header, a malformed, unknown or repeated meta line, a
-    channel count other than 1, a malformed or repeated param line, a
+    channel count other than 1, a descriptor_dim below 2 (which
+    ``init_params`` also rejects), a malformed or repeated param line, a
     negative shape, a non-numeric or non-finite value, a param block cut
     short, or parameters that do not fit the fixed topology.
     """
@@ -819,6 +820,8 @@ def load_checkpoint(path) -> ModelParams:
             raise malformed(idx, f"meta key '{key}' appears twice")
         if key == "in_channels" and value != 1:
             raise malformed(idx, f"in_channels {value}, but the model is single-channel")
+        if key == "descriptor_dim" and value < 2:
+            raise malformed(idx, f"descriptor_dim {value}, but the model needs at least 2")
         meta[key] = value
         idx += 1
     weights = {}

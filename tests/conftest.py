@@ -1,6 +1,6 @@
 """Shared fixtures: synthetic shape scenes used by training-level tests, a
 stand-in model output holding a hand-made per-pixel descriptor field, a
-PGM/PPM writer and a PNG encoder with chosen row filters for image-file
+PGM/PPM writer, a checkpoint writer and a PNG encoder with chosen row filters for image-file
 fixtures, the seeded byte mutator of the reader mutation tests, and a
 deliberately broken counting path that the oracle-check battery must catch."""
 
@@ -94,6 +94,16 @@ def write_pnm(path, img):
     Path(path).write_bytes(magic + b"\n%d %d\n255\n" % (width, height) + data.tobytes())
 
 
+def write_zero_checkpoint(path, descriptor_dim):
+    """A checkpoint of all-zero parameters shaped for ``descriptor_dim``,
+    written even for a value that ``init_params`` refuses."""
+    from pointprops import model
+
+    weights = {name: np.zeros(shape)
+               for name, shape in model.param_shapes(descriptor_dim).items()}
+    model.save_checkpoint(path, model.ModelParams(weights, descriptor_dim))
+
+
 PNG_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}  # PNG colour type -> samples per pixel
 
 
@@ -160,16 +170,17 @@ def mutate_bytes(data: bytes, rng) -> bytes:
 
 @pytest.fixture
 def corrupted_counts(monkeypatch):
-    """Break ``em.log_count_sample_space``: log_total off by 0.05 and no
-    exact big-integer counts."""
+    """Break ``em.log_count_sample_space``: log_total off by 0.05 and the
+    exact total off by one."""
     from pointprops import em
 
     exact_counts = em.log_count_sample_space
 
     def corrupted(*args, **kwargs):
         counts = exact_counts(*args, **kwargs)
+        total, with_point, without = counts.exact
         return em.SpaceCounts(counts.log_total + 0.05, counts.log_with_point,
-                              counts.log_without_point, None)
+                              counts.log_without_point, (total + 1, with_point, without))
 
     monkeypatch.setattr(em, "log_count_sample_space", corrupted)
 

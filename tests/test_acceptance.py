@@ -43,7 +43,7 @@ class TestCriterion1Counts:
                                  for n in range(lo, hi + 1))
                 counts = em.log_count_sample_space(m, n_min, n_max)
                 expected = (total, with_point, total - with_point)
-                mismatches += tuple(counts.exact) != expected
+                mismatches += counts.exact != expected
                 mismatches += counts.log_total != math.log(total)
                 compared += 1
         elapsed = time.perf_counter() - start
@@ -120,7 +120,7 @@ class TestCriterion4Formulas:
         # count window (200, 400) exclusive at both ends: masks of 201..399 points
         def space_total(m):
             try:
-                return em.log_count_sample_space(m, 200, 400, method="exact").exact[0]
+                return em.log_count_sample_space(m, 200, 400).exact[0]
             except em.EmptySampleSpaceError:
                 return 0
 

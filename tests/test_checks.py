@@ -19,6 +19,7 @@ class TestCountingChecks:
         assert not checks.check_counts_vs_enumeration().passed
         assert not checks.check_counts_bigint().passed
         assert not checks.check_count_split_identity().passed
+        assert not checks.check_gammaln_matches_exact().passed
 
     def test_comb_product_matches_math(self):
         import math
@@ -61,8 +62,8 @@ class TestPinnedDeviations:
         pinned = [
             (checks.check_counts_vs_enumeration, 0.0),
             (checks.check_counts_bigint, 0.0),
-            (checks.check_count_split_identity, 1.7763568394002505e-14),
-            (checks.check_gammaln_matches_exact, 2.258687162011874e-15),
+            (checks.check_count_split_identity, 4.1522341120980855e-14),
+            (checks.check_gammaln_matches_exact, 3.672902104989561e-15),
             (checks.check_posterior_tiny, 0.028899735101530877),
             (checks.check_posterior_symmetric, 3.774758283725532e-15),
             (checks.check_expectation_identities, 3.552713678800501e-15),

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import mutate_bytes, shape_scenes, write_filtered_png, write_pnm
+from conftest import (mutate_bytes, shape_scenes, write_filtered_png, write_pnm,
+                      write_zero_checkpoint)
 from pointprops import cli, image_io, model
 from pointprops.config import EvalConfig
 
@@ -168,7 +169,10 @@ class TestTrainCommand:
     @pytest.mark.parametrize("text, message", [
         ("[properties]\nrad = 0\n", "rad must be >= 1, got 0"),
         ("[train]\nbeta1 = 2\n", "beta1 must be in [0, 1), got 2.0"),
-    ], ids=["rad", "beta1"])
+        ("[properties]\nn_min = 5\nn_max = 6\n",
+         "need 0 <= n_min < n_max - 1 so the exclusive window (n_min, n_max) holds a count, "
+         "got n_min=5 n_max=6"),
+    ], ids=["rad", "beta1", "empty-count-window"])
     def test_out_of_range_value_names_file(self, image_dir, tmp_path, capsys, text,
                                            message):
         bad = tmp_path / "bad.cfg"
@@ -327,6 +331,17 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert "cut.ckpt: line" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_descriptor_dim_below_two_exits_2_naming_file(self, image_dir, config_file,
+                                                          tmp_path, capsys, dim):
+        ckpt = tmp_path / "small.ckpt"
+        write_zero_checkpoint(ckpt, dim)
+        code = cli.main(["eval", "--config", str(config_file), "--checkpoint", str(ckpt),
+                         "--images", str(image_dir), "--output", str(tmp_path / "e")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: line 2: descriptor_dim {dim}" in err and "Traceback" not in err
+
     def test_threads_flag_matches_serial(self, image_dir, config_file, trained_dir,
                                          tmp_path):
         texts = []
@@ -398,6 +413,25 @@ class TestEvalCommand:
         ids = [line.split(",")[0] for line in (out / "metrics.csv").read_text().splitlines()]
         assert ids[1:3] == ["square.png#0", "aggregate"]
 
+    def test_images_directory_counts_each_image_left_out(self, tmp_path, capsys):
+        images = tmp_path / "mixed"
+        images.mkdir()
+        rng = np.random.default_rng(0)
+        image_io.write_png(images / "square.png", rng.random((32, 32)))
+        image_io.write_png(images / "line.png", rng.random((1, 40)))
+        (images / "corrupt.png").write_bytes(b"\x89PNG\r\n\x1a\n not a png")
+        ckpt = tmp_path / "init.ckpt"
+        model.save_checkpoint(ckpt, model.init_params(0, 16))
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--images", str(images),
+                         "--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert f"unreadable image {images / 'corrupt.png'}" in captured.err
+        assert "over 1 pairs (2 skipped)" in captured.out
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:3]] == ["square.png#0", "aggregate"]
+        assert lines[-1] == "# skipped_pairs 2"
+
 
 class TestPairListMutations:
     def test_each_mutant_line_parses_or_is_skipped_with_warning(self, tmp_path, capsys):
@@ -442,7 +476,7 @@ class TestOracleCheckCommand:
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines()
                   if line.endswith("FAIL")]
         assert failed == ["counts-vs-enumeration", "counts-bigint-exact",
-                          "count-split-identity"]
+                          "count-split-identity", "gammaln-vs-exact"]
         # the former self-test flag is an unknown flag like any other
         assert cli.main(["oracle-check", "--self-test-corrupt-counts"]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -460,7 +494,8 @@ class TestOracleCheckCommand:
         assert all(set(r) == {"name", "deviation", "tolerance", "passed", "seconds"}
                    for r in records)
         assert [r["name"] for r in records if not r["passed"]] == [
-            "counts-vs-enumeration", "counts-bigint-exact", "count-split-identity"]
+            "counts-vs-enumeration", "counts-bigint-exact", "count-split-identity",
+            "gammaln-vs-exact"]
         assert all(r["passed"] == (r["deviation"] <= r["tolerance"]) for r in records)
         assert all(r["seconds"] > 0 for r in records)
 
@@ -518,6 +553,18 @@ class TestVisualizeCommand:
         assert code == 2
         assert (f"pointprops visualize: {empty_png}: PNG size 0x8 is empty"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_descriptor_dim_below_two_exits_2_naming_file(self, image_dir, config_file,
+                                                          tmp_path, capsys, dim):
+        ckpt = tmp_path / "small.ckpt"
+        write_zero_checkpoint(ckpt, dim)
+        code = cli.main(["visualize", "--config", str(config_file), "--checkpoint", str(ckpt),
+                         str(image_dir / "scene_0.pgm"), str(image_dir / "scene_1.pgm"),
+                         "--output", str(tmp_path / "vis")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: line 2: descriptor_dim {dim}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("values, message", [
         (["1", "0", "0", "0", "1", "0", "0", "0", "nan"], "holds a non-finite value"),

@@ -16,6 +16,10 @@ class TestPropertyConfig:
             config.PropertyConfig(n_min=30, n_max=30)
         with pytest.raises(ValueError):
             config.PropertyConfig(n_min=40, n_max=30)
+        # (5, 6) is exclusive at both ends, so no point count lies inside it
+        with pytest.raises(ValueError, match="holds a count, got n_min=5 n_max=6"):
+            config.PropertyConfig(n_min=5, n_max=6)
+        assert config.PropertyConfig(n_min=5, n_max=7).n_max == 7
 
     def test_rejects_bad_margins(self):
         with pytest.raises(ValueError):

@@ -71,19 +71,26 @@ class TestCountSampleSpace:
         ratio = np.exp(counts.log_with_point - counts.log_total)
         assert 0.0 < ratio < 1.0
 
-    def test_gammaln_matches_exact_path(self):
-        for m in range(2, 61, 3):
-            for n_min, n_max in [(0, 5), (1, m + 2), (m // 3, m)]:
-                if n_min >= n_max or m <= n_min:
-                    continue
-                a = em.log_count_sample_space(m, n_min, n_max, method="exact")
-                b = em.log_count_sample_space(m, n_min, n_max, method="gammaln")
-                for x, y in [(a.log_total, b.log_total),
-                             (a.log_with_point, b.log_with_point),
-                             (a.log_without_point, b.log_without_point)]:
-                    if math.isinf(x) and math.isinf(y):
-                        continue
-                    assert x == pytest.approx(y, rel=1e-9, abs=1e-9)
+    def test_exact_counts_equal_binomial_sums(self):
+        def binomial_sums(m, n_min, n_max):
+            ns = range(n_min + 1, min(n_max - 1, m) + 1)
+            total = sum(math.comb(m, n) for n in ns)
+            with_point = sum(math.comb(m - 1, n - 1) for n in ns)
+            return total, with_point, total - with_point
+
+        cases = [(2000, 200, 400)]
+        for m in range(1, 201):
+            for n_min in sorted({0, min(1, m - 1), m // 3, m - 1}):
+                # windows that stop below m, end at m, reach m and run past it
+                for n_max in sorted({n_min + 2, (n_min + m) // 2 + 2, m, m + 1, m + 7}):
+                    if n_max >= n_min + 2:
+                        cases.append((m, n_min, n_max))
+        for m, n_min, n_max in cases:
+            counts = em.log_count_sample_space(m, n_min, n_max)
+            expected = binomial_sums(m, n_min, n_max)
+            assert counts.exact == expected, (m, n_min, n_max)
+            assert counts.log_total == math.log(expected[0])
+            assert counts.log_with_point == math.log(expected[1])
 
     def test_empty_space_signal(self):
         with pytest.raises(em.EmptySampleSpaceError):
@@ -103,9 +110,8 @@ class TestCountSampleSpace:
             except em.EmptySampleSpaceError:
                 assert m <= n_min
                 continue
-            if counts.exact is not None:
-                total, with_point, without = counts.exact
-                assert with_point + without == total
+            total, with_point, without = counts.exact
+            assert with_point + without == total
             split = np.exp(counts.log_with_point - counts.log_total) + np.exp(
                 counts.log_without_point - counts.log_total
             )

@@ -61,9 +61,11 @@ class TestParamsProtocol:
             assert param.default == declared[name], name
 
     def test_invalid_hyperparameters_caught_at_fit(self):
-        det = tiny_detector(n_min=15, n_max=12)
-        with pytest.raises(ValueError):
-            det.fit(shape_scenes(0, 2, size=16))
+        # (5, 6) holds no count: both ends of the window are exclusive
+        for n_min, n_max in [(15, 12), (5, 6)]:
+            det = tiny_detector(n_min=n_min, n_max=n_max)
+            with pytest.raises(ValueError, match=f"n_min={n_min} n_max={n_max}"):
+                det.fit(shape_scenes(0, 2, size=16))
 
 
 class TestFitDetect:

@@ -12,12 +12,20 @@ dataclasses that declare the same field, so such a shared field must be read
 off a parameter annotated with its own class, or off ``self`` in one of that
 class's methods.
 
+Every defaulted parameter of a function in the package must be passed, by
+keyword or by position, by some call in the package: a default that no call
+overrides is a constant dressed as a knob. Calls are matched by the callee's
+name, as the other guards match references. The public API
+(``pointprops.__all__`` and the methods of its classes) and ``cli.main`` are
+exempt, since their callers live outside the package.
+
 Every array that ``model._layout`` places must be taken by ``model.forward``
 (its tape-free run asks the workspace for it): an array nothing takes is
 workspace memory that nothing reads.
 """
 
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -63,6 +71,73 @@ def test_guard_flags_an_unused_function(tmp_path):
         "def used():\n    return 1\n\n\ndef unused():\n    return used()\n"
     )
     assert unreferenced_definitions(tmp_path) == ["mod.py:5 unused"]
+
+
+def _call_arguments(trees):
+    """Callee name -> (most positional arguments, keyword names) over every
+    call in the package; ``*args`` passes every position, ``**kwargs`` adds
+    the keyword None, which passes every name."""
+    positional, keywords = Counter(), {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            positional[name] = max(positional[name], math.inf if starred else len(node.args))
+            keywords.setdefault(name, set()).update(kw.arg for kw in node.keywords)
+    return positional, keywords
+
+
+def _functions(tree):
+    """(owning class or None, function) for every function in ``tree``."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield owner, child
+                yield from visit(child, None)
+            else:
+                yield from visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+    return visit(tree, None)
+
+
+def unset_defaults(src=SRC):
+    trees = _parse(src)
+    positional, keywords = _call_arguments(trees)
+    unset = []
+    for filename, tree in trees.items():
+        for owner, func in _functions(tree):
+            if ((owner or func.name) in pointprops.__all__
+                    or (filename, func.name) == ("cli.py", "main")):
+                continue
+            passed_names = keywords.get(func.name, set())
+            # a call through an instance or class binds the first argument
+            bound = 1 if owner else 0
+            args = func.args.posonlyargs + func.args.args
+            first_default = len(args) - len(func.args.defaults)
+            defaulted = [(arg, index) for index, arg in enumerate(args) if index >= first_default]
+            defaulted += [(arg, math.inf) for arg, default in
+                          zip(func.args.kwonlyargs, func.args.kw_defaults) if default]
+            for arg, index in defaulted:
+                if not (positional[func.name] > index - bound or arg.arg in passed_names
+                        or None in passed_names):
+                    name = f"{owner}.{func.name}" if owner else func.name
+                    unset.append(f"{filename}:{func.lineno} {name}({arg.arg})")
+    return unset
+
+
+def test_every_default_is_set_by_some_call():
+    assert unset_defaults() == []
+
+
+def test_guard_flags_an_unset_default(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def scale(x, factor=2, offset=0, *, clip=False):\n"
+        "    return x * factor + offset\n\n\n"
+        "class Box:\n    def grow(self, by=1, twice=False):\n        return by\n\n\n"
+        "def use(box):\n    return scale(1, 3) + scale(2, clip=True) + box.grow(2)\n"
+    )
+    assert unset_defaults(tmp_path) == ["mod.py:1 scale(offset)", "mod.py:6 Box.grow(twice)"]
 
 
 def _is_dataclass(node):

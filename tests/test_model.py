@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import naive_net
-from conftest import ReadRecorder, mutate_bytes
+from conftest import ReadRecorder, mutate_bytes, write_zero_checkpoint
 from pointprops import image_io, model
 
 
@@ -841,6 +841,15 @@ class TestCheckpoint:
             path = self._damaged(tmp_path, edit)
             with pytest.raises(ValueError, match=r"model\.ckpt: " + message):
                 model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_descriptor_dim_below_two_names_file_and_line(self, tmp_path, dim):
+        # shapes that fit the value: only the meta line itself is at fault
+        path = tmp_path / "model.ckpt"
+        write_zero_checkpoint(path, dim)
+        with pytest.raises(ValueError,
+                           match=rf"model\.ckpt: line 2: descriptor_dim {dim}, but the model"):
+            model.load_checkpoint(path)
 
     def test_wrong_shape_names_parameter(self, tmp_path):
         params = model.init_params(0, 4)

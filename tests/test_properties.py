@@ -99,7 +99,7 @@ class TestLocalSparsity:
 def space_total(m):
     """Exact number of masks over m candidates in the paper-scale count window."""
     cfg = paper_scale_config()
-    return em.log_count_sample_space(m, cfg.n_min, cfg.n_max, method="exact").exact[0]
+    return em.log_count_sample_space(m, cfg.n_min, cfg.n_max).exact[0]
 
 
 class TestCountSparsity:
