@@ -61,7 +61,7 @@ def check_counts_vs_enumeration() -> CheckResult:
         inst = oracle.TinyInstance(
             r=np.full(m, 0.5), n_min=n_min, n_max=n_max, c_tilde=np.ones(m)
         )
-        space = oracle.enumerate_reduced_space(inst, np.ones(m, dtype=bool))
+        space = oracle.enumerate_reduced_space(inst)
         try:
             counts = em.log_count_sample_space(m, n_min, n_max)
         except em.EmptySampleSpaceError:
@@ -154,12 +154,10 @@ def random_tiny_instance(rng, n_points=None) -> oracle.TinyInstance:
 
 
 def posterior_pair(inst: oracle.TinyInstance):
-    """(approximate, exact) posterior vectors over the all-ones candidate mask."""
-    n = inst.num_points
-    yhat = np.ones(n, dtype=bool)
-    counts = em.log_count_sample_space(n, inst.n_min, inst.n_max)
-    approx = em.approximate_posterior(inst.r, inst.c_tilde, counts, yhat)
-    exact = oracle.exact_posterior(inst, oracle.enumerate_reduced_space(inst, yhat))
+    """(approximate, exact) posterior vectors over the instance's points."""
+    counts = em.log_count_sample_space(inst.num_points, inst.n_min, inst.n_max)
+    approx = em.approximate_posterior(inst.r, inst.c_tilde, counts)
+    exact = oracle.exact_posterior(inst, oracle.enumerate_reduced_space(inst))
     return approx, exact
 
 
@@ -213,8 +211,7 @@ def check_expectation_identities() -> CheckResult:
         inst = oracle.TinyInstance(
             r=inst.r, n_min=inst.n_min, n_max=inst.n_max, c_tilde=np.ones(8)
         )
-        yhat = np.ones(8, dtype=bool)
-        space = oracle.enumerate_reduced_space(inst, yhat)
+        space = oracle.enumerate_reduced_space(inst)
         value = oracle.exact_expectation(inst, space)
         p = oracle.exact_posterior(inst, space)
         closed = float(np.sum(p * np.log(inst.r) + (1 - p) * np.log1p(-inst.r)))

@@ -85,8 +85,9 @@ _FLAG_KEYS = {
 
 
 def _read_utf8(path) -> str:
-    """The text of ``path``; a ValueError names the file and line of a non-UTF-8 byte."""
-    data = Path(path).read_bytes()
+    """The text of ``path`` without a leading byte-order mark; a ValueError
+    names the file and line of a non-UTF-8 byte."""
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -191,14 +192,16 @@ def cmd_train(args) -> int:
 
 
 def _checked_homography(values) -> np.ndarray:
-    """Nine row-major values as a 3x3 homography; ValueError if one is not
-    finite or the matrix is singular."""
+    """Nine row-major values as a 3x3 homography, which is defined up to scale,
+    divided by its largest |entry|. ValueError if a value is not finite or the
+    matrix is singular: its singular values spread wider than 1e9."""
     hom = np.array(values, dtype=float).reshape(3, 3)
     if not np.all(np.isfinite(hom)):
         raise ValueError("homography holds a non-finite value")
-    if abs(np.linalg.det(hom)) < 1e-9:
+    sing = np.linalg.svd(hom, compute_uv=False)
+    if not sing[-1] > 1e-9 * sing[0]:
         raise ValueError("homography is singular")
-    return hom
+    return hom / np.abs(hom).max()
 
 
 def _pairs_from_file(path):

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .simulate import ILLUMINATION_KINDS, VIEWPOINT_RANGES
 
@@ -28,7 +29,18 @@ class PropertyConfig:
     def __post_init__(self):
         if self.neg_weight is None:
             object.__setattr__(self, "neg_weight", 10.0 / self.n_max)
-        validate_property_config(self)
+        _require_finite(self)
+        if self.rad < 1:
+            raise ValueError(f"rad must be >= 1, got {self.rad}")
+        if not 0 <= self.n_min < self.n_max - 1:
+            raise ValueError(f"need 0 <= n_min < n_max - 1 so the exclusive window (n_min, n_max) "
+                             f"holds a count, got n_min={self.n_min} n_max={self.n_max}")
+        if not -1.0 <= self.m_n < self.m_p <= 1.0:
+            raise ValueError(f"need -1 <= m_n < m_p <= 1, got m_n={self.m_n} m_p={self.m_p}")
+        if self.neg_weight < 0:
+            raise ValueError(f"neg_weight must be >= 0, got {self.neg_weight}")
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
     @property
     def margin_max(self) -> float:
@@ -36,18 +48,12 @@ class PropertyConfig:
         return self.m_p - self.neg_weight * self.m_n
 
 
-def validate_property_config(cfg: PropertyConfig) -> None:
-    if cfg.rad < 1:
-        raise ValueError(f"rad must be >= 1, got {cfg.rad}")
-    if not 0 <= cfg.n_min < cfg.n_max - 1:
-        raise ValueError(f"need 0 <= n_min < n_max - 1 so the exclusive window (n_min, n_max) "
-                         f"holds a count, got n_min={cfg.n_min} n_max={cfg.n_max}")
-    if not -1.0 <= cfg.m_n < cfg.m_p <= 1.0:
-        raise ValueError(f"need -1 <= m_n < m_p <= 1, got m_n={cfg.m_n} m_p={cfg.m_p}")
-    if cfg.neg_weight < 0:
-        raise ValueError(f"neg_weight must be >= 0, got {cfg.neg_weight}")
-    if cfg.alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {cfg.alpha}")
+def _require_finite(cfg) -> None:
+    """ValueError naming the first float setting of ``cfg`` that is nan or infinite."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -69,32 +75,30 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        validate_train_config(self)
-
-
-def validate_train_config(cfg: TrainConfig) -> None:
-    if cfg.batch_scenes < 1:
-        raise ValueError(f"batch_scenes must be >= 1, got {cfg.batch_scenes}")
-    if cfg.transforms_per_scene < 2:
-        raise ValueError(f"transforms_per_scene must be >= 2, got {cfg.transforms_per_scene}")
-    if cfg.iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {cfg.iterations}")
-    if cfg.descriptor_dim < 2:
-        raise ValueError(f"descriptor_dim must be >= 2, got {cfg.descriptor_dim}")
-    if cfg.illumination not in ILLUMINATION_KINDS:
-        raise ValueError(f"illumination must be one of {tuple(ILLUMINATION_KINDS)}")
-    if cfg.viewpoint not in VIEWPOINT_RANGES:
-        raise ValueError(f"viewpoint must be one of {tuple(VIEWPOINT_RANGES)}")
-    h, w = cfg.image_size
-    if h % 4 != 0 or w % 4 != 0 or h < 8 or w < 8:
-        raise ValueError(f"image_size must be multiples of 4 and >= 8, got {h}x{w}")
-    if cfg.learning_rate <= 0:
-        raise ValueError(f"learning_rate must be > 0, got {cfg.learning_rate}")
-    for name in ("beta1", "beta2"):
-        if not 0.0 <= getattr(cfg, name) < 1.0:
-            raise ValueError(f"{name} must be in [0, 1), got {getattr(cfg, name)}")
-    if cfg.adam_eps <= 0:
-        raise ValueError(f"adam_eps must be > 0, got {cfg.adam_eps}")
+        _require_finite(self)
+        if self.batch_scenes < 1:
+            raise ValueError(f"batch_scenes must be >= 1, got {self.batch_scenes}")
+        if self.transforms_per_scene < 2:
+            raise ValueError(
+                f"transforms_per_scene must be >= 2, got {self.transforms_per_scene}")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.descriptor_dim < 2:
+            raise ValueError(f"descriptor_dim must be >= 2, got {self.descriptor_dim}")
+        if self.illumination not in ILLUMINATION_KINDS:
+            raise ValueError(f"illumination must be one of {tuple(ILLUMINATION_KINDS)}")
+        if self.viewpoint not in VIEWPOINT_RANGES:
+            raise ValueError(f"viewpoint must be one of {tuple(VIEWPOINT_RANGES)}")
+        h, w = self.image_size
+        if h % 4 != 0 or w % 4 != 0 or h < 8 or w < 8:
+            raise ValueError(f"image_size must be multiples of 4 and >= 8, got {h}x{w}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.adam_eps <= 0:
+            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,7 @@ class EvalConfig:
     pairs_per_image: int = 1
 
     def __post_init__(self):
+        _require_finite(self)
         if not 0.0 < self.prob_threshold < 1.0:
             raise ValueError(f"prob_threshold must be in (0, 1), got {self.prob_threshold}")
         if self.max_points < 1:
@@ -194,10 +199,11 @@ _SCHEMA = {
 def parse_config_text(text: str) -> dict:
     """Parse flat ``key = value`` lines grouped under ``[section]`` headers.
 
-    Returns a dict of dotted keys; unknown keys or malformed lines raise
-    ValueError before any work starts.
+    Returns a dict of dotted keys; unknown keys, a key set twice or malformed
+    lines raise ValueError before any work starts.
     """
     values = {}
+    set_on = {}  # dotted key -> the line that set it
     section = "run"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -212,6 +218,10 @@ def parse_config_text(text: str) -> dict:
         dotted = f"{section}.{key.strip()}"
         if dotted not in _SCHEMA:
             raise ValueError(f"line {lineno}: unknown config key {dotted!r}")
+        if dotted in set_on:
+            raise ValueError(f"line {lineno}: config key {dotted!r} already set "
+                             f"on line {set_on[dotted]}")
+        set_on[dotted] = lineno
         caster = _SCHEMA[dotted]
         try:
             values[dotted] = caster(val.strip())

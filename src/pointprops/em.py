@@ -75,19 +75,16 @@ def log_count_sample_space(m: int, n_min: int, n_max: int) -> SpaceCounts:
     )
 
 
-def approximate_posterior(r, c_tilde, counts: SpaceCounts, yhat):
-    """Per-point posterior that the point satisfies all properties.
+def approximate_posterior(r, c_tilde, counts: SpaceCounts):
+    """Per-candidate posterior that the point satisfies all properties.
 
     p = r * c * W1 / (r * c * W1 + (1 - r) * W0) with W1/W0 the with/without
-    space sizes, evaluated in the log domain; exactly 0 wherever yhat is 0.
+    space sizes, evaluated in the log domain.
     """
     r = np.clip(np.asarray(r, dtype=float), properties.PROB_EPS, 1.0 - properties.PROB_EPS)
-    c_tilde = np.asarray(c_tilde, dtype=float)
-    yhat = np.asarray(yhat, dtype=bool)
     log_num = np.log(r) + np.log(c_tilde) + counts.log_with_point
     log_den = np.logaddexp(log_num, np.log1p(-r) + counts.log_without_point)
-    p = np.exp(log_num - log_den)
-    return np.where(yhat, p, 0.0)
+    return np.exp(log_num - log_den)
 
 
 @dataclass
@@ -194,7 +191,7 @@ def _e_step_scene(scene, cfg: PropertyConfig) -> LatentState:
     c_grid = properties.discriminability_prob(h_grid, cfg)
     p = np.zeros((height, width))
     p[sel_rows, sel_cols] = approximate_posterior(
-        r[sel_rows, sel_cols], c_grid[sel_rows, sel_cols], counts, True
+        r[sel_rows, sel_cols], c_grid[sel_rows, sel_cols], counts
     )
     items = properties.log_likelihood_item(p, r, h_grid, cfg)
     expected = float(items[observed].sum())

@@ -16,15 +16,14 @@ import numpy as np
 from . import model
 from .image_io import pad_to_multiple_of_4
 from .properties import select_local_maxima
-from .simulate import map_points
+from .simulate import map_points, project_points
 
 
 @dataclass
 class PointSet:
-    """Extracted points: (n, 2) xy coordinates, scores, unit descriptors."""
+    """Extracted points, best score first: (n, 2) xy and unit descriptors."""
 
     xy: np.ndarray
-    scores: np.ndarray
     descriptors: np.ndarray
 
     def __len__(self) -> int:
@@ -43,36 +42,37 @@ class MatchSet:
 
 
 def extract_points(
-    output: model.ModelOutput, prob_threshold: float, rad: int, max_points: int
+    output: model.ModelOutput, prob_threshold: float, rad: int, max_points: int, shape
 ) -> PointSet:
-    """Strict NMS, then probability threshold, then top-K by score.
+    """Strict NMS, then probability threshold, then top-K by score among the
+    points inside the image's (height, width) ``shape``.
 
+    The map may run past ``shape`` at the bottom and right (an edge pad): NMS
+    sees the whole map, but a point in the pad never takes a top-K slot.
     Ties in score are broken by scan order (row-major), so extraction is
     deterministic.
     """
     if not 0.0 < prob_threshold < 1.0:
         raise ValueError(f"prob_threshold must be in (0, 1), got {prob_threshold}")
     prob = output.prob_map
+    height, width = shape
     keep = select_local_maxima(prob, rad) & (prob > prob_threshold)
-    rows, cols = np.nonzero(keep)
+    rows, cols = np.nonzero(keep[:height, :width])
     scores = prob[rows, cols]
     order = np.argsort(-scores, kind="stable")[:max_points]
-    rows, cols, scores = rows[order], cols[order], scores[order]
+    rows, cols = rows[order], cols[order]
     return PointSet(
         xy=np.stack([cols, rows], axis=1).astype(float),
-        scores=scores,
         descriptors=output.describe(rows, cols),
     )
 
 
 def detect_points(params, image, prob_threshold: float, rad: int, max_points: int) -> PointSet:
     """Points of one image: edge-pad to multiples of 4, tape-free forward,
-    ``extract_points``, then drop the points that top-K kept in the pad."""
-    padded, (height, width) = pad_to_multiple_of_4(image)
-    points = extract_points(model.forward(params, padded, keep_cache=False),
-                            prob_threshold, rad, max_points)
-    inside = (points.xy[:, 0] <= width - 1) & (points.xy[:, 1] <= height - 1)
-    return PointSet(points.xy[inside], points.scores[inside], points.descriptors[inside])
+    then ``extract_points`` inside the unpadded image."""
+    padded, shape = pad_to_multiple_of_4(image)
+    return extract_points(model.forward(params, padded, keep_cache=False),
+                          prob_threshold, rad, max_points, shape)
 
 
 def match_two_way(a: PointSet, b: PointSet) -> MatchSet:
@@ -89,24 +89,15 @@ def match_two_way(a: PointSet, b: PointSet) -> MatchSet:
 def match_correctness(
     matches: MatchSet, a: PointSet, b: PointSet, h_gt: np.ndarray, epsilon: float
 ) -> np.ndarray:
-    """True where the ground-truth-mapped point lies within epsilon of its partner."""
-    if len(matches) == 0:
-        return np.zeros(0, dtype=bool)
-    mapped = np.hstack([a.xy[matches.index_a], np.ones((len(matches), 1))]) @ h_gt.T
-    ok = np.abs(mapped[:, 2]) > 1e-9
-    mapped_xy = np.full((len(matches), 2), np.inf)
-    mapped_xy[ok] = mapped[ok, :2] / mapped[ok, 2:3]
-    dist = np.linalg.norm(mapped_xy - b.xy[matches.index_b], axis=1)
-    return ok & (dist <= epsilon)
+    """True where the ground-truth-mapped point lies within epsilon of its
+    partner; a point that ``h_gt`` sends to infinity is never correct."""
+    mapped = project_points(a.xy[matches.index_a], h_gt)
+    return np.linalg.norm(mapped - b.xy[matches.index_b], axis=1) <= epsilon
 
 
 def points_in_shared_region(points: PointSet, h: np.ndarray, other_shape) -> np.ndarray:
     """True for points whose mapping under ``h`` stays inside the other image."""
-    if len(points) == 0:
-        return np.zeros(0, dtype=bool)
-    height, width = other_shape[:2]
-    _, valid = map_points(points.xy, h, (width, height))
-    return valid
+    return map_points(points.xy, h, (other_shape[1], other_shape[0]))[1]
 
 
 def matching_score(
@@ -172,8 +163,8 @@ def dlt_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
         return None
     t1 = _normalization(src)
     t2 = _normalization(dst)
-    s = (np.hstack([src, np.ones((m, 1))]) @ t1.T)[:, :2]
-    d = (np.hstack([dst, np.ones((m, 1))]) @ t2.T)[:, :2]
+    s = project_points(src, t1)
+    d = project_points(dst, t2)
     x, y, u, v = s[:, 0], s[:, 1], d[:, 0], d[:, 1]
     z, o = np.zeros(m), np.ones(m)
     rows = np.stack([-x, -y, -o, z, z, z, u * x, u * y, u,
@@ -320,7 +311,8 @@ def estimate_homography(
 def homography_error(h_est: np.ndarray | None, h_gt: np.ndarray, size, epsilon: float = 3.0):
     """Mean four-corner reprojection distance and the correctness indicator.
 
-    ``size`` is (width, height); a failed estimate gives (inf, 0).
+    ``size`` is (width, height); a failed estimate, or one whose error is not
+    finite (a corner sent to infinity), gives (inf, 0).
     """
     if h_est is None:
         return float("inf"), 0
@@ -328,14 +320,10 @@ def homography_error(h_est: np.ndarray | None, h_gt: np.ndarray, size, epsilon: 
     corners = np.array([
         [0.0, 0.0], [width - 1.0, 0.0], [width - 1.0, height - 1.0], [0.0, height - 1.0]
     ])
-    ones = np.ones((4, 1))
-    gt = np.hstack([corners, ones]) @ h_gt.T
-    est = np.hstack([corners, ones]) @ h_est.T
-    if np.any(np.abs(gt[:, 2]) < 1e-12) or np.any(np.abs(est[:, 2]) < 1e-12):
+    gaps = project_points(corners, h_gt) - project_points(corners, h_est)
+    error = float(np.linalg.norm(gaps, axis=1).mean())
+    if not np.isfinite(error):
         return float("inf"), 0
-    gt_xy = gt[:, :2] / gt[:, 2:3]
-    est_xy = est[:, :2] / est[:, 2:3]
-    error = float(np.linalg.norm(gt_xy - est_xy, axis=1).mean())
     return error, int(error <= epsilon)
 
 

@@ -46,26 +46,23 @@ class TinyInstance:
         return self.r.size
 
 
-def enumerate_reduced_space(inst: TinyInstance, yhat) -> np.ndarray:
-    """All masks dominated by yhat with a feasible point count (strict bounds).
+def enumerate_reduced_space(inst: TinyInstance) -> np.ndarray:
+    """All masks over the instance's points (its candidates) with a feasible
+    point count (strict bounds).
 
     Returns an (M, num_points) bool matrix whose rows run by ascending count,
-    then in ``itertools.combinations`` order of the support within a count.
+    then in ``itertools.combinations`` order of the points within a count.
     """
-    yhat = np.asarray(yhat, dtype=bool)
-    if yhat.shape != (inst.num_points,):
-        raise ValueError(f"yhat has shape {yhat.shape}; "
-                         f"the instance has {inst.num_points} points")
-    support = np.flatnonzero(yhat)
-    if support.size > MAX_POINTS:
-        raise ValueError(f"support of {support.size} points exceeds the cap of {MAX_POINTS}")
-    counts = range(inst.n_min + 1, min(inst.n_max - 1, support.size) + 1)
-    sizes = [math.comb(support.size, n) for n in counts]
-    space = np.zeros((sum(sizes), inst.num_points), dtype=bool)
+    m = inst.num_points
+    if m > MAX_POINTS:
+        raise ValueError(f"instance of {m} points exceeds the cap of {MAX_POINTS}")
+    counts = range(inst.n_min + 1, min(inst.n_max - 1, m) + 1)
+    sizes = [math.comb(m, n) for n in counts]
+    space = np.zeros((sum(sizes), m), dtype=bool)
     start = 0
     for n, size in zip(counts, sizes):
         chosen = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(support.tolist(), n)),
+            itertools.chain.from_iterable(itertools.combinations(range(m), n)),
             dtype=np.intp, count=size * n,
         ).reshape(size, n)
         space[np.arange(start, start + size)[:, None], chosen] = True

@@ -383,22 +383,24 @@ def sample_homography_for_level(rng, level: str, size) -> np.ndarray:
     return sample_homography(rng, max_rot, perturb, size)
 
 
-def map_points(points, h: np.ndarray, bounds):
-    """Projective transform of (x, y) points; valid iff inside ``bounds``.
-
-    ``bounds`` is (width, height); a point is valid when both coordinates lie
-    in [0, width - 1] x [0, height - 1] and the homogeneous w stays away
-    from zero.
-    """
+def project_points(points, h: np.ndarray) -> np.ndarray:
+    """(n, 2) image of (x, y) points under the homography ``h``; a point
+    whose homogeneous w has |w| < ``_W_COORD_EPS`` goes to infinity: nan."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    width, height = bounds
-    ones = np.ones((pts.shape[0], 1))
-    mapped = np.hstack([pts, ones]) @ h.T
+    mapped = np.hstack([pts, np.ones((pts.shape[0], 1))]) @ h.T
     w = mapped[:, 2]
     safe = np.abs(w) >= _W_COORD_EPS
     out = np.full_like(pts, np.nan)
     out[safe] = mapped[safe, :2] / w[safe, None]
-    valid = safe & (out[:, 0] >= 0) & (out[:, 0] <= width - 1) \
+    return out
+
+
+def map_points(points, h: np.ndarray, bounds):
+    """``project_points``, and whether each image lies inside ``bounds``, a
+    (width, height): in [0, width - 1] x [0, height - 1], never at infinity."""
+    out = project_points(points, h)
+    width, height = bounds
+    valid = (out[:, 0] >= 0) & (out[:, 0] <= width - 1) \
         & (out[:, 1] >= 0) & (out[:, 1] <= height - 1)
     return out, valid
 

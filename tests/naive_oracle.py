@@ -12,13 +12,13 @@ import itertools
 import numpy as np
 
 
-def enumerate_reduced_space(inst, yhat) -> list:
-    """All masks dominated by yhat with a feasible point count (strict bounds),
-    by ascending count, then in ``itertools.combinations`` order."""
-    support = np.flatnonzero(np.asarray(yhat, dtype=bool))
+def enumerate_reduced_space(inst) -> list:
+    """All masks over the instance's points with a feasible point count
+    (strict bounds), by ascending count, then in ``itertools.combinations``
+    order."""
     masks = []
-    for n in range(inst.n_min + 1, min(inst.n_max - 1, support.size) + 1):
-        for chosen in itertools.combinations(support, n):
+    for n in range(inst.n_min + 1, min(inst.n_max - 1, inst.r.size) + 1):
+        for chosen in itertools.combinations(range(inst.r.size), n):
             mask = np.zeros(inst.r.size, dtype=bool)
             mask[list(chosen)] = True
             masks.append(mask)

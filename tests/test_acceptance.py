@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
-Criterion 6 runs a real training loop and dominates the runtime; everything
-else is sub-minute. Tolerances are pinned here and nowhere else.
+It holds criteria 1-5, 7 and 8, which run in seconds. Criterion 6, that
+training beats its own initialisation on matching, has no test yet: it is
+open item 1 of ROADMAP.md. Tolerances are pinned here and nowhere else.
 """
 
 import math
@@ -152,8 +153,8 @@ class TestCriterion5Homography:
 
         rng = np.random.default_rng(14)
         src = rng.uniform(0, 48, size=(12, 2))
-        a = evaluate.PointSet(src, np.ones(12), np.eye(12))
-        b = evaluate.PointSet(apply_h(h_true, src), np.ones(12), np.eye(12))
+        a = evaluate.PointSet(src, np.eye(12))
+        b = evaluate.PointSet(apply_h(h_true, src), np.eye(12))
         matches = evaluate.MatchSet(np.arange(12), np.arange(12))
         est = evaluate.estimate_homography(matches, a, b, seed=0)
         noiseless_err, _ = evaluate.homography_error(est, h_true, (48, 48))
@@ -164,8 +165,8 @@ class TestCriterion5Homography:
             src_in = t_rng.uniform(0, 48, size=(20, 2))
             src = np.vstack([src_in, t_rng.uniform(0, 48, size=(20, 2))])
             dst = np.vstack([apply_h(h_true, src_in), t_rng.uniform(0, 48, size=(20, 2))])
-            a = evaluate.PointSet(src, np.ones(40), np.eye(40))
-            b = evaluate.PointSet(dst, np.ones(40), np.eye(40))
+            a = evaluate.PointSet(src, np.eye(40))
+            b = evaluate.PointSet(dst, np.eye(40))
             matches = evaluate.MatchSet(np.arange(40), np.arange(40))
             est = evaluate.estimate_homography(matches, a, b, seed=seed)
             err, _ = evaluate.homography_error(est, h_true, (48, 48))
@@ -234,14 +235,14 @@ class TestCriterion8Invariants:
                 prob_map=rng.random((14, 14)) * 0.98 + 0.01,
                 desc_field=np.ones((14, 14, 2)) / np.sqrt(2),
             )
-            pts = evaluate.extract_points(out, 0.5, 2, 10)
+            pts = evaluate.extract_points(out, 0.5, 2, 10, (14, 14))
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     assert np.max(np.abs(pts.xy[i] - pts.xy[j])) > 2
             nms_checked += 1
         cases["nms-spacing"] = nms_checked
 
-        # posterior support: p = 0 off the candidate mask, p in [0, 1]
+        # posterior range: p in [0, 1] for every candidate
         post_checked = 0
         while post_checked < 1000:
             m = int(rng.integers(2, 40))
@@ -251,13 +252,11 @@ class TestCriterion8Invariants:
                 counts = em.log_count_sample_space(m, n_min, n_max)
             except em.EmptySampleSpaceError:
                 continue
-            yhat = rng.random(8) < 0.6
             p = em.approximate_posterior(rng.uniform(0.01, 0.99, 8),
-                                         rng.uniform(0.05, 1.0, 8), counts, yhat)
-            assert np.all(p[~yhat] == 0.0)
+                                         rng.uniform(0.05, 1.0, 8), counts)
             assert np.all((p >= 0.0) & (p <= 1.0))
             post_checked += 1
-        cases["posterior-support"] = post_checked
+        cases["posterior-range"] = post_checked
 
         # count split identity
         split_checked = 0

@@ -44,10 +44,8 @@ class TestPosteriorChecks:
         inst = oracle.TinyInstance(r=np.array([0.9, 0.9]), n_min=0, n_max=2,
                                    c_tilde=np.ones(2))
         counts = em.log_count_sample_space(2, 0, 2)
-        approx = em.approximate_posterior(inst.r, inst.c_tilde, counts, np.ones(2, bool))
-        exact = oracle.exact_posterior(
-            inst, oracle.enumerate_reduced_space(inst, np.ones(2, bool))
-        )
+        approx = em.approximate_posterior(inst.r, inst.c_tilde, counts)
+        exact = oracle.exact_posterior(inst, oracle.enumerate_reduced_space(inst))
         np.testing.assert_allclose(exact, [0.5, 0.5], atol=1e-15)
         np.testing.assert_allclose(approx, [0.9, 0.9], atol=1e-12)
 

@@ -172,7 +172,17 @@ class TestTrainCommand:
         ("[properties]\nn_min = 5\nn_max = 6\n",
          "need 0 <= n_min < n_max - 1 so the exclusive window (n_min, n_max) holds a count, "
          "got n_min=5 n_max=6"),
-    ], ids=["rad", "beta1", "empty-count-window"])
+        ("[properties]\nalpha = nan\n", "alpha must be finite, got nan"),
+        ("[properties]\nalpha = inf\n", "alpha must be finite, got inf"),
+        ("[properties]\nneg_weight = nan\n", "neg_weight must be finite, got nan"),
+        ("[train]\nlearning_rate = nan\n", "learning_rate must be finite, got nan"),
+        ("[train]\nlearning_rate = inf\n", "learning_rate must be finite, got inf"),
+        ("[train]\nadam_eps = nan\n", "adam_eps must be finite, got nan"),
+        ("[eval]\nepsilon = nan\n", "epsilon must be finite, got nan"),
+        ("[eval]\nransac_threshold = nan\n", "ransac_threshold must be finite, got nan"),
+    ], ids=["rad", "beta1", "empty-count-window", "alpha-nan", "alpha-inf", "neg-weight-nan",
+            "learning-rate-nan", "learning-rate-inf", "adam-eps-nan", "epsilon-nan",
+            "ransac-threshold-nan"])
     def test_out_of_range_value_names_file(self, image_dir, tmp_path, capsys, text,
                                            message):
         bad = tmp_path / "bad.cfg"
@@ -201,9 +211,22 @@ class TestTrainCommand:
                          "--output", str(tmp_path)]) == 2
         assert "bad.cfg: line 3: not UTF-8 text" in capsys.readouterr().err
 
+    def test_byte_order_mark_is_skipped(self, image_dir, config_file, tmp_path, capsys):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + config_file.read_bytes())
+        assert cli.main(["train", "--config", str(cfg), "--images", str(image_dir),
+                         "--output", str(tmp_path)]) == 0
+        assert len((tmp_path / "train_log.csv").read_text().splitlines()) == 1 + 2
+        # the mark does not shift the line a bad byte is reported on
+        cfg.write_bytes(b"\xef\xbb\xbf[train]\n\xff\n")
+        assert cli.main(["train", "--config", str(cfg), "--images", str(image_dir),
+                         "--output", str(tmp_path)]) == 2
+        assert "bom.cfg: line 2: not UTF-8 text" in capsys.readouterr().err
+
     def test_epochs_set_the_iteration_count(self, image_dir, config_file, tmp_path):
         cfg = tmp_path / "epochs.cfg"
-        cfg.write_text(config_file.read_text() + "[train]\nepochs = 1\niterations = 5\n")
+        cfg.write_text(config_file.read_text().replace("iterations = 2", "iterations = 5")
+                       + "[train]\nepochs = 1\n")
         assert cli.main(["train", "--config", str(cfg), "--images", str(image_dir),
                          "--output", str(tmp_path)]) == 0
         # one pass over 4 images at 2 scenes per iteration
@@ -246,6 +269,27 @@ class TestEvalCommand:
         assert code == 0
         lines = (out / "metrics.csv").read_text().splitlines()
         assert lines[-1] == "# skipped_pairs 1"
+
+    def test_pair_list_homography_is_taken_up_to_scale(self, image_dir, config_file,
+                                                       trained_dir, tmp_path):
+        scene = image_dir / "scene_0.pgm"
+        hom = np.array([[1.0, 0.02, 1.5], [-0.02, 1.0, -0.5], [1e-4, 0.0, 1.0]])
+        rows = []
+        for scale in (1.0, 1e-4):
+            pairs = tmp_path / f"pairs_{scale}.txt"
+            values = " ".join(map(repr, (hom * scale).ravel().tolist()))
+            pairs.write_text(f"{scene} {scene} {values}\n")
+            out = tmp_path / f"eval_{scale}"
+            assert cli.main(["eval", "--config", str(config_file),
+                             "--checkpoint", str(trained_dir / "model.ckpt"),
+                             "--pairs", str(pairs), "--output", str(out)]) == 0
+            lines = (out / "metrics.csv").read_text().splitlines()
+            assert lines[-1] == "# skipped_pairs 0"
+            rows.append(dict(zip(lines[0].split(","), lines[1].split(","))))
+        for name in ("m_score", "HE", "num_points_A", "num_points_B", "num_matches"):
+            assert rows[0][name] == rows[1][name], name
+        assert float(rows[0]["homo_error"]) == pytest.approx(float(rows[1]["homo_error"]),
+                                                             rel=1e-9)
 
     def test_non_finite_homography_line_is_skipped(self, image_dir, config_file,
                                                    trained_dir, tmp_path, capsys):
@@ -565,6 +609,19 @@ class TestVisualizeCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{ckpt}: line 2: descriptor_dim {dim}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("values", [
+        ["1e-4", "0", "0", "0", "1e-4", "0", "0", "0", "1e-4"],
+        ["1", "0", "2000", "0", "1", "0", "0", "0", "1"],
+    ], ids=["identity-times-1e-4", "translation-2000"])
+    def test_homography_is_taken_up_to_scale(self, image_dir, config_file, trained_dir,
+                                             tmp_path, values):
+        out = tmp_path / "vis"
+        assert cli.main(["visualize", "--config", str(config_file),
+                         "--checkpoint", str(trained_dir / "model.ckpt"),
+                         str(image_dir / "scene_0.pgm"), str(image_dir / "scene_1.pgm"),
+                         "--homography", *values, "--output", str(out)]) == 0
+        assert (out / "scene_0__scene_1.txt").exists()
 
     @pytest.mark.parametrize("values, message", [
         (["1", "0", "0", "0", "1", "0", "0", "0", "nan"], "holds a non-finite value"),

@@ -85,6 +85,11 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="bad value"):
             config.parse_config_text("[train]\niterations = soon\n")
 
+    def test_key_set_twice_rejected(self):
+        with pytest.raises(ValueError, match="line 5: config key 'train.seed' already set "
+                                             "on line 2"):
+            config.parse_config_text("[train]\nseed = 1\niterations = 3\n[train]\nseed = 2\n")
+
     def test_invalid_combination_rejected_before_work(self):
         for text, message in [
             ("[properties]\nn_min = 50\nn_max = 20\n", "n_min < n_max"),
@@ -94,6 +99,14 @@ class TestConfigFile:
             ("[train]\nepochs = -1\n", "epochs must be >= 0"),
             ("[eval]\nransac_threshold = 0\n", "ransac_threshold must be > 0"),
             ("[run]\nthreads = 0\n", "threads must be >= 1"),
+            ("[properties]\nalpha = nan\n", "alpha must be finite, got nan"),
+            ("[properties]\nalpha = inf\n", "alpha must be finite, got inf"),
+            ("[properties]\nneg_weight = nan\n", "neg_weight must be finite, got nan"),
+            ("[train]\nlearning_rate = nan\n", "learning_rate must be finite, got nan"),
+            ("[train]\nlearning_rate = inf\n", "learning_rate must be finite, got inf"),
+            ("[train]\nadam_eps = nan\n", "adam_eps must be finite, got nan"),
+            ("[eval]\nepsilon = nan\n", "epsilon must be finite, got nan"),
+            ("[eval]\nransac_threshold = nan\n", "ransac_threshold must be finite, got nan"),
         ]:
             values = config.parse_config_text(text)
             with pytest.raises(ValueError, match=message):

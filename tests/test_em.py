@@ -121,38 +121,34 @@ class TestCountSampleSpace:
 class TestApproximatePosterior:
     def test_balanced_counts_return_repeatability(self):
         counts = em.log_count_sample_space(5, 1, 4)  # W1 == W0 == 10
-        p = em.approximate_posterior(0.9, 1.0, counts, True)
+        p = em.approximate_posterior(0.9, 1.0, counts)
         assert p == pytest.approx(0.9, abs=1e-12)
-
-    def test_zero_off_candidate_mask(self):
-        counts = em.log_count_sample_space(5, 1, 4)
-        assert em.approximate_posterior(0.9, 1.0, counts, False) == 0.0
 
     def test_exponential_discount(self):
         counts = em.log_count_sample_space(5, 1, 4)
-        p = em.approximate_posterior(0.5, np.exp(-1.0), counts, True)
+        p = em.approximate_posterior(0.5, np.exp(-1.0), counts)
         assert p == pytest.approx(np.exp(-1.0) / (np.exp(-1.0) + 1.0), abs=1e-12)
         assert p == pytest.approx(0.2689414213699951, abs=1e-12)
 
     def test_forced_selection_when_every_mask_contains_point(self):
         counts = em.log_count_sample_space(3, 2, 4)  # only the full mask is feasible
         assert counts.log_without_point == -np.inf
-        assert em.approximate_posterior(0.2, 0.5, counts, True) == pytest.approx(1.0)
+        assert em.approximate_posterior(0.2, 0.5, counts) == pytest.approx(1.0)
 
     def test_monotone_in_repeatability_and_discriminability(self):
         counts = em.log_count_sample_space(9, 2, 7)
         r = np.linspace(0.05, 0.95, 40)
-        p = em.approximate_posterior(r, 0.7, counts, True)
+        p = em.approximate_posterior(r, 0.7, counts)
         assert np.all(np.diff(p) > 0)
         c = np.linspace(0.05, 1.0, 40)
-        p2 = em.approximate_posterior(0.4, c, counts, True)
+        p2 = em.approximate_posterior(0.4, c, counts)
         assert np.all(np.diff(p2) > 0)
 
     def test_range(self):
         rng = np.random.default_rng(3)
         counts = em.log_count_sample_space(30, 4, 17)
         p = em.approximate_posterior(
-            rng.uniform(0.01, 0.99, 1000), rng.uniform(0.05, 1.0, 1000), counts, True
+            rng.uniform(0.01, 0.99, 1000), rng.uniform(0.05, 1.0, 1000), counts
         )
         assert np.all((p >= 0.0) & (p <= 1.0))
 
@@ -259,9 +255,7 @@ class TestEStep:
                 r=state.r[sel], n_min=cfg.n_min, n_max=cfg.n_max,
                 c_tilde=properties.discriminability_prob(state.h[sel], cfg),
             )
-            space = oracle.enumerate_reduced_space(
-                inst, np.ones(state.num_selected, dtype=bool)
-            )
+            space = oracle.enumerate_reduced_space(inst)
             exact = oracle.exact_posterior(inst, space)
             assert np.max(np.abs(state.p[sel] - exact)) <= 0.05
             # expectation: exact posterior over candidates + deterministic background

@@ -67,6 +67,11 @@ class TestParamsProtocol:
             with pytest.raises(ValueError, match=f"n_min={n_min} n_max={n_max}"):
                 det.fit(shape_scenes(0, 2, size=16))
 
+    def test_non_finite_hyperparameter_caught_at_fit(self):
+        det = tiny_detector(alpha=float("nan"))
+        with pytest.raises(ValueError, match="alpha must be finite, got nan"):
+            det.fit(shape_scenes(0, 2, size=16))
+
 
 class TestFitDetect:
     def test_unfitted_raises(self):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import naive_ransac
-from conftest import FieldOutput
-from pointprops import evaluate
+from conftest import FieldOutput, shape_scenes
+from pointprops import evaluate, model
 
 
 def output_from(prob, desc=None):
@@ -15,13 +15,9 @@ def output_from(prob, desc=None):
     return FieldOutput(prob, desc)
 
 
-def point_set(xy, descriptors, scores=None):
-    xy = np.asarray(xy, dtype=float)
-    descriptors = np.asarray(descriptors, dtype=float)
-    if scores is None:
-        scores = np.full(len(xy), 0.9)
-    return evaluate.PointSet(xy=xy, scores=np.asarray(scores, float),
-                             descriptors=descriptors)
+def point_set(xy, descriptors):
+    return evaluate.PointSet(xy=np.asarray(xy, dtype=float),
+                             descriptors=np.asarray(descriptors, dtype=float))
 
 
 def one_hot_points(xy, dim=None):
@@ -55,12 +51,14 @@ class TestExtractPoints:
     def test_single_spike(self):
         prob = np.full((16, 16), 0.1)
         prob[5, 9] = 0.9
-        pts = evaluate.extract_points(output_from(prob), 0.5, rad=2, max_points=10)
+        pts = evaluate.extract_points(output_from(prob), 0.5, rad=2, max_points=10,
+                                      shape=prob.shape)
         assert len(pts) == 1
         np.testing.assert_array_equal(pts.xy[0], [9, 5])
 
     def test_uniform_map_is_empty(self):
-        pts = evaluate.extract_points(output_from(np.full((16, 16), 0.9)), 0.5, 2, 10)
+        pts = evaluate.extract_points(output_from(np.full((16, 16), 0.9)), 0.5, 2, 10,
+                                      (16, 16))
         assert len(pts) == 0
 
     def test_matches_reference_pipeline(self):
@@ -68,7 +66,7 @@ class TestExtractPoints:
         for _ in range(20):
             prob = rng.random((14, 14)) * 0.98 + 0.01
             out = output_from(prob)
-            pts = evaluate.extract_points(out, 0.5, rad=2, max_points=5)
+            pts = evaluate.extract_points(out, 0.5, rad=2, max_points=5, shape=prob.shape)
             ref = extraction_reference(prob, 0.5, 2, 5, out.desc_field)
             assert [(x, y) for x, y in pts.xy] == ref
 
@@ -77,9 +75,10 @@ class TestExtractPoints:
         for _ in range(20):
             prob = rng.random((20, 20)) * 0.98 + 0.01
             out = output_from(prob)
-            pts = evaluate.extract_points(out, 0.4, rad=3, max_points=8)
+            pts = evaluate.extract_points(out, 0.4, rad=3, max_points=8, shape=prob.shape)
             assert len(pts) <= 8
-            assert np.all(pts.scores > 0.4)
+            scores = prob[pts.xy[:, 1].astype(int), pts.xy[:, 0].astype(int)]
+            assert np.all(scores > 0.4) and np.all(np.diff(scores) <= 0)
             np.testing.assert_allclose(
                 np.linalg.norm(pts.descriptors, axis=1), 1.0, atol=1e-6
             )
@@ -88,9 +87,19 @@ class TestExtractPoints:
                     cheb = np.max(np.abs(pts.xy[i] - pts.xy[j]))
                     assert cheb > 3
 
+    def test_pad_maxima_take_no_slot(self):
+        # rows and columns 6-7 are an edge pad: its stronger maximum still
+        # suppresses its neighbours, but the one slot goes to the image
+        prob = np.full((8, 8), 0.1)
+        prob[7, 7] = 0.95
+        prob[2, 2] = 0.9
+        prob[5, 5] = 0.8  # within rad of the pad's maximum
+        pts = evaluate.extract_points(output_from(prob), 0.5, 2, 1, (6, 6))
+        np.testing.assert_array_equal(pts.xy, [[2.0, 2.0]])
+
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
-            evaluate.extract_points(output_from(np.full((8, 8), 0.5)), 1.5, 2, 10)
+            evaluate.extract_points(output_from(np.full((8, 8), 0.5)), 1.5, 2, 10, (8, 8))
 
 
 def reference_matcher(a, b):
@@ -103,6 +112,24 @@ def reference_matcher(a, b):
         if int(np.argmax(sims_j)) == i:
             pairs.append((i, best_j))
     return pairs
+
+
+class TestDetectPoints:
+    def test_capped_call_is_the_uncapped_prefix(self):
+        # 37x39 crops are padded to 40x40; before the top-K ranked only
+        # in-image maxima, points in the pad took slots and capped calls
+        # came back short
+        for seed in (0, 1):
+            params = model.init_params(seed, 8)
+            for img in shape_scenes(seed, 2, 40):
+                crop = img[:37, :39]
+                full = evaluate.detect_points(params, crop, 0.01, 2, 10**6)
+                assert len(full) > 5
+                assert full.xy[:, 0].max() <= 38 and full.xy[:, 1].max() <= 36
+                for k in range(1, len(full) + 1):
+                    capped = evaluate.detect_points(params, crop, 0.01, 2, k)
+                    np.testing.assert_array_equal(capped.xy, full.xy[:k])
+                    np.testing.assert_array_equal(capped.descriptors, full.descriptors[:k])
 
 
 class TestMatchTwoWay:
@@ -135,6 +162,22 @@ class TestMatchTwoWay:
     def test_empty_inputs(self):
         empty = point_set(np.zeros((0, 2)), np.zeros((0, 4)))
         assert len(evaluate.match_two_way(empty, empty)) == 0
+
+
+class TestMatchCorrectness:
+    def test_no_matches(self):
+        a = one_hot_points([[2.0, 3.0]])
+        none = evaluate.MatchSet(np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+        correct = evaluate.match_correctness(none, a, a, np.eye(3), 3.0)
+        assert correct.shape == (0,) and correct.dtype == bool
+
+    def test_point_sent_to_infinity_is_never_correct(self):
+        a = one_hot_points([[0.0, 0.0], [4.0, 4.0]])
+        both = evaluate.MatchSet(np.arange(2), np.arange(2))
+        # w = 1 - x / 4: (0, 0) stays put, (4, 4) goes to infinity
+        h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.25, 0.0, 1.0]])
+        correct = evaluate.match_correctness(both, a, a, h, 3.0)
+        np.testing.assert_array_equal(correct, [True, False])
 
 
 class TestMatchingScore:
@@ -479,6 +522,15 @@ class TestHomographyError:
         error, correct = evaluate.homography_error(None, np.eye(3), (64, 48))
         assert error == float("inf")
         assert correct == 0
+
+    @pytest.mark.parametrize("w", [0.0, 5e-10])
+    @pytest.mark.parametrize("side", ["estimate", "ground-truth"])
+    def test_corner_sent_to_infinity(self, side, w):
+        # w = 1 - x / 64 (+ w) is w at the corners x = 64 of a 65-wide image:
+        # below 1e-9, the one rule for a point at infinity
+        far = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0 / 64.0, 0.0, 1.0 + w]])
+        h_est, h_gt = (far, np.eye(3)) if side == "estimate" else (np.eye(3), far)
+        assert evaluate.homography_error(h_est, h_gt, (65, 48)) == (float("inf"), 0)
 
     def test_monotone_in_epsilon(self):
         h = np.eye(3)

@@ -18,21 +18,15 @@ def make_instance(n, n_min, n_max, seed=0):
 class TestEnumerateReducedSpace:
     def test_all_nonempty_subsets(self):
         inst = make_instance(3, 0, 4)
-        space = oracle.enumerate_reduced_space(inst, np.ones(3, dtype=bool))
+        space = oracle.enumerate_reduced_space(inst)
         assert len(space) == 7
         assert sorted(int(m.sum()) for m in space) == [1, 1, 1, 2, 2, 2, 3]
 
-    def test_dominated_by_candidate_mask(self):
-        inst = make_instance(3, 1, 3)
-        yhat = np.array([True, False, True])
-        space = oracle.enumerate_reduced_space(inst, yhat)
-        assert len(space) == 1
-        np.testing.assert_array_equal(space[0], yhat)
-
     def test_empty_feasible_range(self):
-        inst = make_instance(3, 2, 3)
-        space = oracle.enumerate_reduced_space(inst, np.array([True, True, False]))
-        assert len(space) == 0
+        # two points, and no count strictly inside (2, 3)
+        inst = make_instance(2, 2, 3)
+        space = oracle.enumerate_reduced_space(inst)
+        assert space.shape == (0, 2)
 
     def test_count_matches_closed_form(self):
         rng = np.random.default_rng(9)
@@ -41,35 +35,20 @@ class TestEnumerateReducedSpace:
             n_min = int(rng.integers(0, 6))
             n_max = n_min + int(rng.integers(2, 8))
             inst = make_instance(n, n_min, n_max, seed=int(rng.integers(1 << 30)))
-            yhat = rng.random(n) < 0.7
-            space = oracle.enumerate_reduced_space(inst, yhat)
-            m = int(yhat.sum())
+            space = oracle.enumerate_reduced_space(inst)
             try:
-                counts = em.log_count_sample_space(m, n_min, n_max)
-            except (em.EmptySampleSpaceError, ValueError):
+                counts = em.log_count_sample_space(n, n_min, n_max)
+            except em.EmptySampleSpaceError:
                 assert len(space) == 0
                 continue
-            with_point = 0
-            if m:
-                first = int(np.flatnonzero(yhat)[0])
-                with_point = sum(1 for mask in space if mask[first])
+            with_point = int(space[:, 0].sum())
             assert counts.exact == (len(space), with_point, len(space) - with_point)
 
     def test_refuses_oversized_support(self):
         inst = make_instance(10, 0, 5)
         inst.r = np.full(21, 0.5)  # bypass constructor cap to hit the op guard
-        with pytest.raises(ValueError):
-            oracle.enumerate_reduced_space(inst, np.ones(21, dtype=bool))
-
-    def test_rejects_short_candidate_mask(self):
-        inst = make_instance(4, 0, 5)
-        with pytest.raises(ValueError, match=r"yhat has shape \(2,\); the instance has 4"):
-            oracle.enumerate_reduced_space(inst, np.ones(2, dtype=bool))
-
-    def test_rejects_long_candidate_mask(self):
-        inst = make_instance(4, 0, 5)
-        with pytest.raises(ValueError, match=r"yhat has shape \(6,\); the instance has 4"):
-            oracle.enumerate_reduced_space(inst, np.ones(6, dtype=bool))
+        with pytest.raises(ValueError, match="instance of 21 points exceeds the cap of 20"):
+            oracle.enumerate_reduced_space(inst)
 
 
 class TestExactPosterior:
@@ -83,7 +62,7 @@ class TestExactPosterior:
         inst = oracle.TinyInstance(
             r=np.array([0.4, 0.4]), n_min=0, n_max=2, c_tilde=np.array([0.8, 0.8])
         )
-        space = oracle.enumerate_reduced_space(inst, np.ones(2, dtype=bool))
+        space = oracle.enumerate_reduced_space(inst)
         assert len(space) == 2
         np.testing.assert_allclose(oracle.exact_posterior(inst, space), [0.5, 0.5],
                                    atol=1e-15)
@@ -95,7 +74,7 @@ class TestExactPosterior:
             n_min = int(rng.integers(0, n - 2))
             n_max = n_min + int(rng.integers(2, n - n_min + 1))
             inst = make_instance(n, n_min, n_max, seed=int(rng.integers(1 << 30)))
-            space = oracle.enumerate_reduced_space(inst, np.ones(n, dtype=bool))
+            space = oracle.enumerate_reduced_space(inst)
             if len(space) == 0:
                 continue
             p = oracle.exact_posterior(inst, space)
@@ -125,7 +104,7 @@ class TestExactExpectation:
                 r=rng.uniform(0.2, 0.8, size=n), n_min=0, n_max=n + 1,
                 c_tilde=np.ones(n),
             )
-            space = oracle.enumerate_reduced_space(inst, np.ones(n, dtype=bool))
+            space = oracle.enumerate_reduced_space(inst)
             value = oracle.exact_expectation(inst, space)
             p = oracle.exact_posterior(inst, space)
             closed = float(np.sum(p * np.log(inst.r) + (1 - p) * np.log1p(-inst.r)))
@@ -133,7 +112,7 @@ class TestExactExpectation:
 
     def test_reordered_summation(self):
         inst = make_instance(8, 1, 6, seed=7)
-        space = oracle.enumerate_reduced_space(inst, np.ones(8, dtype=bool))
+        space = oracle.enumerate_reduced_space(inst)
         a = oracle.exact_expectation(inst, space)
         b = oracle.exact_expectation(inst, list(reversed(space)))
         assert a == pytest.approx(b, abs=1e-12)
@@ -173,18 +152,15 @@ class TestMatchesNaiveOracle:
         rng = np.random.default_rng(12)
         compared, empty = 0, 0
         for m in range(13):
-            n = min(m + int(rng.integers(0, 6)), oracle.MAX_POINTS)
-            yhat = np.zeros(n, dtype=bool)
-            yhat[rng.choice(n, size=m, replace=False)] = True
             for n_min, n_max in self.windows(m):
                 inst = oracle.TinyInstance(
-                    r=rng.uniform(0.05, 0.95, size=n), n_min=n_min, n_max=n_max,
-                    c_tilde=np.exp(rng.uniform(-3.0, 0.0, size=n)),
+                    r=rng.uniform(0.05, 0.95, size=m), n_min=n_min, n_max=n_max,
+                    c_tilde=np.exp(rng.uniform(-3.0, 0.0, size=m)),
                 )
-                space = oracle.enumerate_reduced_space(inst, yhat)
-                masks = naive_oracle.enumerate_reduced_space(inst, yhat)
-                assert space.dtype == bool and space.shape == (len(masks), n)
-                np.testing.assert_array_equal(space, np.reshape(masks, (len(masks), n)))
+                space = oracle.enumerate_reduced_space(inst)
+                masks = naive_oracle.enumerate_reduced_space(inst)
+                assert space.dtype == bool and space.shape == (len(masks), m)
+                np.testing.assert_array_equal(space, np.reshape(masks, (len(masks), m)))
                 if not masks:
                     with pytest.raises(ValueError, match="empty sample space"):
                         oracle.exact_posterior(inst, space)

@@ -288,6 +288,35 @@ class TestWarpImage:
             assert np.abs(back - img)[interior].mean() < 0.05
 
 
+class TestProjectPoints:
+    def test_identity(self):
+        pts = np.array([[1.5, 2.0], [30.0, -17.25]])
+        np.testing.assert_array_equal(simulate.project_points(pts, np.eye(3)), pts)
+
+    @pytest.mark.parametrize("w, finite", [
+        (np.nextafter(1e-9, 0.0), False),
+        (-np.nextafter(1e-9, 0.0), False),
+        (1e-9, True),
+        (np.nextafter(1e-9, 1.0), True),
+        (-np.nextafter(1e-9, 1.0), True),
+    ])
+    def test_points_at_infinity_are_nan(self, w, finite):
+        # the third row sends (x, y) to w = x, so only the first point is at |w| ~ 1e-9
+        h = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        out = simulate.project_points([[w, 3.0], [2.0, 3.0]], h)
+        assert np.isfinite(out[0]).all() == finite
+        assert np.isnan(out[0]).all() != finite
+        np.testing.assert_array_equal(out[1], [1.0, 1.5])
+        _, valid = simulate.map_points([[w, 3.0]], h, (10**12, 10**12))
+        assert valid[0] == (finite and w > 0)  # a negative w puts y = 3 / w above the image
+
+    def test_empty_input(self):
+        out = simulate.project_points(np.zeros((0, 2)), np.eye(3))
+        assert out.shape == (0, 2) and out.dtype == float
+        mapped, valid = simulate.map_points(np.zeros((0, 2)), np.eye(3), (8, 8))
+        assert mapped.shape == (0, 2) and valid.shape == (0,) and valid.dtype == bool
+
+
 class TestMapPoints:
     def test_identity(self):
         pts = np.array([[1.0, 2.0], [30.0, 17.0]])
