@@ -325,9 +325,8 @@ def detector_chain_objective(params, scene, state, cfg):
     """The logged expected log-likelihood (summed ``log_likelihood_item``) as
     a function of repeatability, with the posteriors and margins frozen."""
     outs = [model.forward(params, img, keep_cache=False) for img in scene.images]
-    r, valid_count = em.repeatability(scene, outs)
-    items = properties.log_likelihood_item(state.p, r, state.h, cfg)
-    return float(items[valid_count > 0].sum())
+    return em.expected_log_likelihood(*em.repeatability(scene, outs),
+                                      (state.sel_rows, state.sel_cols), state.p, state.h, cfg)
 
 
 def descriptor_chain_objective(params, scene, state, cfg):
@@ -338,8 +337,8 @@ def descriptor_chain_objective(params, scene, state, cfg):
         state.sel_rows, state.sel_cols, outs, scene
     )
     h = properties.margins(state.num_selected, descriptors, valid, cfg)
-    sel = state.sel_rows, state.sel_cols
-    return float(properties.log_likelihood_item(state.p[sel], state.r[sel], h, cfg).sum())
+    r = state.r[state.sel_rows, state.sel_cols]
+    return float(properties.log_likelihood_item(state.p, r, h, cfg).sum())
 
 
 def check_detector_chain() -> CheckResult:

@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -52,7 +53,8 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="matching-score / homography metrics")
     config_flags(p_eval)
     simulation_flags(p_eval)
-    p_eval.add_argument("--threads", type=int, help="pairs evaluated in parallel")
+    p_eval.add_argument("--threads", type=int, help="pairs evaluated in parallel; "
+                        "pays only under OPENBLAS_NUM_THREADS=1")
     p_eval.add_argument("--checkpoint", help="trained checkpoint file")
     p_eval.add_argument("--images", help="directory of images to self-pair")
     p_eval.add_argument("--pairs", help="pair list file: imgA imgB h11..h33")
@@ -146,12 +148,12 @@ def _format(value) -> str:
 
 
 def _write_csv(path, header, rows, trailer=None):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format(row[col]) for col in header))
-    if trailer:
-        lines.append(trailer)
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_format(row[col]) for col in header] for row in rows)
+        if trailer:
+            fh.write(trailer + "\n")
 
 
 # ---------------------------------------------------------------------------

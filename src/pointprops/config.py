@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 from .simulate import ILLUMINATION_KINDS, VIEWPOINT_RANGES
@@ -199,14 +200,16 @@ _SCHEMA = {
 def parse_config_text(text: str) -> dict:
     """Parse flat ``key = value`` lines grouped under ``[section]`` headers.
 
-    Returns a dict of dotted keys; unknown keys, a key set twice or malformed
-    lines raise ValueError before any work starts.
+    A ``#`` at the start of a line or after whitespace starts a comment; any
+    other ``#`` belongs to the value. Returns a dict of dotted keys; unknown
+    keys, a key set twice or malformed lines raise ValueError before any
+    work starts.
     """
     values = {}
     set_on = {}  # dotted key -> the line that set it
     section = "run"
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.sub(r"(?:^|\s)#.*", "", raw, count=1).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,30 +89,29 @@ def approximate_posterior(r, c_tilde, counts: SpaceCounts):
 
 @dataclass
 class LatentState:
-    """E-step result for one scene, on the canonical pixel grid."""
+    """E-step result for one scene: r and valid_count on the canonical grid,
+    the rest one entry per candidate, in sel_rows/sel_cols order."""
 
-    yhat: np.ndarray  # (H, W) bool, local maxima of r
-    p: np.ndarray  # (H, W) posterior, 0 off yhat
     r: np.ndarray  # (H, W) repeatability (0 where never observed)
     valid_count: np.ndarray  # (H, W) number of views observing each point
-    h: np.ndarray  # (H, W) margins (margin_max off yhat)
+    sel_rows: np.ndarray  # (m,) candidates: the strict local maxima of r
+    sel_cols: np.ndarray
+    p: np.ndarray  # (m,) posterior
+    h: np.ndarray  # (m,) margins (margin_max when m < 2)
+    sel_descriptors: np.ndarray  # (J, m, d)
+    sel_valid: np.ndarray  # (J, m) bool
     expected_log_likelihood: float
-    # selected-point gather, reused by the gradient passes
-    sel_rows: np.ndarray = field(repr=False, default=None)
-    sel_cols: np.ndarray = field(repr=False, default=None)
-    sel_descriptors: np.ndarray = field(repr=False, default=None)  # (J, n, d)
-    sel_valid: np.ndarray = field(repr=False, default=None)  # (J, n) bool
 
     @property
     def num_selected(self) -> int:
-        return int(self.yhat.sum())
+        return self.sel_rows.size
 
 
 def e_step(scenes, params: model.ModelParams, cfg: PropertyConfig):
     """Expectation step over a batch of scenes.
 
     Ensures every scene carries model outputs, then computes repeatability,
-    the candidate mask, margins, space counts, posteriors, and the expected
+    the candidates, their margins, space counts, posteriors, and the expected
     log-likelihood. Scenes with an empty feasible space yield None and a
     warning. Returns (states, total expected log-likelihood).
     """
@@ -164,49 +163,34 @@ def _view_pixels(scene, shape):
     return (np.arange(views)[:, None, None] * height + scene.map_rows) * width + scene.map_cols
 
 
-def _e_step_scene(scene, cfg: PropertyConfig) -> LatentState:
-    j_images = scene.num_views
-    height, width = scene.valid.shape[1:]
-    r, valid_count = repeatability(scene, scene.outputs)
-    observed = valid_count > 0
+def expected_log_likelihood(r, valid_count, sel, p, h, cfg: PropertyConfig) -> float:
+    """The logged E[L] of a scene: ``log_likelihood_item`` summed over every
+    observed point, with the (m,) posteriors ``p`` and margins ``h`` at the
+    candidates ``sel`` = (rows, cols) and p = 0, h = margin_max elsewhere."""
+    items = properties.log_likelihood_item(0.0, r, cfg.margin_max, cfg)
+    items[sel] = properties.log_likelihood_item(p, r[sel], h, cfg)
+    return float(items[valid_count > 0].sum())
 
+
+def _e_step_scene(scene, cfg: PropertyConfig) -> LatentState:
+    r, valid_count = repeatability(scene, scene.outputs)
     # candidates need a strict majority of observing views: repeatability
     # estimated from one or two views is high-variance, and selecting on it
     # rewards firing at view borders instead of repeatable structure
-    quorum = valid_count * 2 > j_images
-    yhat = properties.select_local_maxima(np.where(quorum, r, -np.inf), cfg.rad)
-    m = int(yhat.sum())
+    quorum = valid_count * 2 > scene.num_views
+    sel = np.nonzero(properties.select_local_maxima(np.where(quorum, r, -np.inf), cfg.rad))
+    m = sel[0].size
     if m == 0:
         raise EmptySampleSpaceError("no candidate local maxima")
     counts = log_count_sample_space(m, cfg.n_min, cfg.n_max)
-
-    sel_rows, sel_cols = np.nonzero(yhat)
-    descriptors, sel_valid = properties.gather_selected_descriptors(
-        sel_rows, sel_cols, scene.outputs, scene
-    )
-    h_grid = np.full((height, width), cfg.margin_max)
-    if m >= 2:
-        h_grid[sel_rows, sel_cols] = properties.margins(m, descriptors, sel_valid, cfg)
-
-    c_grid = properties.discriminability_prob(h_grid, cfg)
-    p = np.zeros((height, width))
-    p[sel_rows, sel_cols] = approximate_posterior(
-        r[sel_rows, sel_cols], c_grid[sel_rows, sel_cols], counts
-    )
-    items = properties.log_likelihood_item(p, r, h_grid, cfg)
-    expected = float(items[observed].sum())
-    return LatentState(
-        yhat=yhat,
-        p=p,
-        r=r,
-        valid_count=valid_count,
-        h=h_grid,
-        expected_log_likelihood=expected,
-        sel_rows=sel_rows,
-        sel_cols=sel_cols,
-        sel_descriptors=descriptors,
-        sel_valid=sel_valid,
-    )
+    descriptors, sel_valid = properties.gather_selected_descriptors(*sel, scene.outputs, scene)
+    h = (properties.margins(m, descriptors, sel_valid, cfg) if m >= 2
+         else np.full(m, cfg.margin_max))
+    p = approximate_posterior(r[sel], properties.discriminability_prob(h, cfg), counts)
+    expected = expected_log_likelihood(r, valid_count, sel, p, h, cfg)
+    return LatentState(r=r, valid_count=valid_count, sel_rows=sel[0], sel_cols=sel[1], p=p, h=h,
+                       sel_descriptors=descriptors, sel_valid=sel_valid,
+                       expected_log_likelihood=expected)
 
 
 def detector_gradient_coefficients(state: LatentState, scene):
@@ -217,8 +201,10 @@ def detector_gradient_coefficients(state: LatentState, scene):
     point's observation count and r clamped as in the likelihood. Returns a
     (J, H, W) array, one map per view.
     """
+    p = np.zeros(state.r.shape)
+    p[state.sel_rows, state.sel_cols] = state.p
     r = np.clip(state.r, properties.PROB_EPS, 1.0 - properties.PROB_EPS)
-    coeff = (state.p - r) / (np.maximum(state.valid_count, 1) * r * (1.0 - r))
+    coeff = (p - r) / (np.maximum(state.valid_count, 1) * r * (1.0 - r))
     # only observed points pass the scene.valid mask; bincount sums each
     # pixel's terms in index order, exactly as np.add.at would
     shape = scene.valid.shape
@@ -243,8 +229,7 @@ def descriptor_field_gradients(state: LatentState, scene, cfg: PropertyConfig):
     if state.num_selected < 2:
         row_grads = np.zeros_like(state.sel_descriptors)
     else:
-        sel = state.sel_rows, state.sel_cols
-        weights = np.where(state.h[sel] <= cfg.margin_max, cfg.alpha * state.p[sel], 0.0)
+        weights = np.where(state.h <= cfg.margin_max, cfg.alpha * state.p, 0.0)
         row_grads = properties.margin_gradients(
             state.sel_descriptors, state.sel_valid, cfg, weights
         )

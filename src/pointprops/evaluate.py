@@ -44,20 +44,19 @@ class MatchSet:
 def extract_points(
     output: model.ModelOutput, prob_threshold: float, rad: int, max_points: int, shape
 ) -> PointSet:
-    """Strict NMS, then probability threshold, then top-K by score among the
-    points inside the image's (height, width) ``shape``.
+    """Strict NMS, then probability threshold, then top-K by score, all on
+    the map cropped to the image's (height, width) ``shape``.
 
-    The map may run past ``shape`` at the bottom and right (an edge pad): NMS
-    sees the whole map, but a point in the pad never takes a top-K slot.
-    Ties in score are broken by scan order (row-major), so extraction is
-    deterministic.
+    The map may run past ``shape`` at the bottom and right (an edge pad);
+    the pad is cut off first, so it neither takes a top-K slot nor
+    suppresses a maximum inside the image. Ties in score are broken by scan
+    order (row-major), so extraction is deterministic.
     """
     if not 0.0 < prob_threshold < 1.0:
         raise ValueError(f"prob_threshold must be in (0, 1), got {prob_threshold}")
-    prob = output.prob_map
     height, width = shape
-    keep = select_local_maxima(prob, rad) & (prob > prob_threshold)
-    rows, cols = np.nonzero(keep[:height, :width])
+    prob = output.prob_map[:height, :width]
+    rows, cols = np.nonzero(select_local_maxima(prob, rad) & (prob > prob_threshold))
     scores = prob[rows, cols]
     order = np.argsort(-scores, kind="stable")[:max_points]
     rows, cols = rows[order], cols[order]

@@ -84,11 +84,25 @@ class TestGradientChecks:
         assert result.passed
         assert result.deviation > 0.0
 
+    def test_detector_chain_objective_is_the_logged_value(self, monkeypatch):
+        # the detector gate differentiates the very E[L] that training logs:
+        # at the fixture's parameters it equals the E-step's value bit for
+        # bit, and both come from em.expected_log_likelihood
+        scene, state, params, cfg = checks.toy_scene_state()
+        assert checks.detector_chain_objective(params, scene, state, cfg) == \
+            state.expected_log_likelihood
+        calls = []
+        summed = em.expected_log_likelihood
+        monkeypatch.setattr(em, "expected_log_likelihood",
+                            lambda *args: calls.append(args) or summed(*args))
+        scene, state, params, cfg = checks.toy_scene_state()
+        checks.detector_chain_objective(params, scene, state, cfg)
+        assert len(calls) == 2
+
     def test_chain_fixture_has_signal(self):
         scene, state, params, cfg = checks.toy_scene_state()
         assert state.num_selected >= 5
-        p = state.p[state.yhat]
-        assert p.min() > 0.05 and p.max() < 0.98
+        assert state.p.min() > 0.05 and state.p.max() < 0.98
         upstream = em.descriptor_field_gradients(state, scene, cfg)
         assert sum(float(np.abs(g).sum()) for _, _, g in upstream) > 0.1
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -475,6 +476,21 @@ class TestEvalCommand:
         lines = (out / "metrics.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:3]] == ["square.png#0", "aggregate"]
         assert lines[-1] == "# skipped_pairs 2"
+
+    def test_image_name_with_a_comma_is_quoted(self, tmp_path):
+        images = tmp_path / "named"
+        images.mkdir()
+        image_io.write_png(images / "a,b.png", np.random.default_rng(0).random((32, 32)))
+        ckpt = tmp_path / "init.ckpt"
+        model.save_checkpoint(ckpt, model.init_params(0, 16))
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--images", str(images),
+                         "--output", str(out)]) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows[:3]] == [7, 7, 7]
+        assert [row[0] for row in rows[1:3]] == ["a,b.png#0", "aggregate"]
+        assert rows[-1] == ["# skipped_pairs 0"]
 
 
 class TestPairListMutations:

@@ -73,6 +73,11 @@ class TestConfigFile:
         assert run.train.viewpoint == "viewpoint_full"
         assert run.eval.epsilon == 2.5
 
+    def test_hash_inside_a_value_is_kept(self):
+        values = config.parse_config_text("[paths]\noutput_dir = runs/exp#3\n"
+                                          "[train]\niterations = 7  # note\n#seed = 2\n")
+        assert values == {"paths.output_dir": "runs/exp#3", "train.iterations": 7}
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             config.parse_config_text("[train]\nlearning_speed = 3\n")

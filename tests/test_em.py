@@ -186,12 +186,11 @@ def latent_state(scene, yhat, p, cfg):
     rows, cols = np.nonzero(yhat)
     descriptors, valid = properties.gather_selected_descriptors(rows, cols, scene.outputs,
                                                                 scene)
-    h = np.full(yhat.shape, cfg.margin_max)
-    h[rows, cols] = properties.margins(len(rows), descriptors, valid, cfg)
     return em.LatentState(
-        yhat=yhat, p=np.where(yhat, p, 0.0), r=r, valid_count=valid_count, h=h,
-        expected_log_likelihood=0.0,
-        sel_rows=rows, sel_cols=cols, sel_descriptors=descriptors, sel_valid=valid,
+        r=r, valid_count=valid_count, sel_rows=rows, sel_cols=cols,
+        p=np.broadcast_to(p, yhat.shape)[rows, cols],
+        h=properties.margins(len(rows), descriptors, valid, cfg),
+        sel_descriptors=descriptors, sel_valid=valid, expected_log_likelihood=0.0,
     )
 
 
@@ -215,13 +214,10 @@ class TestEStep:
         states, expected = em.e_step([scene], None, cfg)
         state = states[0]
         assert state.num_selected == len(spots)
-        mask = np.zeros((12, 12), dtype=bool)
-        for r, c in spots:
-            mask[r, c] = True
-        np.testing.assert_array_equal(state.yhat, mask)
-        np.testing.assert_allclose(state.p[mask], 1.0, atol=1e-4)
-        np.testing.assert_allclose(state.p[~mask], 0.0)
-        np.testing.assert_allclose(properties.discriminability_prob(state.h[mask], cfg), 1.0,
+        np.testing.assert_array_equal(np.stack([state.sel_rows, state.sel_cols], axis=1),
+                                      spots)
+        np.testing.assert_allclose(state.p, 1.0, atol=1e-4)
+        np.testing.assert_allclose(properties.discriminability_prob(state.h, cfg), 1.0,
                                    atol=1e-12)
         assert abs(expected) < 1e-3
 
@@ -250,18 +246,19 @@ class TestEStep:
             state = states[0]
             if state is None or not 2 < state.num_selected <= 12:
                 continue
-            sel = state.yhat
+            off = np.ones(state.r.shape, dtype=bool)
+            off[state.sel_rows, state.sel_cols] = False
             inst = oracle.TinyInstance(
-                r=state.r[sel], n_min=cfg.n_min, n_max=cfg.n_max,
-                c_tilde=properties.discriminability_prob(state.h[sel], cfg),
+                r=state.r[~off], n_min=cfg.n_min, n_max=cfg.n_max,
+                c_tilde=properties.discriminability_prob(state.h, cfg),
             )
             space = oracle.enumerate_reduced_space(inst)
             exact = oracle.exact_posterior(inst, space)
-            assert np.max(np.abs(state.p[sel] - exact)) <= 0.05
+            assert np.max(np.abs(state.p - exact)) <= 0.05
             # expectation: exact posterior over candidates + deterministic background
             exact_e = oracle.exact_expectation(inst, space)
-            background = np.log1p(-np.clip(state.r[~sel], 1e-7, 1 - 1e-7)).sum()
-            bound = np.abs(state.p[sel] - exact) @ np.abs(
+            background = np.log1p(-np.clip(state.r[off], 1e-7, 1 - 1e-7)).sum()
+            bound = np.abs(state.p - exact) @ np.abs(
                 np.log(inst.r) - np.log1p(-inst.r) + np.log(inst.c_tilde)
             )
             assert abs(state.expected_log_likelihood - (exact_e + background)) <= bound + 1e-9
@@ -287,12 +284,12 @@ class TestDetectorGradient:
         desc[:, :, 0] = 1.0
         scene = synthetic_scene([prob.copy() for _ in range(j)],
                                 [desc.copy() for _ in range(j)])
-        yhat = np.zeros((8, 8), dtype=bool)
-        yhat[4, 4] = True
-        p = np.where(yhat, p_value, 0.0)
+        # one candidate, at (4, 4)
         state = em.LatentState(
-            yhat=yhat, p=p, r=np.full((8, 8), r_value),
-            valid_count=np.full((8, 8), j), h=np.zeros((8, 8)),
+            r=np.full((8, 8), r_value), valid_count=np.full((8, 8), j),
+            sel_rows=np.array([4]), sel_cols=np.array([4]),
+            p=np.array([p_value]), h=np.zeros(1),
+            sel_descriptors=np.zeros((j, 1, 4)), sel_valid=np.ones((j, 1), dtype=bool),
             expected_log_likelihood=0.0,
         )
         return state, scene
@@ -347,7 +344,7 @@ class TestDescriptorGradient:
         states, _ = em.e_step([scene], None, cfg)
         state = states[0]
         assert state.num_selected == 4
-        assert state.p[state.yhat].min() > 0.5
+        assert state.p.min() > 0.5
         for _, _, g in em.descriptor_field_gradients(state, scene, cfg):
             assert not g.any()
 
@@ -360,7 +357,7 @@ class TestDescriptorGradient:
         states, _ = em.e_step([scene], None, cfg)
         state = states[0]
         # identity correspondence: each selected row lands on its own pixel
-        weights = 1.7 * state.p[state.sel_rows, state.sel_cols]
+        weights = 1.7 * state.p
         rows = properties.margin_gradients(state.sel_descriptors, state.sel_valid, cfg,
                                            weights)
         for j, (rr, cc, g) in enumerate(em.descriptor_field_gradients(state, scene, cfg)):
@@ -409,6 +406,8 @@ class TestViewScatter:
 
     def test_detector_coefficients_match_per_point_loop(self):
         scene, state, _ = self.scene_and_state()
+        p = np.zeros((self.H, self.W))
+        p[state.sel_rows, state.sel_cols] = state.p
         expected = np.zeros((self.J, self.H, self.W))
         for j in range(self.J):
             for y in range(self.H):
@@ -417,7 +416,7 @@ class TestViewScatter:
                         continue
                     r = min(max(state.r[y, x], properties.PROB_EPS),
                             1.0 - properties.PROB_EPS)
-                    coeff = (state.p[y, x] - r) / (state.valid_count[y, x] * r * (1.0 - r))
+                    coeff = (p[y, x] - r) / (state.valid_count[y, x] * r * (1.0 - r))
                     expected[j, scene.map_rows[j, y, x], scene.map_cols[j, y, x]] += coeff
         np.testing.assert_array_equal(em.detector_gradient_coefficients(state, scene),
                                       expected)
@@ -425,8 +424,8 @@ class TestViewScatter:
     def test_descriptor_gradients_match_per_point_loop(self):
         scene, state, cfg = self.scene_and_state()
         points = list(zip(state.sel_rows, state.sel_cols))
-        weights = [cfg.alpha * state.p[y, x] if state.h[y, x] <= cfg.margin_max else 0.0
-                   for y, x in points]
+        weights = [cfg.alpha * p if h <= cfg.margin_max else 0.0
+                   for p, h in zip(state.p, state.h)]
         row_grads = properties.margin_gradients(state.sel_descriptors, state.sel_valid,
                                                 cfg, weights)
         expected = [np.zeros((self.H, self.W, self.D)) for _ in range(self.J)]

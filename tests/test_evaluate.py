@@ -87,15 +87,24 @@ class TestExtractPoints:
                     cheb = np.max(np.abs(pts.xy[i] - pts.xy[j]))
                     assert cheb > 3
 
-    def test_pad_maxima_take_no_slot(self):
-        # rows and columns 6-7 are an edge pad: its stronger maximum still
-        # suppresses its neighbours, but the one slot goes to the image
+    def pad_fixture(self):
+        # rows and columns 6-7 of the 8x8 map are an edge pad around a 6x6
+        # image; the pad holds the strongest maximum
         prob = np.full((8, 8), 0.1)
         prob[7, 7] = 0.95
         prob[2, 2] = 0.9
         prob[5, 5] = 0.8  # within rad of the pad's maximum
-        pts = evaluate.extract_points(output_from(prob), 0.5, 2, 1, (6, 6))
+        return output_from(prob)
+
+    def test_pad_maxima_take_no_slot(self):
+        # the pad is cut off before NMS, so the one slot goes to the image's
+        # best maximum
+        pts = evaluate.extract_points(self.pad_fixture(), 0.5, 2, 1, (6, 6))
         np.testing.assert_array_equal(pts.xy, [[2.0, 2.0]])
+
+    def test_pad_maxima_suppress_nothing(self):
+        pts = evaluate.extract_points(self.pad_fixture(), 0.5, 2, 2, (6, 6))
+        np.testing.assert_array_equal(pts.xy, [[2.0, 2.0], [5.0, 5.0]])
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
