@@ -314,7 +314,7 @@ def toy_scene_state():
     cfg = PropertyConfig(rad=2, n_min=2, n_max=14, m_p=0.9, m_n=0.1, neg_weight=0.4,
                          alpha=1.0)
     params = model.init_params(8, 4)
-    states, _ = em.e_step([scene], params, cfg)
+    states, _, _ = em.e_step([scene], params, cfg)
     state = states[0]
     if state is None or state.num_selected < 5:
         raise RuntimeError("chain-check scene degenerated; adjust the fixture")

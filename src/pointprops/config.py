@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import typing
 from dataclasses import dataclass, field, fields
 
 from .simulate import ILLUMINATION_KINDS, VIEWPOINT_RANGES
@@ -160,41 +161,24 @@ PRESETS = {
                 "train.descriptor_dim": "128"},
 }
 
+# each config key is a dataclass field under its class's section, except the
+# fields moved to another section; train.image_height/image_width are the two
+# halves of TrainConfig.image_size
+_SECTIONS = {PropertyConfig: "properties", TrainConfig: "train", EvalConfig: "eval",
+             RunConfig: "run"}
+_MOVED = {"illumination": "simulate", "viewpoint": "simulate", "epochs": "train",
+          "images_dir": "paths", "output_dir": "paths", "checkpoint": "paths",
+          "pairs_file": "paths"}
+# the annotations a key can have, ``X | None`` cast as X
+_CASTERS = {kind: caster for caster in (int, float, str) for kind in (caster, caster | None)}
+
+# dotted key -> (caster, dataclass, field name)
 _SCHEMA = {
-    "train.batch_scenes": int,
-    "train.transforms_per_scene": int,
-    "train.iterations": int,
-    "train.epochs": int,
-    "train.descriptor_dim": int,
-    "train.image_height": int,
-    "train.image_width": int,
-    "train.learning_rate": float,
-    "train.beta1": float,
-    "train.beta2": float,
-    "train.adam_eps": float,
-    "train.seed": int,
-    "properties.rad": int,
-    "properties.n_min": int,
-    "properties.n_max": int,
-    "properties.m_p": float,
-    "properties.m_n": float,
-    "properties.neg_weight": float,
-    "properties.alpha": float,
-    "simulate.illumination": str,
-    "simulate.viewpoint": str,
-    "eval.prob_threshold": float,
-    "eval.max_points": int,
-    "eval.epsilon": float,
-    "eval.ransac_iters": int,
-    "eval.ransac_threshold": float,
-    "eval.ransac_seed": int,
-    "eval.pairs_per_image": int,
-    "paths.images_dir": str,
-    "paths.output_dir": str,
-    "paths.checkpoint": str,
-    "paths.pairs_file": str,
-    "run.threads": int,
-}
+    f"{_MOVED.get(name, section)}.{name}": (_CASTERS[kind], cls, name)
+    for cls, section in _SECTIONS.items()
+    for name, kind in typing.get_type_hints(cls).items()
+    if kind in _CASTERS
+} | {f"train.{name}": (int, TrainConfig, name) for name in ("image_height", "image_width")}
 
 
 def parse_config_text(text: str) -> dict:
@@ -225,19 +209,12 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"line {lineno}: config key {dotted!r} already set "
                              f"on line {set_on[dotted]}")
         set_on[dotted] = lineno
-        caster = _SCHEMA[dotted]
+        caster = _SCHEMA[dotted][0]
         try:
             values[dotted] = caster(val.strip())
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {dotted!r}: {exc}") from exc
     return values
-
-
-# the RunConfig part that a section's keys set, each under its field name;
-# train.epochs (a RunConfig field) and train.image_height/image_width (the
-# two halves of TrainConfig.image_size) are the exceptions
-_PARTS = {"properties": "properties", "train": "train", "simulate": "train",
-          "eval": "eval", "paths": "run", "run": "run"}
 
 
 def build_run_config(values: dict, preset: str | None = None) -> RunConfig:
@@ -251,22 +228,22 @@ def build_run_config(values: dict, preset: str | None = None) -> RunConfig:
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         for key, val in PRESETS[preset].items():
-            merged[key] = _SCHEMA[key](val)
+            merged[key] = _SCHEMA[key][0](val)
     merged.update(values)
     unknown = sorted(set(merged) - set(_SCHEMA))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    given = {"properties": {}, "train": {}, "eval": {}, "run": {}}
+    given = {cls: {} for cls in _SECTIONS}
     for key, val in merged.items():
-        section, name = key.split(".")
-        given["run" if key == "train.epochs" else _PARTS[section]][name] = val
-    train = given["train"]
+        _, cls, name = _SCHEMA[key]
+        given[cls][name] = val
+    train = given[TrainConfig]
     if "image_height" in train or "image_width" in train:
         height, width = TrainConfig.image_size
         train["image_size"] = (train.pop("image_height", height),
                                train.pop("image_width", width))
     return RunConfig(
-        train=TrainConfig(properties=PropertyConfig(**given["properties"]), **train),
-        eval=EvalConfig(**given["eval"]),
-        **given["run"],
+        train=TrainConfig(properties=PropertyConfig(**given[PropertyConfig]), **train),
+        eval=EvalConfig(**given[EvalConfig]),
+        **given[RunConfig],
     )

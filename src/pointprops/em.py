@@ -113,10 +113,12 @@ def e_step(scenes, params: model.ModelParams, cfg: PropertyConfig):
     Ensures every scene carries model outputs, then computes repeatability,
     the candidates, their margins, space counts, posteriors, and the expected
     log-likelihood. Scenes with an empty feasible space yield None and a
-    warning. Returns (states, total expected log-likelihood).
+    warning. Returns (states, total expected log-likelihood, reasons): the
+    reasons are the messages of the skipped scenes, in scene order.
     """
     states = []
     total = 0.0
+    reasons = []
     for scene in scenes:
         if scene.outputs is None:
             scene.outputs = [model.forward(params, img) for img in scene.images]
@@ -125,21 +127,11 @@ def e_step(scenes, params: model.ModelParams, cfg: PropertyConfig):
         except EmptySampleSpaceError as exc:
             log.warning("scene skipped: %s", exc)
             states.append(None)
+            reasons.append(str(exc))
             continue
         states.append(state)
         total += state.expected_log_likelihood
-    return states, total
-
-
-def _skip_reason(scene, cfg: PropertyConfig) -> str:
-    """Why ``e_step`` skipped ``scene``: the message of the
-    EmptySampleSpaceError that the E-step raises again on the outputs
-    ``e_step`` left on the scene."""
-    try:
-        _e_step_scene(scene, cfg)
-    except EmptySampleSpaceError as exc:
-        return str(exc)
-    return "not skipped"
+    return states, total, reasons
 
 
 def repeatability(scene, outputs):
@@ -306,14 +298,14 @@ def train(images, cfg: TrainConfig) -> TrainResult:
             )
             cursor += 1
             draw += 1
-        states, expected = e_step(scenes, params, cfg.properties)
+        states, expected, reasons = e_step(scenes, params, cfg.properties)
         kept = [(st, sc) for st, sc in zip(states, scenes) if st is not None]
         skipped = len(scenes) - len(kept)
         all_skipped = 0 if kept else all_skipped + 1
         if all_skipped == _DEAD_ITERATIONS:
-            reasons = "; ".join(sorted({_skip_reason(sc, cfg.properties) for sc in scenes}))
             raise ValueError(f"iteration {t}: every scene skipped for {all_skipped} "
-                             f"iterations in a row ({reasons}); training takes no step")
+                             f"iterations in a row ({'; '.join(sorted(set(reasons)))}); "
+                             f"training takes no step")
         if kept:
             if not math.isfinite(expected):
                 raise ValueError(f"iteration {t}: expected log-likelihood E[L] is {expected}")

@@ -7,6 +7,8 @@ up front.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from . import em, evaluate, model
@@ -78,25 +80,15 @@ class PointPropsDetector:
         self.max_points = max_points
         self.seed = seed
 
-    def _property_config(self) -> PropertyConfig:
-        return PropertyConfig(
-            rad=self.rad, n_min=self.n_min, n_max=self.n_max, m_p=self.m_p,
-            m_n=self.m_n, neg_weight=self.neg_weight, alpha=self.alpha,
-        )
-
     def _train_config(self, image_size) -> TrainConfig:
-        return TrainConfig(
-            batch_scenes=self.batch_scenes,
-            transforms_per_scene=self.transforms_per_scene,
-            iterations=self.iterations,
-            properties=self._property_config(),
-            descriptor_dim=self.descriptor_dim,
-            image_size=image_size,
-            illumination=self.illumination,
-            viewpoint=self.viewpoint,
-            learning_rate=self.learning_rate,
-            seed=self.seed,
-        )
+        """Each hyperparameter sets the PropertyConfig or TrainConfig field of
+        its name; every other field keeps its default."""
+        def settings(cls):
+            names = {f.name for f in fields(cls)}
+            return {name: value for name, value in vars(self).items() if name in names}
+
+        return TrainConfig(properties=PropertyConfig(**settings(PropertyConfig)),
+                           image_size=image_size, **settings(TrainConfig))
 
     # -- fitting and inference --------------------------------------------
     def fit(self, X, y=None) -> "PointPropsDetector":

@@ -113,7 +113,7 @@ def margins(yhat_count: int, descriptors, valid, cfg: PropertyConfig) -> np.ndar
     Parameters
     ----------
     yhat_count : int
-        Number of selected points n (the rows below); must be >= 2.
+        Number of selected points n, the rows per view below; must be >= 2.
     descriptors : (J, n, d) array
         One row per view and selected point; rows at unobserved points are
         ignored.
@@ -142,6 +142,9 @@ def margins(yhat_count: int, descriptors, valid, cfg: PropertyConfig) -> np.ndar
         raise ValueError(f"need at least 2 selected points, got {n}")
     if len(descriptors) < 2:
         raise ValueError(f"need at least 2 views, got {len(descriptors)}")
+    if len(descriptors[0]) != n:
+        raise ValueError(f"yhat_count {n} does not match the {len(descriptors[0])} "
+                         f"descriptor rows per view")
 
     pairs, _, neg, blocks = _view_blocks(descriptors, valid, cfg.neg_weight)
     diag = np.arange(n)

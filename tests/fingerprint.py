@@ -11,8 +11,11 @@ For seeds 1-3 it prints the train-64 checkpoint sha256 and a hash of its log
 rows (40 EM iterations from ``TrainConfig(iterations=40, seed=seed)``, wall
 times left out) and a hash of the eval-240x320 rows; then, once, hashes of
 the ``oracle-check`` stdout and of every check's deviation at full
-precision. A pure refactor leaves every line unchanged. Takes about a
-minute; not collected by pytest.
+precision, a hash of the ``build_run_config`` result with no preset and
+with each preset, and the checkpoint sha256 of a ``PointPropsDetector``
+fitted on 16x16 scenes for 2 iterations with every training
+hyperparameter off its default. A pure refactor leaves every line unchanged. Takes about a minute; not
+collected by pytest.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from pointprops import checks, cli, em, model, simulate
-from pointprops.config import EvalConfig, PropertyConfig, TrainConfig
+from pointprops import PointPropsDetector, checks, cli, em, model, simulate
+from pointprops.config import (PRESETS, EvalConfig, PropertyConfig, TrainConfig,
+                               build_run_config)
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
@@ -43,12 +47,16 @@ def _digest(values) -> str:
     return hashlib.sha256(repr(values).encode()).hexdigest()
 
 
-def train_fingerprint(inputs, seed):
-    result = em.train(inputs.shape_scenes(seed, 16), TrainConfig(iterations=40, seed=seed))
+def _checkpoint_sha256(params) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
-        model.save_checkpoint(path, result.params)
-        checkpoint = hashlib.sha256(path.read_bytes()).hexdigest()
+        model.save_checkpoint(path, params)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def train_fingerprint(inputs, seed):
+    result = em.train(inputs.shape_scenes(seed, 16), TrainConfig(iterations=40, seed=seed))
+    checkpoint = _checkpoint_sha256(result.params)
     rows = [(row["iteration"], row["E_y_L"], row["mean_num_yhat"], row["skipped_scenes"])
             for row in result.log_rows]
     return checkpoint, _digest(rows)
@@ -62,6 +70,22 @@ def eval_fingerprint(inputs, params, seed):
                                      pair_seed=idx)[0].items())
             for idx, (img_a, img_b, hom) in enumerate(pairs)]
     return _digest(rows)
+
+
+def config_fingerprint():
+    return _digest([repr(build_run_config({}, preset)) for preset in (None, *PRESETS)])
+
+
+def detector_fingerprint(inputs):
+    # every training hyperparameter off its default: one that fit leaves out
+    # of its TrainConfig changes the checkpoint
+    det = PointPropsDetector(
+        descriptor_dim=4, rad=2, n_min=1, n_max=7, m_p=0.9, m_n=0.1, neg_weight=0.3,
+        alpha=1.5, batch_scenes=1, transforms_per_scene=3, iterations=2,
+        learning_rate=2e-3, illumination="illum_full", viewpoint="viewpoint_full", seed=5,
+    )
+    det.fit(inputs.shape_scenes(4, 3, shape=(16, 16)))
+    return _checkpoint_sha256(det.params_)
 
 
 def main() -> int:
@@ -78,6 +102,8 @@ def main() -> int:
     print(f"oracle-check exit {code} stdout {_digest(stdout.getvalue())}")
     deviations = [(res.name, res.deviation) for res in checks.run_all_checks()]
     print(f"oracle-check deviations {_digest(deviations)}")
+    print(f"config presets {config_fingerprint()}")
+    print(f"detector fit checkpoint_sha256 {detector_fingerprint(inputs)}")
     return 0
 
 

@@ -1,8 +1,58 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import mutate_bytes
 from pointprops import cli, config
+
+# every config key: its caster, a valid value, and the RunConfig field it sets
+# (a dotted path) with the value it takes there
+SCHEMA = {
+    "train.batch_scenes": (int, "3", "train.batch_scenes", 3),
+    "train.transforms_per_scene": (int, "3", "train.transforms_per_scene", 3),
+    "train.iterations": (int, "7", "train.iterations", 7),
+    "train.epochs": (int, "2", "epochs", 2),
+    "train.descriptor_dim": (int, "8", "train.descriptor_dim", 8),
+    "train.image_height": (int, "32", "train.image_size", (32, 64)),
+    "train.image_width": (int, "48", "train.image_size", (64, 48)),
+    "train.learning_rate": (float, "0.01", "train.learning_rate", 0.01),
+    "train.beta1": (float, "0.5", "train.beta1", 0.5),
+    "train.beta2": (float, "0.9", "train.beta2", 0.9),
+    "train.adam_eps": (float, "1e-6", "train.adam_eps", 1e-6),
+    "train.seed": (int, "9", "train.seed", 9),
+    "properties.rad": (int, "3", "train.properties.rad", 3),
+    "properties.n_min": (int, "4", "train.properties.n_min", 4),
+    "properties.n_max": (int, "20", "train.properties.n_max", 20),
+    "properties.m_p": (float, "0.9", "train.properties.m_p", 0.9),
+    "properties.m_n": (float, "0.1", "train.properties.m_n", 0.1),
+    "properties.neg_weight": (float, "0.25", "train.properties.neg_weight", 0.25),
+    "properties.alpha": (float, "2", "train.properties.alpha", 2.0),
+    "simulate.illumination": (str, "illum_full", "train.illumination", "illum_full"),
+    "simulate.viewpoint": (str, "viewpoint_full", "train.viewpoint", "viewpoint_full"),
+    "eval.prob_threshold": (float, "0.25", "eval.prob_threshold", 0.25),
+    "eval.max_points": (int, "50", "eval.max_points", 50),
+    "eval.epsilon": (float, "2", "eval.epsilon", 2.0),
+    "eval.ransac_iters": (int, "100", "eval.ransac_iters", 100),
+    "eval.ransac_threshold": (float, "2.5", "eval.ransac_threshold", 2.5),
+    "eval.ransac_seed": (int, "3", "eval.ransac_seed", 3),
+    "eval.pairs_per_image": (int, "2", "eval.pairs_per_image", 2),
+    "paths.images_dir": (str, "imgs", "images_dir", "imgs"),
+    "paths.output_dir": (str, "o", "output_dir", "o"),
+    "paths.checkpoint": (str, "m.ckpt", "checkpoint", "m.ckpt"),
+    "paths.pairs_file": (str, "p.txt", "pairs_file", "p.txt"),
+    "run.threads": (int, "2", "threads", 2),
+}
+
+
+def config_with(cls, path, value):
+    """``cls`` built with only the field at dotted ``path`` set, through its
+    nested config dataclasses, so derived defaults are derived again."""
+    name, _, rest = path.partition(".")
+    if rest:
+        field = next(f for f in dataclasses.fields(cls) if f.name == name)
+        value = config_with(field.default_factory, rest, value)
+    return cls(**{name: value})
 
 
 class TestPropertyConfig:
@@ -134,6 +184,17 @@ class TestConfigFile:
         assert config.build_run_config({}) == config.RunConfig()
         run = config.build_run_config({"train.image_height": 32})
         assert run.train.image_size == (32, config.TrainConfig().image_size[1])
+
+    def test_schema_is_pinned(self):
+        assert sorted(config._SCHEMA) == sorted(SCHEMA)
+        for key, (caster, text, path, expected) in SCHEMA.items():
+            section, name = key.split(".")
+            values = config.parse_config_text(f"[{section}]\n{name} = {text}\n")
+            assert type(values[key]) is caster, key
+            assert values == {key: caster(text)}, key
+            # the key sets its one field and leaves every other at its default
+            assert config.build_run_config(values) == \
+                config_with(config.RunConfig, path, expected), key
 
     def test_unknown_dotted_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):

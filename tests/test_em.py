@@ -211,7 +211,7 @@ class TestEStep:
     def test_fixed_point(self):
         scene, spots = self.make_fixed_point_scene()
         cfg = PropertyConfig(rad=2, n_min=2, n_max=6, m_p=1.0, m_n=0.2, neg_weight=0.1)
-        states, expected = em.e_step([scene], None, cfg)
+        states, expected, _ = em.e_step([scene], None, cfg)
         state = states[0]
         assert state.num_selected == len(spots)
         np.testing.assert_array_equal(np.stack([state.sel_rows, state.sel_cols], axis=1),
@@ -227,7 +227,7 @@ class TestEStep:
         for _ in range(10):
             probs = [rng.uniform(0.05, 0.95, size=(12, 12)) for _ in range(3)]
             descs = unit_fields(rng, (12, 12, 6), 3)
-            states, expected = em.e_step([synthetic_scene(probs, descs)], None, cfg)
+            states, expected, _ = em.e_step([synthetic_scene(probs, descs)], None, cfg)
             assert states[0] is not None
             assert expected <= 0.0
 
@@ -242,7 +242,7 @@ class TestEStep:
             probs = [rng.uniform(0.4, 0.6, size=(12, 12)) for _ in range(2)]
             descs = unit_fields(rng, (12, 12, 6), 2)
             scene = synthetic_scene(probs, descs)
-            states, expected = em.e_step([scene], None, cfg)
+            states, expected, _ = em.e_step([scene], None, cfg)
             state = states[0]
             if state is None or not 2 < state.num_selected <= 12:
                 continue
@@ -272,9 +272,10 @@ class TestEStep:
         desc[:, :, 0] = 1.0
         scene = synthetic_scene([prob, prob.copy()], [desc, desc.copy()])
         cfg = PropertyConfig(rad=2, n_min=5, n_max=9)
-        states, expected = em.e_step([scene], None, cfg)
+        states, expected, reasons = em.e_step([scene], None, cfg)
         assert states == [None]
         assert expected == 0.0
+        assert reasons == ["no feasible count for m=1 in (5, 9)"]
 
 
 class TestDetectorGradient:
@@ -321,7 +322,7 @@ class TestDescriptorGradient:
         descs = unit_fields(rng, (12, 12, 6), 2)
         scene = synthetic_scene(probs, descs)
         cfg = PropertyConfig(rad=2, n_min=1, n_max=9)
-        states, _ = em.e_step([scene], None, cfg)
+        states, _, _ = em.e_step([scene], None, cfg)
         state = states[0]
         state.p[:] = 0.0
         for _, _, g in em.descriptor_field_gradients(state, scene, cfg):
@@ -341,7 +342,7 @@ class TestDescriptorGradient:
             desc[r, c, k] = 1.0
         scene = synthetic_scene([prob, prob.copy()], [desc, desc.copy()])
         cfg = PropertyConfig(rad=2, n_min=2, n_max=6, m_p=0.8, m_n=0.2, neg_weight=0.3)
-        states, _ = em.e_step([scene], None, cfg)
+        states, _, _ = em.e_step([scene], None, cfg)
         state = states[0]
         assert state.num_selected == 4
         assert state.p.min() > 0.5
@@ -354,7 +355,7 @@ class TestDescriptorGradient:
         descs = unit_fields(rng, (12, 12, 6), 2)
         scene = synthetic_scene(probs, descs)
         cfg = PropertyConfig(rad=2, n_min=1, n_max=9, alpha=1.7)
-        states, _ = em.e_step([scene], None, cfg)
+        states, _, _ = em.e_step([scene], None, cfg)
         state = states[0]
         # identity correspondence: each selected row lands on its own pixel
         weights = 1.7 * state.p
@@ -508,8 +509,8 @@ class TestTrain:
         e_step = em.e_step
 
         def poisoned(scenes, params, cfg):
-            states, _ = e_step(scenes, params, cfg)
-            return states, np.inf
+            states, _, reasons = e_step(scenes, params, cfg)
+            return states, np.inf, reasons
 
         monkeypatch.setattr(em, "e_step", poisoned)
         with pytest.raises(ValueError, match=r"iteration 1: expected log-likelihood "

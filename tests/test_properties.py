@@ -311,6 +311,16 @@ class TestDiscriminabilityMargin:
         with pytest.raises(ValueError):
             properties.margins(1, [np.eye(1)], [np.ones(1, bool)], cfg)
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_count_must_match_descriptor_rows(self, count):
+        # 3 rows per view: a smaller count would read the wrong diagonal, a
+        # larger one would index past the rows
+        cfg = paper_scale_config()
+        desc = np.eye(3)
+        with pytest.raises(ValueError, match=f"yhat_count {count} does not match the 3 "
+                                             "descriptor rows per view"):
+            properties.margins(count, [desc, desc], [np.ones(3, bool)] * 2, cfg)
+
     def test_margin_bound(self):
         # the implemented normalizer admits at most margin_max + neg_weight*m_n/n
         rng = np.random.default_rng(11)
