@@ -7,16 +7,12 @@ Driven by the ``oracle-check`` command; also reused by the test suite.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import em, model, oracle, properties, simulate
+from . import em, model, oracle, properties, simulate, workers
 from .config import PropertyConfig
 
 
@@ -395,27 +391,22 @@ def _timed_check(name: str) -> CheckResult:
 def run_all_checks() -> list:
     """Every check's CheckResult, in CHECKS order.
 
-    The checks share no state, so they run in a pool of forked worker
-    processes, one per usable CPU (at most one per check). Fork, not spawn:
-    workers inherit the caller's modules as they are, monkeypatches included,
-    and skip re-importing numpy and the program. The slow gradient checks
-    sit last in the list and are submitted first. The battery runs serially
-    in this process when only one CPU is usable, when this process is a
-    daemonic worker (which may not have children), or when other threads
-    are running (fork copies only the calling thread, so a lock another
-    thread holds would stay held in the worker). A check's exception is
-    raised here with its own type; a worker that dies raises
-    BrokenProcessPool, a RuntimeError. The pool is shut down and its workers
-    joined before this returns or raises.
+    The checks share no state, so they run in a ``workers.fork_pool`` of
+    forked worker processes, one per usable CPU (at most one per check),
+    with one BLAS thread each where the BLAS can be pinned. The slow
+    gradient checks sit last in the list and are submitted first. The
+    battery runs serially in this process when only one CPU is usable or
+    when ``fork_pool`` gives no pool (a daemonic caller, other threads
+    running). A
+    check's exception is raised here with its own type; a worker that dies
+    raises BrokenProcessPool, a RuntimeError. The pool is shut down and its
+    workers joined before this returns or raises.
     """
     names = [check.__name__ for check in CHECKS]
-    workers = min(len(os.sched_getaffinity(0)), len(names))
-    if (workers < 2 or multiprocessing.current_process().daemon
-            or threading.active_count() > 1):
-        return [_timed_check(name) for name in names]
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
+    size = min(workers.usable_cpus(), len(names))
+    # this process only waits, so one worker would add a fork and no speed
+    with workers.fork_pool(size if size > 1 else 0) as pool:
+        if pool is None:
+            return [_timed_check(name) for name in names]
         futures = {name: pool.submit(_timed_check, name) for name in reversed(names)}
         return [futures[name].result() for name in names]
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)

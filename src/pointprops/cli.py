@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks, em, evaluate, image_io, model, simulate
+from . import checks, em, evaluate, image_io, model, simulate, workers
 from .config import PRESETS, RunConfig, build_run_config, parse_config_text
 
 USAGE_ERROR = 1
@@ -54,7 +55,7 @@ def build_parser() -> _Parser:
     config_flags(p_eval)
     simulation_flags(p_eval)
     p_eval.add_argument("--threads", type=int, help="pairs evaluated in parallel; "
-                        "pays only under OPENBLAS_NUM_THREADS=1")
+                        "2 or more pin BLAS to one thread")
     p_eval.add_argument("--checkpoint", help="trained checkpoint file")
     p_eval.add_argument("--images", help="directory of images to self-pair")
     p_eval.add_argument("--pairs", help="pair list file: imgA imgB h11..h33")
@@ -304,8 +305,10 @@ def cmd_eval(args) -> int:
         )
         return idx, pair_id, row, artifacts, (img_a, img_b, hom)
 
-    with ThreadPoolExecutor(max_workers=run.threads) as pool:
-        results = list(pool.map(work, enumerate(pairs)))
+    # pair threads and BLAS threads would compete for the same cores
+    with workers.one_blas_thread() if run.threads > 1 else contextlib.nullcontext():
+        with ThreadPoolExecutor(max_workers=run.threads) as pool:
+            results = list(pool.map(work, enumerate(pairs)))
 
     rows = []
     for idx, pair_id, row, (pts_a, pts_b, matches), (img_a, img_b, hom) in results:

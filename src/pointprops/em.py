@@ -13,11 +13,12 @@ from __future__ import annotations
 import logging
 import math
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, properties, simulate
+from . import model, properties, simulate, workers
 from .config import PropertyConfig, TrainConfig
 
 log = logging.getLogger(__name__)
@@ -254,19 +255,49 @@ class TrainResult:
     log_rows: list  # dicts: iteration, E_y_L, mean_num_yhat, skipped_scenes, seconds
 
 
+def _train_scene(image, draw, params, cfg: TrainConfig):
+    """One scene of a training iteration: simulate its views, run its E-step
+    and its ascent gradients. Returns (E[L], candidates, skip reasons,
+    gradients); candidates and gradients are None for a skipped scene. Only
+    the gradients leave the call, so a worker sends back no tape."""
+    scene = simulate.make_scene(image, cfg.transforms_per_scene, cfg.seed, draw,
+                                illumination=cfg.illumination, viewpoint=cfg.viewpoint)
+    (state,), expected, reasons = e_step([scene], params, cfg.properties)
+    if state is None:
+        return expected, None, reasons, None
+    return (expected, state.num_selected, reasons,
+            scene_parameter_gradients(state, scene, params, cfg.properties))
+
+
 def train(images, cfg: TrainConfig) -> TrainResult:
     """Run T mini-batch EM iterations over an image source.
 
     Each iteration draws B scenes (cycling with a per-epoch reshuffle when
-    the source is short), simulates J views per scene, runs the E-step, and
-    applies one Adam update from the summed ascent gradients. Deterministic
-    for a fixed config and seed.
+    the source is short); each scene is simulated (J views), gets its own
+    E-step and its own ascent gradients, and one Adam update applies their
+    sum. Deterministic for a fixed config and seed.
 
-    Raises ValueError naming the iteration when the kept scenes' E[L] or a
-    summed gradient (naming the parameter) is not finite. An iteration
-    whose scenes were all skipped takes no step and logs nan; after 10 such
-    iterations in a row, ValueError names the iteration and why the last
-    batch's scenes were skipped.
+    The scenes of an iteration run in k = min(B, usable CPUs) processes:
+    this one runs scenes 0, k, 2k, ... and a ``workers.fork_pool`` of k - 1
+    forked workers, created afresh for each call, runs the rest. The whole
+    call, on either path, runs with numpy's OpenBLAS pinned to one thread
+    (``workers.one_blas_thread``; the previous count is restored on return),
+    and E[L] and the gradients are summed here in scene order, so the
+    result is bit for bit the serial one and does not depend on how many
+    CPUs are usable. Training runs serially in this process, one scene's
+    tapes alive at a time, when k = 1, when ``fork_pool`` gives no pool (a
+    daemonic caller, other threads running), or when the BLAS cannot be
+    pinned; in that last case the BLAS keeps its thread count, and at large
+    image sizes the bits can depend on it. The workers' memory is not part
+    of this process's ``RUSAGE_SELF``.
+
+    Raises ValueError naming the iteration when a scene raises ValueError
+    (in this process or a worker), when the kept scenes' E[L] or a summed
+    gradient (naming the parameter) is not finite; RuntimeError naming the
+    iteration when a worker dies. An iteration whose scenes were all
+    skipped takes no step and logs nan; after 10 such iterations in a row,
+    ValueError names the iteration and why the last batch's scenes were
+    skipped.
     """
     images = [np.asarray(img, dtype=float) for img in images]
     if not images:
@@ -279,59 +310,70 @@ def train(images, cfg: TrainConfig) -> TrainResult:
     draw = 0
     rows = []
     all_skipped = 0  # consecutive iterations with every scene skipped
-    for t in range(1, cfg.iterations + 1):
-        start = time.perf_counter()
-        scenes = []
-        for _ in range(cfg.batch_scenes):
-            if cursor >= len(order):
-                order = list(order_rng.permutation(len(images)))
-                cursor = 0
-            scenes.append(
-                simulate.make_scene(
-                    images[order[cursor]],
-                    cfg.transforms_per_scene,
-                    cfg.seed,
-                    draw,
-                    illumination=cfg.illumination,
-                    viewpoint=cfg.viewpoint,
-                )
-            )
-            cursor += 1
-            draw += 1
-        states, expected, reasons = e_step(scenes, params, cfg.properties)
-        kept = [(st, sc) for st, sc in zip(states, scenes) if st is not None]
-        skipped = len(scenes) - len(kept)
-        all_skipped = 0 if kept else all_skipped + 1
-        if all_skipped == _DEAD_ITERATIONS:
-            raise ValueError(f"iteration {t}: every scene skipped for {all_skipped} "
-                             f"iterations in a row ({'; '.join(sorted(set(reasons)))}); "
-                             f"training takes no step")
-        if kept:
-            if not math.isfinite(expected):
-                raise ValueError(f"iteration {t}: expected log-likelihood E[L] is {expected}")
+    procs = min(cfg.batch_scenes, workers.usable_cpus())
+    # one BLAS thread on both paths, so the bits do not depend on the path;
+    # workers that each start BLAS threads would run slower than serial
+    with (workers.one_blas_thread() as pinned,
+          workers.fork_pool(procs - 1 if pinned else 0) as pool):
+        stride = 1 if pool is None else procs  # stride 1: every scene runs here
+        for t in range(1, cfg.iterations + 1):
+            start = time.perf_counter()
+            jobs = []
+            for _ in range(cfg.batch_scenes):
+                if cursor >= len(order):
+                    order = list(order_rng.permutation(len(images)))
+                    cursor = 0
+                jobs.append((images[order[cursor]], draw))
+                cursor += 1
+                draw += 1
+            try:
+                futures = {i: pool.submit(_train_scene, *job, params, cfg)
+                           for i, job in enumerate(jobs) if i % stride}
+                own = {i: _train_scene(*jobs[i], params, cfg)
+                       for i in range(0, len(jobs), stride)}
+                results = [own[i] if i in own else futures[i].result()
+                           for i in range(len(jobs))]
+            except BrokenProcessPool as exc:
+                raise RuntimeError(f"iteration {t}: a training worker process died "
+                                   f"before returning its scene") from exc
+            except ValueError as exc:
+                raise ValueError(f"iteration {t}: {exc}") from exc
+            expected = 0.0
             grads = model.zero_grads(params)
-            for state, scene in kept:
-                model.accumulate_grads(
-                    grads, scene_parameter_gradients(state, scene, params, cfg.properties)
+            selected, reasons = [], []
+            for scene_expected, num_selected, scene_reasons, scene_grads in results:
+                expected += scene_expected
+                reasons += scene_reasons
+                if num_selected is not None:
+                    selected.append(num_selected)
+                    model.accumulate_grads(grads, scene_grads)
+            all_skipped = 0 if selected else all_skipped + 1
+            if all_skipped == _DEAD_ITERATIONS:
+                raise ValueError(f"iteration {t}: every scene skipped for {all_skipped} "
+                                 f"iterations in a row ({'; '.join(sorted(set(reasons)))}); "
+                                 f"training takes no step")
+            if selected:
+                if not math.isfinite(expected):
+                    raise ValueError(f"iteration {t}: expected log-likelihood E[L] is {expected}")
+                for name, grad in grads.items():
+                    if not np.all(np.isfinite(grad)):
+                        raise ValueError(f"iteration {t}: non-finite gradient for "
+                                         f"parameter {name}")
+                descent = {k: -v for k, v in grads.items()}
+                params, adam = model.apply_update(
+                    params, descent, adam,
+                    lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps,
                 )
-            for name, grad in grads.items():
-                if not np.all(np.isfinite(grad)):
-                    raise ValueError(f"iteration {t}: non-finite gradient for parameter {name}")
-            descent = {k: -v for k, v in grads.items()}
-            params, adam = model.apply_update(
-                params, descent, adam,
-                lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps,
-            )
-            mean_yhat = float(np.mean([st.num_selected for st, _ in kept]))
-            e_value = expected
-        else:
-            mean_yhat = float("nan")
-            e_value = float("nan")
-        rows.append({
-            "iteration": t,
-            "E_y_L": e_value,
-            "mean_num_yhat": mean_yhat,
-            "skipped_scenes": skipped,
-            "seconds": time.perf_counter() - start,
-        })
+                mean_yhat = float(np.mean(selected))
+                e_value = expected
+            else:
+                mean_yhat = float("nan")
+                e_value = float("nan")
+            rows.append({
+                "iteration": t,
+                "E_y_L": e_value,
+                "mean_num_yhat": mean_yhat,
+                "skipped_scenes": len(jobs) - len(selected),
+                "seconds": time.perf_counter() - start,
+            })
     return TrainResult(params=params, log_rows=rows)

@@ -2,8 +2,10 @@
 stand-in model output holding a hand-made per-pixel descriptor field, a
 PGM/PPM writer, a checkpoint writer and a PNG encoder with chosen row filters for image-file
 fixtures, the seeded byte mutator of the reader mutation tests, and a
-deliberately broken counting path that the oracle-check battery must catch."""
+deliberately broken counting path that the oracle-check battery must catch,
+and two usable CPUs for the pool paths."""
 
+import os
 import struct
 import sys
 import zlib
@@ -199,3 +201,10 @@ def dead_detector(monkeypatch):
         return params
 
     monkeypatch.setattr(model, "init_params", dead)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so the battery and training take the pool path on
+    any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

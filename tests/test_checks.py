@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from pointprops import checks, cli, em, oracle
+from pointprops import checks, cli, em, oracle, workers
 
 
 class TestCountingChecks:
@@ -121,12 +121,6 @@ def stub_checks(monkeypatch, raising=None):
         monkeypatch.setattr(checks, name, stub)
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two usable CPUs, so the battery takes the pool path on any host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-
 class TestRunAllChecks:
     def test_pool_results_equal_each_serial_check(self, two_cpus):
         pooled = checks.run_all_checks()
@@ -154,6 +148,14 @@ class TestRunAllChecks:
         monkeypatch.setattr(checks, "check_posterior_tiny", lambda: os._exit(1))
         assert cli.main(["oracle-check"]) == 2
         assert "terminated abruptly" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_unpinnable_blas_keeps_the_pool(self, two_cpus, monkeypatch):
+        stub_checks(monkeypatch)
+        monkeypatch.setattr(workers, "_blas_thread_functions", lambda: None)
+        results = checks.run_all_checks()
+        assert [r.name for r in results] == NAMES
+        assert os.getpid() not in {r.deviation for r in results}
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cause", ["one cpu", "daemonic caller", "other thread"])

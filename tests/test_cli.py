@@ -1,5 +1,7 @@
 import csv
 import json
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from conftest import (mutate_bytes, shape_scenes, write_filtered_png, write_pnm,
                       write_zero_checkpoint)
-from pointprops import cli, image_io, model
+from pointprops import cli, image_io, model, simulate
 from pointprops.config import EvalConfig
 
 
@@ -149,6 +151,26 @@ class TestTrainCommand:
         assert ("iteration 10: every scene skipped for 10 iterations in a row "
                 "(no candidate local maxima)") in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
+
+    def test_dead_worker_exits_2_naming_iteration(self, two_cpus, image_dir, config_file,
+                                                  tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        make_scene = simulate.make_scene
+
+        def dying_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return make_scene(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "make_scene", dying_in_worker)
+        out = tmp_path / "run"
+        code = cli.main(["train", "--config", str(config_file), "--images", str(image_dir),
+                         "--output", str(out)])
+        assert code == 2
+        assert ("pointprops train: iteration 1: a training worker process died before "
+                "returning its scene") in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+        assert multiprocessing.active_children() == []
 
     def test_missing_directory_names_path(self, config_file, tmp_path, capsys):
         code = cli.main(["train", "--config", str(config_file),

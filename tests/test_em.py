@@ -1,10 +1,13 @@
 import math
+import multiprocessing
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import FieldOutput
-from pointprops import em, model, oracle, properties
+from conftest import FieldOutput, shape_scenes
+from pointprops import em, model, oracle, properties, simulate, workers
 from pointprops.config import PropertyConfig, TrainConfig
 from test_properties import paper_scale_config, sparsity_brute_force
 
@@ -527,3 +530,104 @@ class TestTrain:
                                              r"iterations in a row \(no candidate local "
                                              r"maxima\)"):
             em.train(self.images(), self.small_config(em._DEAD_ITERATIONS + 5))
+
+
+class TestScenePool:
+    """``em.train`` runs an iteration's scenes in forked workers; the result
+    is the serial one bit for bit."""
+
+    def train(self, monkeypatch, tmp_path, cpus, images, cfg):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        result = em.train(images, cfg)
+        path = tmp_path / f"cpus{cpus}.ckpt"
+        model.save_checkpoint(path, result.params)
+        rows = [{k: v for k, v in row.items() if k != "seconds"} for row in result.log_rows]
+        return path.read_bytes(), repr(rows)
+
+    @pytest.mark.parametrize("case", ["default", "three scenes", "skipped scene"])
+    def test_pooled_equals_serial(self, monkeypatch, tmp_path, case):
+        images = shape_scenes(3, 4)
+        cfg = TrainConfig(iterations=3, seed=2)
+        if case == "three scenes":  # this process runs scenes 0 and 2, a worker scene 1
+            cfg = replace(cfg, batch_scenes=3)
+        elif case == "skipped scene":  # a flat image has no candidate local maxima
+            images[1] = np.zeros((64, 64))
+        pooled = self.train(monkeypatch, tmp_path, 2, images, cfg)
+        serial = self.train(monkeypatch, tmp_path, 1, images, cfg)
+        assert pooled == serial
+        assert ("'skipped_scenes': 1" in serial[1]) == (case == "skipped scene")
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_equals_serial_where_blas_threads_move_bits(self, monkeypatch, tmp_path):
+        # at 192x192 one iteration's parameters differed between 1 and 2 BLAS
+        # threads; both paths pin one, so a 2-thread caller cannot tell them apart
+        get, set_ = workers._blas_thread_functions()
+        before = get()
+        cfg = TrainConfig(iterations=1, seed=2, transforms_per_scene=3)
+        try:
+            set_(2)
+            pooled = self.train(monkeypatch, tmp_path, 2, shape_scenes(3, 2, size=192), cfg)
+            serial = self.train(monkeypatch, tmp_path, 1, shape_scenes(3, 2, size=192), cfg)
+        finally:
+            set_(before)
+        assert pooled == serial
+
+    def test_unpinnable_blas_trains_serially(self, two_cpus, monkeypatch, tmp_path):
+        images = shape_scenes(3, 4, size=32)
+        cfg = TrainConfig(iterations=2, seed=2, transforms_per_scene=3)
+        pooled = self.train(monkeypatch, tmp_path, 2, images, cfg)
+        here = []
+        e_step = em.e_step
+
+        def recording(scenes, params, cfg):
+            here.append(os.getpid())
+            return e_step(scenes, params, cfg)
+
+        monkeypatch.setattr(em, "e_step", recording)
+        monkeypatch.setattr(workers, "_blas_thread_functions", lambda: None)
+        assert self.train(monkeypatch, tmp_path, 2, images, cfg) == pooled
+        assert here == [os.getpid()] * 4  # both scenes of both iterations
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_blas_thread_count_is_restored(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        get, set_ = workers._blas_thread_functions()
+        before = get()
+        seen = []
+        e_step = em.e_step
+
+        def recording(scenes, params, cfg):
+            seen.append(get())
+            return e_step(scenes, params, cfg)
+
+        def poisoned(state, scene, params, cfg):
+            raise ValueError("poisoned gradient")
+
+        monkeypatch.setattr(em, "e_step", recording)
+        cfg = TrainConfig(iterations=1, seed=2, transforms_per_scene=3)
+        try:
+            set_(2)
+            em.train(shape_scenes(3, 2, size=32), cfg)
+            assert get() == 2
+            monkeypatch.setattr(em, "scene_parameter_gradients", poisoned)
+            with pytest.raises(ValueError, match="iteration 1: poisoned gradient"):
+                em.train(shape_scenes(3, 2, size=32), cfg)
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen and set(seen) == {1}  # this process's scenes, under the pin
+
+    def test_worker_value_error_keeps_type_and_names_iteration(self, two_cpus, monkeypatch):
+        parent = os.getpid()
+        make_scene = simulate.make_scene
+
+        def failing_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ValueError("bad scene")
+            return make_scene(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "make_scene", failing_in_worker)
+        cfg = TrainConfig(iterations=1, seed=2, transforms_per_scene=3)
+        with pytest.raises(ValueError, match=r"^iteration 1: bad scene$"):
+            em.train(shape_scenes(3, 2, size=32), cfg)
+        assert multiprocessing.active_children() == []
