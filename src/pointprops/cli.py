@@ -7,7 +7,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import math
@@ -54,8 +53,6 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="matching-score / homography metrics")
     config_flags(p_eval)
     simulation_flags(p_eval)
-    p_eval.add_argument("--threads", type=int, help="pairs evaluated in parallel; "
-                        "2 or more pin BLAS to one thread")
     p_eval.add_argument("--checkpoint", help="trained checkpoint file")
     p_eval.add_argument("--images", help="directory of images to self-pair")
     p_eval.add_argument("--pairs", help="pair list file: imgA imgB h11..h33")
@@ -79,7 +76,6 @@ def build_parser() -> _Parser:
 # the config key each command-line override sets
 _FLAG_KEYS = {
     "seed": "train.seed",
-    "threads": "run.threads",
     "images": "paths.images_dir",
     "checkpoint": "paths.checkpoint",
     "pairs": "paths.pairs_file",
@@ -305,10 +301,8 @@ def cmd_eval(args) -> int:
         )
         return idx, pair_id, row, artifacts, (img_a, img_b, hom)
 
-    # pair threads and BLAS threads would compete for the same cores
-    with workers.one_blas_thread() if run.threads > 1 else contextlib.nullcontext():
-        with ThreadPoolExecutor(max_workers=run.threads) as pool:
-            results = list(pool.map(work, enumerate(pairs)))
+    with ThreadPoolExecutor(workers.usable_cpus()) as pool:
+        results = list(pool.map(work, enumerate(pairs)))
 
     rows = []
     for idx, pair_id, row, (pts_a, pts_b, matches), (img_a, img_b, hom) in results:
@@ -424,7 +418,9 @@ def main(argv=None) -> int:
         "visualize": cmd_visualize,
     }
     try:
-        return handlers[args.command](args)
+        # worker threads or processes and BLAS threads would compete for the same cores
+        with workers.one_blas_thread():
+            return handlers[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"pointprops {args.command}: {exc}", file=sys.stderr)
         return RUNTIME_ERROR

@@ -101,6 +101,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.adam_eps <= 0:
             raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,8 @@ class EvalConfig:
             raise ValueError(f"ransac_iters must be >= 1, got {self.ransac_iters}")
         if self.ransac_threshold <= 0:
             raise ValueError(f"ransac_threshold must be > 0, got {self.ransac_threshold}")
+        if self.ransac_seed < 0:
+            raise ValueError(f"ransac_seed must be >= 0, got {self.ransac_seed}")
         if self.pairs_per_image < 1:
             raise ValueError(f"pairs_per_image must be >= 1, got {self.pairs_per_image}")
 
@@ -142,13 +146,10 @@ class RunConfig:
     checkpoint: str | None = None
     pairs_file: str | None = None
     epochs: int | None = None  # alternative to iterations: passes over the image set
-    threads: int = 1
 
     def __post_init__(self):
         if self.epochs is not None and self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
 # mirrors of the three published training regimes, at their descriptor lengths
@@ -165,10 +166,8 @@ PRESETS = {
 # fields moved to another section; train.image_height/image_width are the two
 # halves of TrainConfig.image_size
 _SECTIONS = {PropertyConfig: "properties", TrainConfig: "train", EvalConfig: "eval",
-             RunConfig: "run"}
-_MOVED = {"illumination": "simulate", "viewpoint": "simulate", "epochs": "train",
-          "images_dir": "paths", "output_dir": "paths", "checkpoint": "paths",
-          "pairs_file": "paths"}
+             RunConfig: "paths"}
+_MOVED = {"illumination": "simulate", "viewpoint": "simulate", "epochs": "train"}
 # the annotations a key can have, ``X | None`` cast as X
 _CASTERS = {kind: caster for caster in (int, float, str) for kind in (caster, caster | None)}
 
@@ -191,7 +190,7 @@ def parse_config_text(text: str) -> dict:
     """
     values = {}
     set_on = {}  # dotted key -> the line that set it
-    section = "run"
+    section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = re.sub(r"(?:^|\s)#.*", "", raw, count=1).strip()
         if not line:
@@ -202,6 +201,9 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
+        if section is None:
+            raise ValueError(f"line {lineno}: config key {key.strip()!r} before any "
+                             f"[section] header")
         dotted = f"{section}.{key.strip()}"
         if dotted not in _SCHEMA:
             raise ValueError(f"line {lineno}: unknown config key {dotted!r}")

@@ -80,15 +80,15 @@ class PointPropsDetector:
         self.max_points = max_points
         self.seed = seed
 
-    def _train_config(self, image_size) -> TrainConfig:
-        """Each hyperparameter sets the PropertyConfig or TrainConfig field of
-        its name; every other field keeps its default."""
-        def settings(cls):
-            names = {f.name for f in fields(cls)}
-            return {name: value for name, value in vars(self).items() if name in names}
+    def _settings(self, cls) -> dict:
+        """The hyperparameters named like a field of config dataclass ``cls``;
+        every other field of ``cls`` keeps its default."""
+        names = {f.name for f in fields(cls)}
+        return {name: value for name, value in vars(self).items() if name in names}
 
-        return TrainConfig(properties=PropertyConfig(**settings(PropertyConfig)),
-                           image_size=image_size, **settings(TrainConfig))
+    def _train_config(self, image_size) -> TrainConfig:
+        return TrainConfig(properties=PropertyConfig(**self._settings(PropertyConfig)),
+                           image_size=image_size, **self._settings(TrainConfig))
 
     # -- fitting and inference --------------------------------------------
     def fit(self, X, y=None) -> "PointPropsDetector":
@@ -116,8 +116,9 @@ class PointPropsDetector:
     def detect(self, image) -> evaluate.PointSet:
         """Extract interest points with descriptors from one image."""
         self._check_fitted()
+        cfg = EvalConfig(**self._settings(EvalConfig))
         return evaluate.detect_points(self.params_, as_float_image(image),
-                                      self.prob_threshold, self.rad, self.max_points)
+                                      cfg.prob_threshold, self.rad, cfg.max_points)
 
     def predict(self, X) -> list:
         """Detect on a list of images; returns one PointSet per image."""

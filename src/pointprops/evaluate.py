@@ -52,8 +52,6 @@ def extract_points(
     suppresses a maximum inside the image. Ties in score are broken by scan
     order (row-major), so extraction is deterministic.
     """
-    if not 0.0 < prob_threshold < 1.0:
-        raise ValueError(f"prob_threshold must be in (0, 1), got {prob_threshold}")
     height, width = shape
     prob = output.prob_map[:height, :width]
     rows, cols = np.nonzero(select_local_maxima(prob, rad) & (prob > prob_threshold))

@@ -9,7 +9,10 @@ versions of the code bit for bit.
 and the fixed eval checkpoint come from this checkout, which is only read.
 For seeds 1-3 it prints the train-64 checkpoint sha256 and a hash of its log
 rows (40 EM iterations from ``TrainConfig(iterations=40, seed=seed)``, wall
-times left out) and a hash of the eval-240x320 rows; then, once, hashes of
+times left out), a hash of the eval-240x320 rows from ``cli.evaluate_pair``,
+and a hash of the metrics.csv that ``pointprops eval --pairs`` writes for the
+same 8 pairs, written as PNGs plus a pair list (so the command's pair pool,
+BLAS pin, aggregation and CSV format are covered too); then, once, hashes of
 the ``oracle-check`` stdout and of every check's deviation at full
 precision, a hash of the ``build_run_config`` result with no preset and
 with each preset, and the checkpoint sha256 of a ``PointPropsDetector``
@@ -28,11 +31,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from pointprops import PointPropsDetector, checks, cli, em, model, simulate
+from pointprops import PointPropsDetector, checks, cli, em, image_io, model, simulate
 from pointprops.config import (PRESETS, EvalConfig, PropertyConfig, TrainConfig,
                                build_run_config)
 
 ROOT = Path(__file__).resolve().parents[1]
+CHECKPOINT = ROOT / "benchmarks" / "eval_checkpoint" / "model.ckpt"
 SEEDS = (1, 2, 3)
 
 
@@ -62,14 +66,33 @@ def train_fingerprint(inputs, seed):
     return checkpoint, _digest(rows)
 
 
-def eval_fingerprint(inputs, params, seed):
+def eval_pairs(inputs, seed):
+    return inputs.eval_pairs(seed, 8, (240, 320), "illum_mild", "viewpoint_medium",
+                             simulate.make_pair)
+
+
+def eval_fingerprint(params, pairs):
     eval_cfg, rad = EvalConfig(), PropertyConfig().rad
-    pairs = inputs.eval_pairs(seed, 8, (240, 320), "illum_mild", "viewpoint_medium",
-                              simulate.make_pair)
     rows = [sorted(cli.evaluate_pair(params, img_a, img_b, hom, eval_cfg, rad,
                                      pair_seed=idx)[0].items())
             for idx, (img_a, img_b, hom) in enumerate(pairs)]
     return _digest(rows)
+
+
+def eval_command_fingerprint(pairs):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        lines = []
+        for idx, (img_a, img_b, hom) in enumerate(pairs):
+            image_io.write_png(root / f"a{idx}.png", img_a)
+            image_io.write_png(root / f"b{idx}.png", img_b)
+            hom_text = " ".join(map(repr, hom.ravel().tolist()))  # repr round-trips
+            lines.append(f"a{idx}.png b{idx}.png {hom_text}")
+        (root / "pairs.txt").write_text("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["eval", "--pairs", str(root / "pairs.txt"),
+                             "--checkpoint", str(CHECKPOINT), "--output", str(root / "out")])
+        return code, hashlib.sha256((root / "out" / "metrics.csv").read_bytes()).hexdigest()
 
 
 def config_fingerprint():
@@ -90,12 +113,15 @@ def detector_fingerprint(inputs):
 
 def main() -> int:
     inputs = _load_inputs()
-    params = model.load_checkpoint(ROOT / "benchmarks" / "eval_checkpoint" / "model.ckpt")
+    params = model.load_checkpoint(CHECKPOINT)
     for seed in SEEDS:
         checkpoint, log_rows = train_fingerprint(inputs, seed)
         print(f"train-64 seed {seed} checkpoint_sha256 {checkpoint}")
         print(f"train-64 seed {seed} log_rows {log_rows}")
-        print(f"eval-240x320 seed {seed} rows {eval_fingerprint(inputs, params, seed)}")
+        pairs = eval_pairs(inputs, seed)
+        print(f"eval-240x320 seed {seed} rows {eval_fingerprint(params, pairs)}")
+        code, metrics = eval_command_fingerprint(pairs)
+        print(f"eval-240x320 seed {seed} eval --pairs exit {code} metrics_csv {metrics}")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(["oracle-check"])

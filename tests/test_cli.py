@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (mutate_bytes, shape_scenes, write_filtered_png, write_pnm,
                       write_zero_checkpoint)
-from pointprops import cli, image_io, model, simulate
+from pointprops import cli, image_io, model, simulate, workers
 from pointprops.config import EvalConfig
 
 
@@ -216,9 +216,9 @@ class TestTrainCommand:
 
     def test_out_of_range_flag_does_not_name_config_file(self, config_file, tmp_path,
                                                          capsys):
-        assert cli.main(["eval", "--config", str(config_file), "--threads", "0",
+        assert cli.main(["eval", "--config", str(config_file), "--seed", "-1",
                          "--output", str(tmp_path)]) == 2
-        assert "pointprops eval: threads must be >= 1, got 0" in capsys.readouterr().err
+        assert "pointprops eval: seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_rejects_unknown_key(self, image_dir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -226,6 +226,14 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", str(bad), "--images", str(image_dir),
                          "--output", str(tmp_path)]) == 2
         assert "bad.cfg: line 3: unknown config key 'train.warp_speed'" in capsys.readouterr().err
+
+    def test_run_section_is_gone(self, image_dir, tmp_path, capsys):
+        # eval sizes its pool from the host: there is no run.threads to set
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[train]\niterations = 2\n[run]\nthreads = 2\n")
+        assert cli.main(["eval", "--config", str(bad), "--images", str(image_dir),
+                         "--output", str(tmp_path)]) == 2
+        assert f"{bad}: line 4: unknown config key 'run.threads'" in capsys.readouterr().err
 
     def test_non_utf8_config_names_file_and_line(self, image_dir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -409,17 +417,41 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert f"{ckpt}: line 2: descriptor_dim {dim}" in err and "Traceback" not in err
 
-    def test_threads_flag_matches_serial(self, image_dir, config_file, trained_dir,
-                                         tmp_path):
+    def test_metrics_same_under_one_and_two_cpus(self, image_dir, config_file, trained_dir,
+                                                 tmp_path, monkeypatch):
         texts = []
-        for name, threads in (("t1", "1"), ("t4", "4")):
-            out = tmp_path / name
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"cpus{cpus}"
             assert cli.main(["eval", "--config", str(config_file),
                              "--checkpoint", str(trained_dir / "model.ckpt"),
-                             "--images", str(image_dir), "--output", str(out),
-                             "--threads", threads]) == 0
+                             "--images", str(image_dir), "--output", str(out)]) == 0
             texts.append((out / "metrics.csv").read_bytes())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_pairs_are_scored_with_one_blas_thread(self, image_dir, config_file, trained_dir,
+                                                   tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        get, set_ = workers._blas_thread_functions()
+        before = get()
+        seen = []
+        evaluate_pair = cli.evaluate_pair
+
+        def recording(*args, **kwargs):
+            seen.append(get())
+            return evaluate_pair(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_pair", recording)
+        try:
+            set_(2)
+            assert cli.main(["eval", "--config", str(config_file),
+                             "--checkpoint", str(trained_dir / "model.ckpt"),
+                             "--images", str(image_dir), "--output", str(tmp_path)]) == 0
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen == [1] * 4  # one pair per image
 
     def test_points_in_the_edge_padding_are_dropped(self):
         # 62x61 images are edge-padded to 64x64 for the model; points that
@@ -694,6 +726,7 @@ class TestUsageErrors:
         ["visualize", "--threads", "2", "a.png", "b.png"],
         ["oracle-check", "--seed", "1"],
         ["oracle-check", "--config", "run.cfg"],
+        ["eval", "--threads", "2", "--checkpoint", "m.ckpt", "--images", "scenes"],
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, argv, capsys):
         assert cli.main(argv) == 1

@@ -41,7 +41,6 @@ SCHEMA = {
     "paths.output_dir": (str, "o", "output_dir", "o"),
     "paths.checkpoint": (str, "m.ckpt", "checkpoint", "m.ckpt"),
     "paths.pairs_file": (str, "p.txt", "pairs_file", "p.txt"),
-    "run.threads": (int, "2", "threads", 2),
 }
 
 
@@ -132,6 +131,11 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config key"):
             config.parse_config_text("[train]\nlearning_speed = 3\n")
 
+    def test_key_before_any_header_rejected(self):
+        with pytest.raises(ValueError, match=r"line 2: config key 'threads' before any "
+                                             r"\[section\] header"):
+            config.parse_config_text("# no section yet\nthreads = 2\n[train]\nseed = 1\n")
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="expected"):
             config.parse_config_text("[train]\niterations 7\n")
@@ -153,7 +157,8 @@ class TestConfigFile:
             ("[train]\nadam_eps = 0\n", "adam_eps must be > 0"),
             ("[train]\nepochs = -1\n", "epochs must be >= 0"),
             ("[eval]\nransac_threshold = 0\n", "ransac_threshold must be > 0"),
-            ("[run]\nthreads = 0\n", "threads must be >= 1"),
+            ("[train]\nseed = -1\n", "seed must be >= 0, got -1"),
+            ("[eval]\nransac_seed = -1\n", "ransac_seed must be >= 0, got -1"),
             ("[properties]\nalpha = nan\n", "alpha must be finite, got nan"),
             ("[properties]\nalpha = inf\n", "alpha must be finite, got inf"),
             ("[properties]\nneg_weight = nan\n", "neg_weight must be finite, got nan"),
@@ -167,15 +172,14 @@ class TestConfigFile:
             with pytest.raises(ValueError, match=message):
                 config.build_run_config(values)
 
-    def test_seed_and_threads_overrides(self, tmp_path):
+    def test_seed_and_path_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("[train]\nseed = 5\ndescriptor_dim = 32\n[run]\nthreads = 2\n")
+        path.write_text("[train]\nseed = 5\ndescriptor_dim = 32\n[paths]\noutput_dir = p\n")
         args = cli.build_parser().parse_args(
             ["eval", "--config", str(path), "--preset", "pn-full", "--seed", "123",
-             "--threads", "4", "--checkpoint", "m.ckpt", "--output", "o"])
+             "--checkpoint", "m.ckpt", "--output", "o"])
         run = cli._load_config(args)
         assert run.train.seed == 123
-        assert run.threads == 4
         assert (run.checkpoint, run.output_dir) == ("m.ckpt", "o")
         assert run.train.descriptor_dim == 32  # the file beats the preset
         assert run.train.illumination == "illum_full"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import shape_scenes
-from pointprops import config, estimator, image_io
+from pointprops import config, estimator, image_io, model
 from pointprops.estimator import NotFittedError, PointPropsDetector
 
 
@@ -66,6 +66,21 @@ class TestParamsProtocol:
             det = tiny_detector(n_min=n_min, n_max=n_max)
             with pytest.raises(ValueError, match=f"n_min={n_min} n_max={n_max}"):
                 det.fit(shape_scenes(0, 2, size=16))
+
+    def test_negative_seed_caught_at_fit(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            tiny_detector(seed=-1).fit(shape_scenes(0, 2, size=16))
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("max_points", 0, r"max_points must be >= 1, got 0"),
+        ("max_points", -1, r"max_points must be >= 1, got -1"),
+        ("prob_threshold", 1.5, r"prob_threshold must be in \(0, 1\), got 1.5"),
+    ], ids=["max-points-0", "max-points-minus-1", "prob-threshold-1.5"])
+    def test_invalid_eval_settings_caught_at_detect(self, name, value, message):
+        det = tiny_detector(**{name: value})
+        det.params_ = model.init_params(0, det.descriptor_dim)
+        with pytest.raises(ValueError, match=message):
+            det.detect(shape_scenes(3, 1, size=16)[0])
 
     def test_non_finite_hyperparameter_caught_at_fit(self):
         det = tiny_detector(alpha=float("nan"))

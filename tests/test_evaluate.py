@@ -106,10 +106,6 @@ class TestExtractPoints:
         pts = evaluate.extract_points(self.pad_fixture(), 0.5, 2, 2, (6, 6))
         np.testing.assert_array_equal(pts.xy, [[2.0, 2.0], [5.0, 5.0]])
 
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            evaluate.extract_points(output_from(np.full((8, 8), 0.5)), 1.5, 2, 10, (8, 8))
-
 
 def reference_matcher(a, b):
     """O(n^2) loops over candidate pairs."""
