@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,16 +163,14 @@ def cmd_train(args) -> int:
         print("train: an image directory is required (--images or paths.images_dir)",
               file=sys.stderr)
         return USAGE_ERROR
-    images, _, _ = _load_gray_images(run.images_dir, size=run.train.image_size)
+    images, _, _ = _load_gray_images(run.images_dir,
+                                     size=(run.train.image_height, run.train.image_width))
     if not images:
         print(f"train: no usable images in {run.images_dir}", file=sys.stderr)
         return RUNTIME_ERROR
-    cfg = run.train
-    if run.epochs is not None:
-        cfg = replace(cfg, iterations=math.ceil(run.epochs * len(images) / cfg.batch_scenes))
     out_dir = Path(run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = em.train(images, cfg)
+    result = em.train(images, run.train)
     model.save_checkpoint(out_dir / "model.ckpt", result.params)
     _write_csv(
         out_dir / "train_log.csv",
@@ -256,7 +253,7 @@ def evaluate_pair(params, img_a, img_b, hom, eval_cfg, rad, pair_seed=0):
     )
     estimate = evaluate.estimate_homography(
         matches, pts_a, pts_b,
-        seed=eval_cfg.ransac_seed + pair_seed,
+        seed=pair_seed,
         max_iters=eval_cfg.ransac_iters,
         inlier_threshold=eval_cfg.ransac_threshold,
     )
@@ -312,18 +309,13 @@ def cmd_eval(args) -> int:
             canvas = evaluate.render_matches(img_a, img_b, pts_a, pts_b, matches, correct)
             image_io.write_png(out_dir / f"pair_{idx:04d}.png", canvas)
 
-    finite = [r["homo_error"] for r in rows if math.isfinite(r["homo_error"])]
-    aggregate = {
-        "pair_id": "aggregate",
-        "m_score": float(np.mean([r["m_score"] for r in rows])),
-        "homo_error": float(np.mean(finite)) if finite else float("inf"),
-        "HE": float(np.mean([r["HE"] for r in rows])),
-        "num_points_A": float(np.mean([r["num_points_A"] for r in rows])),
-        "num_points_B": float(np.mean([r["num_points_B"] for r in rows])),
-        "num_matches": float(np.mean([r["num_matches"] for r in rows])),
-    }
-    header = ["pair_id", "m_score", "homo_error", "HE",
-              "num_points_A", "num_points_B", "num_matches"]
+    # the columns are the metrics evaluate_pair returns; each aggregates as
+    # its mean over the pairs, homo_error over those whose estimate succeeded
+    header = list(rows[0])
+    aggregate = {"pair_id": "aggregate"}
+    for col in header[1:]:
+        values = [r[col] for r in rows if col != "homo_error" or math.isfinite(r[col])]
+        aggregate[col] = float(np.mean(values)) if values else float("inf")
     _write_csv(out_dir / "metrics.csv", header, rows + [aggregate],
                trailer=f"# skipped_pairs {skipped}")
     print(f"metrics: {out_dir / 'metrics.csv'}")

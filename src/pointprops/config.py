@@ -67,13 +67,11 @@ class TrainConfig:
     iterations: int = 200
     properties: PropertyConfig = field(default_factory=PropertyConfig)
     descriptor_dim: int = 16
-    image_size: tuple[int, int] = (64, 64)  # (height, width), multiples of 4
+    image_height: int = 64  # both multiples of 4, >= 8
+    image_width: int = 64
     illumination: str = "illum_mild"
     viewpoint: str = "viewpoint_medium"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -91,16 +89,12 @@ class TrainConfig:
             raise ValueError(f"illumination must be one of {tuple(ILLUMINATION_KINDS)}")
         if self.viewpoint not in VIEWPOINT_RANGES:
             raise ValueError(f"viewpoint must be one of {tuple(VIEWPOINT_RANGES)}")
-        h, w = self.image_size
+        h, w = self.image_height, self.image_width
         if h % 4 != 0 or w % 4 != 0 or h < 8 or w < 8:
-            raise ValueError(f"image_size must be multiples of 4 and >= 8, got {h}x{w}")
+            raise ValueError(f"image_height and image_width must be multiples of 4 and >= 8, "
+                             f"got {h}x{w}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.adam_eps <= 0:
-            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -114,7 +108,6 @@ class EvalConfig:
     epsilon: float = 3.0
     ransac_iters: int = 2000
     ransac_threshold: float = 3.0
-    ransac_seed: int = 0
     pairs_per_image: int = 1
 
     def __post_init__(self):
@@ -129,8 +122,6 @@ class EvalConfig:
             raise ValueError(f"ransac_iters must be >= 1, got {self.ransac_iters}")
         if self.ransac_threshold <= 0:
             raise ValueError(f"ransac_threshold must be > 0, got {self.ransac_threshold}")
-        if self.ransac_seed < 0:
-            raise ValueError(f"ransac_seed must be >= 0, got {self.ransac_seed}")
         if self.pairs_per_image < 1:
             raise ValueError(f"pairs_per_image must be >= 1, got {self.pairs_per_image}")
 
@@ -145,11 +136,6 @@ class RunConfig:
     output_dir: str = "out"
     checkpoint: str | None = None
     pairs_file: str | None = None
-    epochs: int | None = None  # alternative to iterations: passes over the image set
-
-    def __post_init__(self):
-        if self.epochs is not None and self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
 
 
 # mirrors of the three published training regimes, at their descriptor lengths
@@ -163,11 +149,10 @@ PRESETS = {
 }
 
 # each config key is a dataclass field under its class's section, except the
-# fields moved to another section; train.image_height/image_width are the two
-# halves of TrainConfig.image_size
+# fields moved to another section
 _SECTIONS = {PropertyConfig: "properties", TrainConfig: "train", EvalConfig: "eval",
              RunConfig: "paths"}
-_MOVED = {"illumination": "simulate", "viewpoint": "simulate", "epochs": "train"}
+_MOVED = {"illumination": "simulate", "viewpoint": "simulate"}
 # the annotations a key can have, ``X | None`` cast as X
 _CASTERS = {kind: caster for caster in (int, float, str) for kind in (caster, caster | None)}
 
@@ -177,7 +162,7 @@ _SCHEMA = {
     for cls, section in _SECTIONS.items()
     for name, kind in typing.get_type_hints(cls).items()
     if kind in _CASTERS
-} | {f"train.{name}": (int, TrainConfig, name) for name in ("image_height", "image_width")}
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -239,13 +224,9 @@ def build_run_config(values: dict, preset: str | None = None) -> RunConfig:
     for key, val in merged.items():
         _, cls, name = _SCHEMA[key]
         given[cls][name] = val
-    train = given[TrainConfig]
-    if "image_height" in train or "image_width" in train:
-        height, width = TrainConfig.image_size
-        train["image_size"] = (train.pop("image_height", height),
-                               train.pop("image_width", width))
     return RunConfig(
-        train=TrainConfig(properties=PropertyConfig(**given[PropertyConfig]), **train),
+        train=TrainConfig(properties=PropertyConfig(**given[PropertyConfig]),
+                          **given[TrainConfig]),
         eval=EvalConfig(**given[EvalConfig]),
         **given[RunConfig],
     )

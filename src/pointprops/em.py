@@ -360,10 +360,7 @@ def train(images, cfg: TrainConfig) -> TrainResult:
                         raise ValueError(f"iteration {t}: non-finite gradient for "
                                          f"parameter {name}")
                 descent = {k: -v for k, v in grads.items()}
-                params, adam = model.apply_update(
-                    params, descent, adam,
-                    lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps,
-                )
+                params, adam = model.apply_update(params, descent, adam, lr=cfg.learning_rate)
                 mean_yhat = float(np.mean(selected))
                 e_value = expected
             else:

@@ -11,7 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import em, evaluate, model
+from . import em, evaluate, model, workers
 from .config import EvalConfig, PropertyConfig, TrainConfig
 
 
@@ -86,9 +86,10 @@ class PointPropsDetector:
         names = {f.name for f in fields(cls)}
         return {name: value for name, value in vars(self).items() if name in names}
 
-    def _train_config(self, image_size) -> TrainConfig:
+    def _train_config(self, image_height, image_width) -> TrainConfig:
         return TrainConfig(properties=PropertyConfig(**self._settings(PropertyConfig)),
-                           image_size=image_size, **self._settings(TrainConfig))
+                           image_height=image_height, image_width=image_width,
+                           **self._settings(TrainConfig))
 
     # -- fitting and inference --------------------------------------------
     def fit(self, X, y=None) -> "PointPropsDetector":
@@ -104,7 +105,7 @@ class PointPropsDetector:
             raise ValueError("training images must be grayscale (2-D)")
         if first.shape[0] % 4 or first.shape[1] % 4:
             raise ValueError("training image dimensions must be multiples of 4")
-        result = em.train(images, self._train_config(first.shape))
+        result = em.train(images, self._train_config(*first.shape))
         self.params_ = result.params
         self.train_log_ = result.log_rows
         return self
@@ -114,11 +115,14 @@ class PointPropsDetector:
             raise NotFittedError("call fit or load_checkpoint before detecting")
 
     def detect(self, image) -> evaluate.PointSet:
-        """Extract interest points with descriptors from one image."""
+        """Extract interest points with descriptors from one image, computed
+        with one BLAS thread as ``pointprops eval`` does, so both give the
+        same points."""
         self._check_fitted()
         cfg = EvalConfig(**self._settings(EvalConfig))
-        return evaluate.detect_points(self.params_, as_float_image(image),
-                                      cfg.prob_threshold, self.rad, cfg.max_points)
+        with workers.one_blas_thread():
+            return evaluate.detect_points(self.params_, as_float_image(image),
+                                          cfg.prob_threshold, self.rad, cfg.max_points)
 
     def predict(self, X) -> list:
         """Detect on a list of images; returns one PointSet per image."""

@@ -730,15 +730,12 @@ class AdamState:
         return cls(step=0, m=zero_grads(params), v=zero_grads(params))
 
 
-def apply_update(
-    params: ModelParams,
-    grads: dict,
-    state: AdamState | None = None,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
+# Adam's moment decay rates and denominator guard, at the published defaults
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def apply_update(params: ModelParams, grads: dict, state: AdamState | None = None,
+                 lr: float = 1e-3):
     """One Adam descent step; returns (new_params, new_state) without mutating inputs."""
     if state is None:
         state = AdamState.fresh(params)
@@ -750,11 +747,11 @@ def apply_update(
         g = grads[k]
         if g.shape != w.shape:
             raise ValueError(f"gradient shape mismatch for {k}: {g.shape} vs {w.shape}")
-        m = beta1 * state.m[k] + (1.0 - beta1) * g
-        v = beta2 * state.v[k] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_w[k] = w - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = ADAM_BETA1 * state.m[k] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[k] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        new_w[k] = w - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[k], new_v[k] = m, v
     return (
         ModelParams(new_w, params.descriptor_dim),

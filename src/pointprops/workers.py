@@ -57,23 +57,39 @@ def _blas_thread_functions():
     return None
 
 
+# the thread count is one setting for the whole process, so the pins held
+# at once share it: the first to enter saves the count and pins, the last to
+# exit restores it
+_PIN_LOCK = threading.Lock()
+_pins = 0
+_unpinned = None
+
+
 @contextmanager
 def one_blas_thread():
     """Pin numpy's OpenBLAS to one thread for the ``with`` block and restore
-    the previous count on exit, also when the block raises. Yields whether
-    the pin took: False when the BLAS's thread functions cannot be found,
-    in which case nothing is changed."""
+    the previous count when the last block that holds the pin exits, also
+    when it raises; safe to enter from several threads at once and nested.
+    Yields whether the pin took: False when the BLAS's thread functions
+    cannot be found, in which case nothing is changed."""
+    global _pins, _unpinned
     functions = _blas_thread_functions()
     if functions is None:
         yield False
         return
     get, set_ = functions
-    previous = get()
-    set_(1)
+    with _PIN_LOCK:
+        if _pins == 0:
+            _unpinned = get()
+            set_(1)
+        _pins += 1
     try:
         yield True
     finally:
-        set_(previous)
+        with _PIN_LOCK:
+            _pins -= 1
+            if _pins == 0:
+                set_(_unpinned)
 
 
 @contextmanager

@@ -12,7 +12,10 @@ rows (40 EM iterations from ``TrainConfig(iterations=40, seed=seed)``, wall
 times left out), a hash of the eval-240x320 rows from ``cli.evaluate_pair``,
 and a hash of the metrics.csv that ``pointprops eval --pairs`` writes for the
 same 8 pairs, written as PNGs plus a pair list (so the command's pair pool,
-BLAS pin, aggregation and CSV format are covered too); then, once, hashes of
+BLAS pin, aggregation and CSV format are covered too); for seed 1 also a
+hash of each point count and the xy and descriptor bytes that
+``PointPropsDetector.detect`` finds on the 8 B images read back from those
+PNGs, with the same checkpoint; then, once, hashes of
 the ``oracle-check`` stdout and of every check's deviation at full
 precision, a hash of the ``build_run_config`` result with no preset and
 with each preset, and the checkpoint sha256 of a ``PointPropsDetector``
@@ -79,20 +82,28 @@ def eval_fingerprint(params, pairs):
     return _digest(rows)
 
 
-def eval_command_fingerprint(pairs):
-    with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        lines = []
-        for idx, (img_a, img_b, hom) in enumerate(pairs):
-            image_io.write_png(root / f"a{idx}.png", img_a)
-            image_io.write_png(root / f"b{idx}.png", img_b)
-            hom_text = " ".join(map(repr, hom.ravel().tolist()))  # repr round-trips
-            lines.append(f"a{idx}.png b{idx}.png {hom_text}")
-        (root / "pairs.txt").write_text("\n".join(lines) + "\n")
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["eval", "--pairs", str(root / "pairs.txt"),
-                             "--checkpoint", str(CHECKPOINT), "--output", str(root / "out")])
-        return code, hashlib.sha256((root / "out" / "metrics.csv").read_bytes()).hexdigest()
+def write_pair_list(root, pairs):
+    """Each pair as PNGs a<idx>.png and b<idx>.png in ``root``, listed in pairs.txt."""
+    lines = []
+    for idx, (img_a, img_b, hom) in enumerate(pairs):
+        image_io.write_png(root / f"a{idx}.png", img_a)
+        image_io.write_png(root / f"b{idx}.png", img_b)
+        hom_text = " ".join(map(repr, hom.ravel().tolist()))  # repr round-trips
+        lines.append(f"a{idx}.png b{idx}.png {hom_text}")
+    (root / "pairs.txt").write_text("\n".join(lines) + "\n")
+
+
+def eval_command_fingerprint(root):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["eval", "--pairs", str(root / "pairs.txt"),
+                         "--checkpoint", str(CHECKPOINT), "--output", str(root / "out")])
+    return code, hashlib.sha256((root / "out" / "metrics.csv").read_bytes()).hexdigest()
+
+
+def detect_fingerprint(root, count):
+    det = PointPropsDetector().load_checkpoint(CHECKPOINT)
+    points = [det.detect(image_io.read_image(root / f"b{idx}.png")) for idx in range(count)]
+    return _digest([(len(p), p.xy.tobytes(), p.descriptors.tobytes()) for p in points])
 
 
 def config_fingerprint():
@@ -120,8 +131,13 @@ def main() -> int:
         print(f"train-64 seed {seed} log_rows {log_rows}")
         pairs = eval_pairs(inputs, seed)
         print(f"eval-240x320 seed {seed} rows {eval_fingerprint(params, pairs)}")
-        code, metrics = eval_command_fingerprint(pairs)
-        print(f"eval-240x320 seed {seed} eval --pairs exit {code} metrics_csv {metrics}")
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            write_pair_list(root, pairs)
+            code, metrics = eval_command_fingerprint(root)
+            print(f"eval-240x320 seed {seed} eval --pairs exit {code} metrics_csv {metrics}")
+            if seed == 1:
+                print(f"detect seed {seed} points {detect_fingerprint(root, len(pairs))}")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(["oracle-check"])

@@ -191,7 +191,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("text, message", [
         ("[properties]\nrad = 0\n", "rad must be >= 1, got 0"),
-        ("[train]\nbeta1 = 2\n", "beta1 must be in [0, 1), got 2.0"),
+        ("[train]\nlearning_rate = 0\n", "learning_rate must be > 0, got 0.0"),
         ("[properties]\nn_min = 5\nn_max = 6\n",
          "need 0 <= n_min < n_max - 1 so the exclusive window (n_min, n_max) holds a count, "
          "got n_min=5 n_max=6"),
@@ -200,12 +200,12 @@ class TestTrainCommand:
         ("[properties]\nneg_weight = nan\n", "neg_weight must be finite, got nan"),
         ("[train]\nlearning_rate = nan\n", "learning_rate must be finite, got nan"),
         ("[train]\nlearning_rate = inf\n", "learning_rate must be finite, got inf"),
-        ("[train]\nadam_eps = nan\n", "adam_eps must be finite, got nan"),
+        ("[eval]\nprob_threshold = nan\n", "prob_threshold must be finite, got nan"),
         ("[eval]\nepsilon = nan\n", "epsilon must be finite, got nan"),
         ("[eval]\nransac_threshold = nan\n", "ransac_threshold must be finite, got nan"),
-    ], ids=["rad", "beta1", "empty-count-window", "alpha-nan", "alpha-inf", "neg-weight-nan",
-            "learning-rate-nan", "learning-rate-inf", "adam-eps-nan", "epsilon-nan",
-            "ransac-threshold-nan"])
+    ], ids=["rad", "learning-rate-0", "empty-count-window", "alpha-nan", "alpha-inf",
+            "neg-weight-nan", "learning-rate-nan", "learning-rate-inf", "prob-threshold-nan",
+            "epsilon-nan", "ransac-threshold-nan"])
     def test_out_of_range_value_names_file(self, image_dir, tmp_path, capsys, text,
                                            message):
         bad = tmp_path / "bad.cfg"
@@ -254,14 +254,18 @@ class TestTrainCommand:
                          "--output", str(tmp_path)]) == 2
         assert "bom.cfg: line 2: not UTF-8 text" in capsys.readouterr().err
 
-    def test_epochs_set_the_iteration_count(self, image_dir, config_file, tmp_path):
-        cfg = tmp_path / "epochs.cfg"
-        cfg.write_text(config_file.read_text().replace("iterations = 2", "iterations = 5")
-                       + "[train]\nepochs = 1\n")
-        assert cli.main(["train", "--config", str(cfg), "--images", str(image_dir),
-                         "--output", str(tmp_path)]) == 0
-        # one pass over 4 images at 2 scenes per iteration
-        assert len((tmp_path / "train_log.csv").read_text().splitlines()) == 1 + 2
+    @pytest.mark.parametrize("key", ["train.beta1", "train.beta2", "train.adam_eps",
+                                     "train.epochs", "eval.ransac_seed"])
+    def test_removed_key_names_file_and_line(self, image_dir, tmp_path, capsys, key):
+        # Adam's constants, the RANSAC seed (the pair index) and epochs (which
+        # overrode iterations) are no longer settings: no run is started
+        section, name = key.split(".")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[train]\niterations = 5\n[{section}]\n{name} = 1\n")
+        assert cli.main(["train", "--config", str(bad), "--images", str(image_dir),
+                         "--output", str(tmp_path)]) == 2
+        assert f"{bad}: line 4: unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "train_log.csv").exists()
 
 
 class TestEvalCommand:

@@ -12,14 +12,10 @@ SCHEMA = {
     "train.batch_scenes": (int, "3", "train.batch_scenes", 3),
     "train.transforms_per_scene": (int, "3", "train.transforms_per_scene", 3),
     "train.iterations": (int, "7", "train.iterations", 7),
-    "train.epochs": (int, "2", "epochs", 2),
     "train.descriptor_dim": (int, "8", "train.descriptor_dim", 8),
-    "train.image_height": (int, "32", "train.image_size", (32, 64)),
-    "train.image_width": (int, "48", "train.image_size", (64, 48)),
+    "train.image_height": (int, "32", "train.image_height", 32),
+    "train.image_width": (int, "48", "train.image_width", 48),
     "train.learning_rate": (float, "0.01", "train.learning_rate", 0.01),
-    "train.beta1": (float, "0.5", "train.beta1", 0.5),
-    "train.beta2": (float, "0.9", "train.beta2", 0.9),
-    "train.adam_eps": (float, "1e-6", "train.adam_eps", 1e-6),
     "train.seed": (int, "9", "train.seed", 9),
     "properties.rad": (int, "3", "train.properties.rad", 3),
     "properties.n_min": (int, "4", "train.properties.n_min", 4),
@@ -35,7 +31,6 @@ SCHEMA = {
     "eval.epsilon": (float, "2", "eval.epsilon", 2.0),
     "eval.ransac_iters": (int, "100", "eval.ransac_iters", 100),
     "eval.ransac_threshold": (float, "2.5", "eval.ransac_threshold", 2.5),
-    "eval.ransac_seed": (int, "3", "eval.ransac_seed", 3),
     "eval.pairs_per_image": (int, "2", "eval.pairs_per_image", 2),
     "paths.images_dir": (str, "imgs", "images_dir", "imgs"),
     "paths.output_dir": (str, "o", "output_dir", "o"),
@@ -90,7 +85,9 @@ class TestTrainConfig:
 
     def test_rejects_bad_image_size(self):
         with pytest.raises(ValueError):
-            config.TrainConfig(image_size=(30, 64))
+            config.TrainConfig(image_height=30)
+        with pytest.raises(ValueError):
+            config.TrainConfig(image_width=4)
 
     def test_rejects_unknown_level(self):
         with pytest.raises(ValueError):
@@ -152,19 +149,18 @@ class TestConfigFile:
     def test_invalid_combination_rejected_before_work(self):
         for text, message in [
             ("[properties]\nn_min = 50\nn_max = 20\n", "n_min < n_max"),
-            ("[train]\nbeta1 = 1\n", "beta1 must be in"),
-            ("[train]\nbeta2 = -0.1\n", "beta2 must be in"),
-            ("[train]\nadam_eps = 0\n", "adam_eps must be > 0"),
-            ("[train]\nepochs = -1\n", "epochs must be >= 0"),
+            ("[train]\nlearning_rate = 0\n", "learning_rate must be > 0"),
+            ("[train]\nlearning_rate = -0.1\n", "learning_rate must be > 0"),
+            ("[train]\niterations = -1\n", "iterations must be >= 0"),
             ("[eval]\nransac_threshold = 0\n", "ransac_threshold must be > 0"),
             ("[train]\nseed = -1\n", "seed must be >= 0, got -1"),
-            ("[eval]\nransac_seed = -1\n", "ransac_seed must be >= 0, got -1"),
+            ("[eval]\nransac_iters = 0\n", "ransac_iters must be >= 1, got 0"),
             ("[properties]\nalpha = nan\n", "alpha must be finite, got nan"),
             ("[properties]\nalpha = inf\n", "alpha must be finite, got inf"),
             ("[properties]\nneg_weight = nan\n", "neg_weight must be finite, got nan"),
             ("[train]\nlearning_rate = nan\n", "learning_rate must be finite, got nan"),
             ("[train]\nlearning_rate = inf\n", "learning_rate must be finite, got inf"),
-            ("[train]\nadam_eps = nan\n", "adam_eps must be finite, got nan"),
+            ("[eval]\nprob_threshold = nan\n", "prob_threshold must be finite, got nan"),
             ("[eval]\nepsilon = nan\n", "epsilon must be finite, got nan"),
             ("[eval]\nransac_threshold = nan\n", "ransac_threshold must be finite, got nan"),
         ]:
@@ -186,10 +182,9 @@ class TestConfigFile:
 
     def test_empty_values_give_the_dataclass_defaults(self):
         assert config.build_run_config({}) == config.RunConfig()
-        run = config.build_run_config({"train.image_height": 32})
-        assert run.train.image_size == (32, config.TrainConfig().image_size[1])
 
     def test_schema_is_pinned(self):
+        assert len(SCHEMA) == 27
         assert sorted(config._SCHEMA) == sorted(SCHEMA)
         for key, (caster, text, path, expected) in SCHEMA.items():
             section, name = key.split(".")
@@ -229,7 +224,7 @@ class TestConfigFile:
 class TestConfigMutations:
     SOURCE = (b"# tiny run\n"
               b"[train]\niterations = 2\nbatch_scenes = 2\ndescriptor_dim = 4\n"
-              b"image_height = 24\nimage_width = 24\nbeta1 = 0.9\nseed = 9\n"
+              b"image_height = 24\nimage_width = 24\nlearning_rate = 0.002\nseed = 9\n"
               b"[properties]\nrad = 2\nn_min = 1\nn_max = 12\nm_p = 0.9\nm_n = 0.1\n"
               b"[simulate]\nillumination = illum_mild\n"
               b"[eval]\nmax_points = 20\nransac_iters = 300\n")

@@ -458,7 +458,8 @@ class TestTrain:
             properties=PropertyConfig(rad=2, n_min=1, n_max=9, m_p=0.9, m_n=0.1,
                                       neg_weight=0.4),
             descriptor_dim=4,
-            image_size=(16, 16),
+            image_height=16,
+            image_width=16,
             seed=11,
         )
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import shape_scenes
-from pointprops import config, estimator, image_io, model
+from pointprops import config, estimator, image_io, model, workers
 from pointprops.estimator import NotFittedError, PointPropsDetector
 
 
@@ -103,6 +103,32 @@ class TestFitDetect:
         assert points.xy.shape[1] == 2
         if len(points):
             assert points.descriptors.shape[1] == 4
+
+    def test_detect_computes_with_one_blas_thread(self, monkeypatch):
+        # as pointprops eval does: at 240x320 a point count differed between
+        # 1 and 2 BLAS threads
+        functions = workers._blas_thread_functions()
+        if functions is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread functions")
+        get, set_ = functions
+        before = get()
+        seen = []
+        forward = model.forward
+
+        def recording(*args, **kwargs):
+            seen.append(get())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", recording)
+        det = tiny_detector()
+        det.params_ = model.init_params(0, det.descriptor_dim)
+        try:
+            set_(2)
+            det.detect(shape_scenes(3, 1, size=16)[0])
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen == [1]
 
     def test_detect_crops_padding(self):
         det = tiny_detector().fit(shape_scenes(3, 2, size=16))
