@@ -32,7 +32,8 @@ band of rows at a time. Each layer writes its output into the array its
 consumer reads, so a conv's ReLU output is the interior of the next conv's
 padded input; the training tape keeps those padded inputs, and the
 tape-free (inference) forward takes its arrays from a workspace kept per
-thread (``_workspace``).
+thread (``_workspace``). A tape-free forward on a large image runs on
+several lanes (``_lanes``), threads that split each layer's rows.
 The detection head needs the full-resolution skip: without it the head only
 sees 4x-upsampled features and cannot localize maxima to the pixel, which
 the selection step requires. The per-image logit standardization
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import image_io
+from . import image_io, workers
 
 NORM_EPS = 1e-12
 PROB_CLIP = 1e-12
@@ -244,7 +245,8 @@ def _conv3_bands(h: int, wp: int, cin: int, cout: int):
 
 
 def _conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
-           relu: bool, scratch: np.ndarray, acc: np.ndarray) -> None:
+           relu: bool, scratch: np.ndarray, acc: np.ndarray,
+           lane: int = 0, lanes: int = 1) -> None:
     """3x3 conv, stride 1, channels-last, of a contiguous reflect-padded
     (H+2, W+2, Cin) input ``xp``, written into ``out`` (H, W, Cout), through
     a ReLU where ``relu``. ``out`` may be a strided view, such as the
@@ -261,7 +263,9 @@ def _conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
     of output rows at a time through the flat buffers ``scratch`` and
     ``acc``, of at least the floats ``_conv3_bands`` gives, and adds the
     bias (then takes the ReLU) band by band in ``out``, so no whole-image
-    intermediate is held.
+    intermediate is held. Of ``lanes`` calls that split one conv, each with
+    its own buffers, call ``lane`` computes every ``lanes``-th band from
+    band ``lane``, with the kernels and band sizes of a single call.
     """
     hp, wp, cin = xp.shape
     h, wid = hp - 2, wp - 2
@@ -271,7 +275,9 @@ def _conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
     offsets = _tap_offsets(wp)
     bands, _, acc_size = _conv3_bands(h, wp, cin, cout)
     acc = acc[:acc_size].reshape(-1, cout)
-    for i0, i1 in bands:
+    if len(bands) > 1:  # a (W, Cout) bias: one numpy inner loop per row, not per pixel
+        b = np.tile(b, (wid, 1))
+    for i0, i1 in bands[lane::lanes]:
         m = (i1 - i0) * wp
         _shifted_gemm(src[i0 * wp :], offsets, taps, acc[: m - 2], scratch)
         band = out[i0:i1]
@@ -335,14 +341,22 @@ def _maxpool2(x: np.ndarray, out: np.ndarray) -> None:
 
 def _maxpool2_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gradient of ``_maxpool2`` of (H, W, C) ``x``: each block's gradient
-    goes to the cell of the block that holds its max, the first on ties."""
+    goes to the cell of the block that holds its max, the first on ties in
+    the order (0, 0), (0, 1), (1, 0), (1, 1), as ``argmax`` picks it; -0.0
+    ties with 0.0. Each of the 4 strided cell views is compared with the
+    block max and takes the gradient where it equals it and no earlier cell
+    did."""
     h, w, c = x.shape
-    blocks = x.reshape(h // 2, 2, w // 2, 2, c).transpose(0, 2, 1, 3, 4)
-    arg = blocks.reshape(h // 2, w // 2, 4, c).argmax(axis=2)
-    dblocks = np.zeros((h // 2, w // 2, 4, c))
-    np.put_along_axis(dblocks, arg[:, :, None, :], grad_out[:, :, None, :], axis=2)
-    dblocks = dblocks.reshape(h // 2, w // 2, 2, 2, c).transpose(0, 2, 1, 3, 4)
-    return dblocks.reshape(h, w, c)
+    cells = [x[i::2, j::2] for i in (0, 1) for j in (0, 1)]
+    top = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+    dx = np.empty((h // 2, 2, w // 2, 2, c))
+    free = np.ones(top.shape, dtype=bool)
+    for t, cell in enumerate(cells):
+        hit = cell == top
+        hit &= free
+        dx[:, t // 2, :, t % 2] = np.where(hit, grad_out, 0.0)
+        free &= ~hit
+    return dx.reshape(h, w, c)
 
 
 def _apply_rowcol(mat_h: np.ndarray, x: np.ndarray, mat_w: np.ndarray,
@@ -364,11 +378,13 @@ def _upsample_matrix(n_in: int) -> np.ndarray:
     return image_io.resample_matrix(n_in, 4 * n_in)
 
 
-def _upsample4(x: np.ndarray, tall: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _upsample4(x: np.ndarray, tall: np.ndarray, out: np.ndarray,
+               rows: slice = slice(None)) -> np.ndarray:
     """Bilinear x4 of (H, W, C) ``x`` into ``out`` (4H, 4W, C)
-    (``_apply_rowcol``)."""
-    return _apply_rowcol(_upsample_matrix(x.shape[0]), x, _upsample_matrix(x.shape[1]),
-                         tall, out)
+    (``_apply_rowcol``), or only into its output ``rows``, through the same
+    rows of ``tall``."""
+    return _apply_rowcol(_upsample_matrix(x.shape[0])[rows], x, _upsample_matrix(x.shape[1]),
+                         tall[rows], out[rows])
 
 
 def _upsample4_backward(grad_out: np.ndarray, in_shape) -> np.ndarray:
@@ -448,6 +464,23 @@ _CONV_SCALE = {"enc1": 1, "enc2": 1, "enc3": 2, "enc4": 2,
                "det1": 1, "det2": 1, "desc1": 4, "desc2": 4}
 
 
+def _conv_inputs(h: int, w: int, d: int) -> dict:
+    """Name -> (padded input shape, Cout) of each conv on an (h, w) image."""
+    return {name: ((h // _CONV_SCALE[name] + 2, w // _CONV_SCALE[name] + 2, cin), cout)
+            for name, kind, cin, cout in topology(d) if kind.startswith("conv3x3")}
+
+
+@functools.lru_cache(maxsize=16)
+def _lanes(h: int, w: int, d: int) -> int:
+    """Lanes of a tape-free forward on an (h, w) image at descriptor width d:
+    one per usable CPU, but no more than the most row bands of any of its
+    convs, so a forward whose convs each run one band (every 64x64 one)
+    starts no thread."""
+    bands = max(len(_conv3_bands(shape[0] - 2, shape[1], shape[2], cout)[0])
+                for shape, cout in _conv_inputs(h, w, d).values())
+    return min(workers.usable_cpus(), bands)
+
+
 @functools.lru_cache(maxsize=16)
 def _layout(h: int, w: int, d: int) -> dict:
     """Name -> (arena, offset, shape) of each array ``forward`` writes on an
@@ -465,12 +498,12 @@ def _layout(h: int, w: int, d: int) -> dict:
       then det2's padded input and the logits, then desc2's output;
     - arena "c" holds the description head's padded inputs, which live from
       pool2 to desc2;
-    - arena "s" holds one band scratch and accumulator for every conv.
+    - arena "s" holds one lane's band scratch and accumulator, a row each,
+      which the 8 convs share; the workspace repeats it once per lane.
 
     The taped forward takes a fresh array of each shape instead.
     """
-    convs = {name: ((h // _CONV_SCALE[name] + 2, w // _CONV_SCALE[name] + 2, cin), cout)
-             for name, kind, cin, cout in topology(d) if kind.startswith("conv3x3")}
+    convs = _conv_inputs(h, w, d)
     xp = {name: shape for name, (shape, _) in convs.items()}
     size = {name: math.prod(shape) for name, shape in xp.items()}
     work = [_conv3_bands(shape[0] - 2, shape[1], shape[2], cout)[1:]
@@ -490,8 +523,8 @@ def _layout(h: int, w: int, d: int) -> dict:
         "desc_raw": ("b", 0, (h // 4, w4, d)),
         "desc1_xp": ("c", 0, xp["desc1"]),
         "desc2_xp": ("c", size["desc1"], xp["desc2"]),
-        "scratch": ("s", 0, (scratch,)),
-        "acc": ("s", scratch, (acc,)),
+        "scratch": ("s", 0, (1, scratch)),
+        "acc": ("s", scratch, (1, acc)),
     }
 
 
@@ -501,20 +534,28 @@ _thread = threading.local()
 def _workspace(h: int, w: int, d: int) -> dict:
     """This thread's tape-free forward arrays for an (h, w) image at
     descriptor width d: views at their ``_layout`` offsets into one buffer,
-    kept across calls and rebuilt when the shape changes."""
-    key = (h, w, d)
+    kept across calls and rebuilt when the shape changes. The buffer holds
+    every arena once and arena "s" once per lane (``_lanes``), so
+    "scratch" and "acc" have one row per lane."""
+    lanes = _lanes(h, w, d)
+    key = (h, w, d, lanes)
     if getattr(_thread, "key", None) != key:
         _thread.key = _thread.arrays = None  # free the old buffer first
         layout = _layout(h, w, d)
+        copies = {"s": lanes}
         ends = {}
         for arena, offset, shape in layout.values():
             ends[arena] = max(ends.get(arena, 0), offset + math.prod(shape))
-        starts = dict(zip(ends, itertools.accumulate(ends.values(), initial=0)))
-        memory = np.empty(sum(ends.values()))
-        _thread.arrays = {
-            name: memory[starts[arena] + offset :][: math.prod(shape)].reshape(shape)
-            for name, (arena, offset, shape) in layout.items()
-        }
+        sizes = [end * copies.get(arena, 1) for arena, end in ends.items()]
+        starts = dict(zip(ends, itertools.accumulate(sizes, initial=0)))
+        memory = np.empty(sum(sizes))
+        arrays = {}
+        for name, (arena, offset, shape) in layout.items():
+            n = copies.get(arena, 1)
+            rows = memory[starts[arena] :][: n * ends[arena]].reshape(n, ends[arena])
+            arrays[name] = rows[:, offset : offset + math.prod(shape)].reshape(
+                (n * shape[0],) + shape[1:])
+        _thread.arrays = arrays
         _thread.key = key
     return _thread.arrays
 
@@ -541,7 +582,17 @@ def forward(
     visualize, detect) they are views into this thread's workspace
     (``_workspace``), reused by the thread's next tape-free forward of the
     same shape, and the cache is empty, so ``backward`` rejects the output.
-    The maps are the same bits either way, and are always fresh arrays.
+
+    A tape-free forward with several lanes planned (``_lanes(H, W, d)``,
+    from a 240x320 image on 2 CPUs) runs with numpy's OpenBLAS pinned to
+    one thread (``workers.one_blas_thread``). Where the pin takes and the
+    calling thread is the only one running, it splits its layers' rows
+    among those lanes, threads that run one BLAS thread each, started and
+    joined within the call; elsewhere, as in another pool's threads, it
+    runs one lane. With one lane planned (every conv one band, as at 64x64
+    and below, or one usable CPU) it runs as the taped forward does, with
+    no pin and no thread. The maps are always the taped forward's bits
+    under the same BLAS thread count, and are always fresh arrays.
     """
     x = np.asarray(image, dtype=float)
     if x.ndim == 2:
@@ -552,20 +603,59 @@ def forward(
     if c != 1:
         raise ValueError(f"expected 1 (grayscale) channel, got {c}")
 
-    wts = params.weights
+    d = params.descriptor_dim
     if keep_cache:
-        layout = _layout(h, w, params.descriptor_dim)
+        layout = _layout(h, w, d)
 
         def take(name):
             return np.empty(layout[name][2])
-    else:
-        take = _workspace(h, w, params.descriptor_dim).__getitem__
+
+        prob, unit_q, cache = _layers(params.weights, x, take)
+        return ModelOutput(prob_map=prob, desc_map=unit_q, cache=cache)
+    take = _workspace(h, w, d).__getitem__
+    lanes = _lanes(h, w, d)
+    if lanes == 1:  # nothing to split, so no pin to pay for on tiny images
+        prob, unit_q, _ = _layers(params.weights, x, take)
+        return ModelOutput(prob_map=prob, desc_map=unit_q)
+    with workers.one_blas_thread() as pinned:
+        # lanes in another pool's threads, or beside BLAS threads, would only
+        # compete with them for the cores
+        if not pinned or threading.active_count() > 1:
+            lanes = 1
+        with workers.lanes(lanes) as run:
+            prob, unit_q, _ = _layers(params.weights, x, take, run, lanes)
+    return ModelOutput(prob_map=prob, desc_map=unit_q)
+
+
+def _layers(wts: dict, x: np.ndarray, take, run=workers.serial, lanes: int = 1) -> tuple:
+    """``forward``'s layers on the (H, W, 1) image ``x``: (prob_map,
+    desc_map, cache), with every array but the maps from ``take(name)``.
+
+    ``run`` runs a job on each of ``lanes`` lanes (``workers.lanes``):
+    each conv's bands, the detection upsample's rows and each pool's rows
+    are split among them. Each lane computes its rows as a single lane
+    would, in its own row of the "scratch" and "acc" buffers, so the split
+    leaves the bits alone. Reflect borders, the logit standardization and
+    the descriptor normalization run in the calling thread between the
+    split layers.
+    """
     scratch, acc = take("scratch"), take("acc")
     cache = {}
 
+    def share(n, lane):
+        """The contiguous rows of n that ``lane`` computes."""
+        return slice(n * lane // lanes, n * (lane + 1) // lanes)
+
     def conv(name, xp, out, relu=True):
         cache[name + "_xp"] = xp
-        _conv3(xp, wts[name + "_w"], wts[name + "_b"], out, relu, scratch, acc)
+        w, b = wts[name + "_w"], wts[name + "_b"]
+        run(lambda lane: _conv3(xp, w, b, out, relu, scratch[lane], acc[lane], lane, lanes))
+
+    def pool(a, out):
+        def job(lane):
+            rows = share(out.shape[0], lane)
+            _maxpool2(a[2 * rows.start : 2 * rows.stop], out[rows])
+        run(job)
 
     xp1 = take("enc1_xp")
     xp1[1:-1, 1:-1] = x
@@ -579,7 +669,7 @@ def forward(
     a2 = det_xp[1:-1, 1:-1, 16:]
     conv("enc2", xp2, a2)
     xp3 = take("enc3_xp")
-    _maxpool2(a2, xp3[1:-1, 1:-1])
+    pool(a2, xp3[1:-1, 1:-1])
     _reflect_border(xp3)
     xp4 = take("enc4_xp")
     conv("enc3", xp3, xp4[1:-1, 1:-1])
@@ -588,14 +678,15 @@ def forward(
     conv("enc4", xp4, a4)
     xq1 = take("desc1_xp")
     p2 = xq1[1:-1, 1:-1]
-    _maxpool2(a4, p2)
+    pool(a4, p2)
     _reflect_border(xq1)
 
     # detection head: convs at full resolution; logits are standardized per
     # image (zero mean, unit variance) so probability mass can only be
     # redistributed, never deflated or saturated globally (the stabilizing
     # role of the omitted batch norm)
-    _upsample4(p2, take("det_tall"), det_xp[1:-1, 1:-1, :16])
+    tall, up = take("det_tall"), det_xp[1:-1, 1:-1, :16]
+    run(lambda lane: _upsample4(p2, tall, up, share(up.shape[0], lane)))
     _reflect_border(det_xp)
     xd2 = take("det2_xp")
     conv("det1", det_xp, xd2[1:-1, 1:-1])
@@ -618,8 +709,7 @@ def forward(
     conv("desc2", xq2, raw, relu=False)
     unit_q, norm_q = _l2norm(raw)
     cache["desc_norm_q"] = norm_q
-
-    return ModelOutput(prob_map=prob, desc_map=unit_q, cache=cache if keep_cache else {})
+    return prob, unit_q, cache
 
 
 def backward(

@@ -389,9 +389,11 @@ def project_points(points, h: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     mapped = np.hstack([pts, np.ones((pts.shape[0], 1))]) @ h.T
     w = mapped[:, 2]
-    safe = np.abs(w) >= _W_COORD_EPS
-    out = np.full_like(pts, np.nan)
-    out[safe] = mapped[safe, :2] / w[safe, None]
+    out = np.empty_like(pts)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the w ~ 0 rows are overwritten
+        np.divide(mapped[:, 0], w, out=out[:, 0])
+        np.divide(mapped[:, 1], w, out=out[:, 1])
+    out[np.abs(w) < _W_COORD_EPS] = np.nan
     return out
 
 

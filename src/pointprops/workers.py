@@ -1,15 +1,17 @@
-"""The process's parallelism: numpy's OpenBLAS thread count and forked
-worker pools.
+"""The process's parallelism: numpy's OpenBLAS thread count, forked
+worker pools and the lanes of one call.
 
 Worker processes and BLAS threads compete for the same cores: two
 processes that each start BLAS threads run several times slower than two
 that each run one. So every pool here is created, and its caller runs,
 with numpy's OpenBLAS pinned to one thread where the loaded BLAS allows
-it, and the workers inherit that count.
+it, and the workers inherit that count. Lanes are the same rule inside one
+call: threads that each run one BLAS thread on their share of the rows.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import multiprocessing
 import os
@@ -32,6 +34,7 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+@functools.cache  # looked up once per process: every laned forward and eval pair pins
 def _blas_thread_functions():
     """numpy's OpenBLAS (get, set) thread-count functions, or None when
     numpy's extension module cannot be imported or loaded or exports none
@@ -117,3 +120,62 @@ def fork_pool(n: int):
             yield pool
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
+
+
+def serial(job) -> None:
+    """The ``run`` of one lane (``lanes``): ``job(0)`` in the calling thread."""
+    job(0)
+
+
+@contextmanager
+def lanes(n: int):
+    """Yields ``run``: ``run(job)`` calls ``job(lane)`` for every lane in
+    ``range(n)`` at once and returns when all have returned, raising the
+    error of a lane that raised. Lane 0 runs in the calling thread and the
+    others in ``n - 1`` threads started on entry, which wait between jobs
+    and are joined when the block exits, also when it raises. With
+    ``n <= 1`` no thread is started and ``run(job)`` is ``job(0)``.
+
+    The caller decides whether lanes may run: they share the cores with
+    everything else, so they belong where the calling thread is the only
+    one and holds ``one_blas_thread``.
+    """
+    if n <= 1:
+        yield serial
+        return
+    start, done = threading.Barrier(n), threading.Barrier(n)
+    jobs, errors = [None], []
+
+    def serve(lane):
+        try:
+            while True:
+                start.wait()
+                try:
+                    jobs[0](lane)
+                except BaseException as exc:  # re-raised by run in the caller
+                    errors.append(exc)
+                done.wait()
+        except threading.BrokenBarrierError:  # the block has exited
+            return
+
+    def run(job):
+        jobs[0] = job
+        start.wait()
+        try:
+            job(0)
+        finally:
+            done.wait()
+        if errors:
+            raise errors.pop()
+
+    threads = [threading.Thread(target=serve, args=(lane,), daemon=True)
+               for lane in range(1, n)]
+    for thread in threads:
+        thread.start()
+    try:
+        yield run
+    finally:
+        start.abort()
+        done.abort()
+        for thread in threads:
+            thread.join()

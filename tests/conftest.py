@@ -3,7 +3,8 @@ stand-in model output holding a hand-made per-pixel descriptor field, a
 PGM/PPM writer, a checkpoint writer and a PNG encoder with chosen row filters for image-file
 fixtures, the seeded byte mutator of the reader mutation tests, and a
 deliberately broken counting path that the oracle-check battery must catch,
-and two usable CPUs for the pool paths."""
+two usable CPUs for the pool paths, and a recorder of the forward's lane
+counts."""
 
 import os
 import struct
@@ -208,3 +209,32 @@ def two_cpus(monkeypatch):
     """Two usable CPUs, so the battery and training take the pool path on
     any host."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def use_cpus(monkeypatch, n):
+    """n usable CPUs, with the forward's cached lane counts recomputed for them."""
+    from pointprops import model
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    model._lanes.cache_clear()
+
+
+@pytest.fixture
+def lane_counts(monkeypatch):
+    """The lane count of every ``workers.lanes`` block entered, in order.
+    The forward's cached lane counts are recomputed for the usable CPUs
+    before the test (after fixtures set up earlier, such as ``two_cpus``)
+    and after it."""
+    from pointprops import model, workers
+
+    counts = []
+    lanes = workers.lanes
+
+    def recording(n):
+        counts.append(n)
+        return lanes(n)
+
+    monkeypatch.setattr(workers, "lanes", recording)
+    model._lanes.cache_clear()
+    yield counts
+    model._lanes.cache_clear()

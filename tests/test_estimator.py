@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import inspect
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import shape_scenes
-from pointprops import config, estimator, image_io, model, workers
+from pointprops import config, em, estimator, image_io, model, workers
 from pointprops.estimator import NotFittedError, PointPropsDetector
 
 
@@ -129,6 +130,28 @@ class TestFitDetect:
         finally:
             set_(before)
         assert seen == [1]
+
+    def test_training_forks_its_pool_after_a_laned_detect(self, two_cpus, lane_counts,
+                                                          monkeypatch):
+        # the detect's lane threads are joined before it returns, so training
+        # in the same process still finds itself the only thread and forks
+        det = tiny_detector()
+        det.params_ = model.init_params(0, det.descriptor_dim)
+        det.detect(np.random.default_rng(0).random((240, 320)))
+        assert lane_counts == [2]
+        pools = []
+        fork_pool = workers.fork_pool
+
+        @contextlib.contextmanager
+        def recording(n):
+            with fork_pool(n) as pool:
+                pools.append(pool)
+                yield pool
+
+        monkeypatch.setattr(workers, "fork_pool", recording)
+        em.train(shape_scenes(3, 2, size=16),
+                 config.TrainConfig(iterations=1, seed=2, transforms_per_scene=2))
+        assert len(pools) == 1 and pools[0] is not None
 
     def test_detect_crops_padding(self):
         det = tiny_detector().fit(shape_scenes(3, 2, size=16))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import naive_net
-from conftest import ReadRecorder, mutate_bytes, write_zero_checkpoint
-from pointprops import image_io, model
+from conftest import ReadRecorder, mutate_bytes, use_cpus, write_zero_checkpoint
+from pointprops import image_io, model, workers
 
 
 def random_params(seed=7, d=8):
@@ -280,6 +280,14 @@ class TestBandedConv:
         dest[1:-1, 1:-1, 3:] = np.nan
         assert np.isnan(dest).all()
 
+    @pytest.mark.parametrize("h, w, cin, cout", [(37, 1000, 8, 8), (21, 1000, 2, 8)])
+    def test_bias_rows_add_the_bias_bit_for_bit(self, h, w, cin, cout):
+        # with several bands the bias is added as one (W, Cout) row per image row
+        x, wts, bias, _ = random_conv(h, w, cin, cout)
+        xp = padded(x)
+        assert len(model._conv3_bands(h, w + 2, cin, cout)[0]) > 1
+        assert np.array_equal(conv3(xp, wts, bias), conv3(xp, wts, np.zeros(cout)) + bias)
+
     @pytest.mark.parametrize("h, w, cin, cout", SHAPES)
     def test_backward_equals_hand_derived_gradients(self, h, w, cin, cout):
         x, wts, _, grad_out = random_conv(h, w, cin, cout)
@@ -445,6 +453,33 @@ class TestMaxPool:
         assert (dest == 7.0).all()
 
 
+class TestMaxPoolBackward:
+    """``_maxpool2_backward`` by first-max masks equals the argmax form bit
+    for bit, ties and signed zeros included."""
+
+    @staticmethod
+    def argmax_form(grad_out, x):
+        h, w, c = x.shape
+        blocks = x.reshape(h // 2, 2, w // 2, 2, c).transpose(0, 2, 1, 3, 4)
+        arg = blocks.reshape(h // 2, w // 2, 4, c).argmax(axis=2)
+        dblocks = np.zeros((h // 2, w // 2, 4, c))
+        np.put_along_axis(dblocks, arg[:, :, None, :], grad_out[:, :, None, :], axis=2)
+        dblocks = dblocks.reshape(h // 2, w // 2, 2, 2, c).transpose(0, 2, 1, 3, 4)
+        return dblocks.reshape(h, w, c)
+
+    @pytest.mark.parametrize("h, w, c", [(2, 2, 1), (4, 6, 3), (32, 32, 16), (64, 64, 8)])
+    def test_equals_the_argmax_form(self, h, w, c):
+        rng = np.random.default_rng(h * 100 + w + c)
+        # few distinct values, so most blocks tie, some between 0.0 and -0.0
+        x = rng.choice(np.array([0.0, -0.0, 1.0, 1.0 + 2.0 ** -52, -3.5]), size=(h, w, c))
+        grad = rng.normal(size=(h // 2, w // 2, c))
+        grad[rng.random(grad.shape) < 0.2] = -0.0
+        got = model._maxpool2_backward(grad, x)
+        expected = self.argmax_form(grad, x)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
 class TestUpsample:
     """The detection upsample and its adjoint equal the dense GEMMs bit for
     bit; the forward writes into a strided view, as into det1's input."""
@@ -558,6 +593,86 @@ class TestWorkspace:
         assert first - second > 0.95 * workspace
         # measured 23.23 MiB
         assert workspace < 23.3 * 2**20
+
+
+class TestLanes:
+    """A tape-free forward on a large image splits its layers' rows among
+    ``model._lanes`` threads; the maps are the serial forward's bits under
+    one BLAS thread, and no thread outlives the call."""
+
+    @staticmethod
+    def serial(params, img):
+        """The taped forward, which runs one lane, under one BLAS thread."""
+        with workers.one_blas_thread():
+            return model.forward(params, img)
+
+    @staticmethod
+    def assert_same_bytes(got, expected):
+        assert got.prob_map.tobytes() == expected.prob_map.tobytes()
+        assert got.desc_map.tobytes() == expected.desc_map.tobytes()
+
+    # at 240x320 enc1 has 5 bands, enc2 and det1 4, enc3 and enc4 2: with 3
+    # lanes enc3's bands leave a lane idle; at 120x640 enc1 has 5 bands too
+    @pytest.mark.parametrize("shape, cpus", [((240, 320), 2), ((240, 320), 3),
+                                             ((120, 640), 2)])
+    def test_lanes_give_the_serial_bits(self, monkeypatch, lane_counts, shape, cpus):
+        params = model.init_params(0, 16)
+        img = np.random.default_rng(shape[1] + cpus).random(shape)
+        expected = self.serial(params, img)
+        use_cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        self.assert_same_bytes(model.forward(params, img, keep_cache=False), expected)
+        assert threading.active_count() == before
+        assert lane_counts == [cpus]  # the taped forward enters no lanes block
+
+    def test_band_counts(self):
+        bands = {name: len(model._conv3_bands(shape[0] - 2, shape[1], shape[2], cout)[0])
+                 for name, (shape, cout) in model._conv_inputs(240, 320, 16).items()}
+        assert bands == {"enc1": 5, "enc2": 4, "enc3": 2, "enc4": 2, "det1": 4, "det2": 1,
+                         "desc1": 1, "desc2": 1}
+
+    def test_one_band_convs_neither_pin_nor_start_a_thread(self, monkeypatch, lane_counts):
+        use_cpus(monkeypatch, 2)
+        pins = []
+        monkeypatch.setattr(workers, "one_blas_thread", lambda: pins.append(1))
+        for shape in [(8, 8), (24, 24), (64, 64)]:
+            model.forward(model.init_params(0, 4), np.zeros(shape), keep_cache=False)
+        assert lane_counts == [] and pins == []
+
+    @pytest.mark.parametrize("cause", ["other thread", "unpinnable blas"])
+    def test_serial_bands(self, monkeypatch, lane_counts, cause):
+        use_cpus(monkeypatch, 2)
+        params = model.init_params(1, 16)
+        img = np.random.default_rng(4).random((240, 320))
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        if cause == "other thread":
+            waiter.start()
+            expected = self.serial(params, img)
+        else:
+            monkeypatch.setattr(workers, "_blas_thread_functions", lambda: None)
+            expected = model.forward(params, img)  # under the same, unpinned, BLAS
+        try:
+            got = model.forward(params, img, keep_cache=False)
+        finally:
+            release.set()
+            if cause == "other thread":
+                waiter.join(10)
+        assert not waiter.is_alive()
+        self.assert_same_bytes(got, expected)
+        assert lane_counts == [1]
+
+    @pytest.mark.usefixtures("lane_counts")
+    def test_workspace_holds_one_band_buffer_per_lane(self, monkeypatch):
+        params = model.init_params(0, 16)
+        use_cpus(monkeypatch, 2)
+        model.forward(params, np.zeros((240, 320)), keep_cache=False)
+        arrays = model._workspace(240, 320, 16)
+        layout = model._layout(240, 320, 16)
+        for name in ("scratch", "acc"):
+            assert arrays[name].shape == (2,) + layout[name][2][1:]
+        # 2.4 MiB (2.5 MB) per lane at 240x320
+        assert 2.3e6 < 8 * (arrays["scratch"][0].size + arrays["acc"][0].size) < 2.6e6
 
 
 class TestOnePixelAxes:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,23 @@ class TestProjectPoints:
         np.testing.assert_array_equal(out[1], [1.0, 1.5])
         _, valid = simulate.map_points([[w, 3.0]], h, (10**12, 10**12))
         assert valid[0] == (finite and w > 0)  # a negative w puts y = 3 / w above the image
+
+    @pytest.mark.parametrize("h", [
+        np.array([[1.01, 0.02, 1.5], [-0.03, 0.98, -2.0], [1e-4, -2e-4, 1.0]]),
+        np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, -5.0]]),  # w = 0 at x = 5
+    ])
+    def test_equals_the_masked_divide_without_warnings(self, h):
+        rows, cols = np.mgrid[0:64, 0:64]
+        pts = np.stack([cols.ravel(), rows.ravel()], axis=1).astype(float)
+        mapped = np.hstack([pts, np.ones((pts.shape[0], 1))]) @ h.T
+        safe = np.abs(mapped[:, 2]) >= simulate._W_COORD_EPS
+        expected = np.full_like(pts, np.nan)
+        expected[safe] = mapped[safe, :2] / mapped[safe, 2, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = simulate.project_points(pts, h)
+        assert np.array_equal(out, expected, equal_nan=True)
+        assert np.isnan(out).any() == (not safe.all())
 
     def test_empty_input(self):
         out = simulate.project_points(np.zeros((0, 2)), np.eye(3))
