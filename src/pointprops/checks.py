@@ -393,7 +393,8 @@ def run_all_checks() -> list:
 
     The checks share no state, so they run in a ``workers.fork_pool`` of
     forked worker processes, one per usable CPU (at most one per check),
-    with one BLAS thread each where the BLAS can be pinned. The slow
+    which inherit this process's one BLAS thread (``workers.BLAS_PINNED``)
+    where the BLAS could be pinned. The slow
     gradient checks sit last in the list and are submitted first. The
     battery runs serially in this process when only one CPU is usable or
     when ``fork_pool`` gives no pool (a daemonic caller, other threads

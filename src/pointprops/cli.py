@@ -243,38 +243,32 @@ def _pairs_from_directory(run: RunConfig):
 
 
 def evaluate_pair(params, img_a, img_b, hom, eval_cfg, rad, pair_seed=0):
-    """Full pipeline on one pair; returns the metrics row plus artifacts.
-
-    Runs with numpy's OpenBLAS pinned to one thread throughout, not only in
-    the forwards: where the forwards run on lanes (``model.forward``), a
-    second BLAS thread in the matching and RANSAC between them would
-    compete with the lanes for the cores."""
-    with workers.one_blas_thread():
-        threshold, max_points = eval_cfg.prob_threshold, eval_cfg.max_points
-        pts_a = evaluate.detect_points(params, img_a, threshold, rad, max_points)
-        pts_b = evaluate.detect_points(params, img_b, threshold, rad, max_points)
-        matches = evaluate.match_two_way(pts_a, pts_b)
-        score = evaluate.matching_score(
-            matches, pts_a, pts_b, hom, img_a.shape, img_b.shape, eval_cfg.epsilon
-        )
-        estimate = evaluate.estimate_homography(
-            matches, pts_a, pts_b,
-            seed=pair_seed,
-            max_iters=eval_cfg.ransac_iters,
-            inlier_threshold=eval_cfg.ransac_threshold,
-        )
-        height, width = img_a.shape
-        error, correct = evaluate.homography_error(estimate, hom, (width, height),
-                                                   eval_cfg.epsilon)
-        row = {
-            "m_score": score,
-            "homo_error": error,
-            "HE": correct,
-            "num_points_A": len(pts_a),
-            "num_points_B": len(pts_b),
-            "num_matches": len(matches),
-        }
-        return row, (pts_a, pts_b, matches)
+    """Full pipeline on one pair; returns the metrics row plus artifacts."""
+    threshold, max_points = eval_cfg.prob_threshold, eval_cfg.max_points
+    pts_a = evaluate.detect_points(params, img_a, threshold, rad, max_points)
+    pts_b = evaluate.detect_points(params, img_b, threshold, rad, max_points)
+    matches = evaluate.match_two_way(pts_a, pts_b)
+    score = evaluate.matching_score(
+        matches, pts_a, pts_b, hom, img_a.shape, img_b.shape, eval_cfg.epsilon
+    )
+    estimate = evaluate.estimate_homography(
+        matches, pts_a, pts_b,
+        seed=pair_seed,
+        max_iters=eval_cfg.ransac_iters,
+        inlier_threshold=eval_cfg.ransac_threshold,
+    )
+    height, width = img_a.shape
+    error, correct = evaluate.homography_error(estimate, hom, (width, height),
+                                               eval_cfg.epsilon)
+    row = {
+        "m_score": score,
+        "homo_error": error,
+        "HE": correct,
+        "num_points_A": len(pts_a),
+        "num_points_B": len(pts_b),
+        "num_matches": len(matches),
+    }
+    return row, (pts_a, pts_b, matches)
 
 
 def cmd_eval(args) -> int:
@@ -416,9 +410,7 @@ def main(argv=None) -> int:
         "visualize": cmd_visualize,
     }
     try:
-        # worker threads or processes and BLAS threads would compete for the same cores
-        with workers.one_blas_thread():
-            return handlers[args.command](args)
+        return handlers[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"pointprops {args.command}: {exc}", file=sys.stderr)
         return RUNTIME_ERROR

@@ -279,17 +279,16 @@ def train(images, cfg: TrainConfig) -> TrainResult:
 
     The scenes of an iteration run in k = min(B, usable CPUs) processes:
     this one runs scenes 0, k, 2k, ... and a ``workers.fork_pool`` of k - 1
-    forked workers, created afresh for each call, runs the rest. The whole
-    call, on either path, runs with numpy's OpenBLAS pinned to one thread
-    (``workers.one_blas_thread``; the previous count is restored on return),
-    and E[L] and the gradients are summed here in scene order, so the
-    result is bit for bit the serial one and does not depend on how many
-    CPUs are usable. Training runs serially in this process, one scene's
-    tapes alive at a time, when k = 1, when ``fork_pool`` gives no pool (a
-    daemonic caller, other threads running), or when the BLAS cannot be
-    pinned; in that last case the BLAS keeps its thread count, and at large
-    image sizes the bits can depend on it. The workers' memory is not part
-    of this process's ``RUSAGE_SELF``.
+    forked workers, created afresh for each call, runs the rest. Both paths
+    run numpy's OpenBLAS at the one thread that importing the program set
+    (``workers.BLAS_PINNED``), and E[L] and the gradients are summed here
+    in scene order, so the result is bit for bit the serial one and does
+    not depend on how many CPUs are usable. Training runs serially in this
+    process, one scene's tapes alive at a time, when k = 1, when
+    ``fork_pool`` gives no pool (a daemonic caller, other threads running),
+    or when the BLAS could not be pinned; in that last case the BLAS keeps
+    its thread count, and at large image sizes the bits can depend on it.
+    The workers' memory is not part of this process's ``RUSAGE_SELF``.
 
     Raises ValueError naming the iteration when a scene raises ValueError
     (in this process or a worker), when the kept scenes' E[L] or a summed
@@ -311,10 +310,8 @@ def train(images, cfg: TrainConfig) -> TrainResult:
     rows = []
     all_skipped = 0  # consecutive iterations with every scene skipped
     procs = min(cfg.batch_scenes, workers.usable_cpus())
-    # one BLAS thread on both paths, so the bits do not depend on the path;
     # workers that each start BLAS threads would run slower than serial
-    with (workers.one_blas_thread() as pinned,
-          workers.fork_pool(procs - 1 if pinned else 0) as pool):
+    with workers.fork_pool(procs - 1 if workers.BLAS_PINNED else 0) as pool:
         stride = 1 if pool is None else procs  # stride 1: every scene runs here
         for t in range(1, cfg.iterations + 1):
             start = time.perf_counter()

@@ -11,7 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import em, evaluate, model, workers
+from . import em, evaluate, model
 from .config import EvalConfig, PropertyConfig, TrainConfig
 
 
@@ -116,13 +116,12 @@ class PointPropsDetector:
 
     def detect(self, image) -> evaluate.PointSet:
         """Extract interest points with descriptors from one image, computed
-        with one BLAS thread as ``pointprops eval`` does, so both give the
-        same points."""
+        as ``pointprops eval`` computes them, under the same one-thread BLAS
+        (``workers.BLAS_PINNED``), so both give the same points."""
         self._check_fitted()
         cfg = EvalConfig(**self._settings(EvalConfig))
-        with workers.one_blas_thread():
-            return evaluate.detect_points(self.params_, as_float_image(image),
-                                          cfg.prob_threshold, self.rad, cfg.max_points)
+        return evaluate.detect_points(self.params_, as_float_image(image),
+                                      cfg.prob_threshold, self.rad, cfg.max_points)
 
     def predict(self, X) -> list:
         """Detect on a list of images; returns one PointSet per image."""

@@ -166,7 +166,7 @@ def _bands(n_rows: int, row_bytes: int):
     least_rows = min(n_rows, -(-BAND_BYTES // row_bytes))
     num_bands = n_rows // least_rows
     edges = [n_rows * i // num_bands for i in range(num_bands + 1)]
-    return list(zip(edges[:-1], edges[1:]))
+    return tuple(zip(edges[:-1], edges[1:]))
 
 
 def _reflect_border(xp: np.ndarray) -> None:
@@ -235,6 +235,7 @@ def _shifted_gemm(src, offsets, taps, out, scratch) -> None:
             out += product
 
 
+@functools.lru_cache  # a forward's plan repeats for every image of its shape
 def _conv3_bands(h: int, wp: int, cin: int, cout: int):
     """Output row bands of a conv on an (h + 2, wp, cin) padded input, and
     the floats of scratch and of accumulator that its largest band needs."""
@@ -471,14 +472,19 @@ def _conv_inputs(h: int, w: int, d: int) -> dict:
 
 
 @functools.lru_cache(maxsize=16)
+def _most_bands(h: int, w: int, d: int) -> int:
+    """The most row bands of any conv of a forward on an (h, w) image at
+    descriptor width d."""
+    return max(len(_conv3_bands(shape[0] - 2, shape[1], shape[2], cout)[0])
+               for shape, cout in _conv_inputs(h, w, d).values())
+
+
 def _lanes(h: int, w: int, d: int) -> int:
     """Lanes of a tape-free forward on an (h, w) image at descriptor width d:
-    one per usable CPU, but no more than the most row bands of any of its
-    convs, so a forward whose convs each run one band (every 64x64 one)
-    starts no thread."""
-    bands = max(len(_conv3_bands(shape[0] - 2, shape[1], shape[2], cout)[0])
-                for shape, cout in _conv_inputs(h, w, d).values())
-    return min(workers.usable_cpus(), bands)
+    one per usable CPU, counted afresh on each call, but no more than the
+    most row bands of any of its convs, so a forward whose convs each run
+    one band (every 64x64 one) starts no thread."""
+    return min(workers.usable_cpus(), _most_bands(h, w, d))
 
 
 @functools.lru_cache(maxsize=16)
@@ -531,13 +537,12 @@ def _layout(h: int, w: int, d: int) -> dict:
 _thread = threading.local()
 
 
-def _workspace(h: int, w: int, d: int) -> dict:
+def _workspace(h: int, w: int, d: int, lanes: int) -> dict:
     """This thread's tape-free forward arrays for an (h, w) image at
-    descriptor width d: views at their ``_layout`` offsets into one buffer,
-    kept across calls and rebuilt when the shape changes. The buffer holds
-    every arena once and arena "s" once per lane (``_lanes``), so
-    "scratch" and "acc" have one row per lane."""
-    lanes = _lanes(h, w, d)
+    descriptor width d on ``lanes`` lanes: views at their ``_layout``
+    offsets into one buffer, kept across calls and rebuilt when the shape or
+    the lane count changes. The buffer holds every arena once and arena "s"
+    once per lane, so "scratch" and "acc" have one row per lane."""
     key = (h, w, d, lanes)
     if getattr(_thread, "key", None) != key:
         _thread.key = _thread.arrays = None  # free the old buffer first
@@ -583,16 +588,15 @@ def forward(
     (``_workspace``), reused by the thread's next tape-free forward of the
     same shape, and the cache is empty, so ``backward`` rejects the output.
 
-    A tape-free forward with several lanes planned (``_lanes(H, W, d)``,
-    from a 240x320 image on 2 CPUs) runs with numpy's OpenBLAS pinned to
-    one thread (``workers.one_blas_thread``). Where the pin takes and the
-    calling thread is the only one running, it splits its layers' rows
-    among those lanes, threads that run one BLAS thread each, started and
-    joined within the call; elsewhere, as in another pool's threads, it
-    runs one lane. With one lane planned (every conv one band, as at 64x64
-    and below, or one usable CPU) it runs as the taped forward does, with
-    no pin and no thread. The maps are always the taped forward's bits
-    under the same BLAS thread count, and are always fresh arrays.
+    A tape-free forward splits its layers' rows among ``_lanes(H, W, d)``
+    lanes (2 for a 240x320 image on 2 CPUs), threads that run one BLAS
+    thread each, started and joined within the call, where numpy's OpenBLAS
+    runs one thread (``workers.BLAS_PINNED``) and the calling thread is the
+    only one running; elsewhere, as in another pool's threads, and where
+    every conv is one band (at 64x64 and below) or one CPU is usable, it
+    runs one lane, in the calling thread. The maps are always the taped
+    forward's bits under the same BLAS thread count, and are always fresh
+    arrays.
     """
     x = np.asarray(image, dtype=float)
     if x.ndim == 2:
@@ -612,18 +616,13 @@ def forward(
 
         prob, unit_q, cache = _layers(params.weights, x, take)
         return ModelOutput(prob_map=prob, desc_map=unit_q, cache=cache)
-    take = _workspace(h, w, d).__getitem__
-    lanes = _lanes(h, w, d)
-    if lanes == 1:  # nothing to split, so no pin to pay for on tiny images
-        prob, unit_q, _ = _layers(params.weights, x, take)
-        return ModelOutput(prob_map=prob, desc_map=unit_q)
-    with workers.one_blas_thread() as pinned:
-        # lanes in another pool's threads, or beside BLAS threads, would only
-        # compete with them for the cores
-        if not pinned or threading.active_count() > 1:
-            lanes = 1
-        with workers.lanes(lanes) as run:
-            prob, unit_q, _ = _layers(params.weights, x, take, run, lanes)
+    # lanes in another pool's threads, or beside BLAS threads, would only
+    # compete with them for the cores
+    alone = workers.BLAS_PINNED and threading.active_count() == 1
+    lanes = _lanes(h, w, d) if alone else 1
+    take = _workspace(h, w, d, lanes).__getitem__
+    with workers.lanes(lanes) as run:
+        prob, unit_q, _ = _layers(params.weights, x, take, run, lanes)
     return ModelOutput(prob_map=prob, desc_map=unit_q)
 
 

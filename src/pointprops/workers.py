@@ -3,15 +3,16 @@ worker pools and the lanes of one call.
 
 Worker processes and BLAS threads compete for the same cores: two
 processes that each start BLAS threads run several times slower than two
-that each run one. So every pool here is created, and its caller runs,
-with numpy's OpenBLAS pinned to one thread where the loaded BLAS allows
-it, and the workers inherit that count. Lanes are the same rule inside one
-call: threads that each run one BLAS thread on their share of the rows.
+that each run one. So importing this module sets numpy's OpenBLAS to one
+thread for the whole process, once, where the loaded BLAS allows it
+(``BLAS_PINNED``); forked workers inherit that count. Lanes are the same
+rule inside one call: threads that each run one BLAS thread on their share
+of the rows.
 """
 
 from __future__ import annotations
 
-import functools
+import ctypes
 import importlib
 import multiprocessing
 import os
@@ -34,13 +35,10 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-@functools.cache  # looked up once per process: every laned forward and eval pair pins
 def _blas_thread_functions():
     """numpy's OpenBLAS (get, set) thread-count functions, or None when
     numpy's extension module cannot be imported or loaded or exports none
     of them (a numpy built against MKL, Accelerate or a system BLAS)."""
-    import ctypes  # only a pool or a pin needs it
-
     for module in _NUMPY_CORE:
         try:
             lib = ctypes.CDLL(importlib.import_module(module).__file__)
@@ -60,39 +58,19 @@ def _blas_thread_functions():
     return None
 
 
-# the thread count is one setting for the whole process, so the pins held
-# at once share it: the first to enter saves the count and pins, the last to
-# exit restores it
-_PIN_LOCK = threading.Lock()
-_pins = 0
-_unpinned = None
-
-
-@contextmanager
-def one_blas_thread():
-    """Pin numpy's OpenBLAS to one thread for the ``with`` block and restore
-    the previous count when the last block that holds the pin exits, also
-    when it raises; safe to enter from several threads at once and nested.
-    Yields whether the pin took: False when the BLAS's thread functions
-    cannot be found, in which case nothing is changed."""
-    global _pins, _unpinned
+def _pin_blas() -> bool:
+    """Set numpy's OpenBLAS to one thread; whether its thread functions
+    were found (nothing is changed where they were not)."""
     functions = _blas_thread_functions()
     if functions is None:
-        yield False
-        return
-    get, set_ = functions
-    with _PIN_LOCK:
-        if _pins == 0:
-            _unpinned = get()
-            set_(1)
-        _pins += 1
-    try:
-        yield True
-    finally:
-        with _PIN_LOCK:
-            _pins -= 1
-            if _pins == 0:
-                set_(_unpinned)
+        return False
+    functions[1](1)
+    return True
+
+
+# whether numpy's OpenBLAS runs one thread, set here once for the whole
+# process: every pool, lane and pair of the program relies on it
+BLAS_PINNED = _pin_blas()
 
 
 @contextmanager
@@ -101,25 +79,22 @@ def fork_pool(n: int):
     serially in this process.
 
     Fork, not spawn: workers inherit the caller's modules as they are,
-    monkeypatches included, and skip re-importing numpy and the program.
-    The pool is created and used inside ``one_blas_thread``, so its workers
-    run one BLAS thread each where the pin takes; where it does not, the
-    pool is made all the same and the BLAS keeps its count. None when
-    ``n < 1``, when this process is a daemonic worker (which may not have
-    children), or when other threads are running (fork copies only the
-    calling thread, so a lock another thread holds would stay held in the
-    worker). The pool is shut down and its workers joined when the block
-    exits, also when it raises.
+    monkeypatches included, and its BLAS thread count (one where
+    ``BLAS_PINNED``), and skip re-importing numpy and the program. None
+    when ``n < 1``, when this process is a daemonic worker (which may not
+    have children), or when other threads are running (fork copies only
+    the calling thread, so a lock another thread holds would stay held in
+    the worker). The pool is shut down and its workers joined when the
+    block exits, also when it raises.
     """
     if n < 1 or multiprocessing.current_process().daemon or threading.active_count() > 1:
         yield None
         return
-    with one_blas_thread():
-        pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"))
-        try:
-            yield pool
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+    pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def serial(job) -> None:
@@ -138,7 +113,7 @@ def lanes(n: int):
 
     The caller decides whether lanes may run: they share the cores with
     everything else, so they belong where the calling thread is the only
-    one and holds ``one_blas_thread``.
+    one and ``BLAS_PINNED``.
     """
     if n <= 1:
         yield serial

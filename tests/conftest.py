@@ -212,20 +212,14 @@ def two_cpus(monkeypatch):
 
 
 def use_cpus(monkeypatch, n):
-    """n usable CPUs, with the forward's cached lane counts recomputed for them."""
-    from pointprops import model
-
+    """n usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    model._lanes.cache_clear()
 
 
 @pytest.fixture
 def lane_counts(monkeypatch):
-    """The lane count of every ``workers.lanes`` block entered, in order.
-    The forward's cached lane counts are recomputed for the usable CPUs
-    before the test (after fixtures set up earlier, such as ``two_cpus``)
-    and after it."""
-    from pointprops import model, workers
+    """The lane count of every ``workers.lanes`` block entered, in order."""
+    from pointprops import workers
 
     counts = []
     lanes = workers.lanes
@@ -235,6 +229,4 @@ def lane_counts(monkeypatch):
         return lanes(n)
 
     monkeypatch.setattr(workers, "lanes", recording)
-    model._lanes.cache_clear()
-    yield counts
-    model._lanes.cache_clear()
+    return counts

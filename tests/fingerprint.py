@@ -10,8 +10,9 @@ and the fixed eval checkpoint come from this checkout, which is only read.
 For seeds 1-3 it prints the train-64 checkpoint sha256 and a hash of its log
 rows (40 EM iterations from ``TrainConfig(iterations=40, seed=seed)``, wall
 times left out), a hash of the eval-240x320 rows from ``cli.evaluate_pair``
-(which runs pinned to one BLAS thread, so a parent whose ``evaluate_pair``
-did not pin gives the same line only under ``OPENBLAS_NUM_THREADS=1``), and
+(which runs under the one BLAS thread that importing ``pointprops`` sets, so
+a version that did not pin gives the same line only under
+``OPENBLAS_NUM_THREADS=1``), and
 a hash of the metrics.csv that ``pointprops eval --pairs`` writes for the
 same 8 pairs, written as PNGs plus a pair list (so the command's pair pool,
 BLAS pin, aggregation and CSV format are covered too); for seed 1 also a

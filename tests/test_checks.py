@@ -152,7 +152,7 @@ class TestRunAllChecks:
 
     def test_unpinnable_blas_keeps_the_pool(self, two_cpus, monkeypatch):
         stub_checks(monkeypatch)
-        monkeypatch.setattr(workers, "_blas_thread_functions", lambda: None)
+        monkeypatch.setattr(workers, "BLAS_PINNED", False)
         results = checks.run_all_checks()
         assert [r.name for r in results] == NAMES
         assert os.getpid() not in {r.deviation for r in results}

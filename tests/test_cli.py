@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (mutate_bytes, shape_scenes, write_filtered_png, write_pnm,
                       write_zero_checkpoint)
-from pointprops import cli, evaluate, image_io, model, simulate, workers
+from pointprops import cli, evaluate, image_io, model, simulate
 from pointprops.config import EvalConfig
 
 
@@ -432,52 +432,6 @@ class TestEvalCommand:
                              "--images", str(image_dir), "--output", str(out)]) == 0
             texts.append((out / "metrics.csv").read_bytes())
         assert texts[0] == texts[1]
-
-    def test_a_library_pair_runs_pinned_throughout(self, monkeypatch):
-        # matching and RANSAC too, not only the forwards
-        get, set_ = workers._blas_thread_functions()
-        before = get()
-        seen = []
-        for name in ("detect_points", "match_two_way", "estimate_homography"):
-            original = getattr(evaluate, name)
-
-            def recording(*args, original=original, **kwargs):
-                seen.append(get())
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(evaluate, name, recording)
-        img = shape_scenes(3, 1, size=32)[0]
-        try:
-            set_(2)
-            cli.evaluate_pair(model.init_params(0, 4), img, img, np.eye(3), EvalConfig(), 2)
-            assert get() == 2
-        finally:
-            set_(before)
-        assert seen == [1] * 4
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_pairs_are_scored_with_one_blas_thread(self, image_dir, config_file, trained_dir,
-                                                   tmp_path, monkeypatch, cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        get, set_ = workers._blas_thread_functions()
-        before = get()
-        seen = []
-        evaluate_pair = cli.evaluate_pair
-
-        def recording(*args, **kwargs):
-            seen.append(get())
-            return evaluate_pair(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "evaluate_pair", recording)
-        try:
-            set_(2)
-            assert cli.main(["eval", "--config", str(config_file),
-                             "--checkpoint", str(trained_dir / "model.ckpt"),
-                             "--images", str(image_dir), "--output", str(tmp_path)]) == 0
-            assert get() == 2
-        finally:
-            set_(before)
-        assert seen == [1] * 4  # one pair per image
 
     def test_points_in_the_edge_padding_are_dropped(self):
         # 62x61 images are edge-padded to 64x64 for the model; points that

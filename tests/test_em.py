@@ -561,16 +561,10 @@ class TestScenePool:
 
     def test_pooled_equals_serial_where_blas_threads_move_bits(self, monkeypatch, tmp_path):
         # at 192x192 one iteration's parameters differed between 1 and 2 BLAS
-        # threads; both paths pin one, so a 2-thread caller cannot tell them apart
-        get, set_ = workers._blas_thread_functions()
-        before = get()
+        # threads; the caller and its workers all run the one thread set on import
         cfg = TrainConfig(iterations=1, seed=2, transforms_per_scene=3)
-        try:
-            set_(2)
-            pooled = self.train(monkeypatch, tmp_path, 2, shape_scenes(3, 2, size=192), cfg)
-            serial = self.train(monkeypatch, tmp_path, 1, shape_scenes(3, 2, size=192), cfg)
-        finally:
-            set_(before)
+        pooled = self.train(monkeypatch, tmp_path, 2, shape_scenes(3, 2, size=192), cfg)
+        serial = self.train(monkeypatch, tmp_path, 1, shape_scenes(3, 2, size=192), cfg)
         assert pooled == serial
 
     def test_unpinnable_blas_trains_serially(self, two_cpus, monkeypatch, tmp_path):
@@ -585,38 +579,9 @@ class TestScenePool:
             return e_step(scenes, params, cfg)
 
         monkeypatch.setattr(em, "e_step", recording)
-        monkeypatch.setattr(workers, "_blas_thread_functions", lambda: None)
+        monkeypatch.setattr(workers, "BLAS_PINNED", False)
         assert self.train(monkeypatch, tmp_path, 2, images, cfg) == pooled
         assert here == [os.getpid()] * 4  # both scenes of both iterations
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_blas_thread_count_is_restored(self, monkeypatch, cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        get, set_ = workers._blas_thread_functions()
-        before = get()
-        seen = []
-        e_step = em.e_step
-
-        def recording(scenes, params, cfg):
-            seen.append(get())
-            return e_step(scenes, params, cfg)
-
-        def poisoned(state, scene, params, cfg):
-            raise ValueError("poisoned gradient")
-
-        monkeypatch.setattr(em, "e_step", recording)
-        cfg = TrainConfig(iterations=1, seed=2, transforms_per_scene=3)
-        try:
-            set_(2)
-            em.train(shape_scenes(3, 2, size=32), cfg)
-            assert get() == 2
-            monkeypatch.setattr(em, "scene_parameter_gradients", poisoned)
-            with pytest.raises(ValueError, match="iteration 1: poisoned gradient"):
-                em.train(shape_scenes(3, 2, size=32), cfg)
-            assert get() == 2
-        finally:
-            set_(before)
-        assert seen and set(seen) == {1}  # this process's scenes, under the pin
 
     def test_worker_value_error_keeps_type_and_names_iteration(self, two_cpus, monkeypatch):
         parent = os.getpid()

@@ -105,32 +105,6 @@ class TestFitDetect:
         if len(points):
             assert points.descriptors.shape[1] == 4
 
-    def test_detect_computes_with_one_blas_thread(self, monkeypatch):
-        # as pointprops eval does: at 240x320 a point count differed between
-        # 1 and 2 BLAS threads
-        functions = workers._blas_thread_functions()
-        if functions is None:
-            pytest.skip("numpy's BLAS exports no OpenBLAS thread functions")
-        get, set_ = functions
-        before = get()
-        seen = []
-        forward = model.forward
-
-        def recording(*args, **kwargs):
-            seen.append(get())
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(model, "forward", recording)
-        det = tiny_detector()
-        det.params_ = model.init_params(0, det.descriptor_dim)
-        try:
-            set_(2)
-            det.detect(shape_scenes(3, 1, size=16)[0])
-            assert get() == 2
-        finally:
-            set_(before)
-        assert seen == [1]
-
     def test_training_forks_its_pool_after_a_laned_detect(self, two_cpus, lane_counts,
                                                           monkeypatch):
         # the detect's lane threads are joined before it returns, so training

@@ -22,6 +22,10 @@ exempt, since their callers live outside the package.
 Every array that ``model._layout`` places must be taken by ``model.forward``
 (its tape-free run asks the workspace for it): an array nothing takes is
 workspace memory that nothing reads.
+
+Only ``workers.py`` may name ``_blas_thread_functions``: numpy's OpenBLAS
+thread count is set once, when that module is imported, and every other
+module reads ``workers.BLAS_PINNED``.
 """
 
 import ast
@@ -138,6 +142,29 @@ def test_guard_flags_an_unset_default(tmp_path):
         "def use(box):\n    return scale(1, 3) + scale(2, clip=True) + box.grow(2)\n"
     )
     assert unset_defaults(tmp_path) == ["mod.py:1 scale(offset)", "mod.py:6 Box.grow(twice)"]
+
+
+def blas_thread_setters(src=SRC):
+    """Where a module other than ``workers.py`` names ``_blas_thread_functions``
+    (a name, an attribute, an import or a definition)."""
+    return [f"{filename}:{node.lineno}" for filename, tree in _parse(src).items()
+            if filename != "workers.py" for node in ast.walk(tree)
+            if "_blas_thread_functions" in {getattr(node, key, None)
+                                            for key in ("id", "attr", "name")}]
+
+
+def test_only_workers_sets_the_blas_thread_count():
+    assert blas_thread_setters() == []
+
+
+def test_guard_flags_a_second_blas_pin(tmp_path):
+    (tmp_path / "workers.py").write_text("def _blas_thread_functions():\n    return None\n")
+    (tmp_path / "model.py").write_text(
+        "from . import workers\n\n\ndef forward():\n"
+        "    return workers._blas_thread_functions()\n"
+    )
+    (tmp_path / "em.py").write_text("from .workers import _blas_thread_functions\n")
+    assert blas_thread_setters(tmp_path) == ["em.py:1", "model.py:5"]
 
 
 def _is_dataclass(node):

@@ -602,9 +602,8 @@ class TestLanes:
 
     @staticmethod
     def serial(params, img):
-        """The taped forward, which runs one lane, under one BLAS thread."""
-        with workers.one_blas_thread():
-            return model.forward(params, img)
+        """The taped forward, which runs one lane."""
+        return model.forward(params, img)
 
     @staticmethod
     def assert_same_bytes(got, expected):
@@ -632,12 +631,19 @@ class TestLanes:
                          "desc1": 1, "desc2": 1}
 
     def test_one_band_convs_neither_pin_nor_start_a_thread(self, monkeypatch, lane_counts):
+        # no forward pins: the BLAS thread count is set once, on import
         use_cpus(monkeypatch, 2)
-        pins = []
-        monkeypatch.setattr(workers, "one_blas_thread", lambda: pins.append(1))
         for shape in [(8, 8), (24, 24), (64, 64)]:
             model.forward(model.init_params(0, 4), np.zeros(shape), keep_cache=False)
-        assert lane_counts == [] and pins == []
+        assert lane_counts == [1, 1, 1]
+
+    def test_lanes_follow_the_usable_cpus_from_call_to_call(self, monkeypatch, lane_counts):
+        params = model.init_params(0, 16)
+        img = np.zeros((240, 320))
+        for cpus in (2, 1, 2):
+            use_cpus(monkeypatch, cpus)
+            model.forward(params, img, keep_cache=False)
+        assert lane_counts == [2, 1, 2]
 
     @pytest.mark.parametrize("cause", ["other thread", "unpinnable blas"])
     def test_serial_bands(self, monkeypatch, lane_counts, cause):
@@ -650,8 +656,8 @@ class TestLanes:
             waiter.start()
             expected = self.serial(params, img)
         else:
-            monkeypatch.setattr(workers, "_blas_thread_functions", lambda: None)
-            expected = model.forward(params, img)  # under the same, unpinned, BLAS
+            monkeypatch.setattr(workers, "BLAS_PINNED", False)
+            expected = model.forward(params, img)  # under the same BLAS
         try:
             got = model.forward(params, img, keep_cache=False)
         finally:
@@ -667,12 +673,27 @@ class TestLanes:
         params = model.init_params(0, 16)
         use_cpus(monkeypatch, 2)
         model.forward(params, np.zeros((240, 320)), keep_cache=False)
-        arrays = model._workspace(240, 320, 16)
+        arrays = model._workspace(240, 320, 16, 2)
         layout = model._layout(240, 320, 16)
         for name in ("scratch", "acc"):
             assert arrays[name].shape == (2,) + layout[name][2][1:]
         # 2.4 MiB (2.5 MB) per lane at 240x320
         assert 2.3e6 < 8 * (arrays["scratch"][0].size + arrays["acc"][0].size) < 2.6e6
+
+    def test_a_one_lane_forward_keeps_one_band_buffer(self, monkeypatch, lane_counts):
+        # as in eval's pair threads: beside another thread the forward takes one lane
+        use_cpus(monkeypatch, 2)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            model.forward(model.init_params(0, 16), np.zeros((240, 320)), keep_cache=False)
+        finally:
+            release.set()
+            waiter.join(10)
+        assert not waiter.is_alive()
+        assert lane_counts == [1]
+        assert model._thread.arrays["scratch"].shape[0] == 1
 
 
 class TestOnePixelAxes:

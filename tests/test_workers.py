@@ -1,4 +1,3 @@
-import ctypes
 import sys
 import threading
 
@@ -7,26 +6,17 @@ import pytest
 from pointprops import workers
 
 
-@pytest.fixture(autouse=True)
-def fresh_lookup():
-    """Each test looks numpy's BLAS thread functions up under its own
-    patches, and leaves no lookup made under them cached."""
-    workers._blas_thread_functions.cache_clear()
-    yield
-    workers._blas_thread_functions.cache_clear()
-
-
 def test_missing_numpy_core_module_cannot_pin(monkeypatch):
     for module in workers._NUMPY_CORE:
         monkeypatch.setitem(sys.modules, module, None)  # importing it now raises
     assert workers._blas_thread_functions() is None
-    with workers.one_blas_thread() as pinned:
-        assert pinned is False
+    assert workers._pin_blas() is False
 
 
 def test_blas_without_thread_functions_cannot_pin(monkeypatch):
     monkeypatch.setattr(workers, "_BLAS_THREADS", (("no_get_threads", "no_set_threads"),))
     assert workers._blas_thread_functions() is None
+    assert workers._pin_blas() is False
 
 
 def test_later_names_are_tried(monkeypatch):
@@ -37,65 +27,24 @@ def test_later_names_are_tried(monkeypatch):
     if functions is None:
         pytest.skip("numpy's BLAS exports no OpenBLAS thread functions")
     get, set_ = functions
-    before = get()
-    with workers.one_blas_thread() as pinned:
-        assert pinned is True
-        assert get() == 1
-    assert get() == before
-
-
-def test_pin_held_by_two_threads_lasts_until_both_exit():
-    functions = workers._blas_thread_functions()
-    if functions is None:
-        pytest.skip("numpy's BLAS exports no OpenBLAS thread functions")
-    get, set_ = functions
-    before = get()
-    first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
-    seen = []
-
-    def first():
-        with workers.one_blas_thread():
-            first_in.set()
-            second_in.wait(10)
-            seen.append(get())
-        first_out.set()
-
-    def second():
-        first_in.wait(10)
-        with workers.one_blas_thread():
-            second_in.set()
-            first_out.wait(10)
-            seen.append(get())  # the first thread has exited; this one still holds the pin
-
     try:
         set_(2)
-        threads = [threading.Thread(target=first), threading.Thread(target=second)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(30)
-        assert get() == 2
+        assert workers._pin_blas() is True
+        assert get() == 1
     finally:
-        set_(before)
-    assert seen == [1, 1]
+        set_(1)
 
 
-def test_thread_functions_are_looked_up_once(monkeypatch):
-    loads = []
-    cdll = ctypes.CDLL
+def blas_threads():
+    """This process's OpenBLAS thread count."""
+    return workers._blas_thread_functions()[0]()
 
-    def counting(*args, **kwargs):
-        loads.append(args[0])
-        return cdll(*args, **kwargs)
 
-    monkeypatch.setattr(ctypes, "CDLL", counting)
-    with workers.one_blas_thread():
-        pass
-    first = len(loads)
-    assert first >= 1
-    with workers.one_blas_thread():
-        pass
-    assert len(loads) == first
+def test_forked_workers_run_one_blas_thread():
+    if not workers.BLAS_PINNED:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread functions")
+    with workers.fork_pool(1) as pool:
+        assert pool.submit(blas_threads).result(timeout=60) == 1
 
 
 def test_lanes_run_each_job_on_every_lane_and_join():
