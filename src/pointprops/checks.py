@@ -392,19 +392,16 @@ def run_all_checks() -> list:
     """Every check's CheckResult, in CHECKS order.
 
     The checks share no state, so they run in a ``workers.fork_pool`` of
-    forked worker processes, one per usable CPU (at most one per check),
-    which inherit this process's one BLAS thread (``workers.BLAS_PINNED``)
-    where the BLAS could be pinned. The slow
-    gradient checks sit last in the list and are submitted first. The
-    battery runs serially in this process when only one CPU is usable or
-    when ``fork_pool`` gives no pool (a daemonic caller, other threads
-    running). A
-    check's exception is raised here with its own type; a worker that dies
-    raises BrokenProcessPool, a RuntimeError. The pool is shut down and its
+    k = ``workers.parallelism(10)`` forked worker processes, which inherit
+    this process's one BLAS thread; this process only waits. The slow
+    gradient checks sit last in the list and are submitted first. With
+    k = 1 the battery runs serially in this process. A check's exception is
+    raised here with its own type; a worker that dies raises
+    BrokenProcessPool, a RuntimeError. The pool is shut down and its
     workers joined before this returns or raises.
     """
     names = [check.__name__ for check in CHECKS]
-    size = min(workers.usable_cpus(), len(names))
+    size = workers.parallelism(len(names))
     # this process only waits, so one worker would add a fork and no speed
     with workers.fork_pool(size if size > 1 else 0) as pool:
         if pool is None:

@@ -298,7 +298,7 @@ def cmd_eval(args) -> int:
         )
         return idx, pair_id, row, artifacts, (img_a, img_b, hom)
 
-    with ThreadPoolExecutor(workers.usable_cpus()) as pool:
+    with ThreadPoolExecutor(workers.parallelism(len(pairs))) as pool:
         results = list(pool.map(work, enumerate(pairs)))
 
     rows = []

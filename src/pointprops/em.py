@@ -277,18 +277,17 @@ def train(images, cfg: TrainConfig) -> TrainResult:
     E-step and its own ascent gradients, and one Adam update applies their
     sum. Deterministic for a fixed config and seed.
 
-    The scenes of an iteration run in k = min(B, usable CPUs) processes:
-    this one runs scenes 0, k, 2k, ... and a ``workers.fork_pool`` of k - 1
-    forked workers, created afresh for each call, runs the rest. Both paths
-    run numpy's OpenBLAS at the one thread that importing the program set
-    (``workers.BLAS_PINNED``), and E[L] and the gradients are summed here
-    in scene order, so the result is bit for bit the serial one and does
-    not depend on how many CPUs are usable. Training runs serially in this
-    process, one scene's tapes alive at a time, when k = 1, when
-    ``fork_pool`` gives no pool (a daemonic caller, other threads running),
-    or when the BLAS could not be pinned; in that last case the BLAS keeps
-    its thread count, and at large image sizes the bits can depend on it.
-    The workers' memory is not part of this process's ``RUSAGE_SELF``.
+    The scenes of an iteration run in k = ``workers.parallelism(B)``
+    processes: this one runs scenes 0, k, 2k, ... and a
+    ``workers.fork_pool`` of k - 1 forked workers, created afresh for each
+    call, runs the rest. Both paths run numpy's OpenBLAS at the one thread
+    that importing the program set, and E[L] and the gradients are summed
+    here in scene order, so the result is bit for bit the serial one and
+    does not depend on how many CPUs are usable. With k = 1 training runs
+    serially in this process, one scene's tapes alive at a time; where the
+    BLAS could not be pinned it keeps its thread count, and at large image
+    sizes the bits can depend on it. The workers' memory is not part of
+    this process's ``RUSAGE_SELF``.
 
     Raises ValueError naming the iteration when a scene raises ValueError
     (in this process or a worker), when the kept scenes' E[L] or a summed
@@ -309,9 +308,8 @@ def train(images, cfg: TrainConfig) -> TrainResult:
     draw = 0
     rows = []
     all_skipped = 0  # consecutive iterations with every scene skipped
-    procs = min(cfg.batch_scenes, workers.usable_cpus())
-    # workers that each start BLAS threads would run slower than serial
-    with workers.fork_pool(procs - 1 if workers.BLAS_PINNED else 0) as pool:
+    procs = workers.parallelism(cfg.batch_scenes)
+    with workers.fork_pool(procs - 1) as pool:
         stride = 1 if pool is None else procs  # stride 1: every scene runs here
         for t in range(1, cfg.iterations + 1):
             start = time.perf_counter()

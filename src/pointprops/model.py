@@ -33,7 +33,7 @@ consumer reads, so a conv's ReLU output is the interior of the next conv's
 padded input; the training tape keeps those padded inputs, and the
 tape-free (inference) forward takes its arrays from a workspace kept per
 thread (``_workspace``). A tape-free forward on a large image runs on
-several lanes (``_lanes``), threads that split each layer's rows.
+several lanes (``workers.lanes``), threads that split each layer's rows.
 The detection head needs the full-resolution skip: without it the head only
 sees 4x-upsampled features and cannot localize maxima to the pixel, which
 the selection step requires. The per-image logit standardization
@@ -479,14 +479,6 @@ def _most_bands(h: int, w: int, d: int) -> int:
                for shape, cout in _conv_inputs(h, w, d).values())
 
 
-def _lanes(h: int, w: int, d: int) -> int:
-    """Lanes of a tape-free forward on an (h, w) image at descriptor width d:
-    one per usable CPU, counted afresh on each call, but no more than the
-    most row bands of any of its convs, so a forward whose convs each run
-    one band (every 64x64 one) starts no thread."""
-    return min(workers.usable_cpus(), _most_bands(h, w, d))
-
-
 @functools.lru_cache(maxsize=16)
 def _layout(h: int, w: int, d: int) -> dict:
     """Name -> (arena, offset, shape) of each array ``forward`` writes on an
@@ -588,15 +580,12 @@ def forward(
     (``_workspace``), reused by the thread's next tape-free forward of the
     same shape, and the cache is empty, so ``backward`` rejects the output.
 
-    A tape-free forward splits its layers' rows among ``_lanes(H, W, d)``
-    lanes (2 for a 240x320 image on 2 CPUs), threads that run one BLAS
-    thread each, started and joined within the call, where numpy's OpenBLAS
-    runs one thread (``workers.BLAS_PINNED``) and the calling thread is the
-    only one running; elsewhere, as in another pool's threads, and where
-    every conv is one band (at 64x64 and below) or one CPU is usable, it
-    runs one lane, in the calling thread. The maps are always the taped
-    forward's bits under the same BLAS thread count, and are always fresh
-    arrays.
+    A tape-free forward splits its layers' rows among
+    ``workers.parallelism(_most_bands(H, W, d))`` lanes (``workers.lanes``,
+    joined within the call): 2 for a 240x320 image on 2 CPUs, 1, in the
+    calling thread, where every conv is one band (at 64x64 and below) or
+    where that policy runs one job. The maps are always the taped forward's
+    bits under the same BLAS thread count, and are always fresh arrays.
     """
     x = np.asarray(image, dtype=float)
     if x.ndim == 2:
@@ -616,10 +605,7 @@ def forward(
 
         prob, unit_q, cache = _layers(params.weights, x, take)
         return ModelOutput(prob_map=prob, desc_map=unit_q, cache=cache)
-    # lanes in another pool's threads, or beside BLAS threads, would only
-    # compete with them for the cores
-    alone = workers.BLAS_PINNED and threading.active_count() == 1
-    lanes = _lanes(h, w, d) if alone else 1
+    lanes = workers.parallelism(_most_bands(h, w, d))
     take = _workspace(h, w, d, lanes).__getitem__
     with workers.lanes(lanes) as run:
         prob, unit_q, _ = _layers(params.weights, x, take, run, lanes)

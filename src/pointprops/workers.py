@@ -1,13 +1,13 @@
-"""The process's parallelism: numpy's OpenBLAS thread count, forked
-worker pools and the lanes of one call.
+"""The process's parallelism: numpy's OpenBLAS thread count, how many jobs
+run at once, forked worker pools and the lanes of one call.
 
 Worker processes and BLAS threads compete for the same cores: two
 processes that each start BLAS threads run several times slower than two
 that each run one. So importing this module sets numpy's OpenBLAS to one
 thread for the whole process, once, where the loaded BLAS allows it
-(``BLAS_PINNED``); forked workers inherit that count. Lanes are the same
-rule inside one call: threads that each run one BLAS thread on their share
-of the rows.
+(``BLAS_PINNED``); forked workers inherit that count. ``parallelism`` is
+the one decision of how many jobs run at once, for training's scene pool,
+the check battery, eval's pair threads and a forward's lanes alike.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import importlib
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 # numpy's extension module, which links its BLAS: numpy 2, then numpy 1.x
@@ -31,8 +31,11 @@ _BLAS_THREADS = (
 
 
 def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """The number of CPUs this process may run on: its affinity where the
+    platform reports one (not on macOS or Windows), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _blas_thread_functions():
@@ -73,21 +76,36 @@ def _pin_blas() -> bool:
 BLAS_PINNED = _pin_blas()
 
 
+def parallelism(n: int) -> int:
+    """How many of ``n`` independent jobs run at once: one per usable CPU,
+    at most ``n``, counted afresh on each call.
+
+    1 where more would compete for the cores or is unsafe: when numpy's
+    BLAS could not be pinned (jobs beside BLAS threads run slower than
+    serial), when this process is a daemonic worker (which may not have
+    children), or when other threads are running (they already use the
+    cores, and fork copies only the calling thread, so a lock another
+    thread holds would stay held in a forked worker).
+    """
+    if (not BLAS_PINNED or multiprocessing.current_process().daemon
+            or threading.active_count() > 1):
+        return 1
+    return min(n, usable_cpus())
+
+
 @contextmanager
 def fork_pool(n: int):
     """A ``fork`` ProcessPoolExecutor of ``n`` workers, or None to run
-    serially in this process.
+    serially in this process: when ``n < 1`` or the platform cannot fork.
 
     Fork, not spawn: workers inherit the caller's modules as they are,
     monkeypatches included, and its BLAS thread count (one where
-    ``BLAS_PINNED``), and skip re-importing numpy and the program. None
-    when ``n < 1``, when this process is a daemonic worker (which may not
-    have children), or when other threads are running (fork copies only
-    the calling thread, so a lock another thread holds would stay held in
-    the worker). The pool is shut down and its workers joined when the
-    block exits, also when it raises.
+    ``BLAS_PINNED``), and skip re-importing numpy and the program. Callers
+    size ``n`` with ``parallelism``, which is 1 wherever forking is unsafe.
+    The pool is shut down and its workers joined when the block exits, also
+    when it raises.
     """
-    if n < 1 or multiprocessing.current_process().daemon or threading.active_count() > 1:
+    if n < 1 or "fork" not in multiprocessing.get_all_start_methods():
         yield None
         return
     pool = ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"))
@@ -107,50 +125,23 @@ def lanes(n: int):
     """Yields ``run``: ``run(job)`` calls ``job(lane)`` for every lane in
     ``range(n)`` at once and returns when all have returned, raising the
     error of a lane that raised. Lane 0 runs in the calling thread and the
-    others in ``n - 1`` threads started on entry, which wait between jobs
-    and are joined when the block exits, also when it raises. With
-    ``n <= 1`` no thread is started and ``run(job)`` is ``job(0)``.
-
-    The caller decides whether lanes may run: they share the cores with
-    everything else, so they belong where the calling thread is the only
-    one and ``BLAS_PINNED``.
+    others in a pool of at most ``n - 1`` threads, joined when the block
+    exits, also when it raises. With ``n <= 1`` no thread is started and
+    ``run(job)`` is ``job(0)``. The caller sizes ``n`` with
+    ``parallelism``.
     """
     if n <= 1:
         yield serial
         return
-    start, done = threading.Barrier(n), threading.Barrier(n)
-    jobs, errors = [None], []
-
-    def serve(lane):
-        try:
-            while True:
-                start.wait()
-                try:
-                    jobs[0](lane)
-                except BaseException as exc:  # re-raised by run in the caller
-                    errors.append(exc)
-                done.wait()
-        except threading.BrokenBarrierError:  # the block has exited
-            return
 
     def run(job):
-        jobs[0] = job
-        start.wait()
+        futures = [pool.submit(job, lane) for lane in range(1, n)]
         try:
             job(0)
         finally:
-            done.wait()
-        if errors:
-            raise errors.pop()
+            wait(futures)
+        for future in futures:
+            future.result()
 
-    threads = [threading.Thread(target=serve, args=(lane,), daemon=True)
-               for lane in range(1, n)]
-    for thread in threads:
-        thread.start()
-    try:
+    with ThreadPoolExecutor(n - 1) as pool:
         yield run
-    finally:
-        start.abort()
-        done.abort()
-        for thread in threads:
-            thread.join()

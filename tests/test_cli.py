@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import threading
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import (mutate_bytes, shape_scenes, write_filtered_png, write_pnm,
                       write_zero_checkpoint)
-from pointprops import cli, evaluate, image_io, model, simulate
+from pointprops import cli, evaluate, image_io, model, simulate, workers
 from pointprops.config import EvalConfig
 
 
@@ -432,6 +433,24 @@ class TestEvalCommand:
                              "--images", str(image_dir), "--output", str(out)]) == 0
             texts.append((out / "metrics.csv").read_bytes())
         assert texts[0] == texts[1]
+
+    def test_unpinnable_blas_scores_every_pair_in_one_thread(self, two_cpus, image_dir,
+                                                             config_file, trained_dir,
+                                                             tmp_path, monkeypatch):
+        # pair threads beside BLAS threads would compete for the cores
+        monkeypatch.setattr(workers, "BLAS_PINNED", False)
+        idents = []
+        evaluate_pair = cli.evaluate_pair
+
+        def recording(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return evaluate_pair(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_pair", recording)
+        assert cli.main(["eval", "--config", str(config_file),
+                         "--checkpoint", str(trained_dir / "model.ckpt"),
+                         "--images", str(image_dir), "--output", str(tmp_path)]) == 0
+        assert len(idents) == 4 and len(set(idents)) == 1
 
     def test_points_in_the_edge_padding_are_dropped(self):
         # 62x61 images are edge-padded to 64x64 for the model; points that

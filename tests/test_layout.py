@@ -24,8 +24,10 @@ Every array that ``model._layout`` places must be taken by ``model.forward``
 workspace memory that nothing reads.
 
 Only ``workers.py`` may name ``_blas_thread_functions``: numpy's OpenBLAS
-thread count is set once, when that module is imported, and every other
-module reads ``workers.BLAS_PINNED``.
+thread count is set once, when that module is imported. Only ``workers.py``
+may read the CPU count (``usable_cpus``, ``sched_getaffinity``,
+``cpu_count``) or ``BLAS_PINNED``: every other module takes how many jobs
+run at once from ``workers.parallelism``.
 """
 
 import ast
@@ -144,17 +146,16 @@ def test_guard_flags_an_unset_default(tmp_path):
     assert unset_defaults(tmp_path) == ["mod.py:1 scale(offset)", "mod.py:6 Box.grow(twice)"]
 
 
-def blas_thread_setters(src=SRC):
-    """Where a module other than ``workers.py`` names ``_blas_thread_functions``
-    (a name, an attribute, an import or a definition)."""
+def named_outside_workers(names, src=SRC):
+    """Where a module other than ``workers.py`` names one of ``names`` (a
+    name, an attribute, an import or a definition)."""
     return [f"{filename}:{node.lineno}" for filename, tree in _parse(src).items()
             if filename != "workers.py" for node in ast.walk(tree)
-            if "_blas_thread_functions" in {getattr(node, key, None)
-                                            for key in ("id", "attr", "name")}]
+            if names & {getattr(node, key, None) for key in ("id", "attr", "name")}]
 
 
 def test_only_workers_sets_the_blas_thread_count():
-    assert blas_thread_setters() == []
+    assert named_outside_workers({"_blas_thread_functions"}) == []
 
 
 def test_guard_flags_a_second_blas_pin(tmp_path):
@@ -164,7 +165,32 @@ def test_guard_flags_a_second_blas_pin(tmp_path):
         "    return workers._blas_thread_functions()\n"
     )
     (tmp_path / "em.py").write_text("from .workers import _blas_thread_functions\n")
-    assert blas_thread_setters(tmp_path) == ["em.py:1", "model.py:5"]
+    assert named_outside_workers({"_blas_thread_functions"}, tmp_path) == \
+        ["em.py:1", "model.py:5"]
+
+
+PARALLELISM_INPUTS = {"usable_cpus", "sched_getaffinity", "cpu_count", "BLAS_PINNED"}
+
+
+def test_only_workers_reads_the_cpu_count_or_the_blas_pin():
+    assert named_outside_workers(PARALLELISM_INPUTS) == []
+
+
+def test_guard_flags_a_second_parallelism_reader(tmp_path):
+    (tmp_path / "workers.py").write_text(
+        "import os\n\nBLAS_PINNED = True\n\n\ndef usable_cpus():\n"
+        "    return os.cpu_count()\n"
+    )
+    (tmp_path / "em.py").write_text(
+        "import os\n\nfrom . import workers\n\n\ndef train():\n"
+        "    if workers.BLAS_PINNED:\n        return min(2, workers.usable_cpus())\n"
+        "    return os.getpid()\n"
+    )
+    (tmp_path / "cli.py").write_text(
+        "import os\nfrom os import cpu_count\n\nCPUS = len(os.sched_getaffinity(0))\n"
+    )
+    assert named_outside_workers(PARALLELISM_INPUTS, tmp_path) == \
+        ["cli.py:2", "cli.py:4", "em.py:7", "em.py:8"]
 
 
 def _is_dataclass(node):

@@ -597,7 +597,7 @@ class TestWorkspace:
 
 class TestLanes:
     """A tape-free forward on a large image splits its layers' rows among
-    ``model._lanes`` threads; the maps are the serial forward's bits under
+    ``workers.lanes`` threads; the maps are the serial forward's bits under
     one BLAS thread, and no thread outlives the call."""
 
     @staticmethod

@@ -1,8 +1,11 @@
+import multiprocessing
+import os
 import sys
 import threading
 
 import pytest
 
+from conftest import use_cpus
 from pointprops import workers
 
 
@@ -51,16 +54,14 @@ def test_lanes_run_each_job_on_every_lane_and_join():
     before = threading.active_count()
     seen = []
     with workers.lanes(3) as run:
-        assert threading.active_count() == before + 2
         for job in range(2):
             run(lambda lane, job=job: seen.append((job, lane, threading.get_ident())))
             assert sorted(lane for j, lane, _ in seen if j == job) == [0, 1, 2]
+            assert threading.active_count() <= before + 2
     assert threading.active_count() == before
-    # lane 0 is the caller; each other lane keeps its thread from job to job
     idents = {lane: {ident for _, l, ident in seen if l == lane} for lane in range(3)}
-    assert idents[0] == {threading.get_ident()}
-    assert all(len(idents[lane]) == 1 for lane in (1, 2))
-    assert len(set.union(*idents.values())) == 3
+    assert idents[0] == {threading.get_ident()}  # lane 0 is the caller
+    assert threading.get_ident() not in idents[1] | idents[2]
 
 
 def test_one_lane_starts_no_thread():
@@ -87,3 +88,43 @@ def test_a_lane_error_reaches_the_caller_after_every_lane_returns(failing):
             run(job)
     assert finished == [1 - failing]
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("case, n, expected", [
+    ("two cpus", 5, 2), ("fewer jobs than cpus", 1, 1), ("one cpu", 5, 1),
+    ("unpinned blas", 5, 1), ("daemonic process", 5, 1), ("other thread", 5, 1),
+])
+def test_parallelism(monkeypatch, case, n, expected):
+    monkeypatch.setattr(workers, "BLAS_PINNED", True)
+    use_cpus(monkeypatch, 1 if case == "one cpu" else 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    if case == "unpinned blas":
+        monkeypatch.setattr(workers, "BLAS_PINNED", False)
+    elif case == "daemonic process":
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    elif case == "other thread":
+        waiter.start()
+    try:
+        assert workers.parallelism(n) == expected
+    finally:
+        release.set()
+    if waiter.ident is not None:
+        waiter.join(timeout=5)
+        assert not waiter.is_alive()
+
+
+def test_usable_cpus_without_an_affinity_counts_every_cpu(monkeypatch):
+    # macOS and Windows have no sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert workers.usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert workers.usable_cpus() == 1
+
+
+def test_no_fork_pool_where_the_platform_cannot_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    with workers.fork_pool(2) as pool:
+        assert pool is None
+    assert multiprocessing.active_children() == []
