@@ -298,8 +298,10 @@ def cmd_eval(args) -> int:
         )
         return idx, pair_id, row, artifacts, (img_a, img_b, hom)
 
-    with ThreadPoolExecutor(workers.parallelism(len(pairs))) as pool:
-        results = list(pool.map(work, enumerate(pairs)))
+    # one job runs in the caller: a pool thread would keep its forwards off the lanes
+    k = workers.parallelism(len(pairs))
+    with ThreadPoolExecutor(k) as pool:
+        results = list((pool.map if k > 1 else map)(work, enumerate(pairs)))
 
     rows = []
     for idx, pair_id, row, (pts_a, pts_b, matches), (img_a, img_b, hom) in results:

@@ -22,15 +22,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 # level -> the photometric kinds it draws from, uniformly
 ILLUMINATION_KINDS = {
-    "illum_full": ("blur", "channel_shuffle", "contrast", "grayscale_mix", "invert",
-                   "salt_pepper", "shadow"),
+    "illum_full": ("blur", "contrast", "invert", "salt_pepper", "shadow"),
     "illum_mild": ("blur", "contrast", "shadow"),
 }
 
 # (max rotation deg, corner perturbation as a fraction of the image diagonal)
-# "gentle" suits small toy models that cannot absorb large rotations
 VIEWPOINT_RANGES = {
-    "viewpoint_gentle": (15.0, 0.05),
     "viewpoint_medium": (45.0, 0.10),
     "viewpoint_full": (180.0, 0.18),
 }
@@ -44,9 +41,7 @@ def photometric(image: np.ndarray, rng: np.random.Generator, level: str) -> np.n
 
     Each transform draws its kind and then its parameters from ``rng`` and is
     applied before the next is drawn. Applying takes nothing from ``rng``, so
-    the stream is the one of drawing the whole list first. ``channel_shuffle``
-    and ``grayscale_mix`` act on colour channels, so on one channel they only
-    take their draws, which keeps every seeded view's bits.
+    the stream is the one of drawing the whole list first.
     """
     if level not in ILLUMINATION_KINDS:
         raise ValueError(f"unknown illumination level {level!r}")
@@ -63,12 +58,8 @@ def photometric(image: np.ndarray, rng: np.random.Generator, level: str) -> np.n
                 img = box_blur(img, 2 * radius + 1)
             else:
                 img = median_blur(img, 2 * radius + 1)
-        elif kind == "channel_shuffle":
-            rng.permutation(3)
         elif kind == "contrast":
             img = 0.5 + (img - 0.5) * (1.0 + rng.uniform(-0.5, 0.5))
-        elif kind == "grayscale_mix":
-            rng.uniform(0.0, 1.0)
         elif kind == "invert":
             img = 1.0 - img
         elif kind == "salt_pepper":
@@ -238,15 +229,13 @@ def median_blur(img: np.ndarray, size: int) -> np.ndarray:
 
     The middle order statistic of each window, picked by ``np.partition``
     over bands of output rows so that the window copy stays small. Any
-    selection returns the same value; only a zero can come out with either
-    sign when a window holds both +0.0 and -0.0, and there the reference
-    filter's quickselect decides (``_select``).
+    selection returns the same value, except that a zero median of a window
+    holding both +0.0 and -0.0 can come out with either sign.
     """
     h, w = img.shape
     cells = size * size
     rank = cells // 2
-    padded = _edge_pad(img, size // 2)
-    windows = sliding_window_view(padded, (size, size))
+    windows = sliding_window_view(_edge_pad(img, size // 2), (size, size))
     out = np.empty((h, w))
     rows = max(1, _MEDIAN_BAND_CELLS // (w * cells))
     buf = np.empty((min(rows, h), w, size, size))
@@ -256,36 +245,7 @@ def median_blur(img: np.ndarray, size: int) -> np.ndarray:
         flat = band.reshape(-1, cells)
         flat.partition(rank, axis=1)
         out[top:top + len(band)] = flat[:, rank].reshape(-1, w)
-    if np.signbit(padded[padded == 0.0]).any():
-        for i, j in zip(*np.nonzero(out == 0.0)):
-            out[i, j] = _select(list(windows[i, j].ravel()), rank)
     return out
-
-
-def _select(values: list, rank: int) -> float:
-    """The ``rank``-th smallest of ``values`` by Hoare's quickselect with the
-    first element as pivot, as scipy.ndimage's median filter selects: it
-    fixes the sign of a zero median among mixed signed zeros."""
-    lo, hi = 0, len(values) - 1
-    while lo < hi:
-        pivot = values[lo]
-        i, j = lo - 1, hi + 1
-        while True:
-            j -= 1
-            while values[j] > pivot:
-                j -= 1
-            i += 1
-            while values[i] < pivot:
-                i += 1
-            if i >= j:
-                break
-            values[i], values[j] = values[j], values[i]
-        if rank <= j - lo:
-            hi = j
-        else:
-            rank -= j - lo + 1
-            lo = j + 1
-    return values[lo]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,11 @@ hash of each point count and the xy and descriptor bytes that
 PNGs, with the same checkpoint; then, once, hashes of
 the ``oracle-check`` stdout and of every check's deviation at full
 precision, a hash of the ``build_run_config`` result with no preset and
-with each preset, and the checkpoint sha256 of a ``PointPropsDetector``
+with each preset, a hash of the views and correspondence that one seeded
+``make_scene`` simulates under each illumination level (with the default
+viewpoint) and under each viewpoint level (with the default illumination),
+so a simulation change shows which level it moves without a training run,
+and the checkpoint sha256 of a ``PointPropsDetector``
 fitted on 16x16 scenes for 2 iterations with every training
 hyperparameter off its default. A pure refactor leaves every line unchanged. Takes about a minute; not
 collected by pytest.
@@ -36,6 +40,8 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from pointprops import PointPropsDetector, checks, cli, em, image_io, model, simulate
 from pointprops.config import (PRESETS, EvalConfig, PropertyConfig, TrainConfig,
@@ -113,6 +119,13 @@ def config_fingerprint():
     return _digest([repr(build_run_config({}, preset)) for preset in (None, *PRESETS)])
 
 
+def scene_fingerprint(inputs, **levels):
+    scene = simulate.make_scene(inputs.mosaic_scene(np.random.default_rng(0), (64, 64)),
+                                10, seed=0, scene_id=0, **levels)
+    return _digest([scene.map_rows.tobytes(), scene.map_cols.tobytes(), scene.valid.tobytes(),
+                    *(view.tobytes() for view in scene.images)])
+
+
 def detector_fingerprint(inputs):
     # every training hyperparameter off its default: one that fit leaves out
     # of its TrainConfig changes the checkpoint
@@ -148,6 +161,10 @@ def main() -> int:
     deviations = [(res.name, res.deviation) for res in checks.run_all_checks()]
     print(f"oracle-check deviations {_digest(deviations)}")
     print(f"config presets {config_fingerprint()}")
+    for level in simulate.ILLUMINATION_KINDS:
+        print(f"simulate {level} views {scene_fingerprint(inputs, illumination=level)}")
+    for level in simulate.VIEWPOINT_RANGES:
+        print(f"simulate {level} views {scene_fingerprint(inputs, viewpoint=level)}")
     print(f"detector fit checkpoint_sha256 {detector_fingerprint(inputs)}")
     return 0
 

@@ -14,8 +14,7 @@ from pointprops.simulate import (_convex_hull, _points_in_convex_polygon, box_bl
                                  gaussian_blur, median_blur)
 
 KINDS = {
-    "illum_full": ("blur", "channel_shuffle", "contrast", "grayscale_mix", "invert",
-                   "salt_pepper", "shadow"),
+    "illum_full": ("blur", "contrast", "invert", "salt_pepper", "shadow"),
     "illum_mild": ("blur", "contrast", "shadow"),
 }
 
@@ -36,12 +35,8 @@ def sample(rng, level):
             spec.append(op("blur",
                            mode=("gaussian", "average", "median")[int(rng.integers(3))],
                            radius=int(rng.integers(1, 4))))
-        elif kind == "channel_shuffle":
-            spec.append(op("channel_shuffle", order=tuple(int(i) for i in rng.permutation(3))))
         elif kind == "contrast":
             spec.append(op("contrast", strength=float(rng.uniform(-0.5, 0.5))))
-        elif kind == "grayscale_mix":
-            spec.append(op("grayscale_mix", weight=float(rng.uniform(0.0, 1.0))))
         elif kind == "invert":
             spec.append(op("invert"))
         elif kind == "salt_pepper":
@@ -83,8 +78,6 @@ def apply_one(img, kind, params):
         if params["mode"] == "average":
             return box_blur(img, 2 * radius + 1)
         return median_blur(img, 2 * radius + 1)
-    if kind in ("channel_shuffle", "grayscale_mix"):
-        return img
     if kind == "contrast":
         return 0.5 + (img - 0.5) * (1.0 + params["strength"])
     if kind == "invert":

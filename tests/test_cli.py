@@ -450,7 +450,26 @@ class TestEvalCommand:
         assert cli.main(["eval", "--config", str(config_file),
                          "--checkpoint", str(trained_dir / "model.ckpt"),
                          "--images", str(image_dir), "--output", str(tmp_path)]) == 0
-        assert len(idents) == 4 and len(set(idents)) == 1
+        assert idents == [threading.get_ident()] * 4
+
+    def test_one_pair_is_scored_in_the_calling_thread(self, two_cpus, image_dir, config_file,
+                                                      trained_dir, tmp_path, monkeypatch):
+        # a pool thread would count as another live thread, and the pair's
+        # forwards would then run on one lane
+        seen = []
+        evaluate_pair = cli.evaluate_pair
+
+        def recording(*args, **kwargs):
+            seen.append((threading.get_ident(), workers.parallelism(2)))
+            return evaluate_pair(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_pair", recording)
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(f"{image_dir}/scene_0.pgm {image_dir}/scene_1.pgm 1 0 0 0 1 0 0 0 1\n")
+        assert cli.main(["eval", "--config", str(config_file),
+                         "--checkpoint", str(trained_dir / "model.ckpt"),
+                         "--pairs", str(pairs), "--output", str(tmp_path / "eval")]) == 0
+        assert seen == [(threading.get_ident(), workers.parallelism(2))]
 
     def test_points_in_the_edge_padding_are_dropped(self):
         # 62x61 images are edge-padded to 64x64 for the model; points that
