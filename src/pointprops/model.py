@@ -32,8 +32,12 @@ band of rows at a time. Each layer writes its output into the array its
 consumer reads, so a conv's ReLU output is the interior of the next conv's
 padded input; the training tape keeps those padded inputs, and the
 tape-free (inference) forward takes its arrays from a workspace kept per
-thread (``_workspace``). A tape-free forward on a large image runs on
-several lanes (``workers.lanes``), threads that split each layer's rows.
+thread (``_workspace``). The largest of those inputs, det1's 24-channel
+one, is assembled one band of rows at a time, right before that band's
+GEMMs (``_det1_rows``): the tape-free forward keeps only a band of it per
+lane, and the taped forward writes the bands into the whole input that
+``backward`` reads. A tape-free forward on a large image runs on several
+lanes (``workers.lanes``), threads that split each layer's rows.
 The detection head needs the full-resolution skip: without it the head only
 sees 4x-upsampled features and cannot localize maxima to the pixel, which
 the selection step requires. The per-image logit standardization
@@ -153,17 +157,23 @@ def glorot_bound(cin: int, cout: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Least size of one band of rows in ``_conv3`` and ``_conv3_backward``: of
-# ``_shifted_gemm``'s scratch, or of the input and gradient rows that one
-# band of weight-gradient GEMMs reads. Bands keep these cache-sized and bound
-# the memory of a large image's forward to one band per layer.
+# Least size of one band of rows: in ``_conv3_backward``, of its scratch or of
+# the input and gradient rows that one band of weight-gradient GEMMs reads; in
+# ``_conv3``, of ``_shifted_gemm``'s scratch, for a conv with Cout = 1 (det2).
+# A forward conv with Cout > 1 takes the smaller ``FORWARD_BAND_BYTES``, so the
+# band of det1's 24-channel input that a lane assembles (``_det1_rows``) stays
+# near 1 MiB. det2's N = 1 products change bits when split, and the backward
+# sums its weight gradients band by band, so both keep ``BAND_BYTES``. Bands
+# keep the buffers cache-sized and bound the memory of a large image's forward
+# to one band per layer.
 BAND_BYTES = 1 << 20
+FORWARD_BAND_BYTES = 1 << 18
 
 
-def _bands(n_rows: int, row_bytes: int):
-    """(start, stop) of near-equal row bands of at least ``BAND_BYTES`` each,
+def _bands(n_rows: int, row_bytes: int, least_bytes: int):
+    """(start, stop) of near-equal row bands of at least ``least_bytes`` each,
     or one band when all ``n_rows`` are smaller."""
-    least_rows = min(n_rows, -(-BAND_BYTES // row_bytes))
+    least_rows = min(n_rows, -(-least_bytes // row_bytes))
     num_bands = n_rows // least_rows
     edges = [n_rows * i // num_bands for i in range(num_bands + 1)]
     return tuple(zip(edges[:-1], edges[1:]))
@@ -240,7 +250,8 @@ def _conv3_bands(h: int, wp: int, cin: int, cout: int):
     """Output row bands of a conv on an (h + 2, wp, cin) padded input, and
     the floats of scratch and of accumulator that its largest band needs."""
     width = _scratch_width(cin, cout)
-    bands = _bands(h, 8 * wp * width)  # 8 bytes per float64
+    least = BAND_BYTES if cout == 1 else FORWARD_BAND_BYTES
+    bands = _bands(h, 8 * wp * width, least)  # 8 bytes per float64
     rows = max(i1 - i0 for i0, i1 in bands) * wp
     return bands, rows * width, rows * cout
 
@@ -261,30 +272,44 @@ def _conv3(xp: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray,
     slice at offset ki*(W+2) + kj, so the output rows are
     ``sum_t xp[o_t : o_t + n] @ W_t`` (``_shifted_gemm``); the 2 rows that
     wrap round each image row are computed and dropped. This runs one band
-    of output rows at a time through the flat buffers ``scratch`` and
-    ``acc``, of at least the floats ``_conv3_bands`` gives, and adds the
-    bias (then takes the ReLU) band by band in ``out``, so no whole-image
-    intermediate is held. Of ``lanes`` calls that split one conv, each with
-    its own buffers, call ``lane`` computes every ``lanes``-th band from
-    band ``lane``, with the kernels and band sizes of a single call.
+    of output rows at a time (``_conv3_band``) through the flat buffers
+    ``scratch`` and ``acc``, of at least the floats ``_conv3_bands`` gives,
+    and adds the bias (then takes the ReLU) band by band in ``out``, so no
+    whole-image intermediate is held. Of ``lanes`` calls that split one
+    conv, each with its own buffers, call ``lane`` computes every
+    ``lanes``-th band from band ``lane``, with the kernels and band sizes of
+    a single call.
     """
     hp, wp, cin = xp.shape
-    h, wid = hp - 2, wp - 2
-    cout = w.shape[0]
-    src = xp.reshape(-1, cin)
-    taps = w.transpose(2, 3, 1, 0).reshape(9, cin, cout)
-    offsets = _tap_offsets(wp)
-    bands, _, acc_size = _conv3_bands(h, wp, cin, cout)
-    acc = acc[:acc_size].reshape(-1, cout)
-    if len(bands) > 1:  # a (W, Cout) bias: one numpy inner loop per row, not per pixel
-        b = np.tile(b, (wid, 1))
+    bands = _conv3_bands(hp - 2, wp, cin, w.shape[0])[0]
+    taps, b = _conv3_operands(w, b, wp - 2, len(bands))
     for i0, i1 in bands[lane::lanes]:
-        m = (i1 - i0) * wp
-        _shifted_gemm(src[i0 * wp :], offsets, taps, acc[: m - 2], scratch)
-        band = out[i0:i1]
-        np.add(acc[:m].reshape(i1 - i0, wp, cout)[:, :wid], b, out=band)
-        if relu:
-            np.maximum(band, 0.0, out=band)
+        _conv3_band(xp[i0 : i1 + 2], taps, b, out[i0:i1], relu, scratch, acc)
+
+
+def _conv3_operands(w: np.ndarray, b: np.ndarray, wid: int, num_bands: int):
+    """The (9, Cin, Cout) taps of the conv weight ``w`` (Cout, Cin, 3, 3), and
+    its bias ``b`` as ``_conv3_band`` adds it to W = ``wid`` columns: tiled to
+    a (W, Cout) row where the conv runs several bands, so the add runs one
+    numpy inner loop per row, not per pixel."""
+    cout, cin = w.shape[:2]
+    taps = w.transpose(2, 3, 1, 0).reshape(9, cin, cout)
+    return taps, (np.tile(b, (wid, 1)) if num_bands > 1 else b)
+
+
+def _conv3_band(xb: np.ndarray, taps: np.ndarray, b: np.ndarray, out: np.ndarray,
+                relu: bool, scratch: np.ndarray, acc: np.ndarray) -> None:
+    """One band of ``_conv3``: the output rows ``out`` (n, W, Cout) from
+    ``xb``, the contiguous (n + 2, W + 2, Cin) padded input rows they read,
+    with ``_conv3_operands``' taps and bias."""
+    n, wid, cout = out.shape
+    wp = wid + 2
+    m = n * wp
+    band = acc[: m * cout].reshape(m, cout)
+    _shifted_gemm(xb.reshape(-1, xb.shape[2]), _tap_offsets(wp), taps, band[: m - 2], scratch)
+    np.add(band.reshape(n, wp, cout)[:, :wid], b, out=out)
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
 
 def _conv3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
@@ -311,7 +336,7 @@ def _conv3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
     src = xp.reshape(-1, cin)
     n = h * wp - 2
     dtaps = np.zeros((9, cin, cout))
-    for i0, i1 in _bands(h, 8 * wp * (cin + cout)):
+    for i0, i1 in _bands(h, 8 * wp * (cin + cout), BAND_BYTES):
         r0, r1 = i0 * wp, min(i1 * wp, n)
         g = gz[reach + r0 : reach + r1]
         for t, o in enumerate(offsets):
@@ -322,7 +347,7 @@ def _conv3_backward(xp: np.ndarray, w: np.ndarray, grad_out: np.ndarray,
         return dw, db, None
     taps = w.transpose(2, 3, 0, 1).reshape(9, cout, cin)
     width = _scratch_width(cout, cin)
-    bands = _bands(hp, 8 * wp * width)
+    bands = _bands(hp, 8 * wp * width, BAND_BYTES)
     scratch = np.empty(max(p1 - p0 for p0, p1 in bands) * wp * width)
     dxp = np.empty_like(xp)
     flat = dxp.reshape(-1, cin)
@@ -366,8 +391,8 @@ def _apply_rowcol(mat_h: np.ndarray, x: np.ndarray, mat_w: np.ndarray,
 
     Two GEMMs: over rows into ``tall`` (I, W*C), then over columns, one
     (J, W) @ (W, C) product per row of ``tall``, into ``out`` (I, J, C),
-    which may be a strided view such as the interior of det1's padded
-    input. Fresh arrays where not given.
+    which may be a strided view such as channels 0:16 of a band of det1's
+    padded input. Fresh arrays where not given.
     """
     h, w, c = x.shape
     tall = np.matmul(mat_h, x.reshape(h, w * c), out=tall)
@@ -379,13 +404,34 @@ def _upsample_matrix(n_in: int) -> np.ndarray:
     return image_io.resample_matrix(n_in, 4 * n_in)
 
 
-def _upsample4(x: np.ndarray, tall: np.ndarray, out: np.ndarray,
-               rows: slice = slice(None)) -> np.ndarray:
-    """Bilinear x4 of (H, W, C) ``x`` into ``out`` (4H, 4W, C)
-    (``_apply_rowcol``), or only into its output ``rows``, through the same
-    rows of ``tall``."""
-    return _apply_rowcol(_upsample_matrix(x.shape[0])[rows], x, _upsample_matrix(x.shape[1]),
-                         tall[rows], out[rows])
+def _upsample4(x: np.ndarray, rows: np.ndarray, tall: np.ndarray, out: np.ndarray) -> None:
+    """The output rows ``rows``, an index array, of the bilinear x4 upsample of
+    (h, w, C) ``x``, written into ``out`` (len(rows), 4w, C) through ``tall``
+    (len(rows), w*C) (``_apply_rowcol``); ``x`` is contiguous, or is copied."""
+    _apply_rowcol(_upsample_matrix(x.shape[0])[rows], x, _upsample_matrix(x.shape[1]),
+                  tall, out)
+
+
+def _reflect_rows(n: int) -> np.ndarray:
+    """The image row that each of the n + 2 rows of a reflect-padded axis of
+    n rows holds (``_reflect_border``)."""
+    rows = np.arange(-1, n + 1)
+    rows[0], rows[-1] = min(1, n - 1), max(n - 2, 0)
+    return rows
+
+
+def _det1_rows(enc: np.ndarray, a2: np.ndarray, rows: np.ndarray, tall: np.ndarray,
+               xb: np.ndarray) -> None:
+    """Fill ``xb`` (n, W+2, 24) with the rows of det1's reflect-padded input
+    that hold the image rows ``rows``: at channels 0:16 the bilinear x4
+    upsample of the contiguous encoding ``enc`` (H/4, W/4, 16) there (its row
+    GEMM through ``tall``, then one column GEMM per row), at 16:24 enc2's
+    output ``a2`` (H, W, 8) there, then the left and right reflect columns."""
+    wid = a2.shape[1]
+    _upsample4(enc, rows, tall, xb[:, 1:-1, :16])
+    xb[:, 1:-1, 16:] = a2[rows]
+    xb[:, 0] = xb[:, 1 + min(1, wid - 1)]
+    xb[:, -1] = xb[:, 1 + max(wid - 2, 0)]
 
 
 def _upsample4_backward(grad_out: np.ndarray, in_shape) -> np.ndarray:
@@ -481,48 +527,58 @@ def _most_bands(h: int, w: int, d: int) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _layout(h: int, w: int, d: int) -> dict:
-    """Name -> (arena, offset, shape) of each array ``forward`` writes on an
-    (h, w) image at descriptor width d, the returned maps and small
-    temporaries aside. Offsets count floats within an arena.
+    """Name -> (arena, offset, shape) of each array the tape-free ``forward``
+    writes on an (h, w) image at descriptor width d, the returned maps and
+    small temporaries aside. Offsets count floats within an arena.
 
     The tape-free forward places every array at its offset in one buffer
     (``_workspace``), so arrays whose lifetimes do not overlap share memory:
 
-    - arena "a" holds det1's padded input from enc2, which writes channels
-      16:24, to det1;
+    - arena "a" holds enc2's output, which pool1 and det1 read;
     - arena "b" holds one stage at a time: enc1 and enc2's padded inputs,
       then enc3 and enc4's padded inputs and enc4's output (over enc3's
-      input, read by then), then the detection upsample's row GEMM output,
-      then det2's padded input and the logits, then desc2's output;
+      input, read by then), then det2's padded input beside a contiguous
+      copy of the encoding that det1's upsample reads, then det2's padded
+      input and the logits (over that copy), then desc2's output;
     - arena "c" holds the description head's padded inputs, which live from
       pool2 to desc2;
-    - arena "s" holds one lane's band scratch and accumulator, a row each,
-      which the 8 convs share; the workspace repeats it once per lane.
+    - arena "s" holds one lane's band buffers, a row each: the scratch and
+      accumulator that the 8 convs share, and one band of det1's padded
+      input with the upsample's row GEMM of it (``_det1_rows``); the
+      workspace repeats it once per lane.
 
-    The taped forward takes a fresh array of each shape instead.
+    So det1's (h+2, w+2, 24) input is never whole. The taped forward takes a
+    fresh array of each shape instead, and keeps det1's whole input, which
+    its bands are views of, for ``backward``.
     """
     convs = _conv_inputs(h, w, d)
     xp = {name: shape for name, (shape, _) in convs.items()}
     size = {name: math.prod(shape) for name, shape in xp.items()}
-    work = [_conv3_bands(shape[0] - 2, shape[1], shape[2], cout)[1:]
-            for shape, cout in convs.values()]
-    scratch, acc = max(s for s, _ in work), max(a for _, a in work)
+    plans = {name: _conv3_bands(shape[0] - 2, shape[1], shape[2], cout)
+             for name, (shape, cout) in convs.items()}
+    scratch = max(floats for _, floats, _ in plans.values())
+    acc = max(floats for _, _, floats in plans.values())
     w4 = w // 4
+    # det1's largest band: its output rows and the 2 more that they read
+    band = (1, max(i1 - i0 for i0, i1 in plans["det1"][0]) + 2) + xp["det1"][1:]
+    tall = band[:2] + (w4 * 16,)
     return {
-        "det1_xp": ("a", 0, xp["det1"]),
+        "enc2_out": ("a", 0, (h, w, 8)),
         "enc2_xp": ("b", 0, xp["enc2"]),
         "enc1_xp": ("b", size["enc2"], xp["enc1"]),
         "enc4_xp": ("b", 0, xp["enc4"]),
         "enc3_xp": ("b", size["enc4"], xp["enc3"]),
         "enc4_out": ("b", size["enc4"], (h // 2, w // 2, 16)),
-        "det_tall": ("b", 0, (h, w4 * 16)),
         "det2_xp": ("b", 0, xp["det2"]),
+        "det_enc": ("b", size["det2"], (h // 4, w4, 16)),
         "logits": ("b", size["det2"], (h, w, 1)),
         "desc_raw": ("b", 0, (h // 4, w4, d)),
         "desc1_xp": ("c", 0, xp["desc1"]),
         "desc2_xp": ("c", size["desc1"], xp["desc2"]),
         "scratch": ("s", 0, (1, scratch)),
         "acc": ("s", scratch, (1, acc)),
+        "det1_band": ("s", scratch + acc, band),
+        "det_tall": ("s", scratch + acc + math.prod(band), tall),
     }
 
 
@@ -534,7 +590,7 @@ def _workspace(h: int, w: int, d: int, lanes: int) -> dict:
     descriptor width d on ``lanes`` lanes: views at their ``_layout``
     offsets into one buffer, kept across calls and rebuilt when the shape or
     the lane count changes. The buffer holds every arena once and arena "s"
-    once per lane, so "scratch" and "acc" have one row per lane."""
+    once per lane, so each of its arrays has one row per lane."""
     key = (h, w, d, lanes)
     if getattr(_thread, "key", None) != key:
         _thread.key = _thread.arrays = None  # free the old buffer first
@@ -566,11 +622,14 @@ def forward(
     function of (params, image). Each layer writes its output straight into
     the array its consumer reads: a conv adds its bias and ReLU band by band
     into the interior of the next conv's reflect-padded input, whose border
-    is then filled in place; enc2 and the upsampled encoding fill det1's
-    input side by side; the pools write into enc3's and desc1's inputs.
+    is then filled in place; enc2 writes its output, which pool1 and det1
+    read, into a compact array; det1's input is assembled a band of rows at
+    a time, the upsampled encoding beside enc2's output, and convolved band
+    by band; the pools write into enc3's and desc1's inputs.
 
     ``keep_cache`` decides only where those arrays come from. With it, they
-    are fresh, and the returned cache, which feeds ``backward``, keeps what
+    are fresh, det1's bands are views of its whole input, and the returned
+    cache, which feeds ``backward``, keeps what
     ``backward`` cannot read elsewhere: each conv's padded input
     (``<layer>_xp``), enc4's output, the standardized logits with their
     scale and the descriptor norms. Each ReLU's mask is read back as
@@ -578,7 +637,8 @@ def forward(
     input, and the maps from the output. Without it (inference: eval,
     visualize, detect) they are views into this thread's workspace
     (``_workspace``), reused by the thread's next tape-free forward of the
-    same shape, and the cache is empty, so ``backward`` rejects the output.
+    same shape, each lane assembles det1's bands in its own band buffer, and
+    the cache is empty, so ``backward`` rejects the output.
 
     A tape-free forward splits its layers' rows among
     ``workers.parallelism(_most_bands(H, W, d))`` lanes (``workers.lanes``,
@@ -599,14 +659,25 @@ def forward(
     d = params.descriptor_dim
     if keep_cache:
         layout = _layout(h, w, d)
+        det1_xp = np.empty(_conv_inputs(h, w, d)["det1"][0])
 
-        def take(name):
+        def take(name, band=None):
+            if band:  # a view of det1's whole input, which backward reads
+                return det1_xp[band[1] : band[2] + 2]
             return np.empty(layout[name][2])
 
         prob, unit_q, cache = _layers(params.weights, x, take)
+        cache["det1_xp"] = det1_xp
         return ModelOutput(prob_map=prob, desc_map=unit_q, cache=cache)
     lanes = workers.parallelism(_most_bands(h, w, d))
-    take = _workspace(h, w, d, lanes).__getitem__
+    arrays = _workspace(h, w, d, lanes)
+
+    def take(name, band=None):
+        if band:  # the lane's own buffer
+            lane, i0, i1 = band
+            return arrays[name][lane][: i1 - i0 + 2]
+        return arrays[name]
+
     with workers.lanes(lanes) as run:
         prob, unit_q, _ = _layers(params.weights, x, take, run, lanes)
     return ModelOutput(prob_map=prob, desc_map=unit_q)
@@ -614,15 +685,16 @@ def forward(
 
 def _layers(wts: dict, x: np.ndarray, take, run=workers.serial, lanes: int = 1) -> tuple:
     """``forward``'s layers on the (H, W, 1) image ``x``: (prob_map,
-    desc_map, cache), with every array but the maps from ``take(name)``.
+    desc_map, cache), with every array but the maps from ``take(name)``, and
+    each band of det1's padded input from ``take("det1_band", (lane, i0,
+    i1))``: its rows i0 .. i1 + 1, which output rows i0:i1 read.
 
     ``run`` runs a job on each of ``lanes`` lanes (``workers.lanes``):
-    each conv's bands, the detection upsample's rows and each pool's rows
-    are split among them. Each lane computes its rows as a single lane
-    would, in its own row of the "scratch" and "acc" buffers, so the split
-    leaves the bits alone. Reflect borders, the logit standardization and
-    the descriptor normalization run in the calling thread between the
-    split layers.
+    each conv's bands and each pool's rows are split among them. Each lane
+    computes its rows as a single lane would, in its own row of the band
+    buffers, so the split leaves the bits alone. Reflect borders, the
+    logit standardization and the descriptor normalization run in the
+    calling thread between the split layers.
     """
     scratch, acc = take("scratch"), take("acc")
     cache = {}
@@ -648,10 +720,7 @@ def _layers(wts: dict, x: np.ndarray, take, run=workers.serial, lanes: int = 1) 
     xp2 = take("enc2_xp")
     conv("enc1", xp1, xp2[1:-1, 1:-1])
     _reflect_border(xp2)
-    # det1's input: the upsampled encoding at channels 0:16, the full-res
-    # skip (enc2's output, which pool1 reads) at 16:24
-    det_xp = take("det1_xp")
-    a2 = det_xp[1:-1, 1:-1, 16:]
+    a2 = take("enc2_out")
     conv("enc2", xp2, a2)
     xp3 = take("enc3_xp")
     pool(a2, xp3[1:-1, 1:-1])
@@ -669,12 +738,29 @@ def _layers(wts: dict, x: np.ndarray, take, run=workers.serial, lanes: int = 1) 
     # detection head: convs at full resolution; logits are standardized per
     # image (zero mean, unit variance) so probability mass can only be
     # redistributed, never deflated or saturated globally (the stabilizing
-    # role of the omitted batch norm)
-    tall, up = take("det_tall"), det_xp[1:-1, 1:-1, :16]
-    run(lambda lane: _upsample4(p2, tall, up, share(up.shape[0], lane)))
-    _reflect_border(det_xp)
+    # role of the omitted batch norm). Each lane assembles det1's 24-channel
+    # input one band of rows at a time, the upsampled encoding beside enc2's
+    # output (``_det1_rows``), and convolves it, so a tape-free forward never
+    # holds the whole input; the encoding is copied contiguous once, for
+    # every band's row GEMM.
+    enc = take("det_enc")
+    enc[...] = p2
+    tall = take("det_tall")
     xd2 = take("det2_xp")
-    conv("det1", det_xp, xd2[1:-1, 1:-1])
+    out1 = xd2[1:-1, 1:-1]
+    h, w, _ = x.shape
+    w1 = wts["det1_w"]
+    bands = _conv3_bands(h, w + 2, w1.shape[1], w1.shape[0])[0]
+    taps, b1 = _conv3_operands(w1, wts["det1_b"], w, len(bands))
+    rows = _reflect_rows(h)
+
+    def det1(lane):
+        for i0, i1 in bands[lane::lanes]:
+            xb = take("det1_band", (lane, i0, i1))
+            _det1_rows(enc, a2, rows[i0 : i1 + 2], tall[lane][: i1 - i0 + 2], xb)
+            _conv3_band(xb, taps, b1, out1[i0:i1], True, scratch[lane], acc[lane])
+
+    run(det1)
     _reflect_border(xd2)
     logits = take("logits")
     conv("det2", xd2, logits, relu=False)

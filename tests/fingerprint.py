@@ -18,7 +18,10 @@ same 8 pairs, written as PNGs plus a pair list (so the command's pair pool,
 BLAS pin, aggregation and CSV format are covered too); for seed 1 also a
 hash of each point count and the xy and descriptor bytes that
 ``PointPropsDetector.detect`` finds on the 8 B images read back from those
-PNGs, with the same checkpoint; then, once, hashes of
+PNGs, with the same checkpoint; then, once, a hash of the maps that a
+tape-free ``model.forward`` gives with that checkpoint on a mosaic at 480x640
+and at 100x132 (where det1's row bands are uneven), so a change of the
+forward's bands shows at sizes the eval pairs do not have; hashes of
 the ``oracle-check`` stdout and of every check's deviation at full
 precision, a hash of the ``build_run_config`` result with no preset and
 with each preset, a hash of the views and correspondence that one seeded
@@ -50,6 +53,7 @@ from pointprops.config import (PRESETS, EvalConfig, PropertyConfig, TrainConfig,
 ROOT = Path(__file__).resolve().parents[1]
 CHECKPOINT = ROOT / "benchmarks" / "eval_checkpoint" / "model.ckpt"
 SEEDS = (1, 2, 3)
+FORWARD_SHAPES = ((480, 640), (100, 132))
 
 
 def _load_inputs():
@@ -115,6 +119,12 @@ def detect_fingerprint(root, count):
     return _digest([(len(p), p.xy.tobytes(), p.descriptors.tobytes()) for p in points])
 
 
+def forward_fingerprint(inputs, params, shape):
+    image = inputs.mosaic_scene(np.random.default_rng(shape[0] * shape[1]), shape)
+    out = model.forward(params, image, keep_cache=False)
+    return _digest([out.prob_map.tobytes(), out.desc_map.tobytes()])
+
+
 def config_fingerprint():
     return _digest([repr(build_run_config({}, preset)) for preset in (None, *PRESETS)])
 
@@ -154,6 +164,9 @@ def main() -> int:
             print(f"eval-240x320 seed {seed} eval --pairs exit {code} metrics_csv {metrics}")
             if seed == 1:
                 print(f"detect seed {seed} points {detect_fingerprint(root, len(pairs))}")
+    for shape in FORWARD_SHAPES:
+        print(f"forward tape-free {shape[0]}x{shape[1]} maps "
+              f"{forward_fingerprint(inputs, params, shape)}")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = cli.main(["oracle-check"])

@@ -166,7 +166,7 @@ class TestForward:
             np.testing.assert_array_equal(params.weights[k], before[k])
 
     def test_tape_free_matches_taped(self):
-        # 64x64 at d = 16 walks two bands in enc2 and det1
+        # each conv one band; test_lanes_give_the_serial_bits has several
         for shape, d in [((12, 16), 6), ((64, 64), 16)]:
             params = random_params(13, d=d)
             img = np.random.default_rng(14).random(shape)
@@ -353,7 +353,7 @@ class TestBandedConv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 27.1 MiB with this thread's 23.2 MiB workspace built in
+        # measured 17.5 MiB with this thread's 13.6 MiB workspace built in
         # the call, 3.6 MiB with it built before; a whole-image (rows, W+2,
         # 9, Cout) tap-product buffer of det1 would add 42 MiB, its patch
         # matrix 126.6 MiB
@@ -490,12 +490,16 @@ class TestUpsample:
 
     @pytest.mark.parametrize("h, w", SHAPES)
     def test_forward_writes_the_dense_upsample_into_a_strided_view(self, h, w):
+        # every output row with the reflected ones above and below, as det1's
+        # padded input holds them, from a contiguous copy of the encoding
         rng = np.random.default_rng(h * 100 + w)
         x = rng.random((h + 2, w + 2, 16))[1:-1, 1:-1]  # as desc1's input interior
+        rows = model._reflect_rows(4 * h)
+        np.testing.assert_array_equal(rows, np.pad(np.arange(4 * h), 1, mode="reflect"))
         dest = np.full((4 * h + 2, 4 * w + 2, 24), np.nan)
-        model._upsample4(x, np.empty((4 * h, w * 16)), dest[1:-1, 1:-1, :16])
-        assert np.array_equal(dest[1:-1, 1:-1, :16], upsample_rowcol(x))
-        dest[1:-1, 1:-1, :16] = np.nan
+        model._upsample4(x.copy(), rows, np.empty((4 * h + 2, w * 16)), dest[:, 1:-1, :16])
+        assert np.array_equal(dest[:, 1:-1, :16], upsample_rowcol(x)[rows])
+        dest[:, 1:-1, :16] = np.nan
         assert np.isnan(dest).all()
 
     @pytest.mark.parametrize("h, w", SHAPES)
@@ -584,15 +588,15 @@ class TestWorkspace:
         thread.start()
         thread.join(120)
         assert not thread.is_alive()
-        # measured 27.1 MiB, then 3.6 MiB: the second call reuses the
+        # measured 17.5 MiB, then 3.6 MiB: the second call reuses the
         # thread's workspace and allocates little beside the 1.2 MiB of maps
         # it returns
         first, second = peaks
         workspace = workspace_bytes(240, 320, 16)
         assert second < 6 * 2**20
         assert first - second > 0.95 * workspace
-        # measured 23.23 MiB
-        assert workspace < 23.3 * 2**20
+        # measured 13.56 MiB
+        assert workspace < 13.6 * 2**20
 
 
 class TestLanes:
@@ -610,25 +614,39 @@ class TestLanes:
         assert got.prob_map.tobytes() == expected.prob_map.tobytes()
         assert got.desc_map.tobytes() == expected.desc_map.tobytes()
 
-    # at 240x320 enc1 has 5 bands, enc2 and det1 4, enc3 and enc4 2: with 3
-    # lanes enc3's bands leave a lane idle; at 120x640 enc1 has 5 bands too
+    # at 240x320 enc1 has 20 bands, enc2 and det1 18 (of 13 and 14 rows, so
+    # a 13-row band fills only part of its lane's det1 band buffer), enc3
+    # and enc4 9, desc1 and desc2 2: with 3 lanes the description head's
+    # bands leave a lane idle; at 120x640 det1 has 17 bands and only its
+    # last fills the buffer; at 100x132 det1 has 3 bands, of 33, 33 and 34
+    # rows; on 1 CPU, at 64x64 (every conv one band) and on 4-pixel sides
+    # the forward runs one lane. det1's first and last bands take the
+    # reflected rows above and below the image.
     @pytest.mark.parametrize("shape, cpus", [((240, 320), 2), ((240, 320), 3),
-                                             ((120, 640), 2)])
+                                             ((120, 640), 2), ((240, 320), 1),
+                                             ((100, 132), 2), ((64, 64), 2), ((4, 8), 2)])
     def test_lanes_give_the_serial_bits(self, monkeypatch, lane_counts, shape, cpus):
         params = model.init_params(0, 16)
         img = np.random.default_rng(shape[1] + cpus).random(shape)
         expected = self.serial(params, img)
+        # the taped forward's det1 input, whose bands are views of it: the
+        # reflect pad of the upsampled encoding beside enc2's output
+        xp = expected.cache["det1_xp"]
+        assert np.array_equal(xp, padded(xp[1:-1, 1:-1]))
+        encoding = expected.cache["desc1_xp"][1:-1, 1:-1]
+        assert np.array_equal(xp[1:-1, 1:-1, :16], upsample_rowcol(encoding))
         use_cpus(monkeypatch, cpus)
         before = threading.active_count()
         self.assert_same_bytes(model.forward(params, img, keep_cache=False), expected)
         assert threading.active_count() == before
-        assert lane_counts == [cpus]  # the taped forward enters no lanes block
+        # the taped forward enters no lanes block
+        assert lane_counts == [min(cpus, model._most_bands(*shape, 16))]
 
     def test_band_counts(self):
         bands = {name: len(model._conv3_bands(shape[0] - 2, shape[1], shape[2], cout)[0])
                  for name, (shape, cout) in model._conv_inputs(240, 320, 16).items()}
-        assert bands == {"enc1": 5, "enc2": 4, "enc3": 2, "enc4": 2, "det1": 4, "det2": 1,
-                         "desc1": 1, "desc2": 1}
+        assert bands == {"enc1": 20, "enc2": 18, "enc3": 9, "enc4": 9, "det1": 18, "det2": 1,
+                         "desc1": 2, "desc2": 2}
 
     def test_one_band_convs_neither_pin_nor_start_a_thread(self, monkeypatch, lane_counts):
         # no forward pins: the BLAS thread count is set once, on import
@@ -675,10 +693,21 @@ class TestLanes:
         model.forward(params, np.zeros((240, 320)), keep_cache=False)
         arrays = model._workspace(240, 320, 16, 2)
         layout = model._layout(240, 320, 16)
-        for name in ("scratch", "acc"):
+        lane = [name for name, (arena, _, _) in layout.items() if arena == "s"]
+        assert set(lane) == {"scratch", "acc", "det1_band", "det_tall"}
+        for name in lane:
             assert arrays[name].shape == (2,) + layout[name][2][1:]
-        # 2.4 MiB (2.5 MB) per lane at 240x320
-        assert 2.3e6 < 8 * (arrays["scratch"][0].size + arrays["acc"][0].size) < 2.6e6
+        # 2.28 MiB (2.39 MB) per lane at 240x320: det2's one-band scratch and
+        # accumulator, 0.59 MiB each, det1's 16-row input band, 0.94 MiB, and
+        # the upsample's row GEMM of it, 0.16 MiB
+        assert 2.3e6 < 8 * sum(arrays[name][0].size for name in lane) < 2.5e6
+        # no whole (242, 322, 24) det1 input, which alone would take 14.3
+        # MiB: 15.84 MiB in all
+        assert (242, 322, 24) not in [shape[-3:] for _, _, shape in layout.values()]
+        buffer = arrays["acc"]
+        while buffer.base is not None:
+            buffer = buffer.base
+        assert buffer.nbytes < 16 * 2**20
 
     def test_a_one_lane_forward_keeps_one_band_buffer(self, monkeypatch, lane_counts):
         # as in eval's pair threads: beside another thread the forward takes one lane
